@@ -14,6 +14,7 @@ probability), which yields the bound P(reach within l*k) >= 1 - (1 - eta^k)^l.
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
@@ -82,9 +83,9 @@ def belief_graph(model: Pomdp, start: str) -> BeliefGraph:
     nodes = [init]
     seen = {init}
     edges = []
-    queue = [init]
+    queue = deque([init])
     while queue:
-        support = queue.pop(0)
+        support = queue.popleft()
         enabled = model.enabled(next(iter(support)))
         for a in enabled:
             for z in model.observations:
@@ -180,9 +181,9 @@ def _avoider_strategy(model: Pomdp, start: str, choice: Mapping[BeliefSupport, s
     seen = {init}
     table = {}
     update = {}
-    queue = [init]
+    queue = deque([init])
     while queue:
-        pre = queue.pop(0)
+        pre = queue.popleft()
         for z in model.observations:
             enabled = model.enabled_for_observation(z)
             if not enabled:
@@ -208,7 +209,8 @@ class UniversalReachResult:
     holds = True: every strategy from `start` reaches the target with
     probability one; `k`, `eta` and `step_bound` = eta^k state the guaranteed
     probability of reaching within k steps from any relevantly reachable
-    state.  holds = False: `witness_state` is reachable from `start` without
+    state (`step_bound` is computed on access: it has k * log2(1/eta) bits).
+    holds = False: `witness_state` is reachable from `start` without
     touching the target and `witness` is a pure strategy avoiding the target
     surely from it.
     """
@@ -216,10 +218,13 @@ class UniversalReachResult:
     holds: bool
     k: int
     eta: Fraction
-    step_bound: Fraction
     reachable_support_count: int
     witness_state: Optional[str] = None
     witness: Optional[PureStrategy] = None
+
+    @property
+    def step_bound(self) -> Fraction:
+        return self.eta ** self.k
 
 
 def min_transition_probability(model: Pomdp) -> Fraction:
@@ -240,19 +245,18 @@ def universal_as_reach(model: Pomdp, start: str, target: frozenset) -> Universal
         raise UnknownState(start)
     k = 2 ** len(model.states)
     eta = min_transition_probability(model)
-    bound = eta ** k
     support_count = len(belief_graph(model, start).nodes)
 
     avoid_reachable = _reachable_avoiding(model, start, target)
     if not avoid_reachable:  # start is already in the target
-        return UniversalReachResult(True, k, eta, bound, support_count)
+        return UniversalReachResult(True, k, eta, support_count)
     choice = _avoidance_winning_supports(model, target)
     for s in sorted(avoid_reachable, key=model.states.index):
         if frozenset({s}) in choice:
             witness = _avoider_strategy(model, s, choice)
-            return UniversalReachResult(False, k, eta, bound, support_count,
+            return UniversalReachResult(False, k, eta, support_count,
                                         witness_state=s, witness=witness)
-    return UniversalReachResult(True, k, eta, bound, support_count)
+    return UniversalReachResult(True, k, eta, support_count)
 
 
 def _reachable_avoiding(model: Pomdp, start: str, target: frozenset) -> frozenset:

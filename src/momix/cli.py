@@ -13,8 +13,8 @@ import sys
 from fractions import Fraction
 
 from . import beliefs, evaluate, geometry, model as model_mod, montecarlo, payoffs, strategies, synthesis
-from .errors import (InfeasibleApproximation, MomixError, NotAchievable, ParseError,
-                     SchemaError)
+from .errors import (DimensionMismatch, InfeasibleApproximation, MomixError, NotAchievable,
+                     ParseError, SchemaError, UnknownState)
 from .rationals import ExtRealVector, format_rational, parse_ext, parse_rational
 
 EXIT_OK = 0
@@ -44,18 +44,21 @@ def _load_problem(path):
 def _skeleton(arg: str, mdl, path_loader=strategies.load_strategy_file):
     if arg == "memoryless":
         return strategies.memoryless(mdl)
-    if arg.startswith("counter:"):
+    if arg.startswith("counter:") and arg.split(":", 1)[1].isdigit():
         return strategies.counter(mdl, int(arg.split(":", 1)[1]))
     if arg.startswith("file:"):
         loaded = path_loader(arg.split(":", 1)[1], mdl)
         if isinstance(loaded, strategies.FiniteMixture):
             raise SchemaError("a mixture file cannot serve as a skeleton")
         return loaded.skeleton
-    raise SchemaError(f"unknown skeleton spec {arg!r} (memoryless|counter:<H>|file:<path>)")
+    raise SchemaError(f"bad skeleton spec {arg!r} (memoryless|counter:<H>, H >= 0|file:<path>)")
 
 
-def _target_vector(text: str) -> ExtRealVector:
-    return ExtRealVector([parse_ext(part.strip()) for part in text.split(",")])
+def _target_vector(text: str, dims) -> ExtRealVector:
+    target = ExtRealVector([parse_ext(part.strip()) for part in text.split(",")])
+    if len(target) != len(dims):
+        raise DimensionMismatch(f"--target has {len(target)} components for {len(dims)} payoffs")
+    return target
 
 
 def _pool(mdl, start, dims, skeleton):
@@ -163,7 +166,7 @@ def _cmd_achieve(args):
     mdl, dims = _load_problem(args.model)
     dims = _need_payoffs(dims)
     skeleton = _skeleton(args.skeleton, mdl)
-    target = _target_vector(args.target)
+    target = _target_vector(args.target, dims)
     pool = _pool(mdl, args.state, dims, skeleton)
     try:
         cert = synthesis.achieve(mdl, args.state, dims, target, pool,
@@ -185,11 +188,13 @@ def _cmd_approx(args):
     mdl, dims = _load_problem(args.model)
     dims = _need_payoffs(dims)
     skeleton = _skeleton(args.skeleton, mdl)
-    target = _target_vector(args.target)
+    target = _target_vector(args.target, dims)
+    eps = parse_rational(args.eps)
+    if eps <= 0:
+        raise SchemaError(f"--eps must be positive, not {args.eps}")
     pool = _pool(mdl, args.state, dims, skeleton)
     try:
-        cert = synthesis.approximate(mdl, args.state, dims, target,
-                                     parse_rational(args.eps), parse_rational(args.bigM),
+        cert = synthesis.approximate(mdl, args.state, dims, target, eps, parse_rational(args.bigM),
                                      pool, pool_info=args.skeleton)
     except InfeasibleApproximation as exc:
         _emit(args, {"ok": False, "reason": str(exc)}, [f"infeasible: {exc}"])
@@ -377,7 +382,8 @@ def run(argv) -> int:
         return EXIT_USAGE if exc.code not in (0,) else EXIT_OK
     try:
         return args.func(args)
-    except (ParseError, SchemaError, OSError, json.JSONDecodeError) as exc:
+    except (ParseError, SchemaError, UnknownState, DimensionMismatch, OSError,
+            json.JSONDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except MomixError as exc:

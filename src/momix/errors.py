@@ -5,6 +5,11 @@ class MomixError(Exception):
     """Base class for all library errors."""
 
 
+class SelfCheckFailed(MomixError):
+    """An exact re-check of a certificate or geometric invariant failed (a
+    bug).  Unlike an assert, the check also runs under ``python -O``."""
+
+
 # -- model / file errors ----------------------------------------------------
 
 class ParseError(MomixError):

@@ -17,11 +17,12 @@ the model with the strategy:
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
-from .errors import UndefinedExpectation, UnsupportedKind
+from .errors import UndefinedExpectation, UnknownState, UnsupportedKind
 from .linalg import solve_linear
 from .model import Pomdp, WeightFunction
 from .payoffs import (BuchiIndicator, DiscountedSum, MultiPayoff, PayoffSpec,
@@ -115,31 +116,29 @@ def _chain_sccs(chain: MarkovChain):
     return comps, bottom
 
 
-def _reach_probabilities(chain: MarkovChain, targets: Set[int]) -> List[Fraction]:
-    """Exact P(eventually hit `targets`) per node."""
-    n = len(chain.nodes)
-    probs = [Fraction(0)] * n
-    for t in targets:
-        probs[t] = Fraction(1)
-    can = _backward_closure(chain, targets)
-    interior = sorted(can - targets)
-    if not interior:
-        return probs
-    pos = {node: k for k, node in enumerate(interior)}
-    size = len(interior)
-    matrix = [[Fraction(0)] * size for _ in range(size)]
-    rhs = [Fraction(0)] * size
-    for node in interior:
-        k = pos[node]
-        matrix[k][k] += 1
-        for j, p in chain.matrix[node].items():
-            if j in targets:
-                rhs[k] += p
-            elif j in pos:
-                matrix[k][pos[j]] -= p
-    solution = solve_linear(matrix, rhs)
+def _solve_on(chain: MarkovChain, nodes: Sequence[int], rhs: Sequence[Fraction],
+              discount: Fraction = 1) -> Dict[int, Fraction]:
+    """Unique solution of x = rhs + discount * P x on `nodes`, with x = 0
+    off `nodes` (the transient system I - discount * P restricted to them)."""
+    pos = {node: k for k, node in enumerate(nodes)}
+    matrix = [[Fraction(0)] * len(nodes) for _ in nodes]
     for node, k in pos.items():
-        probs[node] = solution[k]
+        row = matrix[k]
+        row[k] += 1
+        for j, p in chain.matrix[node].items():
+            if j in pos:
+                row[pos[j]] -= discount * p
+    return dict(zip(nodes, solve_linear(matrix, rhs)))
+
+
+def _reach_probabilities(chain: MarkovChain, targets: Set[int]) -> Dict[int, Fraction]:
+    """Exact P(eventually hit `targets`) per node."""
+    probs = {i: Fraction(1) if i in targets else Fraction(0) for i in range(len(chain.nodes))}
+    interior = sorted(_backward_closure(chain, targets) - targets)
+    if interior:
+        rhs = [sum((p for j, p in chain.matrix[i].items() if j in targets), Fraction(0))
+               for i in interior]
+        probs.update(_solve_on(chain, interior, rhs))
     return probs
 
 
@@ -149,17 +148,6 @@ def _expected_step_weights(chain: MarkovChain, weights: WeightFunction) -> List[
         out.append(sum((alpha * weights(s, a) for a, alpha in chain.action_dists[i].items()),
                        Fraction(0)))
     return out
-
-
-def _solve_discounted(chain: MarkovChain, discount: Fraction, rewards: Sequence[Fraction]) -> List[Fraction]:
-    """Unique solution of x = r + lambda P x over all chain nodes."""
-    n = len(chain.nodes)
-    matrix = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        matrix[i][i] += 1
-        for j, p in chain.matrix[i].items():
-            matrix[i][j] -= discount * p
-    return solve_linear(matrix, list(rewards))
 
 
 # -- per-kind evaluation -------------------------------------------------------------
@@ -187,7 +175,7 @@ def _eval_buchi(chain: MarkovChain, target: frozenset) -> ExtReal:
 
 def _eval_discounted(chain: MarkovChain, spec: DiscountedSum) -> ExtReal:
     rewards = _expected_step_weights(chain, spec.weights)
-    return ExtReal(_solve_discounted(chain, spec.discount, rewards)[chain.init])
+    return ExtReal(_solve_on(chain, range(len(chain.nodes)), rewards, spec.discount)[chain.init])
 
 
 def _stopped_chain(chain: MarkovChain, target: frozenset) -> Tuple[MarkovChain, Set[int]]:
@@ -196,9 +184,9 @@ def _stopped_chain(chain: MarkovChain, target: frozenset) -> Tuple[MarkovChain, 
     targets = {i for i, (s, _m) in enumerate(chain.nodes) if s in target}
     keep = []
     seen = {chain.init}
-    queue = [chain.init]
+    queue = deque([chain.init])
     while queue:
-        i = queue.pop(0)
+        i = queue.popleft()
         keep.append(i)
         if i in targets:
             continue
@@ -229,19 +217,8 @@ def _eval_shortest_path(chain: MarkovChain, spec: ShortestPath) -> ExtReal:
     if reach[stopped.init] != 1:
         return POS_INF
     interior = [i for i in range(len(stopped.nodes)) if i not in targets]
-    pos = {node: k for k, node in enumerate(interior)}
     rewards = _expected_step_weights(stopped, spec.weights)
-    matrix = [[Fraction(0)] * len(interior) for _ in interior]
-    rhs = [Fraction(0)] * len(interior)
-    for node in interior:
-        k = pos[node]
-        matrix[k][k] += 1
-        rhs[k] += rewards[node]
-        for j, p in stopped.matrix[node].items():
-            if j in pos:
-                matrix[k][pos[j]] -= p
-    solution = solve_linear(matrix, rhs)
-    return ExtReal(solution[pos[stopped.init]])
+    return ExtReal(_solve_on(stopped, interior, [rewards[i] for i in interior])[stopped.init])
 
 
 def _eval_total_reward(chain: MarkovChain, spec: TotalRewardNonNeg) -> ExtReal:
@@ -256,18 +233,7 @@ def _eval_total_reward(chain: MarkovChain, spec: TotalRewardNonNeg) -> ExtReal:
     transient = [i for i in range(len(chain.nodes)) if i not in recurrent]
     if chain.init in recurrent:
         return ExtReal(0)
-    pos = {node: k for k, node in enumerate(transient)}
-    matrix = [[Fraction(0)] * len(transient) for _ in transient]
-    rhs = [Fraction(0)] * len(transient)
-    for node in transient:
-        k = pos[node]
-        matrix[k][k] += 1
-        rhs[k] += rewards[node]
-        for j, p in chain.matrix[node].items():
-            if j in pos:
-                matrix[k][pos[j]] -= p
-    solution = solve_linear(matrix, rhs)
-    return ExtReal(solution[pos[chain.init]])
+    return ExtReal(_solve_on(chain, transient, [rewards[i] for i in transient])[chain.init])
 
 
 def _eval_gated_discounted(chain: MarkovChain, spec: ReachGatedDiscountedSum,
@@ -277,17 +243,14 @@ def _eval_gated_discounted(chain: MarkovChain, spec: ReachGatedDiscountedSum,
     if chain.init in targets:
         return plain
     reach = _reach_probabilities(chain, targets)
-    never = [1 - p for p in reach]  # h(c) = P(avoid target forever from c)
+    never = {i: 1 - p for i, p in reach.items()}  # h(c) = P(avoid target forever from c)
     model = chain.model
     interior = [i for i in range(len(chain.nodes)) if i not in targets]
-    pos = {node: k for k, node in enumerate(interior)}
-    matrix = [[Fraction(0)] * len(interior) for _ in interior]
-    rhs = [Fraction(0)] * len(interior)
+    rhs = []
     for node in interior:
-        k = pos[node]
-        matrix[k][k] += 1
         s, mem = chain.nodes[node]
         z = model.obs[s]
+        total = Fraction(0)
         for a, alpha in chain.action_dists[node].items():
             if alpha == 0:
                 continue
@@ -295,11 +258,10 @@ def _eval_gated_discounted(chain: MarkovChain, spec: ReachGatedDiscountedSum,
             for t, p in model.dist(s, a).items():
                 if p == 0 or t in spec.target:
                     continue
-                succ = chain.index[(t, nxt_mem)]
-                rhs[k] += alpha * spec.weights(s, a) * p * never[succ]
-                matrix[k][pos[succ]] -= spec.discount * alpha * p
-    solution = solve_linear(matrix, rhs)
-    avoided = solution[pos[chain.init]]  # E[DS * 1{never reach}]
+                total += alpha * spec.weights(s, a) * p * never[chain.index[(t, nxt_mem)]]
+        rhs.append(total)
+    # The avoid-restricted system is I - lambda P on the non-target nodes.
+    avoided = _solve_on(chain, interior, rhs, spec.discount)[chain.init]  # E[DS * 1{never reach}]
     return ExtReal(plain.finite - avoided)
 
 
@@ -338,6 +300,8 @@ def pure_payoff_set(model: Pomdp, start: str, dims: MultiPayoff, skeleton: Memor
     evaluation (the product chain is identical), which keeps large pools
     cheap without changing any result.
     """
+    if start not in model.states:
+        raise UnknownState(start)
     memo: Dict[object, ExtRealVector] = {}
     results = []
     for strategy in enumerate_pure(model, skeleton, cap=cap):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .errors import DimensionMismatch, NotDominated, NotInHull
+from .errors import DimensionMismatch, NotDominated, NotInHull, SelfCheckFailed
 from .linalg import dot, nullspace, rref
 from .lp import LinearProgram
 from .rationals import ExtRealVector
@@ -407,7 +407,8 @@ def supporting_map(q, points) -> LinearMap:
         if _in_relative_interior(q, current):
             break
         w = _lexmin_supporting_normal(q, current, basis)
-        assert w is not None, "a supporting normal must exist outside the relative interior"
+        if w is None:
+            raise SelfCheckFailed("no supporting normal outside the relative interior")
         rows.append(w)
         level = dot(w, q)
         current = [p for p in current if dot(w, p) == level]
@@ -457,7 +458,8 @@ def dominating_face_decomposition(q, points, mode: str = "in_hull") -> Decomposi
         lp.constrain(coeffs, "==", base[j])
     lp.constrain({n: Fraction(1) for n in names}, "==", Fraction(1))
     result = lp.solve({gamma: Fraction(1)}, maximize=True)
-    assert result.ok, "the diagonal LP is feasible at gamma = 0"
+    if not result.ok:
+        raise SelfCheckFailed("the diagonal LP is infeasible, yet gamma = 0 is feasible")
     peak = tuple(base[j] + result[gamma] for j in range(d))
 
     basis, _ = affine_span(pts)
@@ -467,7 +469,8 @@ def dominating_face_decomposition(q, points, mode: str = "in_hull") -> Decomposi
         w = _lexmin_supporting_normal(peak, pts, [
             tuple(Fraction(1) if j == i else Fraction(0) for j in range(d)) for i in range(d)
         ])
-        assert w is not None, "peak lies on the boundary of a full-dimensional hull"
+        if w is None:
+            raise SelfCheckFailed("no supporting normal at the peak of a full-dimensional hull")
         level = dot(w, peak)
         face = [i for i in range(len(pts)) if dot(w, pts[i]) == level]
         inner = caratheodory(peak, [pts[i] for i in face])
@@ -476,7 +479,8 @@ def dominating_face_decomposition(q, points, mode: str = "in_hull") -> Decomposi
         idx, alpha = _eliminate_dependencies(pts, list(dec.indices), list(dec.coefficients), d)
         dec = Decomposition(tuple(idx), tuple(alpha))
     recombined = dec.recombine(pts)
-    assert all(recombined[j] >= q[j] for j in range(d)), "recombination must dominate q"
+    if any(recombined[j] < q[j] for j in range(d)):
+        raise SelfCheckFailed("the recombination does not dominate q")
     return dec
 
 

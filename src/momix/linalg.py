@@ -1,36 +1,52 @@
-"""Exact rational linear algebra: dense Gaussian elimination over Fraction.
+"""Exact rational linear algebra.
 
-Matrices are lists of lists of Fractions.  All pivots are exact, so there is
-no tolerance policy anywhere; a singular system raises
-:class:`momix.errors.SingularSystem`.
+Matrices are lists of lists of Fractions.  :func:`solve_linear` runs
+fraction-free (Bareiss) elimination on integer-scaled rows; :func:`rref` is
+Gauss-Jordan elimination over Fraction.  All pivots are exact, so there is no
+tolerance policy anywhere; a singular system raises :class:`SingularSystem`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import List, Sequence
 
 from .errors import SingularSystem
 
 
 def solve_linear(matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> List[Fraction]:
-    """Solve A x = b exactly for square A."""
+    """Solve A x = b exactly for square A by Bareiss elimination (Math. Comp.
+    22, 1968): every entry after step k is a (k+1)-minor of the integer
+    system, so dividing by the previous pivot is exact.  The pivot is the
+    first nonzero entry of its column."""
     n = len(matrix)
     if any(len(row) != n for row in matrix) or len(rhs) != n:
         raise ValueError("solve_linear expects a square system")
-    a = [[Fraction(x) for x in row] + [Fraction(rhs[i])] for i, row in enumerate(matrix)]
+    a = []
+    for row, b in zip(matrix, rhs):
+        values = [*row, b]
+        scale = lcm(*(v.denominator for v in values))
+        a.append([v.numerator * (scale // v.denominator) for v in values])
+    prev = 1
     for col in range(n):
         pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
         if pivot is None:
             raise SingularSystem(f"no pivot in column {col}")
         a[col], a[pivot] = a[pivot], a[col]
-        inv = Fraction(1) / a[col][col]
-        a[col] = [v * inv for v in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                factor = a[r][col]
-                a[r] = [v - factor * p for v, p in zip(a[r], a[col])]
-    return [a[r][n] for r in range(n)]
+        top = a[col]
+        akk = top[col]
+        for r in range(col + 1, n):
+            ark = a[r][col]
+            a[r] = [(akk * v - ark * p) // prev for v, p in zip(a[r], top)]
+        prev = akk
+    # Cramer: det * x is an integer vector, so back-substitution stays exact.
+    det = prev
+    num = [0] * n
+    for i in reversed(range(n)):
+        row = a[i]
+        num[i] = (det * row[n] - sum(row[j] * num[j] for j in range(i + 1, n))) // row[i]
+    return [Fraction(v, det) for v in num]
 
 
 def rref(matrix: Sequence[Sequence[Fraction]]):

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import json
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
@@ -177,10 +178,10 @@ def reachable_choice_points(model: Pomdp, skeleton: MemorySkeleton):
     order_key = {s: i for i, s in enumerate(model.states)}
     mem_key = {m: i for i, m in enumerate(skeleton.memory)}
     frontier.sort(key=lambda sq: (order_key[sq[0]], mem_key[sq[1]]))
-    queue = list(frontier)
+    queue = deque(frontier)
     seen.update(queue)
     while queue:
-        s, mem = queue.pop(0)
+        s, mem = queue.popleft()
         z = model.obs[s]
         enabled = model.enabled(s)
         if (mem, z) not in point_keys:
@@ -194,13 +195,6 @@ def reachable_choice_points(model: Pomdp, skeleton: MemorySkeleton):
                     queue.append((t, nxt_mem))
     points.sort(key=lambda pz: (mem_key[pz[0][0]], model.observations.index(pz[0][1])))
     return points
-
-
-def pure_pool_size(model: Pomdp, skeleton: MemorySkeleton) -> int:
-    size = 1
-    for _, enabled in reachable_choice_points(model, skeleton):
-        size *= len(enabled)
-    return size
 
 
 def enumerate_pure(model: Pomdp, skeleton: MemorySkeleton, cap: int = 1_000_000) -> Iterator[PureStrategy]:
@@ -252,9 +246,9 @@ def product_chain(model: Pomdp, strategy: FiniteMemoryStrategy, start: str) -> M
     index = {init: 0}
     rows: List[Dict[int, Fraction]] = []
     dists: List[Mapping[str, Fraction]] = []
-    queue = [init]
+    queue = deque([init])
     while queue:
-        s, mem = queue.pop(0)
+        s, mem = queue.popleft()
         z = model.obs[s]
         dist = strategy.action_distribution(mem, z)
         row: Dict[int, Fraction] = {}
@@ -340,9 +334,9 @@ def mixed_to_behavioural(mixture: FiniteMixture, model: Pomdp) -> FiniteMemorySt
     seen = {init}
     update: Dict[Tuple[object, str, str], object] = {}
     act: Dict[Tuple[object, str], Mapping[str, Fraction]] = {}
-    queue = [init]
+    queue = deque([init])
     while queue:
-        node = queue.pop(0)
+        node = queue.popleft()
         mems, consistent = node
         for z in model.observations:
             enabled = model.enabled_for_observation(z)

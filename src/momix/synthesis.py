@@ -14,7 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .errors import InfeasibleApproximation, NotAchievable, NotDominated, NotInHull
+from .errors import (InfeasibleApproximation, NotAchievable, NotDominated, NotInHull,
+                     SelfCheckFailed)
 from .geometry import Decomposition, achievability_lp, caratheodory
 from .lp import LinearProgram
 from .rationals import ExtReal, ExtRealVector
@@ -130,7 +131,8 @@ def achieve(model, start, dims, target: ExtRealVector, pool: Pool,
         target=target,
         pool_info=pool_info,
     )
-    assert certificate.verify(), "exact recombination check failed"
+    if not certificate.verify():
+        raise SelfCheckFailed("exact recombination check failed")
     return certificate
 
 
@@ -165,16 +167,15 @@ def approximate(model, start, dims, target: ExtRealVector, eps: Fraction, big_m:
             relation=("approximates", eps, big_m),
             target=target, pool_info=pool_info,
         )
-        assert cert.verify()
-        return cert
-
-    cert = _approx_with_witnesses(pool, target, fin_dims, inf_dims, eps, big_m, pool_info)
-    if cert is None:
-        raise InfeasibleApproximation(
-            f"no mixture over this pool approximates {target} at eps={eps}, M={big_m}",
-            pool_info=pool_info,
-        )
-    assert cert.verify()
+    else:
+        cert = _approx_with_witnesses(pool, target, fin_dims, inf_dims, eps, big_m, pool_info)
+        if cert is None:
+            raise InfeasibleApproximation(
+                f"no mixture over this pool approximates {target} at eps={eps}, M={big_m}",
+                pool_info=pool_info,
+            )
+    if not cert.verify():
+        raise SelfCheckFailed("exact recombination check failed")
     return cert
 
 
@@ -371,7 +372,8 @@ def reduce_support(mixture: FiniteMixture, vectors: Sequence[ExtRealVector]) -> 
     kept_vectors = []
     for member in reduced.support:
         kept_vectors.append(vectors[mixture.support.index(member)])
-    assert ExtRealVector.combine(reduced.weights, kept_vectors) == realized, \
-        "support reduction changed the realized vector"
-    assert len(reduced.support) <= d + 1
+    if ExtRealVector.combine(reduced.weights, kept_vectors) != realized:
+        raise SelfCheckFailed("support reduction changed the realized vector")
+    if len(reduced.support) > d + 1:
+        raise SelfCheckFailed(f"support reduction kept {len(reduced.support)} > d + 1 members")
     return reduced

@@ -162,6 +162,21 @@ def test_input_error():
     assert run(["validate", "does-not-exist.json"]) == 3
 
 
+@pytest.mark.parametrize("argv", [
+    ["frontier", os.path.join(MODELS, "split_reach.json"), "--state", "s",
+     "--skeleton", "counter:6"],
+    ["frontier", RUNNING, "--state", "s0", "--skeleton", "counter:x"],
+    ["frontier", RUNNING, "--state", "s0", "--skeleton", "counter:-1"],
+    ["approx", EARN_OR_EXIT, "--state", "s", "--target", "1,2,3", "--eps", "1/10",
+     "--bigM", "10"],
+    ["approx", EARN_OR_EXIT, "--state", "s", "--target", "1,+inf", "--eps", "0",
+     "--bigM", "10"],
+], ids=["unknown-state", "counter-not-int", "counter-negative", "target-dimension", "eps-zero"])
+def test_bad_arguments_are_input_errors(argv, capsys):
+    assert run(argv + ["--json"]) == 3
+    assert "input error" in capsys.readouterr().err
+
+
 def test_malformed_model(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")

@@ -1,9 +1,12 @@
 """The exact evaluator against hand-computed oracles from the fixture models."""
 
+import json
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import momix as mx
 from momix.errors import UndefinedExpectation
@@ -273,7 +276,6 @@ def test_classify_total_reward(earn_or_exit):
 
 
 def test_classify_total_reward_no_positive_cycle(earn_or_exit):
-    import json
     doc = {"states": ["s", "t"], "actions": ["a", "b"],
            "transitions": {"s": {"a": {"s": "1"}, "b": {"t": "1"}}, "t": {"b": {"t": "1"}}},
            "weights": {"w": {"s,a": ["0"], "s,b": ["1"], "t,b": ["0"]}},
@@ -288,3 +290,111 @@ def test_maximal_end_components(earn_or_exit):
     mecs = maximal_end_components(model)
     states = {frozenset(c) for c, _pairs in mecs}
     assert states == {frozenset({"s"}), frozenset({"t"})}
+
+
+# -- differential check against float64 solves on generated MDPs ------------------------
+
+
+@st.composite
+def small_problems(draw):
+    """An MDP with 2 to 5 states and at most 2 actions, one payoff of each of the
+    reach, discounted, total-reward and shortest-path kinds, and a
+    randomized counter strategy; as (model document, horizon, strategy seed)."""
+    n = draw(st.integers(min_value=2, max_value=5))
+    states = [f"s{i}" for i in range(n)]
+    transitions, weights = {}, {}
+    for s in states:
+        for a in draw(st.sampled_from([["a"], ["b"], ["a", "b"]])):
+            succ = draw(st.lists(st.sampled_from(states), min_size=1, max_size=3, unique=True))
+            mass = draw(st.lists(st.integers(1, 4), min_size=len(succ), max_size=len(succ)))
+            transitions.setdefault(s, {})[a] = {t: str(Fraction(m, sum(mass)))
+                                                for t, m in zip(succ, mass)}
+            # the second component is mostly 0, so total rewards are often finite
+            weights[f"{s},{a}"] = [str(draw(st.integers(0, 5))),
+                                   str(draw(st.sampled_from([0, 0, 0, 0, 1, 3])))]
+
+    def target():  # never the start state, whose values would be trivial
+        return draw(st.lists(st.sampled_from(states[1:]), min_size=1, unique=True))
+
+    payoffs = [
+        {"kind": "reach", "target": target()},
+        {"kind": "discounted_sum", "lambda": f"{draw(st.integers(0, 7))}/8", "weights": "w"},
+        {"kind": "total_reward", "weights": "w", "windex": 1},
+        {"kind": "shortest_path", "target": target(), "weights": "w"},
+    ]
+    doc = {"states": states, "actions": ["a", "b"], "transitions": transitions,
+           "weights": {"w": weights}, "payoffs": payoffs}
+    return doc, draw(st.integers(0, 2)), draw(st.integers(0, 2 ** 16))
+
+
+def _closure(adj):
+    """reach[i, j]: j is reachable from i in zero or more steps."""
+    reach = np.eye(len(adj), dtype=bool) | adj
+    for _ in range(len(adj)):
+        reach = reach | ((reach.astype(int) @ reach.astype(int)) > 0)
+    return reach
+
+
+def _float_oracle(chain, spec):
+    """The same payoff on the same product chain, from numpy float64 solves
+    and boolean reachability only; None stands for +inf."""
+    n = len(chain.nodes)
+    P = np.zeros((n, n))
+    for i, row in enumerate(chain.matrix):
+        for j, p in row.items():
+            P[i, j] = float(p)
+    reach = _closure(P > 0)
+    init = chain.init
+
+    def rewards():
+        return np.array([sum(float(alpha * spec.weights(s, a))
+                             for a, alpha in chain.action_dists[i].items())
+                         for i, (s, _m) in enumerate(chain.nodes)])
+
+    def solve_on(nodes, rhs, discount=1.0):
+        nodes = list(nodes)
+        if init not in nodes:
+            return 0.0
+        x = np.linalg.solve(np.eye(len(nodes)) - discount * P[np.ix_(nodes, nodes)], rhs)
+        return x[nodes.index(init)]
+
+    if isinstance(spec, mx.DiscountedSum):
+        return solve_on(range(n), rewards(), float(spec.discount))
+    if isinstance(spec, mx.TotalRewardNonNeg):
+        r = rewards()
+        recurrent = [i for i in range(n) if all(reach[j, i] for j in range(n) if reach[i, j])]
+        if any(r[i] > 0 for i in recurrent):
+            return None
+        transient = [i for i in range(n) if i not in recurrent]
+        return solve_on(transient, r[transient])
+    hit = [i for i, (s, _m) in enumerate(chain.nodes) if s in spec.target]
+    if init in hit:
+        return 1.0 if isinstance(spec, mx.ReachIndicator) else 0.0
+    if isinstance(spec, mx.ReachIndicator):
+        nodes = [i for i in range(n) if i not in hit and reach[i, hit].any()]
+        return solve_on(nodes, P[np.ix_(nodes, hit)].sum(axis=1))
+    # shortest path: the nodes reachable from init before the first hit
+    free = P > 0
+    free[hit, :] = False
+    from_init = _closure(free)[init]
+    before = [i for i in range(n) if from_init[i] and i not in hit]
+    if not all(reach[i, hit].any() for i in before):
+        return None
+    return solve_on(before, rewards()[before])
+
+
+@given(small_problems())
+@settings(max_examples=150, deadline=None)
+def test_expected_payoff_matches_float_solves(problem):
+    doc, horizon, seed = problem
+    model, dims = mx.load_problem(json.dumps(doc))
+    strategy = grid_randomized(model, mx.counter(model, horizon), random.Random(seed))
+    exact = mx.expected_payoff(model, strategy, "s0", dims)
+    chain = mx.product_chain(model, strategy, "s0")
+    for value, spec in zip(exact, dims):
+        oracle = _float_oracle(chain, spec)
+        if oracle is None:
+            assert value == mx.POS_INF
+        else:
+            assert value.is_finite
+            assert float(value.finite) == pytest.approx(oracle, rel=1e-9, abs=1e-9)

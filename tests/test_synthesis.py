@@ -1,7 +1,11 @@
 """Synthesis: achieve / approximate certificates, lexicographic optimization,
 support reduction with extended-real components."""
 
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 
 import pytest
@@ -9,8 +13,8 @@ import pytest
 import momix as mx
 from momix.errors import InfeasibleApproximation, NotAchievable
 
-from conftest import (distinct_vectors, split_reach_choice, earn_or_exit_stay, earn_or_exit_leave,
-                      gated_reward_leave, grid_randomized)
+from conftest import (MODELS, distinct_vectors, split_reach_choice, earn_or_exit_stay,
+                      earn_or_exit_leave, gated_reward_leave, grid_randomized)
 
 
 @pytest.fixture(scope="module")
@@ -60,6 +64,28 @@ def test_achieve_dominates_two_discounts(two_discounts):
     assert cert.realized.dominates(mx.vector(3, 1))
     with pytest.raises(NotAchievable):
         mx.achieve(model, "s0", dims, mx.vector(6, 3), pool, mode="dominates")
+
+
+def test_corrupted_certificate_raises_under_optimize():
+    """The recombination re-check is not an assert: it still runs under -O."""
+    script = textwrap.dedent(f"""
+        import momix as mx
+        from momix import synthesis
+        assert not __debug__, "run with python -O"
+        with open({os.path.join(MODELS, "two_discounts.json")!r}) as fh:
+            model, dims = mx.load_problem(fh.read())
+        pool = mx.pure_payoff_set(model, "s0", dims, mx.counter(model, 6))
+        synthesis._realized = lambda pool, indices, coeffs: mx.vector(0, 0)
+        try:
+            mx.achieve(model, "s0", dims, mx.vector(3, 1), pool, mode="dominates")
+        except mx.SelfCheckFailed as exc:
+            print("raised:", exc)
+    """)
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(mx.__file__)))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("raised: exact recombination check failed")
 
 
 def test_approximate_earn_or_exit(earn_or_exit):
