@@ -61,10 +61,6 @@ def _target_vector(text: str, dims) -> ExtRealVector:
     return target
 
 
-def _pool(mdl, start, dims, skeleton):
-    return evaluate.pure_payoff_set(mdl, start, dims, skeleton)
-
-
 def _emit(args, payload: dict, human_lines):
     if args.json:
         print(json.dumps(payload, indent=2))
@@ -115,12 +111,8 @@ def _cmd_frontier(args):
     mdl, dims = _load_problem(args.model)
     dims = _need_payoffs(dims)
     skeleton = _skeleton(args.skeleton, mdl)
-    pool = _pool(mdl, args.state, dims, skeleton)
-    vectors = [vec for _s, vec in pool]
-    distinct = []
-    for v in vectors:
-        if v not in distinct:
-            distinct.append(v)
+    pool = evaluate.pure_payoff_set(mdl, args.state, dims, skeleton)
+    distinct = [pool[i][1] for i in synthesis.distinct_members(pool)]
     pareto = set(geometry.pareto_frontier(distinct))
     finite = [v.to_fractions() for v in distinct if v.is_finite]
     vertex_set = set()
@@ -134,8 +126,8 @@ def _cmd_frontier(args):
             "pareto": i in pareto,
             "vertex": v in vertex_set,
         })
-    payload = {"ok": True, "pool_size": len(pool), "distinct": rows}
-    lines = [f"pool size {len(pool)}, {len(distinct)} distinct vectors"]
+    payload = {"ok": True, "pool_size": pool.size, "distinct": rows}
+    lines = [f"pool size {pool.size}, {len(distinct)} distinct vectors"]
     for row in rows:
         marks = ("P" if row["pareto"] else " ") + ("V" if row["vertex"] else " ")
         lines.append(f"  [{marks}] " + "  ".join(_fmt(c) for c in row["vector"]))
@@ -167,7 +159,7 @@ def _cmd_achieve(args):
     dims = _need_payoffs(dims)
     skeleton = _skeleton(args.skeleton, mdl)
     target = _target_vector(args.target, dims)
-    pool = _pool(mdl, args.state, dims, skeleton)
+    pool = evaluate.pure_payoff_set(mdl, args.state, dims, skeleton)
     try:
         cert = synthesis.achieve(mdl, args.state, dims, target, pool,
                                  mode=args.mode, pool_info=args.skeleton)
@@ -192,7 +184,7 @@ def _cmd_approx(args):
     eps = parse_rational(args.eps)
     if eps <= 0:
         raise SchemaError(f"--eps must be positive, not {args.eps}")
-    pool = _pool(mdl, args.state, dims, skeleton)
+    pool = evaluate.pure_payoff_set(mdl, args.state, dims, skeleton)
     try:
         cert = synthesis.approximate(mdl, args.state, dims, target, eps, parse_rational(args.bigM),
                                      pool, pool_info=args.skeleton)
@@ -212,7 +204,7 @@ def _cmd_lexopt(args):
     mdl, dims = _load_problem(args.model)
     dims = _need_payoffs(dims)
     skeleton = _skeleton(args.skeleton, mdl)
-    pool = _pool(mdl, args.state, dims, skeleton)
+    pool = evaluate.pure_payoff_set(mdl, args.state, dims, skeleton)
     result = synthesis.lex_optimize(pool)
     payload = {"ok": True, "winner_index": result.winner_index,
                "vector": result.vector.serialize(), "pool_size": result.pool_size,
@@ -309,14 +301,11 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--state", required=True, help="initial state id")
         p.add_argument("--json", action="store_true", help="machine-readable output")
         p.add_argument("--out", default=None, help="write result file")
-        p.add_argument("--jobs", type=int, default=1,
-                       help="accepted for compatibility; evaluation is sequential")
 
     p = sub.add_parser("validate", help="check model invariants")
     p.add_argument("model")
     p.add_argument("--json", action="store_true")
     p.add_argument("--out", default=None)
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=_cmd_validate)
 
     p = sub.add_parser("evaluate", help="exact expected payoff of a strategy file")

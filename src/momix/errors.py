@@ -24,6 +24,10 @@ class SchemaError(MomixError):
 class UnknownState(MomixError):
     """A state identifier does not belong to the model."""
 
+    def __init__(self, state):
+        super().__init__(f"unknown state {state!r}")
+        self.state = state
+
 
 # -- plays / histories ------------------------------------------------------
 
@@ -46,10 +50,12 @@ class DisabledAction(MomixError):
 
 
 class PoolTooLarge(MomixError):
-    """Pure-strategy enumeration would exceed the configured cap."""
+    """A pure pool would exceed the configured cap.  `size` is None when
+    behaviours are counted: the walk stops at the first one past the cap."""
 
-    def __init__(self, size, cap):
-        super().__init__(f"pure pool has {size} tables, cap is {cap}")
+    def __init__(self, size, cap, unit="tables"):
+        count = f"more than {cap}" if size is None else size
+        super().__init__(f"pure pool has {count} {unit}, cap is {cap}")
         self.size = size
         self.cap = cap
 

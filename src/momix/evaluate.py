@@ -20,20 +20,20 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from .errors import UndefinedExpectation, UnknownState, UnsupportedKind
+from .errors import UndefinedExpectation, UnsupportedKind
 from .linalg import solve_linear
-from .model import Pomdp, WeightFunction
+from .model import Pomdp, WeightFunction, strongly_connected_components
 from .payoffs import (BuchiIndicator, DiscountedSum, MultiPayoff, PayoffSpec,
                       ReachGatedDiscountedSum, ReachIndicator, ShortestPath,
                       TotalRewardNonNeg)
 from .rationals import ExtReal, ExtRealVector, NEG_INF, POS_INF
 from .strategies import (FiniteMemoryStrategy, FiniteMixture, MarkovChain, MemorySkeleton,
-                         PureStrategy, enumerate_pure, product_chain)
+                         POOL_CAP, product_chain, pure_behaviours)
 
 __all__ = [
-    "expected_payoff", "pure_payoff_set", "mixed_expected_payoff",
+    "expected_payoff", "pure_payoff_set", "Pool", "mixed_expected_payoff",
     "classify_integrability", "IntegrabilityVerdict", "maximal_end_components",
 ]
 
@@ -63,51 +63,9 @@ def _backward_closure(chain: MarkovChain, targets: Set[int]) -> Set[int]:
 
 
 def _chain_sccs(chain: MarkovChain):
-    """SCCs of the chain graph (iterative Tarjan), plus a bottom flag each."""
-    n = len(chain.nodes)
+    """SCCs of the chain graph, plus a bottom flag each."""
     succ = _edges(chain)
-    index = [None] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack: List[int] = []
-    counter = [0]
-    comps: List[List[int]] = []
-    for root in range(n):
-        if index[root] is not None:
-            continue
-        work = [(root, iter(succ[root]))]
-        index[root] = low[root] = counter[0]
-        counter[0] += 1
-        stack.append(root)
-        on_stack[root] = True
-        while work:
-            node, it = work[-1]
-            advanced = False
-            for nxt in it:
-                if index[nxt] is None:
-                    index[nxt] = low[nxt] = counter[0]
-                    counter[0] += 1
-                    stack.append(nxt)
-                    on_stack[nxt] = True
-                    work.append((nxt, iter(succ[nxt])))
-                    advanced = True
-                    break
-                if on_stack[nxt]:
-                    low[node] = min(low[node], index[nxt])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                low[work[-1][0]] = min(low[work[-1][0]], low[node])
-            if low[node] == index[node]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == node:
-                        break
-                comps.append(comp)
+    comps = strongly_connected_components(dict(enumerate(succ)), range(len(succ)))
     bottom = []
     for comp in comps:
         members = set(comp)
@@ -291,47 +249,38 @@ def expected_payoff(model: Pomdp, strategy: FiniteMemoryStrategy, start: str,
 # -- pools ----------------------------------------------------------------------------
 
 
-def pure_payoff_set(model: Pomdp, start: str, dims: MultiPayoff, skeleton: MemorySkeleton,
-                    cap: int = 1_000_000) -> List[Tuple[PureStrategy, ExtRealVector]]:
-    """Expected payoff of every pure strategy over the skeleton, in
-    enumeration order.  Duplicate vectors are retained with their strategies.
+class Pool(list):
+    """A pure pool: (pure strategy, exact expected payoff vector) pairs, one
+    per behaviour of the pure strategies over a skeleton from a start state.
 
-    Strategies whose reachable behaviour from `start` coincides share one
-    evaluation (the product chain is identical), which keeps large pools
-    cheap without changing any result.
+    Canonical order: behaviours sorted by their earliest act table (its
+    position in `enumerate_pure`), with that table as the member's
+    strategy.  `indices[i]` is the earliest table index of member i and
+    `size` the number of act tables: `pool_size` and `winner_index` count
+    act tables, while the cap and the cost of building the pool count
+    behaviours.  So `approx` on earn_or_exit.json at counter:30 (2^31
+    tables, 32 behaviours) succeeds.  A plain list of pairs is the pool
+    whose every member is its own table.
     """
-    if start not in model.states:
-        raise UnknownState(start)
-    memo: Dict[object, ExtRealVector] = {}
-    results = []
-    for strategy in enumerate_pure(model, skeleton, cap=cap):
-        key = _behaviour_signature(model, strategy, start)
-        vec = memo.get(key)
-        if vec is None:
-            vec = expected_payoff(model, strategy, start, dims)
-            memo[key] = vec
-        results.append((strategy, vec))
-    return results
+
+    def __init__(self, members=(), size: Optional[int] = None,
+                 indices: Optional[Sequence[int]] = None):
+        super().__init__(members)
+        self.size = len(self) if size is None else size
+        self.indices = tuple(range(len(self)) if indices is None else indices)
 
 
-def _behaviour_signature(model: Pomdp, strategy: PureStrategy, start: str):
-    """The strategy's choices restricted to (state, memory) pairs reachable
-    from `start`; two strategies with equal signatures induce the same chain."""
-    seen = {(start, strategy.skeleton.init)}
-    queue = [(start, strategy.skeleton.init)]
-    sig = []
-    while queue:
-        s, mem = queue.pop()
-        z = model.obs[s]
-        a = strategy.action_at(mem, z)
-        sig.append((s, mem, a))
-        nxt_mem = strategy.skeleton.step(mem, z, a)
-        for t, p in model.dist(s, a).items():
-            if p > 0 and (t, nxt_mem) not in seen:
-                seen.add((t, nxt_mem))
-                queue.append((t, nxt_mem))
-    sig.sort(key=str)
-    return tuple(sig)
+def pure_payoff_set(model: Pomdp, start: str, dims: MultiPayoff, skeleton: MemorySkeleton,
+                    cap: int = POOL_CAP) -> Pool:
+    """The :class:`Pool` of the skeleton from `start`: one evaluation per
+    behaviour (`strategies.pure_behaviours`), ordered by earliest act table,
+    which represents it.  `pool_size` and `winner_index` count act tables,
+    the cap and the cost behaviours, so counter:30 on earn_or_exit.json
+    (2^31 tables, 32 behaviours) is a small pool."""
+    size, members = pure_behaviours(model, skeleton, start, cap)
+    return Pool(((strategy, expected_payoff(model, strategy, start, dims))
+                 for _index, strategy in members),
+                size, [index for index, _strategy in members])
 
 
 def mixed_expected_payoff(model: Pomdp, mixture: FiniteMixture, start: str,
@@ -370,14 +319,14 @@ def maximal_end_components(model: Pomdp):
     (states frozenset, kept (state, action) pairs)."""
     allowed: Dict[str, Set[str]] = {s: set(model.enabled(s)) for s in model.states}
     alive = set(model.states)
+
+    def sccs():
+        graph = {s: sorted({t for a in allowed[s] for t, p in model.dist(s, a).items() if p > 0})
+                 for s in alive}
+        return strongly_connected_components(graph, sorted(alive, key=model.states.index))
+
     while True:
-        graph = {s: set() for s in alive}
-        for s in alive:
-            for a in allowed[s]:
-                for t, p in model.dist(s, a).items():
-                    if p > 0:
-                        graph[s].add(t)
-        comps = _graph_sccs(graph, sorted(alive, key=model.states.index))
+        comps = sccs()
         comp_of = {}
         for i, comp in enumerate(comps):
             for s in comp:
@@ -398,13 +347,7 @@ def maximal_end_components(model: Pomdp):
         if not changed:
             break
     mecs = []
-    graph = {s: set() for s in alive}
-    for s in alive:
-        for a in allowed[s]:
-            for t, p in model.dist(s, a).items():
-                if p > 0:
-                    graph[s].add(t)
-    for comp in _graph_sccs(graph, sorted(alive, key=model.states.index)):
+    for comp in sccs():
         pairs = frozenset((s, a) for s in comp for a in allowed[s])
         has_cycle = len(comp) > 1 or any(
             s in {t for t, p in model.dist(s, a).items() if p > 0}
@@ -412,54 +355,6 @@ def maximal_end_components(model: Pomdp):
         if pairs and has_cycle:
             mecs.append((frozenset(comp), pairs))
     return mecs
-
-
-def _graph_sccs(graph: Mapping[str, Set[str]], order: Sequence[str]):
-    index: Dict[str, int] = {}
-    low: Dict[str, int] = {}
-    on_stack: Dict[str, bool] = {}
-    stack: List[str] = []
-    counter = [0]
-    comps: List[List[str]] = []
-    for root in order:
-        if root in index:
-            continue
-        work = [(root, iter(sorted(graph[root])))]
-        index[root] = low[root] = counter[0]
-        counter[0] += 1
-        stack.append(root)
-        on_stack[root] = True
-        while work:
-            node, it = work[-1]
-            advanced = False
-            for nxt in it:
-                if nxt not in graph:
-                    continue
-                if nxt not in index:
-                    index[nxt] = low[nxt] = counter[0]
-                    counter[0] += 1
-                    stack.append(nxt)
-                    on_stack[nxt] = True
-                    work.append((nxt, iter(sorted(graph[nxt]))))
-                    advanced = True
-                    break
-                if on_stack.get(nxt):
-                    low[node] = min(low[node], index[nxt])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                low[work[-1][0]] = min(low[work[-1][0]], low[node])
-            if low[node] == index[node]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == node:
-                        break
-                comps.append(comp)
-    return comps
 
 
 def classify_integrability(model: Pomdp, dims: MultiPayoff, start: str) -> List[IntegrabilityVerdict]:

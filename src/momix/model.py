@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from .errors import ParseError, SchemaError, UnknownState
 from .rationals import format_rational, parse_rational
@@ -71,19 +71,26 @@ class Pomdp:
     observations: Tuple[str, ...]
     obs: Mapping[str, str]
     weights: Mapping[str, Mapping[Tuple[str, str], Tuple[Fraction, ...]]] = field(default_factory=dict)
+    _enabled: Mapping[str, Tuple[str, ...]] = field(init=False, repr=False, compare=False)
+    _enabled_by_obs: Mapping[str, Tuple[str, ...]] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        enabled = {s: tuple(a for a in self.actions if (s, a) in self.transitions)
+                   for s in self.states}
+        object.__setattr__(self, "_enabled", enabled)
+        # the first state of each observation speaks for it
+        object.__setattr__(self, "_enabled_by_obs",
+                           {self.obs[s]: enabled[s] for s in reversed(self.states)})
 
     # -- basic accessors -------------------------------------------------------
 
     def enabled(self, state: str) -> Tuple[str, ...]:
-        return tuple(a for a in self.actions if (state, a) in self.transitions)
+        return self._enabled.get(state, ())
 
     def enabled_for_observation(self, observation: str) -> Tuple[str, ...]:
-        """Enabled actions of any state carrying this observation (well
+        """Enabled actions of the first state carrying this observation (well
         defined for valid models by obs-action consistency)."""
-        for s in self.states:
-            if self.obs[s] == observation:
-                return self.enabled(s)
-        return ()
+        return self._enabled_by_obs.get(observation, ())
 
     def dist(self, state: str, action: str) -> DistMap:
         return self.transitions[(state, action)]
@@ -94,12 +101,6 @@ class Pomdp:
     @property
     def is_mdp(self) -> bool:
         return all(self.obs[s] == s for s in self.states)
-
-    def state_index(self, state: str) -> int:
-        try:
-            return self.states.index(state)
-        except ValueError:
-            raise UnknownState(state) from None
 
     def weight_function(self, name: str, index: int = 0) -> WeightFunction:
         """Select one column of a named weight bundle as a WeightFunction."""
@@ -301,6 +302,48 @@ def reachable_states(model: Pomdp, start: str) -> frozenset:
                 seen.add(t)
                 frontier.append(t)
     return frozenset(seen)
+
+
+def strongly_connected_components(graph: Mapping, order) -> List[list]:
+    """Tarjan's SCCs (iterative) of `graph`, node -> successors taken in the
+    given order, with DFS roots in `order`; successors outside `graph` are
+    ignored.  Components come in reverse topological order."""
+    index: Dict[object, int] = {}
+    low: Dict[object, int] = {}
+    on_stack = set()
+    stack: list = []
+    comps: List[list] = []
+    for root in order:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        on_stack.add(root)
+        work = [(root, iter(graph[root]))]
+        while work:
+            node, it = work[-1]
+            for nxt in it:
+                if nxt not in graph:
+                    continue
+                if nxt not in index:
+                    index[nxt] = low[nxt] = len(index)
+                    stack.append(nxt)
+                    on_stack.add(nxt)
+                    work.append((nxt, iter(graph[nxt])))
+                    break
+                if nxt in on_stack:
+                    low[node] = min(low[node], index[nxt])
+            else:
+                work.pop()
+                if work:
+                    low[work[-1][0]] = min(low[work[-1][0]], low[node])
+                if low[node] == index[node]:
+                    comp = []
+                    while not comp or comp[-1] != node:
+                        comp.append(stack.pop())
+                        on_stack.discard(comp[-1])
+                    comps.append(comp)
+    return comps
 
 
 # -- bounded-cost unrolling -------------------------------------------------------

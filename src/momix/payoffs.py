@@ -20,11 +20,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .errors import (MalformedHistory, MalformedLasso, ParseError, SchemaError,
                      UnknownScc, UnsupportedKind)
-from .model import Pomdp, WeightFunction, model_from_dict
+from .model import Pomdp, WeightFunction, model_from_dict, strongly_connected_components
 from .rationals import ExtReal, NEG_INF, POS_INF, ZERO, parse_rational
 
 
@@ -111,13 +111,6 @@ def _check_weights(model, weights: WeightFunction, nonneg=False):
             raise SchemaError(f"weight {weights.name!r} missing enabled pair {pair}")
     if nonneg and any(v < 0 for v in weights.table.values()):
         raise SchemaError(f"weight {weights.name!r} must be non-negative for this payoff")
-
-
-def validate_multi_payoff(model: Pomdp, dims: MultiPayoff):
-    if not dims:
-        raise SchemaError("a multi-payoff needs at least one dimension")
-    for spec in dims:
-        spec.validate(model)
 
 
 # -- payoff (de)serialization ------------------------------------------------------
@@ -440,54 +433,7 @@ class SccDecomposition:
 def scc_decompose(model: Pomdp) -> SccDecomposition:
     """Tarjan SCCs of the underlying directed graph plus their reachability DAG."""
     graph = model.successor_graph()
-    order = {s: i for i, s in enumerate(model.states)}
-    index: Dict[str, int] = {}
-    low: Dict[str, int] = {}
-    on_stack: Dict[str, bool] = {}
-    stack: List[str] = []
-    counter = [0]
-    components: List[frozenset] = []
-
-    def strongconnect(root):
-        work = [(root, iter(graph[root]))]
-        index[root] = low[root] = counter[0]
-        counter[0] += 1
-        stack.append(root)
-        on_stack[root] = True
-        while work:
-            node, it = work[-1]
-            advanced = False
-            for succ in it:
-                if succ not in index:
-                    index[succ] = low[succ] = counter[0]
-                    counter[0] += 1
-                    stack.append(succ)
-                    on_stack[succ] = True
-                    work.append((succ, iter(graph[succ])))
-                    advanced = True
-                    break
-                if on_stack.get(succ):
-                    low[node] = min(low[node], index[succ])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-            if low[node] == index[node]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == node:
-                        break
-                components.append(frozenset(comp))
-
-    for s in model.states:
-        if s not in index:
-            strongconnect(s)
-
+    components = [frozenset(c) for c in strongly_connected_components(graph, model.states)]
     # Tarjan emits components in reverse topological order.
     components.reverse()
     component_of = {}

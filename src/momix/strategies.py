@@ -10,7 +10,8 @@ The module also provides:
 
 * the exact product Markov chain of a model and a strategy,
 * exact cylinder probabilities,
-* enumeration of all pure strategies over a skeleton,
+* enumeration of all pure strategies over a skeleton, and of their
+  distinct behaviours from a start state,
 * the conversion of a finite mixture into an outcome-equivalent behavioural
   strategy (posterior-weighted choices over the still-consistent support),
 * the bounded-horizon premetric underlying strategy convergence arguments.
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -32,6 +34,10 @@ from .payoffs import LassoPlay, check_history
 from .rationals import format_rational, parse_rational
 
 Mem = object  # memory states are any hashable identifiers (ints, strings)
+
+# Default cap on the behaviours of a pure pool.  Every member costs one
+# exact evaluation and holds one act table, so the cap bounds both.
+POOL_CAP = 2 ** 16
 
 
 @dataclass(frozen=True)
@@ -209,6 +215,60 @@ def enumerate_pure(model: Pomdp, skeleton: MemorySkeleton, cap: int = 1_000_000)
     keys = [key for key, _ in points]
     for combo in itertools.product(*(enabled for _, enabled in points)):
         yield PureStrategy(skeleton, dict(zip(keys, combo)))
+
+
+def pure_behaviours(model: Pomdp, skeleton: MemorySkeleton, start: str,
+                    cap: int = POOL_CAP) -> Tuple[int, List[Tuple[int, PureStrategy]]]:
+    """The distinct behaviours of the pure strategies over the skeleton from
+    `start`, found by walking the product depth-first from (start, init) and
+    branching only at the choice points (memory, observation) it reaches.
+
+    Returns the number of act tables and, sorted by index, one (index,
+    table) pair per behaviour: its earliest act table (unreached choice
+    points at their first enabled action) and that table's position in
+    `enumerate_pure`.  Indices and size count act tables (`winner_index`,
+    `pool_size`); the cap and the cost count behaviours.  The walk keeps
+    only the index of each behaviour and raises PoolTooLarge at the first
+    one past `cap`, before any table is built.  So counter:30 on
+    earn_or_exit.json, 2^31 tables, is a pool of 32 behaviours.
+    """
+    if start not in model.states:
+        raise UnknownState(start)
+    points = reachable_choice_points(model, skeleton)
+    slot = {key: i for i, (key, _) in enumerate(points)}
+    place = [1] * len(points)  # mixed radix, first choice point most significant
+    for i in range(len(points) - 1, 0, -1):
+        place[i - 1] = place[i] * len(points[i][1])
+    indices: List[int] = []
+    root = (start, skeleton.init)
+    # pending branches: (table index so far, action position per reached
+    # slot, nodes seen, nodes to expand); unreached slots count as position 0
+    branches = [(0, {}, {root}, [root])]
+    while branches:
+        index, choice, seen, todo = branches.pop()
+        while todo:
+            s, mem = todo.pop()
+            z = model.obs[s]
+            i = slot[(mem, z)]
+            if i not in choice:
+                for other in range(len(points[i][1]) - 1, 0, -1):
+                    branches.append((index + other * place[i], {**choice, i: other},
+                                     set(seen), todo + [(s, mem)]))
+                choice[i] = 0
+            a = points[i][1][choice[i]]
+            nxt = skeleton.step(mem, z, a)
+            for t, p in model.dist(s, a).items():
+                if p > 0 and (t, nxt) not in seen:
+                    seen.add((t, nxt))
+                    todo.append((t, nxt))
+        if len(indices) == cap:
+            raise PoolTooLarge(None, cap, "behaviours")
+        indices.append(index)
+    indices.sort()
+    return math.prod(len(enabled) for _, enabled in points), [
+        (index, PureStrategy(skeleton, {key: enabled[index // place[i] % len(enabled)]
+                                        for i, (key, enabled) in enumerate(points)}))
+        for index in indices]
 
 
 # -- product chain ------------------------------------------------------------------

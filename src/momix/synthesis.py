@@ -2,10 +2,10 @@
 (eps, M)-approximation with infinite components, lexicographic optimization
 and support reduction of mixtures.
 
-A "pool" is a list of (pure strategy, exact expected payoff vector) pairs as
-produced by :func:`momix.evaluate.pure_payoff_set`.  Certificates always
-carry the realized vector and are re-verified by exact recombination before
-they are returned.
+A pool (:class:`Pool`) is a list of (pure strategy, exact expected payoff
+vector) pairs as produced by :func:`momix.evaluate.pure_payoff_set`.
+Certificates always carry the realized vector and are re-verified by exact
+recombination before they are returned.
 """
 
 from __future__ import annotations
@@ -16,12 +16,11 @@ from typing import List, Optional, Sequence, Tuple
 
 from .errors import (InfeasibleApproximation, NotAchievable, NotDominated, NotInHull,
                      SelfCheckFailed)
+from .evaluate import Pool
 from .geometry import Decomposition, achievability_lp, caratheodory
 from .lp import LinearProgram
 from .rationals import ExtReal, ExtRealVector
 from .strategies import FiniteMixture, PureStrategy
-
-Pool = Sequence[Tuple[PureStrategy, ExtRealVector]]
 
 
 @dataclass(frozen=True)
@@ -62,25 +61,15 @@ class LexResult:
     certified: bool  # every pool member compared lex-below the winner
 
 
-def _finite_members(pool: Pool):
-    """First pool index per distinct finite vector.  Mixtures over duplicate
-    vectors are interchangeable, and collapsing them keeps the LPs small even
-    when the enumerated pool contains thousands of table variants."""
-    seen = {}
-    idx, points = [], []
-    for i, (_s, v) in enumerate(pool):
-        if v.is_finite and v not in seen:
-            seen[v] = i
-            idx.append(i)
-            points.append(v.to_fractions())
-    return idx, points
-
-
-def _distinct_members(pool: Pool):
+def distinct_members(pool: Pool, finite: bool = False) -> List[int]:
+    """Position of the first pool member with each distinct vector (each
+    distinct finite vector if `finite`), in pool order.  Mixtures over
+    duplicate vectors are interchangeable, and keeping first occurrences
+    fixes the LP column order, and with it the pivots."""
     seen = set()
     out = []
     for i, (_s, v) in enumerate(pool):
-        if v not in seen:
+        if v not in seen and (v.is_finite or not finite):
             seen.add(v)
             out.append(i)
     return out
@@ -110,7 +99,8 @@ def achieve(model, start, dims, target: ExtRealVector, pool: Pool,
         raise ValueError("achieve needs a finite target; use approximate")
     if mode not in ("equals", "dominates"):
         raise ValueError("mode must be 'equals' or 'dominates'")
-    idx, points = _finite_members(pool)
+    idx = distinct_members(pool, finite=True)
+    points = [pool[i][1].to_fractions() for i in idx]
     if not points:
         raise NotAchievable("pool has no finite-vector members")
     goal = target.to_fractions()
@@ -181,7 +171,8 @@ def approximate(model, start, dims, target: ExtRealVector, eps: Fraction, big_m:
 
 def _approx_over_finite(pool, target, fin_dims, inf_dims, eps, big_m):
     """Feasibility over all-finite pool members only."""
-    idx, points = _finite_members(pool)
+    idx = distinct_members(pool, finite=True)
+    points = [pool[i][1].to_fractions() for i in idx]
     if not points:
         return None
     lp = LinearProgram()
@@ -210,7 +201,7 @@ def _approx_with_witnesses(pool, target, fin_dims, inf_dims, eps, big_m, pool_in
     total weight eta, a finite sub-mixture at precision eps/3 for the rest."""
     if not inf_dims:
         return None
-    distinct = _distinct_members(pool)
+    distinct = distinct_members(pool)
 
     def eligible_witness(v: ExtRealVector, dim: int) -> bool:
         if v[dim].inf != target[dim].inf or v[dim].inf == 0:
@@ -291,16 +282,19 @@ def _approx_with_witnesses(pool, target, fin_dims, inf_dims, eps, big_m, pool_in
 
 def lex_optimize(pool: Pool) -> LexResult:
     """Exact lexicographic maximum over the pool; ties break to the earliest
-    enumeration index."""
+    member, whose earliest act table is the earliest enumeration index.
+    `winner_index` and `pool_size` count act tables."""
     if not pool:
         raise ValueError("pool is empty")
+    if not isinstance(pool, Pool):
+        pool = Pool(pool)
     best = 0
     for i in range(1, len(pool)):
         if pool[best][1].lt_lex(pool[i][1]):
             best = i
     winner = pool[best]
     certified = all(v.le_lex(winner[1]) for _s, v in pool)
-    return LexResult(best, winner[0], winner[1], len(pool), certified)
+    return LexResult(pool.indices[best], winner[0], winner[1], pool.size, certified)
 
 
 def check_pure_dominates_lex(vector: ExtRealVector, pool: Pool):

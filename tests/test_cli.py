@@ -62,7 +62,7 @@ def test_frontier_matches_library(capsys, tmp_path):
     for _s, v in pool:
         if v not in distinct:
             distinct.append(v)
-    assert payload["pool_size"] == len(pool)
+    assert payload["pool_size"] == pool.size
     assert len(payload["distinct"]) == len(distinct)
     assert out.read_text().startswith("pareto,vertex,")
 
@@ -97,6 +97,22 @@ def test_approx_infinite_target(capsys):
     realized = payload["certificate"]["realized"]
     assert realized[0] == "1"
     assert realized[1] == "+inf" or Fraction(realized[1]) >= 10
+
+
+def test_approx_counter30_pool(capsys):
+    """2^31 act tables but 32 behaviours from s: the pool is small."""
+    code, payload = run_json(capsys, ["approx", EARN_OR_EXIT, "--state", "s",
+                                      "--target", "1,+inf", "--eps", "1/10",
+                                      "--bigM", "10", "--skeleton", "counter:30"])
+    assert code == 0
+    cert = payload["certificate"]
+    assert cert["relation"] == ["approximates", "1/10", "10"]
+    reach, reward = cert["realized"]
+    assert abs(Fraction(reach) - 1) <= Fraction(1, 10)
+    assert reward == "+inf" or Fraction(reward) >= 10
+    model, dims = load("earn_or_exit.json")
+    mixture = mx.strategies.mixture_from_dict(cert["mixture"], model)
+    assert mx.mixed_expected_payoff(model, mixture, "s", dims).serialize() == cert["realized"]
 
 
 def test_lexopt(capsys):
@@ -174,7 +190,14 @@ def test_input_error():
 ], ids=["unknown-state", "counter-not-int", "counter-negative", "target-dimension", "eps-zero"])
 def test_bad_arguments_are_input_errors(argv, capsys):
     assert run(argv + ["--json"]) == 3
-    assert "input error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "input error" in err
+    if "split_reach.json" in argv[1]:
+        assert "input error: unknown state 's'" in err
+
+
+def test_jobs_is_a_usage_error():
+    assert run(["frontier", RUNNING, "--state", "s0", "--jobs", "2"]) == 2
 
 
 def test_malformed_model(tmp_path):

@@ -2,19 +2,21 @@
 
 import json
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import momix as mx
-from momix.errors import UndefinedExpectation
+from momix.errors import PoolTooLarge, UndefinedExpectation
 from momix.evaluate import IntegrabilityVerdict, maximal_end_components
 
 from conftest import (commute_bike, commute_ltb, commute_train, distinct_vectors,
                       split_reach_choice, earn_or_exit_stay, earn_or_exit_leave, coin_exit_always,
-                      coin_exit_switch, gated_reward_leave, grid_randomized, memoryless_table)
+                      coin_exit_switch, gated_reward_leave, grid_randomized, load,
+                      memoryless_table)
 
 
 def test_coin_exit_spath_always_a(coin_exit):
@@ -398,3 +400,110 @@ def test_expected_payoff_matches_float_solves(problem):
         else:
             assert value.is_finite
             assert float(value.finite) == pytest.approx(oracle, rel=1e-9, abs=1e-9)
+
+
+# -- behaviour pools against brute-force table enumeration ------------------------------
+
+
+def _check_pool_against_tables(model, dims, start, skeleton):
+    """The behaviour pool agrees with evaluating every act table: table
+    count, distinct vectors in first-occurrence order, the earliest table of
+    each vector as its representative, and the lexopt winner index."""
+    pool = mx.pure_payoff_set(model, start, dims, skeleton)
+    tables = [(s, mx.expected_payoff(model, s, start, dims))
+              for s in mx.enumerate_pure(model, skeleton)]
+    assert pool.size == len(tables)
+    assert len(pool.indices) == len(pool)
+    assert list(pool.indices) == sorted(set(pool.indices))
+    assert all(pool[i][0].table == tables[k][0].table for i, k in enumerate(pool.indices))
+    first = mx.synthesis.distinct_members(tables)
+    got = mx.synthesis.distinct_members(pool)
+    assert [tables[k][1] for k in first] == [pool[i][1] for i in got]
+    assert first == [pool.indices[i] for i in got]
+    assert mx.lex_optimize(pool).winner_index == mx.lex_optimize(tables).winner_index
+
+
+@pytest.mark.parametrize("name", ["coin_exit.json", "commute.json", "delayed_exit.json",
+                                  "earn_or_exit.json", "gated_reward.json",
+                                  "split_reach.json", "two_discounts.json"])
+def test_pool_matches_table_enumeration_bundled(name):
+    model, dims = load(name)
+    for horizon in range(5):
+        for start in model.states:
+            _check_pool_against_tables(model, dims, start, mx.counter(model, horizon))
+
+
+@st.composite
+def small_observed_problems(draw):
+    """`small_problems`, with some states sharing an observation when they
+    enable the same actions, so one choice can be reached from two states."""
+    doc, horizon, _seed = draw(small_problems())
+    obs = {}
+    for s in doc["states"]:
+        enabled = "".join(sorted(doc["transitions"][s]))
+        obs[s] = draw(st.sampled_from([s, "z" + enabled]))
+    doc["observations"] = sorted(set(obs.values()))
+    doc["obs"] = obs
+    return doc, horizon
+
+
+@given(small_observed_problems())
+@settings(max_examples=150, deadline=None)
+def test_pool_matches_table_enumeration_generated(problem):
+    doc, horizon = problem
+    model, dims = mx.load_problem(json.dumps(doc))
+    skeleton = mx.counter(model, horizon)
+    size = 1
+    for _key, enabled in mx.strategies.reachable_choice_points(model, skeleton):
+        size *= len(enabled)
+    assume(size <= 256)
+    _check_pool_against_tables(model, dims, "s0", skeleton)
+
+
+def test_pool_cap_counts_behaviours_and_stops_early(coin_exit, monkeypatch):
+    """Every act table of coin_exit is its own behaviour: at counter:200 the
+    walk must give up after cap + 1 behaviours, before any table is built
+    or evaluated."""
+    model, dims = coin_exit
+    built, evaluations = [], []
+    real_pure = mx.strategies.PureStrategy
+    monkeypatch.setattr(mx.strategies, "PureStrategy",
+                        lambda *args: built.append(args) or real_pure(*args))
+    monkeypatch.setattr(mx.evaluate, "expected_payoff",
+                        lambda *args: evaluations.append(args))
+    with pytest.raises(PoolTooLarge, match="more than 50 behaviours") as raised:
+        mx.pure_payoff_set(model, "s", dims, mx.counter(model, 200), cap=50)
+    assert raised.value.size is None and raised.value.cap == 50
+    assert not built and not evaluations
+    monkeypatch.undo()
+    assert len(mx.pure_payoff_set(model, "s", dims, mx.counter(model, 4), cap=32)) == 32
+    with pytest.raises(PoolTooLarge):
+        mx.pure_payoff_set(model, "s", dims, mx.counter(model, 4), cap=31)
+
+
+def test_default_pool_cap_fails_in_bounded_memory(coin_exit):
+    """coin_exit at counter:19 has 2^20 act tables, each its own behaviour.
+    The default cap refuses it after walking past POOL_CAP leaves, holding
+    one table index per behaviour, not one act table."""
+    model, dims = coin_exit
+    assert 2 ** 20 > mx.strategies.POOL_CAP
+    tracemalloc.start()
+    try:
+        with pytest.raises(PoolTooLarge, match=f"more than {mx.strategies.POOL_CAP} behaviours"):
+            mx.pure_payoff_set(model, "s", dims, mx.counter(model, 19))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
+
+
+def test_pool_counter30_is_small(earn_or_exit):
+    """2^31 act tables, 32 behaviours from s: staying forever (table 0),
+    and staying k < 31 rounds before leaving, whose earliest table leaves
+    at the single choice point (k, s), table 2^(30 - k)."""
+    model, dims = earn_or_exit
+    pool = mx.pure_payoff_set(model, "s", dims, mx.counter(model, 30))
+    assert pool.size == 2 ** 31
+    assert [v for _s, v in pool] == [mx.vector(0, "+inf")] + [mx.vector(1, 30 - j)
+                                                              for j in range(31)]
+    assert list(pool.indices) == [0] + [2 ** j for j in range(31)]

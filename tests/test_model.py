@@ -159,3 +159,72 @@ def test_unroll_cost_counter(commute):
     assert all(name.startswith("work@") for name in targets)
     # strategies of the base model run unchanged: observations are inherited
     assert set(unrolled.observations) == set(model.observations)
+
+
+def _recursive_tarjan(graph, order):
+    """Textbook recursive Tarjan: roots in `order`, successors in list order,
+    successors outside the graph ignored."""
+    index, low, stack, comps = {}, {}, [], []
+
+    def visit(v):
+        index[v] = low[v] = len(index)
+        stack.append(v)
+        for w in graph[v]:
+            if w not in graph:
+                continue
+            if w not in index:
+                visit(w)
+                low[v] = min(low[v], low[w])
+            elif w in stack:
+                low[v] = min(low[v], index[w])
+        if low[v] == index[v]:
+            comp = [stack.pop()]
+            while comp[-1] != v:
+                comp.append(stack.pop())
+            comps.append(comp)
+
+    for v in order:
+        if v not in index:
+            visit(v)
+    return comps
+
+
+@st.composite
+def digraphs(draw):
+    nodes = [f"n{i}" for i in range(draw(st.integers(1, 9)))]
+    targets = st.sampled_from(nodes + ["outside"])
+    graph = {v: draw(st.lists(targets, max_size=4)) for v in nodes}
+    return graph, draw(st.permutations(nodes))
+
+
+@given(digraphs())
+@settings(max_examples=300, deadline=None)
+def test_strongly_connected_components_match_recursive_tarjan(problem):
+    """Same components, node order and component order as the recursive
+    algorithm, so callers keep the orders they had with their own loops."""
+    graph, order = problem
+    assert mx.model.strongly_connected_components(graph, order) == \
+        _recursive_tarjan(graph, order)
+
+
+# Component orders on the bundled models: scc_decompose (topological) and
+# the states of each maximal end component, in the order they are found.
+BUNDLED_SCC_ORDERS = {
+    "coin_exit.json": ([["s"], ["t"]], [["s"], ["t"]]),
+    "commute.json": ([["home"], ["ride"], ["work"]], [["work"]]),
+    "delayed_exit.json": ([["s"], ["t"]], [["s"], ["t"]]),
+    "earn_or_exit.json": ([["s"], ["t"]], [["s"], ["t"]]),
+    "gated_reward.json": ([["s"], ["t"]], [["s"], ["t"]]),
+    "split_reach.json": ([["s0"], ["s4"], ["s3"], ["s2"], ["s1"]],
+                         [["s1"], ["s2"], ["s3"], ["s4"]]),
+    "two_discounts.json": ([["s0"], ["s2"], ["s3"], ["s1"]], [["s1"], ["s2"], ["s3"]]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUNDLED_SCC_ORDERS))
+def test_component_orders_on_bundled_models(name):
+    model, _dims = load(name)
+    sccs, mecs = BUNDLED_SCC_ORDERS[name]
+    assert [sorted(c) for c in mx.scc_decompose(model).components] == sccs
+    assert [sorted(states) for states, _pairs in
+            mx.evaluate.maximal_end_components(model)] == mecs
