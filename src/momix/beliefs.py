@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
 
-from .errors import DisabledAction, PreconditionViolated, UnknownState
+from .errors import DisabledAction, ObservationClassTooLarge, PreconditionViolated, UnknownState
 from .model import Pomdp, reachable_states
 from .strategies import FiniteMemoryStrategy, MemorySkeleton, PureStrategy, product_chain
 
@@ -115,7 +115,9 @@ def _avoidance_winning_supports(model: Pomdp, target: frozenset,
     candidates = set()
     for z, members in groups.items():
         if len(members) > max_group:
-            raise ValueError(f"observation class {z!r} too large for support enumeration")
+            raise ObservationClassTooLarge(
+                f"observation class {z!r} has {len(members)} non-target states; "
+                f"belief-support enumeration handles at most {max_group}")
         for r in range(1, len(members) + 1):
             for combo in itertools.combinations(members, r):
                 candidates.add(frozenset(combo))

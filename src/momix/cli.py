@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from . import beliefs, evaluate, geometry, model as model_mod, montecarlo, payoffs, strategies, synthesis
 from .errors import (DimensionMismatch, InfeasibleApproximation, MomixError, NotAchievable,
-                     ParseError, SchemaError, UnknownState)
+                     ObservationClassTooLarge, ParseError, SchemaError, UnknownState)
 from .rationals import ExtRealVector, format_rational, parse_ext, parse_rational
 
 EXIT_OK = 0
@@ -371,8 +371,8 @@ def run(argv) -> int:
         return EXIT_USAGE if exc.code not in (0,) else EXIT_OK
     try:
         return args.func(args)
-    except (ParseError, SchemaError, UnknownState, DimensionMismatch, OSError,
-            json.JSONDecodeError) as exc:
+    except (ParseError, SchemaError, UnknownState, DimensionMismatch, ObservationClassTooLarge,
+            OSError, json.JSONDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except MomixError as exc:

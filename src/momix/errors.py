@@ -114,3 +114,8 @@ class InfeasibleApproximation(MomixError):
 
 class PreconditionViolated(MomixError):
     """An operation was invoked although its stated precondition fails."""
+
+
+class ObservationClassTooLarge(MomixError):
+    """An observation class has too many non-target states for the
+    enumeration of its belief supports (2^|class| subsets)."""

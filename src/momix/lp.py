@@ -1,16 +1,24 @@
-"""A small exact linear-programming layer over Fractions.
+"""A small exact linear-programming layer over the rationals.
 
-Two-phase primal simplex with Bland's rule: every pivot is exact, entering
-and leaving choices are index-minimal, so solves terminate and are fully
-deterministic.  Intended for the tiny, possibly degenerate programs of the
-geometry module (dimensions <= ~6, tens of variables), not for scale.
+Two-phase primal simplex with Bland's rule: entering and leaving choices are
+index-minimal, so solves terminate and are fully deterministic.  The
+tableau is fraction-free (Edmonds, J. Res. NBS 71B, 1967; Bareiss, Math.
+Comp. 22, 1968): integers over one common denominator, the basis
+determinant, updated by exact integer division by the previous pivot.  It
+stands for the same rational tableau a Fraction simplex holds, up to
+positive scale factors that change no sign and no ratio-test order, so the
+pivot sequence, the basic solution and the value are exactly those of the
+plain rational simplex.  Intended for the tiny, possibly degenerate
+programs of the geometry module (dimensions <= ~6, tens of variables), not
+for scale.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from math import lcm
+from typing import Dict, List, Mapping, Optional, Tuple
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -61,69 +69,54 @@ class LinearProgram:
     def solve(self, objective: Mapping[str, Fraction], maximize: bool = False) -> LpResult:
         """Optimize; returns OPTIMAL with a basic solution, INFEASIBLE, or
         UNBOUNDED."""
-        # Map each model variable to non-negative standard-form columns.
-        columns: List[Tuple[str, Fraction, int]] = []  # (var, sign multiplier, shift marker)
+        for name in objective:
+            if name not in self._index:
+                raise ValueError(f"unknown variable {name!r}")
+        # Map each model variable to non-negative standard-form columns:
+        # x = lo + x+ when bounded below, x = x+ - x- when free; an upper
+        # bound becomes an extra row.  Zero entries stay ints.
         offsets: Dict[str, Fraction] = {}
         plus_col: Dict[str, int] = {}
         minus_col: Dict[str, int] = {}
         extra_rows: List[Tuple[Dict[str, Fraction], str, Fraction]] = []
+        n_struct = 0
         for name, lo, hi in self._vars:
+            plus_col[name] = n_struct
+            n_struct += 1
             if lo is None:
-                plus_col[name] = len(columns)
-                columns.append((name, Fraction(1), 0))
-                minus_col[name] = len(columns)
-                columns.append((name, Fraction(-1), 0))
-                offsets[name] = Fraction(0)
-            else:
-                plus_col[name] = len(columns)
-                columns.append((name, Fraction(1), 0))
-                offsets[name] = lo
+                minus_col[name] = n_struct
+                n_struct += 1
+            offsets[name] = lo or 0
             if hi is not None:
                 extra_rows.append(({name: Fraction(1)}, "<=", hi))
 
-        n_struct = len(columns)
-        rows: List[List[Fraction]] = []
+        constraints = self._constraints + extra_rows
+        total = n_struct + sum(1 for _c, sense, _b in constraints if sense != "==")
+        rows: List[list] = []
         rhs: List[Fraction] = []
-        senses: List[str] = []
-        for coeffs, sense, b in self._constraints + extra_rows:
-            row = [Fraction(0)] * n_struct
-            shift = Fraction(0)
+        slack = n_struct
+        for coeffs, sense, b in constraints:
+            row = [0] * total
             for name, coef in coeffs.items():
-                coef = Fraction(coef)
-                row[plus_col[name]] += coef
+                row[plus_col[name]] = coef
                 if name in minus_col:
-                    row[minus_col[name]] -= coef
-                shift += coef * offsets[name]
+                    row[minus_col[name]] = -coef
+                if offsets[name]:
+                    b -= coef * offsets[name]
+            if sense != "==":
+                row[slack] = 1 if sense == "<=" else -1
+                slack += 1
             rows.append(row)
-            rhs.append(Fraction(b) - shift)
-            senses.append(sense)
+            rhs.append(b)
 
-        # slacks
-        n_slack = sum(1 for s in senses if s != "==")
-        slack_at = {}
-        k = 0
-        for i, s in enumerate(senses):
-            if s != "==":
-                slack_at[i] = n_struct + k
-                k += 1
-        total = n_struct + n_slack
-        tableau_rows: List[List[Fraction]] = []
-        for i, row in enumerate(rows):
-            full = row + [Fraction(0)] * n_slack
-            if i in slack_at:
-                full[slack_at[i]] = Fraction(1) if senses[i] == "<=" else Fraction(-1)
-            tableau_rows.append(full)
-
-        cost = [Fraction(0)] * total
+        cost: list = [0] * total
         for name, coef in objective.items():
-            coef = Fraction(coef)
-            if maximize:
-                coef = -coef
-            cost[plus_col[name]] += coef
+            coef = -Fraction(coef) if maximize else Fraction(coef)
+            cost[plus_col[name]] = coef
             if name in minus_col:
-                cost[minus_col[name]] -= coef
+                cost[minus_col[name]] = -coef
 
-        status, solution, value = _simplex(tableau_rows, rhs, cost)
+        status, solution, _value = _simplex(rows, rhs, cost)
         if status != OPTIMAL:
             return LpResult(status, None, {})
 
@@ -137,66 +130,78 @@ class LinearProgram:
         return LpResult(OPTIMAL, obj, values)
 
 
-def _simplex(rows: List[List[Fraction]], rhs: List[Fraction], cost: List[Fraction]):
-    """min cost . x  s.t. rows . x = rhs, x >= 0; exact, Bland's rule."""
+def _simplex(rows: List[list], rhs: List[Fraction], cost: list):
+    """min cost . x  s.t. rows . x = rhs, x >= 0; exact, Bland's rule.
+
+    Entries are Fractions or ints.  Row i is scaled to integers by s_i (the
+    lcm of its denominators, negated when its rhs is negative) but keeps a
+    unit artificial, which so stands for s_i times the unscaled row's
+    artificial and costs 1/s_i (times lcm(s)) in phase 1.  The rational
+    tableau is T / det: integers T over the basis determinant det > 0."""
     m = len(rows)
     n = len(cost)
-    # Normalize rhs >= 0.
-    a = []
-    b = []
-    for row, bi in zip(rows, rhs):
-        if bi < 0:
-            a.append([-v for v in row])
-            b.append(-bi)
-        else:
-            a.append(list(row))
-            b.append(bi)
-
-    # Phase 1: artificial basis.
     width = n + m
-    tab = [a[i] + [Fraction(1) if j == i else Fraction(0) for j in range(m)] + [b[i]]
-           for i in range(m)]
+    tab = []
+    scales = []
+    for i, (row, bi) in enumerate(zip(rows, rhs)):
+        s = lcm(bi.denominator, *(v.denominator for v in row))
+        scales.append(s)
+        if bi < 0:
+            s = -s
+        tab.append([v.numerator * (s // v.denominator) for v in row]
+                   + [int(j == i) for j in range(m)]
+                   + [bi.numerator * (s // bi.denominator)])
     basis = [n + i for i in range(m)]
-    phase1 = [Fraction(0)] * n + [Fraction(1)] * m
+    det = 1
+
+    def pivot(r, c, z):
+        nonlocal det
+        pr = tab[r]
+        piv = pr[c]
+        for i, row in enumerate(tab):
+            if i == r:
+                continue
+            f = row[c]
+            if f:
+                tab[i] = [(piv * v - f * p) // det for v, p in zip(row, pr)]
+            elif piv != det:
+                tab[i] = [piv * v // det for v in row]
+        if z is not None:
+            f = z[c]
+            z[:] = [(piv * v - f * p) // det for v, p in zip(z, pr)]
+        if piv < 0:  # only an artificial drive-out pivots on a negative entry
+            piv = -piv
+            for i, row in enumerate(tab):
+                tab[i] = [-v for v in row]
+        det = piv
+        basis[r] = c
 
     def run(c_vec, allowed):
-        # objective row in reduced form
-        z = [Fraction(0)] * (width + 1)
-        for j in range(width):
-            z[j] = c_vec[j]
-        z[width] = Fraction(0)
+        """Minimize over columns < allowed; returns the status and det * z."""
+        z = [det * c for c in c_vec] + [0]
         for i, bv in enumerate(basis):
-            coef = z[bv]
-            if coef != 0:
-                for j in range(width + 1):
-                    z[j] -= coef * tab[i][j]
+            if c_vec[bv]:
+                z = [v - c_vec[bv] * t for v, t in zip(z, tab[i])]
         while True:
-            enter = None
-            for j in range(width):
-                if j in allowed and z[j] < 0:
-                    enter = j
-                    break
+            enter = next((j for j in range(allowed) if z[j] < 0), None)
             if enter is None:
-                return OPTIMAL, -z[width]
-            leave = None
-            best = None
-            for i in range(m):
-                coeff = tab[i][enter]
-                if coeff > 0:
-                    ratio = tab[i][width] / coeff
-                    if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                        best = ratio
-                        leave = i
-            if leave is None:
+                return OPTIMAL, z
+            candidates = [i for i, row in enumerate(tab) if row[enter] > 0]
+            if not candidates:
                 return UNBOUNDED, None
-            _pivot(tab, z, basis, leave, enter, width)
+            leave = candidates[0]
+            for i in candidates[1:]:  # ratios compared by cross-multiplication
+                lhs = tab[i][width] * tab[leave][enter]
+                best = tab[leave][width] * tab[i][enter]
+                if lhs < best or (lhs == best and basis[i] < basis[leave]):
+                    leave = i
+            pivot(leave, enter, z)
 
-    struct_cols = set(range(n))
-    all_cols = set(range(width))
-    status, value = run(phase1, all_cols)
+    scale = lcm(*scales)
+    status, z = run([0] * n + [scale // s for s in scales], width)
     if status != OPTIMAL:  # phase 1 is bounded below by 0, cannot be unbounded
         return status, None, None
-    if value != 0:
+    if z[width] != 0:
         return INFEASIBLE, None, None
 
     # Drive artificial variables out of the basis where possible.
@@ -204,29 +209,15 @@ def _simplex(rows: List[List[Fraction]], rhs: List[Fraction], cost: List[Fractio
         if basis[i] >= n:
             enter = next((j for j in range(n) if tab[i][j] != 0), None)
             if enter is not None:
-                _pivot(tab, None, basis, i, enter, width)
+                pivot(i, enter, None)
             # else: redundant row, artificial stays basic at value 0
 
-    status, value = run([c for c in cost] + [Fraction(0)] * m, struct_cols)
+    scale = lcm(*(c.denominator for c in cost))
+    status, z = run([c.numerator * (scale // c.denominator) for c in cost] + [0] * m, n)
     if status != OPTIMAL:
         return status, None, None
     solution = [Fraction(0)] * n
     for i, bv in enumerate(basis):
         if bv < n:
-            solution[bv] = tab[i][width]
-    return OPTIMAL, solution, value
-
-
-def _pivot(tab, z, basis, row, col, width):
-    piv = tab[row][col]
-    inv = Fraction(1) / piv
-    tab[row] = [v * inv for v in tab[row]]
-    for i in range(len(tab)):
-        if i != row and tab[i][col] != 0:
-            factor = tab[i][col]
-            tab[i] = [v - factor * p for v, p in zip(tab[i], tab[row])]
-    if z is not None and z[col] != 0:
-        factor = z[col]
-        for j in range(width + 1):
-            z[j] -= factor * tab[row][j]
-    basis[row] = col
+            solution[bv] = Fraction(tab[i][width], det)
+    return OPTIMAL, solution, Fraction(-z[width], det * scale)

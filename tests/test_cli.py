@@ -129,6 +129,22 @@ def test_classify(capsys):
     assert payload["verdicts"] == ["universally_unambiguously_integrable_only"]
 
 
+def test_classify_observation_class_too_large(capsys, tmp_path):
+    ring = [f"r{i}" for i in range(21)]
+    doc = {"states": ring + ["t"], "actions": ["a", "b"],
+           "observations": ["o", "x"], "obs": {**{s: "o" for s in ring}, "t": "x"},
+           "transitions": {**{s: {"a": {ring[(i + 1) % 21]: "1"}, "b": {"t": "1"}}
+                              for i, s in enumerate(ring)},
+                           "t": {"a": {"t": "1"}, "b": {"t": "1"}}},
+           "weights": {"unit": {f"{s},{a}": ["1"] for s in ring + ["t"] for a in "ab"}},
+           "payoffs": [{"kind": "shortest_path", "target": ["t"], "weights": "unit"}]}
+    path = tmp_path / "ring.json"
+    path.write_text(json.dumps(doc))
+    assert run(["classify", str(path), "--state", "r0"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("input error: observation class 'o' has 21 non-target states")
+
+
 def test_belief_graph_dot(capsys, tmp_path):
     out = tmp_path / "beliefs.dot"
     code, _payload = run_json(capsys, ["belief-graph", COMMUTE, "--state", "home",
