@@ -18,13 +18,17 @@ from typing import List, Optional, Sequence, Tuple
 from .errors import DimensionMismatch, NotDominated, NotInHull, SelfCheckFailed
 from .linalg import dot, nullspace, rref
 from .lp import LinearProgram
-from .rationals import ExtRealVector
+from .rationals import ExtRealVector, format_rational
 
 Point = Tuple[Fraction, ...]
 
 
 def as_point(values) -> Point:
     return tuple(Fraction(v) for v in values)
+
+
+def _format_point(q: Point) -> str:
+    return "(" + ", ".join(format_rational(x) for x in q) + ")"
 
 
 def _check_points(points) -> List[Point]:
@@ -129,7 +133,7 @@ def caratheodory(q, points) -> Decomposition:
     q = as_point(q)
     coeffs = membership_combination(q, pts)
     if coeffs is None:
-        raise NotInHull(f"{q} is not in the convex hull")
+        raise NotInHull(f"{_format_point(q)} is not in the convex hull")
     d = len(q)
     idx = [i for i, c in enumerate(coeffs) if c != 0]
     alpha = [coeffs[i] for i in idx]
@@ -397,7 +401,7 @@ def supporting_map(q, points) -> LinearMap:
     q = as_point(q)
     d = len(q)
     if membership_combination(q, pts) is None:
-        raise NotInHull(f"{q} is not in the convex hull")
+        raise NotInHull(f"{_format_point(q)} is not in the convex hull")
     basis: List[Point] = [
         tuple(Fraction(1) if j == i else Fraction(0) for j in range(d)) for i in range(d)
     ]
@@ -435,13 +439,13 @@ def dominating_face_decomposition(q, points, mode: str = "in_hull") -> Decomposi
 
     if mode == "in_hull":
         if membership_combination(q, pts) is None:
-            raise NotDominated(f"{q} is not in the convex hull")
+            raise NotDominated(f"{_format_point(q)} is not in the convex hull")
         base = q
     else:
         lp, names = _combination_lp(q, pts, senses=">=")
         result = lp.solve({}, maximize=False)
         if not result.ok:
-            raise NotDominated(f"{q} is not dominated by the hull")
+            raise NotDominated(f"{_format_point(q)} is not dominated by the hull")
         coeffs = [result[n] for n in names]
         base = tuple(
             sum((coeffs[i] * pts[i][j] for i in range(len(pts))), Fraction(0))

@@ -120,7 +120,7 @@ def test_caratheodory_support_bound_random():
 
 
 def test_not_in_hull():
-    with pytest.raises(NotInHull):
+    with pytest.raises(NotInHull, match=r"^\(5, 5\) is not in the convex hull$"):
         mx.caratheodory((Fraction(5), Fraction(5)), TRIANGLE)
 
 
@@ -282,7 +282,7 @@ def test_supporting_map_gated_reward():
 
 
 def test_supporting_map_outside():
-    with pytest.raises(NotInHull):
+    with pytest.raises(NotInHull, match=r"^\(9, 9\) is not in the convex hull$"):
         mx.supporting_map((Fraction(9), Fraction(9)), TRIANGLE)
 
 
@@ -328,8 +328,10 @@ def test_dominating_face_vertex():
 
 
 def test_dominating_not_dominated():
-    with pytest.raises(NotDominated):
+    with pytest.raises(NotDominated, match=r"^\(9, 9\) is not dominated by the hull$"):
         mx.dominating_face_decomposition((Fraction(9), Fraction(9)), TRIANGLE, mode="dominated")
+    with pytest.raises(NotDominated, match=r"^\(9/2, 1/3\) is not in the convex hull$"):
+        mx.dominating_face_decomposition((Fraction(9, 2), Fraction(1, 3)), TRIANGLE)
 
 
 def test_achievability_commute_interval():

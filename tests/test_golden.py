@@ -1,10 +1,12 @@
 """Golden outputs of everything the exact simplex decides: the `--json`
 output of `frontier`, `achieve`, `approx` and `lexopt` on the bundled
 models, and `supporting_map` / `dominating_face_decomposition` on fixed
-rational point sets in d = 3 and 4, must stay byte-identical.
+rational point sets in d = 3 and 4, must stay byte-identical; so must the
+seeded `simulate --json` output of the README command and of a mixture, whose
+strategy files sit beside the goldens.
 
-The files under tests/golden/ were written by running this module as a
-script (`PYTHONPATH=src python tests/test_golden.py`), which rewrites them
+The `.txt` files under tests/golden/ were written by running this module as
+a script (`PYTHONPATH=src python tests/test_golden.py`), which rewrites them
 from whatever momix is on the path.
 """
 
@@ -62,6 +64,13 @@ def _cli_cases():
         "approx_earn_or_exit_counter6": ["approx", _model("earn_or_exit"), "--state", "s",
                                          "--target", "1/2,+inf", "--eps", "1/20", "--bigM", "5",
                                          "--skeleton", "counter:6"],
+        # seeded Monte-Carlo: the README command and a mixture with censored samples
+        "readme_simulate": ["simulate", _model("commute"), "--state", "home",
+                            "--strategy", os.path.join(GOLDEN, "commute_train.json"),
+                            "--samples", "100000", "--seed", "7", "--horizon", "256"],
+        "simulate_coin_exit_mixture": ["simulate", _model("coin_exit"), "--state", "s",
+                                       "--strategy", os.path.join(GOLDEN, "coin_exit_mixture.json"),
+                                       "--samples", "20000", "--seed", "5", "--horizon", "32"],
     }
     for name, start in MODEL_STARTS.items():
         for cmd in ("frontier", "lexopt"):

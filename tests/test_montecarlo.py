@@ -1,16 +1,220 @@
 """Monte-Carlo sampling: determinism, faithfulness to exact values, and the
-convergence/divergence probes."""
+convergence/divergence probes.
 
+The streamed walk in momix.montecarlo must return exactly the `Estimate` of
+the whole-matrix walk it replaced, kept verbatim below as the reference, on
+the bundled models and on generated ones."""
+
+import json
 import math
+import os
+import random
+import subprocess
+import sys
+import tracemalloc
 from fractions import Fraction
+from typing import List, Tuple
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import momix as mx
+from momix import montecarlo
 from momix.errors import UnsupportedKind
+from momix.model import Pomdp
+from momix.montecarlo import Estimate, SampleConfig, _bias_bound
+from momix.payoffs import (BuchiIndicator, DiscountedSum, MultiPayoff, ReachGatedDiscountedSum,
+                           ReachIndicator, ShortestPath, TotalRewardNonNeg)
+from momix.strategies import FiniteMemoryStrategy, FiniteMixture, product_chain
 
 from conftest import (commute_train, split_reach_choice, coin_exit_always, coin_exit_switch,
+                      earn_or_exit_leave, gated_reward_leave, grid_randomized, load,
                       memoryless_table)
+
+
+# -- reference: the whole-matrix walk, kept verbatim ----------------------------
+
+
+class _ChainSampler:
+    """Flattens a product chain into edge arrays for vectorized walking.
+
+    Each step consumes one uniform draw and picks a joint (action, successor)
+    edge; the law is exactly "draw the action, then the successor".  Edge
+    order is deterministic (action order, then successor node index), and
+    each node's cumulative row ends at exactly 1.0.
+    """
+
+    def __init__(self, model: Pomdp, strategy: FiniteMemoryStrategy, start: str):
+        self.chain = product_chain(model, strategy, start)
+        chain = self.chain
+        n = len(chain.nodes)
+        edges: List[List[Tuple[float, int, str]]] = []
+        max_deg = 0
+        for i, (s, mem) in enumerate(chain.nodes):
+            z = model.obs[s]
+            row = []
+            for a in model.actions:
+                alpha = chain.action_dists[i].get(a)
+                if not alpha:
+                    continue
+                nxt_mem = strategy.skeleton.step(mem, z, a)
+                for t in model.states:
+                    p = model.dist(s, a).get(t, Fraction(0))
+                    if p > 0:
+                        row.append((float(alpha * p), chain.index[(t, nxt_mem)], a))
+            edges.append(row)
+            max_deg = max(max_deg, len(row))
+        self.cum = np.ones((n, max_deg), dtype=np.float64)
+        self.next = np.zeros((n, max_deg), dtype=np.int64)
+        self.actions = [[a for _p, _j, a in row] for row in edges]
+        for i, row in enumerate(edges):
+            acc = 0.0
+            for k, (p, j, _a) in enumerate(row):
+                acc += p
+                self.cum[i, k] = acc
+                self.next[i, k] = j
+            self.cum[i, len(row) - 1] = 1.0  # absorb float rounding
+
+    def edge_weights(self, weights) -> np.ndarray:
+        out = np.zeros(self.next.shape, dtype=np.float64)
+        for i, (s, _mem) in enumerate(self.chain.nodes):
+            for k, a in enumerate(self.actions[i]):
+                out[i, k] = float(weights(s, a))
+        return out
+
+    def target_flags(self, target) -> np.ndarray:
+        return np.array([s in target for s, _m in self.chain.nodes], dtype=bool)
+
+
+def _uniform_matrix(seed: int, samples: int, horizon: int) -> np.ndarray:
+    gen = np.random.Generator(np.random.Philox(key=seed))
+    return gen.random((samples, horizon + 1))
+
+
+
+
+def estimate_expectation(model: Pomdp, strategy, start: str, dims: MultiPayoff,
+                         cfg: SampleConfig) -> Estimate:
+    """Sample means of horizon-truncated payoffs with standard errors.
+
+    Bias bounds: discounted sums carry the geometric tail bound
+    W * lambda^H / (1 - lambda) (gated variants likewise once the gate has
+    resolved); other kinds report None and expose a censored/unresolved count
+    instead.
+    """
+    n, horizon, seed = cfg.samples, cfg.horizon, cfg.seed
+    for spec in dims:
+        if isinstance(spec, BuchiIndicator):
+            raise UnsupportedKind("Buchi indicators are not horizon-determined; "
+                                  "no truncation policy is provided")
+    u = _uniform_matrix(seed, n, horizon)
+
+    if isinstance(strategy, FiniteMixture):
+        member_rows: List[Tuple[FiniteMemoryStrategy, np.ndarray]] = []
+        cuts = []
+        acc = 0.0
+        for w in strategy.weights:
+            acc += float(w)
+            cuts.append(acc)
+        cuts[-1] = 1.0
+        draws = u[:, 0]
+        prev = 0.0
+        for member, cut in zip(strategy.support, cuts):
+            mask = (draws >= prev) & (draws < cut)
+            prev = cut
+            member_rows.append((member, np.nonzero(mask)[0]))
+    else:
+        member_rows = [(strategy, np.arange(n))]
+
+    values = np.zeros((n, len(dims)), dtype=np.float64)
+    resolved = np.ones((n, len(dims)), dtype=bool)
+
+    for member, rows in member_rows:
+        if len(rows) == 0:
+            continue
+        sampler = _ChainSampler(model, member, start)
+        _walk(model, sampler, dims, u, rows, horizon, values, resolved)
+
+    means, errs, censored = [], [], []
+    for j in range(len(dims)):
+        ok = resolved[:, j]
+        censored.append(int(n - ok.sum()))
+        data = values[ok, j] if ok.any() else np.zeros(1)
+        means.append(float(data.mean()))
+        errs.append(float(data.std(ddof=1) / math.sqrt(max(len(data), 1))) if len(data) > 1 else 0.0)
+
+    return Estimate(
+        mean=tuple(means), stderr=tuple(errs), samples=n, horizon=horizon, seed=seed,
+        bias_bound=tuple(_bias_bound(spec, horizon) for spec in dims),
+        censored=tuple(censored),
+    )
+
+
+
+def _walk(model, sampler: _ChainSampler, dims, u, rows, horizon, values, resolved):
+    chain = sampler.chain
+    m = len(rows)
+
+    ds_weights = {}
+    ds_factor = {}
+    sp_weights = {}
+    hit_flags = {}
+    acc = np.zeros((m, len(dims)), dtype=np.float64)
+    hit = {}
+    for j, spec in enumerate(dims):
+        if isinstance(spec, (DiscountedSum, ReachGatedDiscountedSum)):
+            ds_weights[j] = sampler.edge_weights(spec.weights)
+            ds_factor[j] = 1.0
+        elif isinstance(spec, TotalRewardNonNeg):
+            ds_weights[j] = sampler.edge_weights(spec.weights)
+            ds_factor[j] = None  # undiscounted partial sum
+        elif isinstance(spec, ShortestPath):
+            sp_weights[j] = sampler.edge_weights(spec.weights)
+        if isinstance(spec, (ReachIndicator, ReachGatedDiscountedSum, ShortestPath)):
+            hit_flags[j] = sampler.target_flags(spec.target)
+            hit[j] = np.full(m, bool(hit_flags[j][chain.init]), dtype=bool)
+
+    state = np.full(m, chain.init, dtype=np.int64)
+    discount_pow = {j: 1.0 for j in ds_factor}
+    for t in range(horizon):
+        r = u[rows, t + 1]
+        k = (sampler.cum[state] <= r[:, None]).sum(axis=1)
+        for j, spec in enumerate(dims):
+            if j in ds_weights:
+                w = ds_weights[j][state, k]
+                if ds_factor[j] is None:
+                    acc[:, j] += w
+                else:
+                    acc[:, j] += discount_pow[j] * w
+            elif j in sp_weights:
+                live = ~hit[j]
+                acc[live, j] += sp_weights[j][state[live], k[live]]
+        state = sampler.next[state, k]
+        for j in discount_pow:
+            if ds_factor[j] is not None:
+                discount_pow[j] *= float(dims[j].discount)
+        for j in hit:
+            hit[j] |= hit_flags[j][state]
+
+    for j, spec in enumerate(dims):
+        if isinstance(spec, ReachIndicator):
+            values[rows, j] = hit[j].astype(np.float64)
+        elif isinstance(spec, DiscountedSum):
+            values[rows, j] = acc[:, j]
+        elif isinstance(spec, TotalRewardNonNeg):
+            values[rows, j] = acc[:, j]
+        elif isinstance(spec, ReachGatedDiscountedSum):
+            values[rows, j] = np.where(hit[j], acc[:, j], 0.0)
+        elif isinstance(spec, ShortestPath):
+            values[rows, j] = np.where(hit[j], acc[:, j], 0.0)
+            resolved[rows[~hit[j]], j] = False
+        else:
+            raise UnsupportedKind(type(spec).__name__)
+
+
+
+# -----------------------------------------------------------------------------
 
 
 def test_seed_determinism(commute):
@@ -168,3 +372,207 @@ def test_probe_constant_family(split_reach):
                                  "s0", dims, 2)
     assert all(row.vector == table.limit_vector for row in table.rows)
     assert all(row.premetric_sq == 0 for row in table.rows)
+
+
+# -- the streamed walk against the reference ------------------------------------------------
+
+CHUNK = montecarlo._CHUNK
+# (samples, horizon): every sample count around the chunk boundaries
+SIZES = [(1, 64), (CHUNK - 1, 7), (CHUNK, 1), (CHUNK + 1, 33), (2 * CHUNK + 3, 64)]
+BUNDLED = {
+    "coin_exit.json": "s", "commute.json": "home", "delayed_exit.json": "s",
+    "earn_or_exit.json": "s", "gated_reward.json": "s", "split_reach.json": "s0",
+    "two_discounts.json": "s0",
+}
+
+
+def _assert_same(model, strategy, start, dims, samples, horizon, seed):
+    cfg = SampleConfig(samples=samples, horizon=horizon, seed=seed)
+    got = mx.estimate_expectation(model, strategy, start, dims, cfg)
+    assert got == estimate_expectation(model, strategy, start, dims, cfg)
+    return got
+
+
+def _pure(model, skeleton, rng):
+    return mx.PureStrategy(skeleton, {point: rng.choice(enabled) for point, enabled
+                                      in mx.strategies.reachable_choice_points(model, skeleton)})
+
+
+def _strategies(model, rng):
+    """A pure strategy, a behavioural one and a three-member mixture."""
+    memoryless, counter = mx.memoryless(model), mx.counter(model, 2)
+    members = [_pure(model, memoryless, rng), _pure(model, counter, rng),
+               _pure(model, counter, rng)]
+    mixture = mx.FiniteMixture.of(zip(members, (Fraction(1, 2), Fraction(1, 3), Fraction(1, 6))))
+    return {"pure": members[1], "behavioural": grid_randomized(model, counter, rng),
+            "mixture": mixture}
+
+
+@pytest.mark.parametrize("name", sorted(BUNDLED))
+@pytest.mark.parametrize("kind", ["pure", "behavioural", "mixture"])
+def test_streamed_walk_matches_reference_bundled(name, kind):
+    model, dims = load(name)
+    strategy = _strategies(model, random.Random(name))[kind]
+    for k, (samples, horizon) in enumerate(SIZES):
+        _assert_same(model, strategy, BUNDLED[name], dims, samples, horizon, seed=k)
+
+
+def test_streamed_walk_matches_reference_named(coin_exit, gated_reward, earn_or_exit):
+    """Censored shortest paths, gates that open late and total reward over
+    a long stay, each far past the first chunk."""
+    cases = [(coin_exit, coin_exit_switch(coin_exit[0], 3), "s"),
+             (gated_reward, gated_reward_leave(gated_reward[0], 5), "s"),
+             (earn_or_exit, earn_or_exit_leave(earn_or_exit[0], 9), "s")]
+    for (model, dims), sigma, start in cases:
+        _assert_same(model, sigma, start, dims, 2 * CHUNK + 3, 40, seed=3)
+
+
+KINDS = ("reach", "discounted_sum", "reach_gated_discounted_sum", "total_reward",
+         "shortest_path")
+
+
+@st.composite
+def small_mdps(draw):
+    """Up to five states and three actions with non-negative weights (zero
+    often, so samples settle), optionally zero-weight absorbing states, and
+    a list of horizon-determined payoffs of every kind."""
+    n = draw(st.integers(1, 5))
+    states = [f"s{i}" for i in range(n)]
+    weight = st.sampled_from(["0", "0", "0", "1", "1/3", "2"])
+    transitions, weights = {}, {}
+    for s in states:
+        if draw(st.booleans()):
+            transitions[s] = {"a": {s: "1"}}
+            weights[f"{s},a"] = ["0"] * 4
+            continue
+        transitions[s] = {}
+        for a in draw(st.lists(st.sampled_from("abc"), min_size=1, max_size=3, unique=True)):
+            succ = draw(st.lists(st.sampled_from(states), min_size=1, max_size=3, unique=True))
+            raw = draw(st.lists(st.integers(1, 4), min_size=len(succ), max_size=len(succ)))
+            transitions[s][a] = {t: str(Fraction(r, sum(raw))) for t, r in zip(succ, raw)}
+            weights[f"{s},{a}"] = [draw(weight) for _ in range(4)]
+    payoffs = []
+    for kind in draw(st.lists(st.sampled_from(KINDS), min_size=1, max_size=6)):
+        entry = {"kind": kind, "weights": "w", "windex": draw(st.integers(0, 3)),
+                 "target": draw(st.lists(st.sampled_from(states), unique=True)),
+                 "lambda": draw(st.sampled_from(["0", "1/2", "9/10"]))}
+        payoffs.append(entry)
+    doc = {"states": states, "actions": ["a", "b", "c"], "transitions": transitions,
+           "weights": {"w": weights}, "payoffs": payoffs}
+    return mx.load_problem(json.dumps(doc))
+
+
+@settings(max_examples=60, deadline=None)
+@given(problem=small_mdps(), kind=st.sampled_from(["pure", "behavioural", "mixture"]),
+       size=st.sampled_from(SIZES), horizon=st.integers(1, 64), seed=st.integers(0, 2 ** 32),
+       salt=st.integers(0, 2 ** 16))
+def test_streamed_walk_matches_reference_generated(problem, kind, size, horizon, seed, salt):
+    model, dims = problem
+    strategy = _strategies(model, random.Random(salt))[kind]
+    _assert_same(model, strategy, "s0", dims, size[0], horizon, seed)
+
+
+def test_settled_start_walks_no_step():
+    """From an absorbing zero-weight start every sample is settled at once:
+    sums stay 0 and hits keep the start's flags, as over the whole horizon."""
+    doc = {"states": ["g", "x"], "actions": ["a"],
+           "transitions": {"g": {"a": {"g": "1"}}, "x": {"a": {"g": "1"}}},
+           "weights": {"w": {"g,a": ["0"], "x,a": ["5"]}},
+           "payoffs": [{"kind": "reach", "target": ["g"]},
+                       {"kind": "discounted_sum", "lambda": "1/2", "weights": "w"},
+                       {"kind": "reach_gated_discounted_sum", "target": ["x"], "lambda": "1/2",
+                        "weights": "w"},
+                       {"kind": "total_reward", "weights": "w"},
+                       {"kind": "shortest_path", "target": ["x"], "weights": "w"}]}
+    model, dims = mx.load_problem(json.dumps(doc))
+    sigma = memoryless_table(model, {})
+    walker = montecarlo._Walker(model, sigma, "g", dims)
+    assert walker.settled.tolist() == [True]  # x is not reachable from g
+    est = _assert_same(model, sigma, "g", dims, 2 * CHUNK + 3, 256, seed=1)
+    assert est.mean == (1.0, 0.0, 0.0, 0.0, 0.0)
+    assert est.censored == (0, 0, 0, 0, 2 * CHUNK + 3)
+
+
+def test_settled_nodes():
+    """A node is settled exactly when nothing reachable from it carries a
+    weight that counts or changes a target flag: p has neither itself, but
+    leads through q to u, which moves into the target v.  Shortest-path
+    weights do not count, so t stays settled under the weight of its loop
+    (the payoff's target is t: every sample there has hit it)."""
+    doc = {"states": ["s", "t", "p", "q", "u", "v"], "actions": ["a"],
+           "transitions": {"s": {"a": {"t": "1/2", "p": "1/2"}}, "t": {"a": {"t": "1"}},
+                           "p": {"a": {"q": "1"}}, "q": {"a": {"u": "1"}},
+                           "u": {"a": {"v": "1"}}, "v": {"a": {"v": "1"}}},
+           "weights": {"w": {"s,a": ["1", "1"], "t,a": ["0", "1"], "p,a": ["0", "0"],
+                             "q,a": ["0", "0"], "u,a": ["0", "0"], "v,a": ["0", "0"]}},
+           "payoffs": [{"kind": "reach", "target": ["v"]},
+                       {"kind": "total_reward", "weights": "w"},
+                       {"kind": "shortest_path", "target": ["t"], "weights": "w", "windex": 1}]}
+    model, dims = mx.load_problem(json.dumps(doc))
+    sigma = memoryless_table(model, {})
+    walker = montecarlo._Walker(model, sigma, "s", dims)
+    nodes = product_chain(model, sigma, "s").nodes
+    assert {state for (state, _m), flag in zip(nodes, walker.settled) if flag} == {"t", "v"}
+    _assert_same(model, sigma, "s", dims, CHUNK + 1, 5, seed=2)
+
+
+def test_streamed_walk_memory(two_discounts):
+    """10^5 samples x 256 steps that never settle (a deterministic loop with
+    weight on every step) stay within a few chunks of memory; the whole
+    uniform matrix alone was 206 MB."""
+    model, dims = two_discounts
+    sigma = memoryless_table(model, {"s0": "a", "s2": "a"})
+    tracemalloc.start()
+    try:
+        est = mx.estimate_expectation(model, sigma, "s0", dims,
+                                      mx.SampleConfig(samples=100_000, horizon=256, seed=4))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert est.stderr == (0.0, 0.0)
+    assert peak < 32 * 2 ** 20
+
+
+# -- replaying one sample ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("horizon", [1, 2, 3, 4, 5, 6, 7, 8, 64, 255, 256])
+def test_uniform_row_is_matrix_row(horizon):
+    full = _uniform_matrix(21, 10, horizon)
+    for index in range(10):
+        assert np.array_equal(montecarlo._uniform_row(21, index, horizon), full[index])
+
+
+def test_sample_play_follows_its_row(coin_exit):
+    """The play of sample i follows row i of the uniform matrix."""
+    model, _ = coin_exit
+    sigma = coin_exit_always(model, "a")
+    u = _uniform_matrix(3, 10, 8)
+    for index in range(10):
+        state, expected = "s", ["s"]
+        for t in range(8):  # in s, a draw below 1/2 stays and one above moves to t
+            if state == "s" and u[index, t + 1] >= 0.5:
+                state = "t"
+            expected += ["a", state]
+        assert mx.sample_play(model, sigma, "s", 8, seed=3, index=index) == tuple(expected)
+
+
+def test_sample_play_far_index_small_memory(coin_exit):
+    model, _ = coin_exit
+    sigma = coin_exit_always(model, "a")
+    tracemalloc.start()
+    try:
+        play = mx.sample_play(model, sigma, "s", 256, seed=3, index=10 ** 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(play) == 2 * 256 + 1
+    assert peak < 2 ** 20
+
+
+def test_import_does_not_load_numpy():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(mx.__file__)))
+    code = "import sys, momix, momix.cli; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
