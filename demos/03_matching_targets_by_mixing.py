@@ -26,7 +26,7 @@ lmap = mx.supporting_map(target.to_fractions(), points)
 print(f"\nsupporting map at (2,2): {len(lmap.rows)} row(s), first row {lmap.rows[0]}")
 print("  (the face is the segment on x + y = 4)")
 
-certificate = mx.achieve(model, "s", dims, target, pool, mode="equals")
+certificate = mx.achieve(target, pool, mode="equals")
 print(f"\nexact certificate: support {len(certificate.mixture.support)}")
 for member, w in zip(certificate.mixture.support, certificate.mixture.weights):
     value = mx.expected_payoff(model, member, "s", dims)
@@ -34,7 +34,6 @@ for member, w in zip(certificate.mixture.support, certificate.mixture.weights):
 print("realized:", certificate.realized, "| verified:", certificate.verify())
 
 # Domination needs one strategy fewer than equality.
-dominated = mx.achieve(model, "s", dims, mx.vector(Fraction(1, 2), Fraction(1, 2)),
-                       pool, mode="dominates")
+dominated = mx.achieve(mx.vector(Fraction(1, 2), Fraction(1, 2)), pool, mode="dominates")
 print(f"\ndominating (1/2, 1/2): support {len(dominated.mixture.support)}, "
       f"realized {dominated.realized}")

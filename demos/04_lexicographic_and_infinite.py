@@ -23,8 +23,7 @@ pool = mx.pure_payoff_set(model, "s", dims, mx.counter(model, 12))
 print("\nno pure strategy has payoff (1, +inf); the pool tops out at (1, 12).")
 
 for big_m in (Fraction(5), Fraction(10)):
-    cert = mx.approximate(model, "s", dims, mx.vector(1, "+inf"),
-                          Fraction(1, 10), big_m, pool)
+    cert = mx.approximate(mx.vector(1, "+inf"), Fraction(1, 10), big_m, pool)
     print(f"\napproximate (1, +inf) with eps=1/10, M={big_m}:")
     print(f"  support {len(cert.mixture.support)}, realized {cert.realized}")
     for member, w in zip(cert.mixture.support, cert.mixture.weights):

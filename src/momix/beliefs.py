@@ -123,41 +123,24 @@ def _avoidance_winning_supports(model: Pomdp, target: frozenset,
                 candidates.add(frozenset(combo))
 
     winning = set(candidates)
+
+    def safe_action(support) -> Optional[str]:
+        """The first enabled action keeping every observation outcome of
+        `support` inside the current winning set."""
+        for a in model.enabled(next(iter(support))):
+            outcomes = (belief_update(model, support, a, z) for z in model.observations)
+            if all(nxt is None or nxt in winning for nxt in outcomes):
+                return a
+        return None
+
     changed = True
     while changed:
         changed = False
         for support in sorted(winning, key=sorted):
-            enabled = model.enabled(next(iter(support)))
-            safe_action = None
-            for a in enabled:
-                ok = True
-                for z in model.observations:
-                    nxt = belief_update(model, support, a, z)
-                    if nxt is None:
-                        continue
-                    if nxt not in winning:
-                        ok = False
-                        break
-                if ok:
-                    safe_action = a
-                    break
-            if safe_action is None:
+            if safe_action(support) is None:
                 winning.discard(support)
                 changed = True
-    choice = {}
-    for support in winning:
-        enabled = model.enabled(next(iter(support)))
-        for a in enabled:
-            ok = True
-            for z in model.observations:
-                nxt = belief_update(model, support, a, z)
-                if nxt is not None and nxt not in winning:
-                    ok = False
-                    break
-            if ok:
-                choice[support] = a
-                break
-    return choice
+    return {support: safe_action(support) for support in winning}
 
 
 def _avoider_strategy(model: Pomdp, start: str, choice: Mapping[BeliefSupport, str]) -> PureStrategy:

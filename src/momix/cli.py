@@ -41,13 +41,13 @@ def _load_problem(path):
         raise ParseError(f"cannot read {path}: {exc}") from exc
 
 
-def _skeleton(arg: str, mdl, path_loader=strategies.load_strategy_file):
+def _skeleton(arg: str, mdl):
     if arg == "memoryless":
         return strategies.memoryless(mdl)
     if arg.startswith("counter:") and arg.split(":", 1)[1].isdigit():
         return strategies.counter(mdl, int(arg.split(":", 1)[1]))
     if arg.startswith("file:"):
-        loaded = path_loader(arg.split(":", 1)[1], mdl)
+        loaded = strategies.load_strategy_file(arg.split(":", 1)[1], mdl)
         if isinstance(loaded, strategies.FiniteMixture):
             raise SchemaError("a mixture file cannot serve as a skeleton")
         return loaded.skeleton
@@ -161,8 +161,7 @@ def _cmd_achieve(args):
     target = _target_vector(args.target, dims)
     pool = evaluate.pure_payoff_set(mdl, args.state, dims, skeleton)
     try:
-        cert = synthesis.achieve(mdl, args.state, dims, target, pool,
-                                 mode=args.mode, pool_info=args.skeleton)
+        cert = synthesis.achieve(target, pool, mode=args.mode, pool_info=args.skeleton)
     except NotAchievable as exc:
         _emit(args, {"ok": False, "reason": str(exc)}, [f"not achievable: {exc}"])
         return EXIT_NEGATIVE
@@ -186,8 +185,8 @@ def _cmd_approx(args):
         raise SchemaError(f"--eps must be positive, not {args.eps}")
     pool = evaluate.pure_payoff_set(mdl, args.state, dims, skeleton)
     try:
-        cert = synthesis.approximate(mdl, args.state, dims, target, eps, parse_rational(args.bigM),
-                                     pool, pool_info=args.skeleton)
+        cert = synthesis.approximate(target, eps, parse_rational(args.bigM), pool,
+                                     pool_info=args.skeleton)
     except InfeasibleApproximation as exc:
         _emit(args, {"ok": False, "reason": str(exc)}, [f"infeasible: {exc}"])
         return EXIT_NEGATIVE
@@ -243,6 +242,9 @@ def _cmd_simulate(args):
     mdl, dims = _load_problem(args.model)
     dims = _need_payoffs(dims)
     loaded = strategies.load_strategy_file(args.strategy, mdl)
+    for option, least in (("samples", 1), ("horizon", 1), ("seed", 0)):
+        if getattr(args, option) < least:
+            raise SchemaError(f"--{option} must be at least {least}, not {getattr(args, option)}")
     cfg = montecarlo.SampleConfig(samples=args.samples, horizon=args.horizon, seed=args.seed)
     est = montecarlo.estimate_expectation(mdl, loaded, args.state, dims, cfg)
     payload = {"ok": True, "mean": list(est.mean), "stderr": list(est.stderr),
@@ -270,11 +272,16 @@ def _cmd_probe(args):
     dims = _need_payoffs(dims)
     with open(args.family, "r", encoding="utf-8") as handle:
         doc = json.load(handle)
+    if not isinstance(doc, dict):
+        raise SchemaError("a family file must hold a JSON object")
     family = []
-    for entry in doc["family"]:
-        member = strategies.strategy_from_dict(entry["strategy"], mdl)
-        family.append((int(entry["index"]), member))
-    limit = strategies.strategy_from_dict(doc["limit"], mdl)
+    for entry in model_mod.require_field(doc, "family", list):
+        try:
+            index = int(entry["index"])
+        except (TypeError, KeyError, ValueError):
+            raise SchemaError(f"family entry {entry!r} needs an integer 'index'") from None
+        family.append((index, strategies.strategy_from_dict(entry.get("strategy"), mdl)))
+    limit = strategies.strategy_from_dict(doc.get("limit"), mdl)
     table = montecarlo.convergence_probe(mdl, family, limit, args.state, dims, args.horizon)
     payload = {"ok": True,
                "limit": table.limit_vector.serialize(),

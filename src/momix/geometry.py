@@ -313,79 +313,36 @@ def _in_relative_interior(q: Point, points: Sequence[Point]) -> bool:
 
 
 def _lexmin_supporting_normal(q: Point, points: Sequence[Point],
-                              basis: Sequence[Point]) -> Optional[Point]:
-    """Lexicographically smallest sup-norm-1 vector w in span(basis) with
-    <w, p - q> <= 0 for all points.  Deterministic; None if only w = 0 works."""
+                              rows: Sequence[Point]) -> Optional[Point]:
+    """Lexicographically smallest sup-norm-1 vector w orthogonal to `rows`
+    with <w, p - q> <= 0 for all points.  Deterministic; None if only w = 0
+    works.  Each piece w_c = +-1 is one LP over w in [-1, 1]^d, minimized in
+    w_0, w_1, ... in turn, each optimum fixed by a row before the next."""
     d = len(q)
-    k = len(basis)
-    if k == 0:
-        return None
 
-    def piece_lexmin(fix_coord: int, sign: int) -> Optional[Point]:
-        fixed: List[Fraction] = []
-        for upto in range(d):
-            lp = LinearProgram()
-            z = [lp.var(f"z{t}", lo=None) for t in range(k)]
+    def piece_lexmin(coord: int, sign: int) -> Optional[Point]:
+        lp = LinearProgram()
+        w = [lp.var(f"w{j}", lo=-1, hi=1) for j in range(d)]
 
-            def w_expr(j):
-                return {z[t]: basis[t][j] for t in range(k) if basis[t][j] != 0}
+        def constrain(vector, sense):
+            coeffs = {w[j]: v for j, v in enumerate(vector) if v != 0}
+            if coeffs:
+                lp.constrain(coeffs, sense, 0)
 
-            for p in points:
-                coeffs = {}
-                for t in range(k):
-                    val = sum((basis[t][j] * (p[j] - q[j]) for j in range(d)), Fraction(0))
-                    if val != 0:
-                        coeffs[z[t]] = val
-                if coeffs:
-                    lp.constrain(coeffs, "<=", Fraction(0))
-            for j in range(d):
-                expr = w_expr(j)
-                if not expr:
-                    continue
-                lp.constrain(expr, "<=", Fraction(1))
-                lp.constrain(expr, ">=", Fraction(-1))
-            fix_expr = w_expr(fix_coord)
-            if not fix_expr and sign != 0:
-                return None
-            lp.constrain(fix_expr if fix_expr else {z[0]: Fraction(0)}, "==", Fraction(sign))
-            for j, v in enumerate(fixed):
-                expr = w_expr(j)
-                lp.constrain(expr if expr else {z[0]: Fraction(0)}, "==", v)
-            target = w_expr(upto)
-            result = lp.solve(target, maximize=False)
+        for p in points:
+            constrain([x - y for x, y in zip(p, q)], "<=")
+        for row in rows:
+            constrain(row, "==")
+        lp.constrain({w[coord]: 1}, "==", sign)
+        for wj in w:
+            result = lp.solve({wj: 1})
             if not result.ok:
                 return None
-            value = sum((basis[t][upto] * result[z[t]] for t in range(k)), Fraction(0))
-            fixed.append(value)
-        return tuple(fixed)
+            lp.constrain({wj: 1}, "==", result.objective)
+        return tuple(result[wj] for wj in w)
 
-    candidates = []
-    for coord in range(d):
-        for sign in (-1, 1):
-            w = piece_lexmin(coord, sign)
-            if w is not None:
-                candidates.append(w)
-    if not candidates:
-        return None
-    return min(candidates)
-
-
-def _basis_orthogonal_to(basis: Sequence[Point], w: Point) -> List[Point]:
-    """Basis of {v in span(basis) : <w, v> = 0}."""
-    k = len(basis)
-    row = [dot(w, basis[t]) for t in range(k)]
-    if all(v == 0 for v in row):
-        return list(basis)
-    null_z = nullspace([row])
-    out = []
-    for z in null_z:
-        vec = tuple(
-            sum((z[t] * basis[t][j] for t in range(k)), Fraction(0))
-            for j in range(len(basis[0]))
-        )
-        if any(v != 0 for v in vec):
-            out.append(vec)
-    return out
+    pieces = (piece_lexmin(coord, sign) for coord in range(d) for sign in (-1, 1))
+    return min((w for w in pieces if w is not None), default=None)
 
 
 def supporting_map(q, points) -> LinearMap:
@@ -402,21 +359,17 @@ def supporting_map(q, points) -> LinearMap:
     d = len(q)
     if membership_combination(q, pts) is None:
         raise NotInHull(f"{_format_point(q)} is not in the convex hull")
-    basis: List[Point] = [
-        tuple(Fraction(1) if j == i else Fraction(0) for j in range(d)) for i in range(d)
-    ]
     current = list(pts)
     rows: List[Point] = []
     while len(rows) <= d:
         if _in_relative_interior(q, current):
             break
-        w = _lexmin_supporting_normal(q, current, basis)
+        w = _lexmin_supporting_normal(q, current, rows)
         if w is None:
             raise SelfCheckFailed("no supporting normal outside the relative interior")
         rows.append(w)
         level = dot(w, q)
         current = [p for p in current if dot(w, p) == level]
-        basis = _basis_orthogonal_to(basis, w)
     return LinearMap(tuple(rows))
 
 
@@ -470,9 +423,7 @@ def dominating_face_decomposition(q, points, mode: str = "in_hull") -> Decomposi
     if len(basis) < d:
         dec = caratheodory(peak, pts)
     else:
-        w = _lexmin_supporting_normal(peak, pts, [
-            tuple(Fraction(1) if j == i else Fraction(0) for j in range(d)) for i in range(d)
-        ])
+        w = _lexmin_supporting_normal(peak, pts, [])
         if w is None:
             raise SelfCheckFailed("no supporting normal at the peak of a full-dimensional hull")
         level = dot(w, peak)

@@ -40,13 +40,6 @@ class WeightFunction:
     def __call__(self, state: str, action: str) -> Fraction:
         return self.table[(state, action)]
 
-    def covers(self, pairs) -> bool:
-        return all(p in self.table for p in pairs)
-
-    @property
-    def min_value(self) -> Fraction:
-        return min(self.table.values())
-
     @property
     def max_abs(self) -> Fraction:
         return max((abs(v) for v in self.table.values()), default=Fraction(0))
@@ -127,13 +120,30 @@ class Pomdp:
 # -- loading ------------------------------------------------------------------
 
 
-def _require(doc, key, kind, where="document"):
+def require_field(doc, key, kind, default=None):
+    """doc[key], which must be a `kind`; `default` when the field is absent,
+    and an error there if no default is given."""
     if key not in doc:
-        raise SchemaError(f"{where} is missing field {key!r}")
+        if default is None:
+            raise SchemaError(f"document is missing field {key!r}")
+        return default
     value = doc[key]
     if not isinstance(value, kind):
         raise SchemaError(f"field {key!r} must be {kind.__name__}")
     return value
+
+
+def _identifiers(doc, key, default=None) -> Tuple[str, ...]:
+    """A non-empty list field of distinct string identifiers."""
+    names = tuple(require_field(doc, key, list, default))
+    if not names:
+        raise SchemaError(f"{key} list is empty")
+    for name in names:
+        if not isinstance(name, str):
+            raise SchemaError(f"{key} must list string identifiers, got {name!r}")
+    if len(set(names)) != len(names):
+        raise SchemaError(f"duplicate {key} identifiers")
+    return names
 
 
 def load_model(text: str) -> Pomdp:
@@ -142,35 +152,23 @@ def load_model(text: str) -> Pomdp:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise SchemaError("model document must be a JSON object")
     return model_from_dict(doc)
 
 
 def model_from_dict(doc: Mapping) -> Pomdp:
-    states = tuple(_require(doc, "states", list))
-    actions = tuple(_require(doc, "actions", list))
-    if not states:
-        raise SchemaError("states list is empty")
-    if not actions:
-        raise SchemaError("actions list is empty")
-    if len(set(states)) != len(states):
-        raise SchemaError("duplicate state identifiers")
-    if len(set(actions)) != len(actions):
-        raise SchemaError("duplicate action identifiers")
-    for s in states:
-        if not isinstance(s, str):
-            raise SchemaError(f"state identifiers must be strings, got {s!r}")
-
-    observations = tuple(doc.get("observations", states))
-    obs_map = doc.get("obs", {s: s for s in states})
+    if not isinstance(doc, dict):
+        raise SchemaError("model document must be a JSON object")
+    states = _identifiers(doc, "states")
+    actions = _identifiers(doc, "actions")
+    observations = _identifiers(doc, "observations", states)
+    obs_map = require_field(doc, "obs", dict, {s: s for s in states})
     if set(obs_map) != set(states):
         raise SchemaError("obs must map every state (and nothing else)")
     for s, z in obs_map.items():
         if z not in observations:
             raise SchemaError(f"obs({s}) = {z!r} is not a declared observation")
 
-    raw_transitions = _require(doc, "transitions", dict)
+    raw_transitions = require_field(doc, "transitions", dict)
     transitions: Dict[Tuple[str, str], DistMap] = {}
     for s, per_action in raw_transitions.items():
         if s not in states:
@@ -190,7 +188,9 @@ def model_from_dict(doc: Mapping) -> Pomdp:
             transitions[(s, a)] = parsed
 
     weights: Dict[str, Dict[Tuple[str, str], Tuple[Fraction, ...]]] = {}
-    for name, table in doc.get("weights", {}).items():
+    for name, table in require_field(doc, "weights", dict, {}).items():
+        if not isinstance(table, dict):
+            raise SchemaError(f"weights[{name!r}] must be an object")
         parsed_table = {}
         for key, row in table.items():
             try:

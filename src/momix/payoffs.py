@@ -24,7 +24,8 @@ from typing import Callable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .errors import (MalformedHistory, MalformedLasso, ParseError, SchemaError,
                      UnknownScc, UnsupportedKind)
-from .model import Pomdp, WeightFunction, model_from_dict, strongly_connected_components
+from .model import (Pomdp, WeightFunction, model_from_dict, require_field,
+                    strongly_connected_components)
 from .rationals import ExtReal, NEG_INF, POS_INF, ZERO, parse_rational
 
 
@@ -126,27 +127,40 @@ _KIND_NAMES = {
 
 
 def payoff_from_dict(model: Pomdp, entry: Mapping) -> PayoffSpec:
+    if not isinstance(entry, dict):
+        raise SchemaError(f"a payoff must be an object, got {entry!r}")
     kind = entry.get("kind")
     if kind not in _KIND_NAMES:
         raise SchemaError(f"unknown payoff kind {kind!r}")
 
     def target():
-        return frozenset(entry.get("target", ()))
+        states = require_field(entry, "target", list, [])
+        if not all(isinstance(s, str) for s in states):
+            raise SchemaError(f"the target of payoff kind {kind!r} must list state identifiers")
+        return frozenset(states)
+
+    def discount():
+        if "lambda" not in entry:
+            raise SchemaError(f"payoff kind {kind!r} needs a 'lambda'")
+        return parse_rational(entry["lambda"])
 
     def weights():
         name = entry.get("weights")
-        if name is None:
+        if not isinstance(name, str):
             raise SchemaError(f"payoff kind {kind!r} needs a 'weights' name")
-        return model.weight_function(name, int(entry.get("windex", 0)))
+        index = entry.get("windex", 0)
+        if type(index) is not int or index < 0:
+            raise SchemaError(f"windex must be a non-negative integer, got {index!r}")
+        return model.weight_function(name, index)
 
     if kind == "reach":
         spec = ReachIndicator(target())
     elif kind == "buchi":
         spec = BuchiIndicator(target())
     elif kind == "discounted_sum":
-        spec = DiscountedSum(parse_rational(entry["lambda"]), weights())
+        spec = DiscountedSum(discount(), weights())
     elif kind == "reach_gated_discounted_sum":
-        spec = ReachGatedDiscountedSum(target(), parse_rational(entry["lambda"]), weights())
+        spec = ReachGatedDiscountedSum(target(), discount(), weights())
     elif kind == "total_reward":
         spec = TotalRewardNonNeg(weights())
     else:
@@ -164,7 +178,7 @@ def load_payoffs(text_or_doc, model: Pomdp) -> MultiPayoff:
             raise ParseError(f"invalid JSON: {exc}") from exc
     else:
         doc = text_or_doc
-    entries = doc.get("payoffs")
+    entries = require_field(doc, "payoffs", list, [])
     if not entries:
         raise SchemaError("document has no payoffs")
     return tuple(payoff_from_dict(model, e) for e in entries)
@@ -177,7 +191,7 @@ def load_problem(text: str):
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}") from exc
     model = model_from_dict(doc)
-    dims = tuple(payoff_from_dict(model, e) for e in doc.get("payoffs", []))
+    dims = tuple(payoff_from_dict(model, e) for e in require_field(doc, "payoffs", list, []))
     return model, (dims if dims else None)
 
 
@@ -357,8 +371,6 @@ def eval_play_truncated(g: GeneralizedDiscounted, prefix: Sequence[str]) -> Tupl
     n = len(steps)
     radius = 2 * g.weight_bound * g.discount_cap ** n / (1 - g.discount_cap) \
         if g.discount_cap > 0 else Fraction(0)
-    if g.discount_cap == 0 and n >= 1:
-        radius = Fraction(0)
     return partial - radius, partial + radius
 
 

@@ -29,7 +29,7 @@ from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, 
 
 from .errors import (DisabledAction, EmptySupport, MalformedHistory, ParseError,
                      PoolTooLarge, SchemaError, UnknownState)
-from .model import Pomdp
+from .model import Pomdp, require_field
 from .payoffs import LassoPlay, check_history
 from .rationals import format_rational, parse_rational
 
@@ -96,10 +96,6 @@ class FiniteMemoryStrategy:
     def action_distribution(self, mem: Mem, observation: str) -> Mapping[str, Fraction]:
         return self.act[(mem, observation)]
 
-    @property
-    def is_pure(self) -> bool:
-        return all(len(dist) == 1 and next(iter(dist.values())) == 1 for dist in self.act.values())
-
     def __repr__(self):
         return f"<FiniteMemoryStrategy |M|={len(self.skeleton.memory)} entries={len(self.act)}>"
 
@@ -114,10 +110,6 @@ class PureStrategy(FiniteMemoryStrategy):
 
     def action_at(self, mem: Mem, observation: str) -> str:
         return self.table[(mem, observation)]
-
-    @property
-    def is_pure(self) -> bool:
-        return True
 
     def __repr__(self):
         choices = ",".join(f"{k}->{a}" for k, a in sorted(self.table.items(), key=str))
@@ -505,30 +497,38 @@ def strategy_to_dict(strategy: FiniteMemoryStrategy) -> dict:
 
 
 def strategy_from_dict(doc: Mapping, model: Pomdp) -> FiniteMemoryStrategy:
-    memory = tuple(doc["memory"])
-    init = doc["init"]
+    if not isinstance(doc, dict):
+        raise SchemaError(f"a strategy must be an object, got {doc!r}")
+    memory = tuple(require_field(doc, "memory", list))
+    if not all(isinstance(m, str) for m in memory):
+        raise SchemaError("memory states must be strings")
+    init = require_field(doc, "init", str)
     if init not in memory:
         raise SchemaError("init memory not among memory states")
     update = {}
-    for key, nxt in doc["update"].items():
+    for key, nxt in require_field(doc, "update", dict).items():
         try:
             m, z, a = key.split(",")
         except ValueError:
             raise SchemaError(f"update key {key!r} is not 'm,z,a'") from None
+        if nxt not in memory:
+            raise SchemaError(f"update {key!r} leads to {nxt!r}, not a memory state")
         update[(m, z, a)] = nxt
     act = {}
     pure = True
-    for key, entry in doc["act"].items():
+    for key, entry in require_field(doc, "act", dict).items():
         try:
             m, z = key.split(",")
         except ValueError:
             raise SchemaError(f"act key {key!r} is not 'm,z'") from None
         if isinstance(entry, str):
             act[(m, z)] = {entry: Fraction(1)}
-        else:
+        elif isinstance(entry, dict):
             act[(m, z)] = {a: parse_rational(p) for a, p in entry.items()}
             if len(act[(m, z)]) > 1:
                 pure = False
+        else:
+            raise SchemaError(f"act[{key!r}] must be an action or an action distribution")
     skeleton = MemorySkeleton(memory, init, update)
     if pure:
         table = {k: next(iter(d)) for k, d in act.items()}
@@ -548,12 +548,12 @@ def mixture_to_dict(mixture: FiniteMixture) -> dict:
 
 def mixture_from_dict(doc: Mapping, model: Pomdp) -> FiniteMixture:
     support = []
-    for entry in doc["support"]:
+    for entry in require_field(doc, "support", list):
         s = strategy_from_dict(entry, model)
         if not isinstance(s, PureStrategy):
             raise SchemaError("mixture support members must be pure strategies")
         support.append(s)
-    weights = [parse_rational(w) for w in doc["weights"]]
+    weights = [parse_rational(w) for w in require_field(doc, "weights", list)]
     if len(weights) != len(support):
         raise SchemaError("support and weights lengths differ")
     return FiniteMixture.of(zip(support, weights))
@@ -566,6 +566,8 @@ def load_strategy_file(path, model: Pomdp):
             doc = json.load(handle)
         except json.JSONDecodeError as exc:
             raise ParseError(f"invalid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise SchemaError("a strategy file must hold a JSON object")
     if "support" in doc:
         return mixture_from_dict(doc, model)
     return strategy_from_dict(doc, model)

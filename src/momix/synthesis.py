@@ -75,18 +75,22 @@ def distinct_members(pool: Pool, finite: bool = False) -> List[int]:
     return out
 
 
-def _mixture_from(pool: Pool, indices, coefficients) -> FiniteMixture:
-    return FiniteMixture.of(
-        (pool[i][0], c) for i, c in zip(indices, coefficients)
+def _certificate(pool: Pool, indices, coefficients, relation: Tuple, target: ExtRealVector,
+                 pool_info: Optional[str]) -> MixtureCertificate:
+    """The certificate of a mixture over pool members, re-checked by exact
+    recombination before it is returned."""
+    certificate = MixtureCertificate(
+        mixture=FiniteMixture.of((pool[i][0], c) for i, c in zip(indices, coefficients)),
+        realized=ExtRealVector.combine(list(coefficients), [pool[i][1] for i in indices]),
+        relation=relation, target=target, pool_info=pool_info,
     )
+    if not certificate.verify():
+        raise SelfCheckFailed("exact recombination check failed")
+    return certificate
 
 
-def _realized(pool: Pool, indices, coefficients) -> ExtRealVector:
-    return ExtRealVector.combine(list(coefficients), [pool[i][1] for i in indices])
-
-
-def achieve(model, start, dims, target: ExtRealVector, pool: Pool,
-            mode: str = "equals", pool_info: Optional[str] = None) -> MixtureCertificate:
+def achieve(target: ExtRealVector, pool: Pool, mode: str = "equals",
+            pool_info: Optional[str] = None) -> MixtureCertificate:
     """An exact mixture realizing (mode "equals", support <= d+1) or
     dominating (mode "dominates", support <= d) a finite target vector.
 
@@ -114,23 +118,14 @@ def achieve(model, start, dims, target: ExtRealVector, pool: Pool,
     except (NotInHull, NotDominated) as exc:
         raise NotAchievable(str(exc)) from exc
     indices = [idx[i] for i in dec.indices]
-    certificate = MixtureCertificate(
-        mixture=_mixture_from(pool, indices, dec.coefficients),
-        realized=_realized(pool, indices, dec.coefficients),
-        relation=(mode,),
-        target=target,
-        pool_info=pool_info,
-    )
-    if not certificate.verify():
-        raise SelfCheckFailed("exact recombination check failed")
-    return certificate
+    return _certificate(pool, indices, dec.coefficients, (mode,), target, pool_info)
 
 
 # -- (eps, M)-approximation ----------------------------------------------------------
 
 
-def approximate(model, start, dims, target: ExtRealVector, eps: Fraction, big_m: Fraction,
-                pool: Pool, pool_info: Optional[str] = None) -> MixtureCertificate:
+def approximate(target: ExtRealVector, eps: Fraction, big_m: Fraction, pool: Pool,
+                pool_info: Optional[str] = None) -> MixtureCertificate:
     """A mixture meeting the three approximation requirements: dimensions
     with target +inf reach at least M, -inf at most -M, finite dimensions
     land within eps.
@@ -149,24 +144,15 @@ def approximate(model, start, dims, target: ExtRealVector, eps: Fraction, big_m:
     inf_dims = [j for j in range(d) if not target[j].is_finite]
 
     attempt = _approx_over_finite(pool, target, fin_dims, inf_dims, eps, big_m)
-    if attempt is not None:
-        indices, coeffs = attempt
-        cert = MixtureCertificate(
-            mixture=_mixture_from(pool, indices, coeffs),
-            realized=_realized(pool, indices, coeffs),
-            relation=("approximates", eps, big_m),
-            target=target, pool_info=pool_info,
+    if attempt is None:
+        attempt = _approx_with_witnesses(pool, target, fin_dims, inf_dims, eps, big_m)
+    if attempt is None:
+        raise InfeasibleApproximation(
+            f"no mixture over this pool approximates {target} at eps={eps}, M={big_m}",
+            pool_info=pool_info,
         )
-    else:
-        cert = _approx_with_witnesses(pool, target, fin_dims, inf_dims, eps, big_m, pool_info)
-        if cert is None:
-            raise InfeasibleApproximation(
-                f"no mixture over this pool approximates {target} at eps={eps}, M={big_m}",
-                pool_info=pool_info,
-            )
-    if not cert.verify():
-        raise SelfCheckFailed("exact recombination check failed")
-    return cert
+    indices, coeffs = attempt
+    return _certificate(pool, indices, coeffs, ("approximates", eps, big_m), target, pool_info)
 
 
 def _approx_over_finite(pool, target, fin_dims, inf_dims, eps, big_m):
@@ -196,9 +182,10 @@ def _approx_over_finite(pool, target, fin_dims, inf_dims, eps, big_m):
     return [i for i, _ in kept], [c for _, c in kept]
 
 
-def _approx_with_witnesses(pool, target, fin_dims, inf_dims, eps, big_m, pool_info):
+def _approx_with_witnesses(pool, target, fin_dims, inf_dims, eps, big_m):
     """The general construction: dedicated infinite-component witnesses with
-    total weight eta, a finite sub-mixture at precision eps/3 for the rest."""
+    total weight eta, a finite sub-mixture at precision eps/3 for the rest.
+    Returns the pool indices and weights of the mixture, or None."""
     if not inf_dims:
         return None
     distinct = distinct_members(pool)
@@ -268,13 +255,7 @@ def _approx_with_witnesses(pool, target, fin_dims, inf_dims, eps, big_m, pool_in
     for i, c in nu.items():
         weights[i] = weights.get(i, Fraction(0)) + (1 - eta) * c
     indices = sorted(weights)
-    coeffs = [weights[i] for i in indices]
-    return MixtureCertificate(
-        mixture=_mixture_from(pool, indices, coeffs),
-        realized=_realized(pool, indices, coeffs),
-        relation=("approximates", eps, big_m),
-        target=target, pool_info=pool_info,
-    )
+    return indices, [weights[i] for i in indices]
 
 
 # -- lexicographic optimization -----------------------------------------------------------

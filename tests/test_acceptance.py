@@ -71,7 +71,7 @@ def test_criterion_02_split_reach_supporting_map(split_reach):
 def test_criterion_03_gated_reward_achieve(gated_reward):
     model, dims = gated_reward
     pool = mx.pure_payoff_set(model, "s", dims, mx.counter(model, 4))
-    cert = mx.achieve(model, "s", dims, mx.vector(2, 2), pool, mode="equals")
+    cert = mx.achieve(mx.vector(2, 2), pool, mode="equals")
     assert len(cert.mixture.support) == 2
     assert cert.realized == mx.vector(2, 2)  # exact recombination
     for member in cert.mixture.support:
@@ -146,8 +146,7 @@ def test_criterion_05_lexicographic(split_reach, commute, earn_or_exit):
         assert result.vector == mx.vector(1, n)  # never (1, +inf)
         assert result.certified
     pool6 = mx.pure_payoff_set(model6, "s", dims6, mx.counter(model6, 12))
-    cert = mx.approximate(model6, "s", dims6, mx.vector(1, "+inf"),
-                          Fraction(1, 10), Fraction(10), pool6)
+    cert = mx.approximate(mx.vector(1, "+inf"), Fraction(1, 10), Fraction(10), pool6)
     assert cert.realized[0] == mx.ExtReal(1)       # dimension 1 exactly 1
     assert cert.realized[1] >= mx.ExtReal(10)      # dimension 2 at least M
     _report(5, "200/200 random strategies lex-dominated; pools give (1,n); approx hits (1,>=10)")

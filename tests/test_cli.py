@@ -194,20 +194,77 @@ def test_input_error():
     assert run(["validate", "does-not-exist.json"]) == 3
 
 
-@pytest.mark.parametrize("argv", [
-    ["frontier", os.path.join(MODELS, "split_reach.json"), "--state", "s",
-     "--skeleton", "counter:6"],
-    ["frontier", RUNNING, "--state", "s0", "--skeleton", "counter:x"],
-    ["frontier", RUNNING, "--state", "s0", "--skeleton", "counter:-1"],
-    ["approx", EARN_OR_EXIT, "--state", "s", "--target", "1,2,3", "--eps", "1/10",
-     "--bigM", "10"],
-    ["approx", EARN_OR_EXIT, "--state", "s", "--target", "1,+inf", "--eps", "0",
-     "--bigM", "10"],
-], ids=["unknown-state", "counter-not-int", "counter-negative", "target-dimension", "eps-zero"])
-def test_bad_arguments_are_input_errors(argv, capsys):
+TRAIN_FILE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden",
+                          "commute_train.json")
+
+
+def _document(path, **fields):
+    """A JSON file's object with top-level fields replaced."""
+    with open(path, encoding="utf-8") as fh:
+        return {**json.load(fh), **fields}
+
+
+TRAIN = _document(TRAIN_FILE)
+NO_LAMBDA = [{"kind": "discounted_sum", "weights": "w"}]
+BAD_WINDEX = [{"kind": "discounted_sum", "lambda": "1/2", "weights": "w", "windex": "z"}]
+FRONTIER = ["frontier", "MODEL", "--state", "s0"]
+EVALUATE = ["evaluate", COMMUTE, "--state", "home", "--strategy", "STRATEGY"]
+SIMULATE = ["simulate", COMMUTE, "--state", "home", "--strategy", TRAIN_FILE]
+PROBE = ["probe", COMMUTE, "--state", "home", "--family", "STRATEGY"]
+
+# id: (argv, model document, strategy document); the words MODEL and
+# STRATEGY in argv stand for files holding the two documents (a probe's
+# family document takes the place of the strategy).
+BAD_INPUTS = {
+    "unknown-state": (["frontier", os.path.join(MODELS, "split_reach.json"), "--state", "s",
+                       "--skeleton", "counter:6"], None, None),
+    "counter-not-int": (["frontier", RUNNING, "--state", "s0", "--skeleton", "counter:x"],
+                        None, None),
+    "counter-negative": (["frontier", RUNNING, "--state", "s0", "--skeleton", "counter:-1"],
+                         None, None),
+    "target-dimension": (["approx", EARN_OR_EXIT, "--state", "s", "--target", "1,2,3",
+                          "--eps", "1/10", "--bigM", "10"], None, None),
+    "eps-zero": (["approx", EARN_OR_EXIT, "--state", "s", "--target", "1,+inf", "--eps", "0",
+                  "--bigM", "10"], None, None),
+    "model-not-object": (FRONTIER, 5, None),
+    "obs-list": (FRONTIER, _document(RUNNING, obs=["s0", "s1", "s2", "s3"]), None),
+    "payoffs-object": (FRONTIER, _document(RUNNING, payoffs={"kind": "reach"}), None),
+    "state-not-string": (FRONTIER, _document(RUNNING, states=[["a"]]), None),
+    "weights-list": (FRONTIER, _document(RUNNING, weights=[]), None),
+    "no-lambda": (FRONTIER, _document(RUNNING, payoffs=NO_LAMBDA), None),
+    "windex-not-int": (FRONTIER, _document(RUNNING, payoffs=BAD_WINDEX), None),
+    "weight-table-list": (FRONTIER, _document(RUNNING, weights={"w": []}), None),
+    "target-not-states": (FRONTIER, _document(RUNNING, payoffs=[
+        {"kind": "reach", "target": [["s1"]]}]), None),
+    "weights-name-list": (FRONTIER, _document(RUNNING, payoffs=[
+        {"kind": "discounted_sum", "lambda": "1/2", "weights": ["w"]}]), None),
+    "strategy-not-object": (EVALUATE, None, [1]),
+    "update-list": (EVALUATE, None, {**TRAIN, "update": []}),
+    "mixture-member-not-object": (EVALUATE, None, {"support": [1], "weights": ["1"]}),
+    "no-update": (EVALUATE, None, {k: v for k, v in TRAIN.items() if k != "update"}),
+    "memory-not-strings": (EVALUATE, None, {**TRAIN, "memory": ["0", ["1"]]}),
+    "update-unknown-memory": (EVALUATE, None,
+                              {**TRAIN, "update": {**TRAIN["update"], "0,home,bike": ["0"]}}),
+    "act-entry-list": (EVALUATE, None, {**TRAIN, "act": {**TRAIN["act"], "0,home": ["train"]}}),
+    "family-not-list": (PROBE, None, {"family": 5, "limit": TRAIN}),
+    "family-index-missing": (PROBE, None, {"family": [{"strategy": TRAIN}], "limit": TRAIN}),
+    "family-not-object": (PROBE, None, [TRAIN]),
+    "samples-zero": (SIMULATE + ["--samples", "0"], None, None),
+    "horizon-negative": (SIMULATE + ["--horizon", "-3"], None, None),
+    "seed-negative": (SIMULATE + ["--seed", "-1"], None, None),
+}
+
+
+@pytest.mark.parametrize("argv, model_doc, strategy_doc", BAD_INPUTS.values(), ids=BAD_INPUTS)
+def test_bad_arguments_are_input_errors(argv, model_doc, strategy_doc, tmp_path, capsys):
+    files = {"MODEL": model_doc, "STRATEGY": strategy_doc}
+    for word, doc in files.items():
+        if doc is not None:
+            (tmp_path / f"{word}.json").write_text(json.dumps(doc))
+    argv = [str(tmp_path / f"{arg}.json") if arg in files else arg for arg in argv]
     assert run(argv + ["--json"]) == 3
     err = capsys.readouterr().err
-    assert "input error" in err
+    assert err.startswith("input error: ")
     if "split_reach.json" in argv[1]:
         assert "input error: unknown state 's'" in err
 

@@ -1,15 +1,22 @@
-"""Exact geometry against brute-force oracles (simplex-free where possible)."""
+"""Exact geometry against brute-force oracles (simplex-free where possible),
+and the supporting normals against the kernel-basis construction they
+replaced."""
 
 import itertools
 import random
 from fractions import Fraction
+from typing import List, Optional, Sequence
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import momix as mx
+from momix import geometry
 from momix.errors import NotDominated, NotInHull
-from momix.geometry import membership_combination
-from momix.linalg import dot, solve_linear
+from momix.geometry import Point, membership_combination
+from momix.linalg import dot, nullspace, solve_linear
+from momix.lp import LinearProgram
 
 
 # -- brute-force oracles ----------------------------------------------------------------
@@ -374,3 +381,139 @@ def test_decomposition_properties_random():
         dom = mx.dominating_face_decomposition(q, points)
         assert dom.support_size <= 3
         assert all(x >= y for x, y in zip(dom.recombine(points), q))
+
+
+# -- reference: the kernel-basis supporting normal, kept verbatim -------------------------
+
+
+def _lexmin_supporting_normal(q: Point, points: Sequence[Point],
+                              basis: Sequence[Point]) -> Optional[Point]:
+    """Lexicographically smallest sup-norm-1 vector w in span(basis) with
+    <w, p - q> <= 0 for all points.  Deterministic; None if only w = 0 works."""
+    d = len(q)
+    k = len(basis)
+    if k == 0:
+        return None
+
+    def piece_lexmin(fix_coord: int, sign: int) -> Optional[Point]:
+        fixed: List[Fraction] = []
+        for upto in range(d):
+            lp = LinearProgram()
+            z = [lp.var(f"z{t}", lo=None) for t in range(k)]
+
+            def w_expr(j):
+                return {z[t]: basis[t][j] for t in range(k) if basis[t][j] != 0}
+
+            for p in points:
+                coeffs = {}
+                for t in range(k):
+                    val = sum((basis[t][j] * (p[j] - q[j]) for j in range(d)), Fraction(0))
+                    if val != 0:
+                        coeffs[z[t]] = val
+                if coeffs:
+                    lp.constrain(coeffs, "<=", Fraction(0))
+            for j in range(d):
+                expr = w_expr(j)
+                if not expr:
+                    continue
+                lp.constrain(expr, "<=", Fraction(1))
+                lp.constrain(expr, ">=", Fraction(-1))
+            fix_expr = w_expr(fix_coord)
+            if not fix_expr and sign != 0:
+                return None
+            lp.constrain(fix_expr if fix_expr else {z[0]: Fraction(0)}, "==", Fraction(sign))
+            for j, v in enumerate(fixed):
+                expr = w_expr(j)
+                lp.constrain(expr if expr else {z[0]: Fraction(0)}, "==", v)
+            target = w_expr(upto)
+            result = lp.solve(target, maximize=False)
+            if not result.ok:
+                return None
+            value = sum((basis[t][upto] * result[z[t]] for t in range(k)), Fraction(0))
+            fixed.append(value)
+        return tuple(fixed)
+
+    candidates = []
+    for coord in range(d):
+        for sign in (-1, 1):
+            w = piece_lexmin(coord, sign)
+            if w is not None:
+                candidates.append(w)
+    if not candidates:
+        return None
+    return min(candidates)
+
+
+def _basis_orthogonal_to(basis: Sequence[Point], w: Point) -> List[Point]:
+    """Basis of {v in span(basis) : <w, v> = 0}."""
+    k = len(basis)
+    row = [dot(w, basis[t]) for t in range(k)]
+    if all(v == 0 for v in row):
+        return list(basis)
+    null_z = nullspace([row])
+    out = []
+    for z in null_z:
+        vec = tuple(
+            sum((z[t] * basis[t][j] for t in range(k)), Fraction(0))
+            for j in range(len(basis[0]))
+        )
+        if any(v != 0 for v in vec):
+            out.append(vec)
+    return out
+
+
+def reference_normal(q, points, rows):
+    """The kernel-basis normal given the map rows found so far: the basis
+    starts as the identity and is cut down by each row in turn, as the
+    construction did."""
+    d = len(q)
+    basis = [tuple(Fraction(int(i == j)) for j in range(d)) for i in range(d)]
+    for row in rows:
+        basis = _basis_orthogonal_to(basis, row)
+    return _lexmin_supporting_normal(q, points, basis)
+
+
+# -- supporting normals against the reference ---------------------------------------------
+
+small_rationals = st.builds(Fraction, st.integers(min_value=-6, max_value=6),
+                            st.sampled_from([1, 2, 3, 4]))
+
+
+@st.composite
+def point_sets_and_queries(draw):
+    """Rational point sets in d <= 4, full-dimensional or mapped from a
+    lower-dimensional set by a rational affine map, with repeated points;
+    q is one of the points or a convex combination of them."""
+    d = draw(st.integers(min_value=1, max_value=4))
+    k = draw(st.integers(min_value=0, max_value=d))
+    n = draw(st.integers(min_value=1, max_value=7))
+    low = [tuple(draw(small_rationals) for _ in range(k)) for _ in range(n)]
+    if k == d and draw(st.booleans()):
+        points = low
+    else:
+        matrix = [[draw(small_rationals) for _ in range(k)] for _ in range(d)]
+        shift = [draw(small_rationals) for _ in range(d)]
+        points = [tuple(shift[j] + sum((a * x for a, x in zip(matrix[j], p)), Fraction(0))
+                        for j in range(d)) for p in low]
+    points += [draw(st.sampled_from(points)) for _ in range(draw(st.integers(0, 2)))]
+    if draw(st.booleans()):
+        q = draw(st.sampled_from(points))
+    else:
+        weights = draw(st.lists(st.integers(min_value=0, max_value=3),
+                                min_size=len(points), max_size=len(points)))
+        if not any(weights):
+            weights[0] = 1
+        q = tuple(sum(w * p[j] for w, p in zip(weights, points)) / sum(weights)
+                  for j in range(d))
+    return points, q
+
+
+@given(point_sets_and_queries())
+@settings(max_examples=120, deadline=None)
+def test_supporting_normals_match_kernel_basis_reference(case):
+    points, q = case
+    rows = mx.supporting_map(q, points).rows
+    dec = mx.dominating_face_decomposition(q, points)
+    with mock.patch.object(geometry, "_lexmin_supporting_normal", reference_normal):
+        assert mx.supporting_map(q, points).rows == rows
+        assert mx.dominating_face_decomposition(q, points) == dec

@@ -3,7 +3,8 @@ output of `frontier`, `achieve`, `approx` and `lexopt` on the bundled
 models, and `supporting_map` / `dominating_face_decomposition` on fixed
 rational point sets in d = 3 and 4, must stay byte-identical; so must the
 seeded `simulate --json` output of the README command and of a mixture, whose
-strategy files sit beside the goldens.
+strategy files sit beside the goldens; and so must the stdout of the seven
+scripts under demos/.
 
 The `.txt` files under tests/golden/ were written by running this module as
 a script (`PYTHONPATH=src python tests/test_golden.py`), which rewrites them
@@ -15,6 +16,8 @@ import io
 import json
 import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -24,7 +27,9 @@ from momix.cli import run
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 GOLDEN = os.path.join(HERE, "golden")
-MODELS = os.path.join(HERE, os.pardir, "models")
+ROOT = os.path.dirname(HERE)
+MODELS = os.path.join(ROOT, "models")
+DEMOS = os.path.join(ROOT, "demos")
 
 MODEL_STARTS = {
     "coin_exit": "s", "commute": "home", "delayed_exit": "s", "earn_or_exit": "s",
@@ -128,6 +133,20 @@ def geometry_output(seed, d, n) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
+DEMO_CASES = sorted(name[:-3] for name in os.listdir(DEMOS) if name.endswith(".py"))
+
+
+def demo_output(name) -> str:
+    """Stdout of a demo script, run from the repository root as the README
+    runs it."""
+    src = os.path.join(ROOT, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    done = subprocess.run([sys.executable, os.path.join(DEMOS, f"{name}.py")], cwd=ROOT,
+                          env=env, capture_output=True, text=True, check=True)
+    return done.stdout
+
+
 def _golden(name):
     return os.path.join(GOLDEN, f"{name}.txt")
 
@@ -147,10 +166,16 @@ def test_geometry_golden(name):
     assert geometry_output(*GEOMETRY_CASES[name]) == _read(name)
 
 
+@pytest.mark.parametrize("name", DEMO_CASES)
+def test_demo_golden(name):
+    assert demo_output(name) == _read(f"demo_{name}")
+
+
 def _write_all():
     os.makedirs(GOLDEN, exist_ok=True)
     outputs = {name: cli_output(argv) for name, argv in CLI_CASES.items()}
     outputs.update({name: geometry_output(*case) for name, case in GEOMETRY_CASES.items()})
+    outputs.update({f"demo_{name}": demo_output(name) for name in DEMO_CASES})
     for name, text in outputs.items():
         with open(_golden(name), "w", encoding="utf-8") as fh:
             fh.write(text)

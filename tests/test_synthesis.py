@@ -31,7 +31,7 @@ def split_reach_pool(split_reach):
 
 def test_achieve_gated_reward_target(gated_reward, gated_reward_pool):
     model, dims = gated_reward
-    cert = mx.achieve(model, "s", dims, mx.vector(2, 2), gated_reward_pool, mode="equals")
+    cert = mx.achieve(mx.vector(2, 2), gated_reward_pool, mode="equals")
     assert len(cert.mixture.support) == 2
     assert cert.realized == mx.vector(2, 2)
     assert sorted(cert.mixture.weights) == [Fraction(4, 9), Fraction(5, 9)]
@@ -42,42 +42,38 @@ def test_achieve_gated_reward_target(gated_reward, gated_reward_pool):
                               mx.vector(Fraction(37, 16), Fraction(27, 16))}
 
 
-def test_achieve_pure_vector_dirac(split_reach, split_reach_pool):
-    model, dims = split_reach
-    cert = mx.achieve(model, "s0", dims, mx.vector(Fraction(3, 4), Fraction(3, 4)),
-                      split_reach_pool, mode="equals")
+def test_achieve_pure_vector_dirac(split_reach_pool):
+    cert = mx.achieve(mx.vector(Fraction(3, 4), Fraction(3, 4)), split_reach_pool, mode="equals")
     assert len(cert.mixture.support) == 1
     assert cert.mixture.weights == (Fraction(1),)
 
 
-def test_achieve_above_frontier(split_reach, split_reach_pool):
-    model, dims = split_reach
+def test_achieve_above_frontier(split_reach_pool):
     with pytest.raises(NotAchievable):
-        mx.achieve(model, "s0", dims, mx.vector(2, 2), split_reach_pool)
+        mx.achieve(mx.vector(2, 2), split_reach_pool)
 
 
 def test_achieve_dominates_two_discounts(two_discounts):
     model, dims = two_discounts
     pool = mx.pure_payoff_set(model, "s0", dims, mx.counter(model, 6))
-    cert = mx.achieve(model, "s0", dims, mx.vector(3, 1), pool, mode="dominates")
+    cert = mx.achieve(mx.vector(3, 1), pool, mode="dominates")
     assert len(cert.mixture.support) <= 2
     assert cert.realized.dominates(mx.vector(3, 1))
     with pytest.raises(NotAchievable):
-        mx.achieve(model, "s0", dims, mx.vector(6, 3), pool, mode="dominates")
+        mx.achieve(mx.vector(6, 3), pool, mode="dominates")
 
 
 def test_corrupted_certificate_raises_under_optimize():
     """The recombination re-check is not an assert: it still runs under -O."""
     script = textwrap.dedent(f"""
         import momix as mx
-        from momix import synthesis
         assert not __debug__, "run with python -O"
         with open({os.path.join(MODELS, "two_discounts.json")!r}) as fh:
             model, dims = mx.load_problem(fh.read())
         pool = mx.pure_payoff_set(model, "s0", dims, mx.counter(model, 6))
-        synthesis._realized = lambda pool, indices, coeffs: mx.vector(0, 0)
+        mx.ExtRealVector.combine = staticmethod(lambda weights, vectors: mx.vector(0, 0))
         try:
-            mx.achieve(model, "s0", dims, mx.vector(3, 1), pool, mode="dominates")
+            mx.achieve(mx.vector(3, 1), pool, mode="dominates")
         except mx.SelfCheckFailed as exc:
             print("raised:", exc)
     """)
@@ -92,17 +88,15 @@ def test_approximate_earn_or_exit(earn_or_exit):
     model, dims = earn_or_exit
     pool = mx.pure_payoff_set(model, "s", dims, mx.counter(model, 12))
     for big_m in (Fraction(5), Fraction(10)):
-        cert = mx.approximate(model, "s", dims, mx.vector(1, "+inf"),
-                              Fraction(1, 10), big_m, pool)
+        cert = mx.approximate(mx.vector(1, "+inf"), Fraction(1, 10), big_m, pool)
         assert cert.verify()
         assert cert.realized[0] == mx.ExtReal(1)  # exactly 1, not within-eps only
         assert cert.realized[1] >= mx.ExtReal(big_m)
 
 
-def test_approximate_all_finite_reduces_to_achieve(split_reach, split_reach_pool):
-    model, dims = split_reach
+def test_approximate_all_finite_reduces_to_achieve(split_reach_pool):
     target = mx.vector(Fraction(3, 4), Fraction(3, 4))
-    cert = mx.approximate(model, "s0", dims, target, Fraction(1, 100), Fraction(1), split_reach_pool)
+    cert = mx.approximate(target, Fraction(1, 100), Fraction(1), split_reach_pool)
     assert cert.verify()
     for got, want in zip(cert.realized, target):
         assert abs(got.finite - want.finite) <= Fraction(1, 100)
@@ -113,8 +107,7 @@ def test_approximate_infeasible_without_witnesses(earn_or_exit):
     pool = mx.pure_payoff_set(model, "s", dims, mx.counter(model, 2))
     # (+inf, -inf) has neither a -inf witness nor finite members below -M
     with pytest.raises(InfeasibleApproximation):
-        mx.approximate(model, "s", dims, mx.vector("+inf", "-inf"),
-                       Fraction(1, 10), Fraction(10), pool)
+        mx.approximate(mx.vector("+inf", "-inf"), Fraction(1, 10), Fraction(10), pool)
 
 
 def test_approximate_uses_witness_when_finite_pool_cannot(earn_or_exit):
@@ -124,7 +117,7 @@ def test_approximate_uses_witness_when_finite_pool_cannot(earn_or_exit):
     pool = mx.pure_payoff_set(model, "s", dims, mx.counter(model, 3))
     # members reach at most (1, 3); M = 10 forces mixing the (0, +inf) witness
     eps = Fraction(1, 10)
-    cert = mx.approximate(model, "s", dims, mx.vector(1, "+inf"), eps, Fraction(10), pool)
+    cert = mx.approximate(mx.vector(1, "+inf"), eps, Fraction(10), pool)
     assert cert.verify()
     assert cert.realized[1] == mx.POS_INF
     assert abs(cert.realized[0].finite - 1) <= eps
