@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
 
 from .errors import DisabledAction, ObservationClassTooLarge, PreconditionViolated, UnknownState
-from .model import Pomdp, reachable_states
+from .model import Pomdp
 from .strategies import FiniteMemoryStrategy, MemorySkeleton, PureStrategy, product_chain
 
 BeliefSupport = FrozenSet[str]

@@ -22,13 +22,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from .errors import UndefinedExpectation, UnsupportedKind
+from .errors import UnsupportedKind
 from .linalg import solve_linear
 from .model import Pomdp, WeightFunction, strongly_connected_components
-from .payoffs import (BuchiIndicator, DiscountedSum, MultiPayoff, PayoffSpec,
+from .payoffs import (BuchiIndicator, DiscountedSum, MultiPayoff,
                       ReachGatedDiscountedSum, ReachIndicator, ShortestPath,
                       TotalRewardNonNeg)
-from .rationals import ExtReal, ExtRealVector, NEG_INF, POS_INF
+from .rationals import ExtReal, ExtRealVector, POS_INF
 from .strategies import (FiniteMemoryStrategy, FiniteMixture, MarkovChain, MemorySkeleton,
                          POOL_CAP, product_chain, pure_behaviours)
 

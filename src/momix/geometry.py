@@ -3,9 +3,10 @@
 Hulls, extreme points, Pareto filtering, strong separation, supporting
 linear maps (the lexicographic-maximum construction used to reach points on
 faces of payoff sets), Caratheodory decompositions and the achievability
-feasibility test.  Everything is decided by the exact simplex in
-:mod:`momix.lp`; degeneracies (collinear point families and the like) are
-resolved exactly, never by tolerance.
+feasibility test.  Membership, extreme points and every LP-based question
+are decided by the exact simplex in :mod:`momix.lp`; hull facets come from
+integer cofactor normals and integer sign tests.  Degeneracies (collinear
+point families and the like) are resolved exactly, never by tolerance.
 """
 
 from __future__ import annotations
@@ -13,12 +14,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import DimensionMismatch, NotDominated, NotInHull, SelfCheckFailed
-from .linalg import dot, nullspace, rref
+from .linalg import cofactor_vector, dot, nullspace, rref
 from .lp import LinearProgram
-from .rationals import ExtRealVector, format_rational
+from .rationals import ExtRealVector, format_rational, integer_row
 
 Point = Tuple[Fraction, ...]
 
@@ -204,10 +206,7 @@ def convex_hull(points) -> Hull:
     """
     pts = _check_points(points)
     d = len(pts[0])
-    unique: List[Point] = []
-    for p in pts:
-        if p not in unique:
-            unique.append(p)
+    unique = list(dict.fromkeys(pts))
     corner_points = {unique[i] for i in extreme_points(unique)}
     verts = tuple(i for i, p in enumerate(pts) if p in corner_points)
     basis, base = affine_span(pts)
@@ -220,37 +219,60 @@ def convex_hull(points) -> Hull:
         for n in normals:
             span_eqs.append((tuple(n), dot(n, base)))
 
+    return Hull(tuple(pts), verts, _facets(sorted(corner_points), basis), tuple(span_eqs))
+
+
+def _facets(vertex_points: Sequence[Point], basis: Sequence[Point]):
+    """The facets of conv(vertex_points) inside its affine span, spanned by
+    `basis` (k rows), as (outward normal, offset) pairs with the first
+    nonzero normal entry of absolute value 1, in the order of their first
+    spanning k-subset of vertex_points.
+
+    Fraction-free: the points are scaled to integers by one common lcm, each
+    basis row by its own, and only the coordinates <basis_t, point> enter
+    the loop.  A subset's normal sum_t z_t basis_t has the cofactors of its
+    k - 1 direction rows as z; the sides are integer sign tests."""
+    k = len(basis)
+    if k == 0:
+        return ()
+    d = len(basis[0])
+    flat, scale = integer_row([x for p in vertex_points for x in p])
+    int_basis = [integer_row(b)[0] for b in basis]
+    int_points = [flat[i:i + d] for i in range(0, len(flat), d)]
+    coords = [[sum(b * x for b, x in zip(row, p)) for row in int_basis] for p in int_points]
     facets = []
     seen = set()
-    if k >= 1:
-        vertex_points = sorted(corner_points)
-        for combo in itertools.combinations(range(len(vertex_points)), k):
-            chosen = [vertex_points[i] for i in combo]
-            dirs = [tuple(p[j] - chosen[0][j] for j in range(d)) for p in chosen[1:]]
-            # normal n = sum_t z_t basis[t] with <n, dir> = 0 for all dirs
-            rows = [[dot(dirv, bvec) for bvec in basis] for dirv in dirs]
-            null_z = nullspace(rows) if rows else \
-                [[Fraction(1) if j == i else Fraction(0) for j in range(k)] for i in range(k)]
-            if len(null_z) != 1:
-                continue  # affinely dependent subset
-            z = null_z[0]
-            normal = tuple(
-                sum((z[t] * basis[t][j] for t in range(k)), Fraction(0)) for j in range(d)
-            )
-            offset = dot(normal, chosen[0])
-            values = [dot(normal, p) - offset for p in pts]
-            if all(v <= 0 for v in values):
-                n, c = normal, offset
-            elif all(v >= 0 for v in values):
-                n, c = tuple(-x for x in normal), -offset
+    for combo in itertools.combinations(coords, k):
+        origin = combo[0]
+        z = cofactor_vector([[x - o for x, o in zip(c, origin)] for c in combo[1:]])
+        if not any(z):
+            continue  # affinely dependent subset
+        offset = sum(a * b for a, b in zip(z, origin))
+        above = below = False
+        for c in coords:
+            value = sum(a * b for a, b in zip(z, c)) - offset
+            if value > 0:
+                above = True
+            elif value < 0:
+                below = True
             else:
                 continue
-            scale = next(abs(x) for x in n if x != 0)
-            key = (tuple(x / scale for x in n), c / scale)
-            if key not in seen:
-                seen.add(key)
-                facets.append(key)
-    return Hull(tuple(pts), verts, tuple(facets), tuple(span_eqs))
+            if above and below:
+                break
+        if above and below:
+            continue
+        if above:
+            z, offset = [-a for a in z], -offset
+        normal = [sum(a * row[j] for a, row in zip(z, int_basis)) for j in range(d)]
+        g = gcd(*normal)
+        key = tuple(x // g for x in normal)
+        if key in seen:
+            continue
+        seen.add(key)
+        first = abs(next(x for x in normal if x))
+        facets.append((tuple(Fraction(x, first) for x in normal),
+                       Fraction(offset, first * scale)))
+    return tuple(facets)
 
 
 def pareto_frontier(vectors: Sequence[ExtRealVector]) -> Tuple[int, ...]:

@@ -1,47 +1,69 @@
 """Exact rational linear algebra.
 
-Matrices are lists of lists of Fractions.  :func:`solve_linear` runs
-fraction-free (Bareiss) elimination on integer-scaled rows; :func:`rref` is
-Gauss-Jordan elimination over Fraction.  All pivots are exact, so there is no
-tolerance policy anywhere; a singular system raises :class:`SingularSystem`.
+Matrices are lists of lists of Fractions.  :func:`solve_linear` and
+:func:`cofactor_vector` run fraction-free (Bareiss) elimination on integer
+rows (scaled by :func:`momix.rationals.integer_row`); :func:`rref` is
+Gauss-Jordan elimination over Fraction.  All pivots are exact, so there is
+no tolerance policy anywhere; a singular system raises
+:class:`SingularSystem`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 from typing import List, Sequence
 
 from .errors import SingularSystem
+from .rationals import integer_row
 
 
-def solve_linear(matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> List[Fraction]:
-    """Solve A x = b exactly for square A by Bareiss elimination (Math. Comp.
-    22, 1968): every entry after step k is a (k+1)-minor of the integer
-    system, so dividing by the previous pivot is exact.  The pivot is the
-    first nonzero entry of its column."""
-    n = len(matrix)
-    if any(len(row) != n for row in matrix) or len(rhs) != n:
-        raise ValueError("solve_linear expects a square system")
-    a = []
-    for row, b in zip(matrix, rhs):
-        values = [*row, b]
-        scale = lcm(*(v.denominator for v in values))
-        a.append([v.numerator * (scale // v.denominator) for v in values])
+def _bareiss(a: List[List[int]], n: int) -> int:
+    """Fraction-free elimination (Bareiss, Math. Comp. 22, 1968) of the
+    first n columns of the integer rows a, in place: every entry after step
+    k is a (k+1)-minor, so dividing by the previous pivot is exact.  The
+    pivot is the first nonzero entry of its column.  Returns the determinant
+    of the leading n x n block, 0 (and a half-eliminated a) if singular."""
+    sign = 1
     prev = 1
     for col in range(n):
         pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
         if pivot is None:
-            raise SingularSystem(f"no pivot in column {col}")
-        a[col], a[pivot] = a[pivot], a[col]
+            return 0
+        if pivot != col:
+            a[col], a[pivot] = a[pivot], a[col]
+            sign = -sign
         top = a[col]
         akk = top[col]
         for r in range(col + 1, n):
             ark = a[r][col]
             a[r] = [(akk * v - ark * p) // prev for v, p in zip(a[r], top)]
         prev = akk
+    return sign * prev
+
+
+def cofactor_vector(rows: Sequence[Sequence[int]]) -> List[int]:
+    """For m - 1 integer rows of length m: z_t = (-1)^t times the minor with
+    column t deleted (the generalized cross product).  Every row is
+    orthogonal to z, and z = 0 exactly when the rows are dependent."""
+    m = len(rows) + 1
+    z = []
+    for t in range(m):
+        det = _bareiss([row[:t] + row[t + 1:] for row in rows], m - 1)
+        z.append(-det if t % 2 else det)
+    return z
+
+
+def solve_linear(matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> List[Fraction]:
+    """Solve A x = b exactly for square A by Bareiss elimination on the
+    integer-scaled rows [A | b]."""
+    n = len(matrix)
+    if any(len(row) != n for row in matrix) or len(rhs) != n:
+        raise ValueError("solve_linear expects a square system")
+    a = [integer_row([*row, b])[0] for row, b in zip(matrix, rhs)]
+    det = _bareiss(a, n)
+    if det == 0:
+        raise SingularSystem("the system matrix is singular")
     # Cramer: det * x is an integer vector, so back-substitution stays exact.
-    det = prev
     num = [0] * n
     for i in reversed(range(n)):
         row = a[i]

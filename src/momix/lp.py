@@ -20,6 +20,8 @@ from fractions import Fraction
 from math import lcm
 from typing import Dict, List, Mapping, Optional, Tuple
 
+from .rationals import integer_row
+
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
@@ -144,13 +146,11 @@ def _simplex(rows: List[list], rhs: List[Fraction], cost: list):
     tab = []
     scales = []
     for i, (row, bi) in enumerate(zip(rows, rhs)):
-        s = lcm(bi.denominator, *(v.denominator for v in row))
+        ints, s = integer_row([*row, bi])
         scales.append(s)
         if bi < 0:
-            s = -s
-        tab.append([v.numerator * (s // v.denominator) for v in row]
-                   + [int(j == i) for j in range(m)]
-                   + [bi.numerator * (s // bi.denominator)])
+            ints = [-v for v in ints]
+        tab.append(ints[:n] + [int(j == i) for j in range(m)] + ints[n:])
     basis = [n + i for i in range(m)]
     det = 1
 
@@ -212,8 +212,8 @@ def _simplex(rows: List[list], rhs: List[Fraction], cost: list):
                 pivot(i, enter, None)
             # else: redundant row, artificial stays basic at value 0
 
-    scale = lcm(*(c.denominator for c in cost))
-    status, z = run([c.numerator * (scale // c.denominator) for c in cost] + [0] * m, n)
+    int_cost, scale = integer_row(cost)
+    status, z = run(int_cost + [0] * m, n)
     if status != OPTIMAL:
         return status, None, None
     solution = [Fraction(0)] * n

@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Tuple
 
 from .errors import ParseError, SchemaError, UnknownState
 from .rationals import format_rational, parse_rational
@@ -102,7 +102,7 @@ class Pomdp:
         bundle = self.weights[name]
         table = {}
         for pair, row in bundle.items():
-            if index >= len(row):
+            if not 0 <= index < len(row):
                 raise SchemaError(f"weight {name!r} has no column {index}")
             table[pair] = row[index]
         return WeightFunction(table, name=f"{name}[{index}]" if index else name)

@@ -35,15 +35,14 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple
 
 from .errors import UnsupportedKind
 from .model import Pomdp
 from .payoffs import (BuchiIndicator, DiscountedSum, MultiPayoff, ReachGatedDiscountedSum,
                       ReachIndicator, ShortestPath, TotalRewardNonNeg)
 from .rationals import ExtRealVector
-from .strategies import (FiniteMemoryStrategy, FiniteMixture, MarkovChain,
-                         product_chain, strategy_premetric)
+from .strategies import FiniteMemoryStrategy, FiniteMixture, product_chain, strategy_premetric
 
 
 @dataclass(frozen=True)

@@ -20,13 +20,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Mapping, Sequence, Tuple, Union
 
 from .errors import (MalformedHistory, MalformedLasso, ParseError, SchemaError,
                      UnknownScc, UnsupportedKind)
 from .model import (Pomdp, WeightFunction, model_from_dict, require_field,
                     strongly_connected_components)
-from .rationals import ExtReal, NEG_INF, POS_INF, ZERO, parse_rational
+from .rationals import ExtReal, POS_INF, ZERO, parse_rational
 
 
 # -- payoff kinds ---------------------------------------------------------------

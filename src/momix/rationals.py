@@ -10,6 +10,7 @@ one of the two infinities.  Convex combinations use the convention
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence, Union
 
 from .errors import SchemaError, UndefinedExpectation
@@ -46,6 +47,13 @@ def format_rational(value: Fraction) -> str:
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"
+
+
+def integer_row(values: Sequence[Fraction]):
+    """(ints, scale): the row times the lcm of its denominators, and that
+    lcm.  Entries may be Fractions or ints."""
+    scale = lcm(*(v.denominator for v in values))
+    return [v.numerator * (scale // v.denominator) for v in values], scale
 
 
 class ExtReal:

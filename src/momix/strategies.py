@@ -25,10 +25,10 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple
 
-from .errors import (DisabledAction, EmptySupport, MalformedHistory, ParseError,
-                     PoolTooLarge, SchemaError, UnknownState)
+from .errors import (DisabledAction, EmptySupport, ParseError, PoolTooLarge, SchemaError,
+                     UnknownState)
 from .model import Pomdp, require_field
 from .payoffs import LassoPlay, check_history
 from .rationals import format_rational, parse_rational

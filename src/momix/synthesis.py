@@ -17,7 +17,7 @@ from typing import List, Optional, Sequence, Tuple
 from .errors import (InfeasibleApproximation, NotAchievable, NotDominated, NotInHull,
                      SelfCheckFailed)
 from .evaluate import Pool
-from .geometry import Decomposition, achievability_lp, caratheodory
+from .geometry import achievability_lp, caratheodory
 from .lp import LinearProgram
 from .rationals import ExtReal, ExtRealVector
 from .strategies import FiniteMixture, PureStrategy

@@ -1,6 +1,6 @@
 """Exact geometry against brute-force oracles (simplex-free where possible),
-and the supporting normals against the kernel-basis construction they
-replaced."""
+the supporting normals against the kernel-basis construction they
+replaced, and the integer hull against the Fraction hull it replaced."""
 
 import itertools
 import random
@@ -9,12 +9,12 @@ from typing import List, Optional, Sequence
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import momix as mx
 from momix import geometry
 from momix.errors import NotDominated, NotInHull
-from momix.geometry import Point, membership_combination
+from momix.geometry import Hull, Point, affine_span, extreme_points, membership_combination
 from momix.linalg import dot, nullspace, solve_linear
 from momix.lp import LinearProgram
 
@@ -517,3 +517,108 @@ def test_supporting_normals_match_kernel_basis_reference(case):
     with mock.patch.object(geometry, "_lexmin_supporting_normal", reference_normal):
         assert mx.supporting_map(q, points).rows == rows
         assert mx.dominating_face_decomposition(q, points) == dec
+
+
+# -- reference: the Fraction convex hull, kept verbatim ------------------------------------
+
+
+def reference_convex_hull(points) -> Hull:
+    """Exact vertices and facets; lower-dimensional inputs are handled via
+    the affine span (facets then live inside the span, and the span itself
+    is reported as equalities).
+
+    Unlike :func:`extreme_points` (which follows the index-wise definition,
+    so a duplicated corner is extreme under neither index), the hull reports
+    every input index whose point is a corner of the distinct point set.
+    """
+    pts = geometry._check_points(points)
+    d = len(pts[0])
+    unique: List[Point] = []
+    for p in pts:
+        if p not in unique:
+            unique.append(p)
+    corner_points = {unique[i] for i in extreme_points(unique)}
+    verts = tuple(i for i, p in enumerate(pts) if p in corner_points)
+    basis, base = affine_span(pts)
+    k = len(basis)
+
+    span_eqs = []
+    if k < d:
+        normals = nullspace([list(b) for b in basis]) if basis else \
+            [[Fraction(1) if j == i else Fraction(0) for j in range(d)] for i in range(d)]
+        for n in normals:
+            span_eqs.append((tuple(n), dot(n, base)))
+
+    facets = []
+    seen = set()
+    if k >= 1:
+        vertex_points = sorted(corner_points)
+        for combo in itertools.combinations(range(len(vertex_points)), k):
+            chosen = [vertex_points[i] for i in combo]
+            dirs = [tuple(p[j] - chosen[0][j] for j in range(d)) for p in chosen[1:]]
+            # normal n = sum_t z_t basis[t] with <n, dir> = 0 for all dirs
+            rows = [[dot(dirv, bvec) for bvec in basis] for dirv in dirs]
+            null_z = nullspace(rows) if rows else \
+                [[Fraction(1) if j == i else Fraction(0) for j in range(k)] for i in range(k)]
+            if len(null_z) != 1:
+                continue  # affinely dependent subset
+            z = null_z[0]
+            normal = tuple(
+                sum((z[t] * basis[t][j] for t in range(k)), Fraction(0)) for j in range(d)
+            )
+            offset = dot(normal, chosen[0])
+            values = [dot(normal, p) - offset for p in pts]
+            if all(v <= 0 for v in values):
+                n, c = normal, offset
+            elif all(v >= 0 for v in values):
+                n, c = tuple(-x for x in normal), -offset
+            else:
+                continue
+            scale = next(abs(x) for x in n if x != 0)
+            key = (tuple(x / scale for x in n), c / scale)
+            if key not in seen:
+                seen.add(key)
+                facets.append(key)
+    return Hull(tuple(pts), verts, tuple(facets), tuple(span_eqs))
+
+
+# -- the integer hull against the reference ------------------------------------------------
+
+mixed_rationals = st.builds(Fraction, st.integers(min_value=-8, max_value=8),
+                            st.sampled_from([1, 2, 3, 5, 7]))
+
+
+@st.composite
+def hull_point_sets(draw):
+    """Rational point sets in d <= 4 with mixed denominators: a single point,
+    a full-dimensional set, or a collinear, coplanar or other
+    lower-dimensional set mapped in by a rational affine map; some points
+    repeated.  Points drawn from a small grid give facets through more than
+    d vertices."""
+    d = draw(st.integers(min_value=1, max_value=4))
+    k = draw(st.integers(min_value=0, max_value=d))
+    n = draw(st.integers(min_value=1, max_value=9))
+    coordinate = st.builds(Fraction, st.integers(0, 2)) if draw(st.booleans()) \
+        else mixed_rationals
+    low = [tuple(draw(coordinate) for _ in range(k)) for _ in range(n)]
+    if k == d and draw(st.booleans()):
+        points = low
+    else:
+        matrix = [[draw(mixed_rationals) for _ in range(k)] for _ in range(d)]
+        shift = [draw(mixed_rationals) for _ in range(d)]
+        points = [tuple(shift[j] + sum((a * x for a, x in zip(matrix[j], p)), Fraction(0))
+                        for j in range(d)) for p in low]
+    points += [draw(st.sampled_from(points)) for _ in range(draw(st.integers(0, 3)))]
+    return points
+
+
+# a pyramid over a trapezoid: its base is spanned by four vertex triples
+# whose cofactor normals differ in length
+TRAPEZOID_PYRAMID = [(0, 0, 0), (3, 0, 0), (1, 1, 0), (2, 1, 0), (Fraction(3, 2), Fraction(1, 2), 2)]
+
+
+@given(hull_point_sets())
+@example([tuple(Fraction(x) for x in p) for p in TRAPEZOID_PYRAMID])
+@settings(max_examples=200, deadline=None)
+def test_convex_hull_matches_fraction_reference(points):
+    assert mx.convex_hull(points) == reference_convex_hull(points)

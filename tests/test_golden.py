@@ -2,6 +2,8 @@
 output of `frontier`, `achieve`, `approx` and `lexopt` on the bundled
 models, and `supporting_map` / `dominating_face_decomposition` on fixed
 rational point sets in d = 3 and 4, must stay byte-identical; so must the
+`convex_hull` of those point sets, of a planar d = 3 set with a repeated
+point and of a collinear d = 2 set; so must the
 seeded `simulate --json` output of the README command and of a mixture, whose
 strategy files sit beside the goldens; and so must the stdout of the seven
 scripts under demos/.
@@ -100,6 +102,28 @@ GEOMETRY_CASES = {  # name: (seed, d, n)
 }
 
 
+def _planar_repeat():
+    """Points on the plane z = x/2 + 2y/3 - 1 in d = 3, one corner repeated."""
+    flat = _point_set(4, 2, 8)
+    points = [(x, y, x / 2 + 2 * y / 3 - 1) for x, y in flat]
+    return points + [points[2]]
+
+
+def _collinear():
+    """Points on a line in d = 2, out of order and with mixed denominators."""
+    base, step = (Fraction(1, 3), Fraction(2)), (Fraction(3, 2), Fraction(-5, 7))
+    return [tuple(b + t * s for b, s in zip(base, step))
+            for t in (Fraction(1, 2), 0, 3, Fraction(-2, 5), Fraction(7, 3), 1)]
+
+
+HULL_CASES = {  # name: point set
+    **{f"hull_{name[len('geometry_'):]}": _point_set(*case)
+       for name, case in GEOMETRY_CASES.items()},
+    "hull_d3_planar_repeat": _planar_repeat(),
+    "hull_d2_collinear": _collinear(),
+}
+
+
 def cli_output(argv) -> str:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
@@ -129,6 +153,21 @@ def geometry_output(seed, d, n) -> str:
             "centroid": dec(centroid, "in_hull"),
             "below_vertex": dec(below, "dominated"),
         },
+    }
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def hull_output(points) -> str:
+    hull = mx.convex_hull(points)
+
+    def rows(pairs):
+        return [{"normal": [str(x) for x in n], "offset": str(c)} for n, c in pairs]
+
+    payload = {
+        "points": [[str(x) for x in p] for p in hull.points],
+        "vertices": list(hull.vertices),
+        "facets": rows(hull.facets),
+        "span_equalities": rows(hull.span_equalities),
     }
     return json.dumps(payload, indent=2) + "\n"
 
@@ -166,6 +205,11 @@ def test_geometry_golden(name):
     assert geometry_output(*GEOMETRY_CASES[name]) == _read(name)
 
 
+@pytest.mark.parametrize("name", sorted(HULL_CASES))
+def test_hull_golden(name):
+    assert hull_output(HULL_CASES[name]) == _read(name)
+
+
 @pytest.mark.parametrize("name", DEMO_CASES)
 def test_demo_golden(name):
     assert demo_output(name) == _read(f"demo_{name}")
@@ -175,6 +219,7 @@ def _write_all():
     os.makedirs(GOLDEN, exist_ok=True)
     outputs = {name: cli_output(argv) for name, argv in CLI_CASES.items()}
     outputs.update({name: geometry_output(*case) for name, case in GEOMETRY_CASES.items()})
+    outputs.update({name: hull_output(points) for name, points in HULL_CASES.items()})
     outputs.update({f"demo_{name}": demo_output(name) for name in DEMO_CASES})
     for name, text in outputs.items():
         with open(_golden(name), "w", encoding="utf-8") as fh:

@@ -1,5 +1,7 @@
 """Exact linear solves: solutions satisfy the system exactly, pivoting
-handles zero leading entries, and bad systems raise the documented errors."""
+handles zero leading entries, and bad systems raise the documented errors.
+Cofactor vectors are orthogonal to their rows and vanish exactly on
+dependent rows."""
 
 from fractions import Fraction
 
@@ -7,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from momix.errors import SingularSystem
-from momix.linalg import matrix_rank, solve_linear
+from momix.linalg import cofactor_vector, matrix_rank, solve_linear
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=12)
 
@@ -61,3 +63,27 @@ def test_dependent_rows_are_singular(system, data):
 def test_non_square_system_is_rejected(matrix, rhs):
     with pytest.raises(ValueError, match="square"):
         solve_linear(matrix, rhs)
+
+
+@st.composite
+def wide_integer_matrices(draw):
+    """m - 1 integer rows of length m, often dependent."""
+    m = draw(st.integers(min_value=1, max_value=5))
+    rows = [draw(st.lists(st.integers(-3, 3), min_size=m, max_size=m)) for _ in range(m - 1)]
+    if m >= 3 and draw(st.booleans()):
+        rows[-1] = [a - 2 * b for a, b in zip(rows[0], rows[1])]
+    return rows
+
+
+@given(wide_integer_matrices())
+@settings(max_examples=200, deadline=None)
+def test_cofactor_vector_is_orthogonal_and_vanishes_on_dependent_rows(rows):
+    z = cofactor_vector(rows)
+    assert len(z) == len(rows) + 1
+    assert all(sum(a * b for a, b in zip(row, z)) == 0 for row in rows)
+    assert any(z) == (matrix_rank(rows) == len(rows))
+
+
+def test_cofactor_vector_is_the_cross_product():
+    assert cofactor_vector([[1, 2, 3], [4, 5, 6]]) == [-3, 6, -3]
+    assert cofactor_vector([]) == [1]

@@ -150,6 +150,14 @@ def test_round_trip_on_bundled_models():
         assert mx.validate(model).ok
 
 
+def test_weight_function_column_out_of_range(two_discounts):
+    model, _ = two_discounts
+    assert model.weight_function("w", 1).name == "w[1]"
+    for index in (-1, -2, 2):
+        with pytest.raises(SchemaError, match="has no column"):
+            model.weight_function("w", index)
+
+
 def test_unroll_cost_counter(commute):
     model, _ = commute
     w = model.weight_function("time")
