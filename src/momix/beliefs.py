@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
 
 from .errors import DisabledAction, ObservationClassTooLarge, PreconditionViolated, UnknownState
-from .model import Pomdp
+from .model import Pomdp, closure
 from .strategies import FiniteMemoryStrategy, MemorySkeleton, PureStrategy, product_chain
 
 BeliefSupport = FrozenSet[str]
@@ -102,9 +102,11 @@ def belief_graph(model: Pomdp, start: str) -> BeliefGraph:
 
 # -- the avoidance safety game ---------------------------------------------------
 
+# Largest observation class whose 2^n belief supports are enumerated.
+MAX_GROUP = 20
 
-def _avoidance_winning_supports(model: Pomdp, target: frozenset,
-                                max_group: int = 20) -> Dict[BeliefSupport, str]:
+
+def _avoidance_winning_supports(model: Pomdp, target: frozenset) -> Dict[BeliefSupport, str]:
     """Greatest set of target-disjoint belief supports from which a belief
     strategy can keep all observation outcomes target-disjoint forever.
     Returns the winning supports with one safe action each."""
@@ -114,10 +116,10 @@ def _avoidance_winning_supports(model: Pomdp, target: frozenset,
             groups.setdefault(model.obs[s], []).append(s)
     candidates = set()
     for z, members in groups.items():
-        if len(members) > max_group:
+        if len(members) > MAX_GROUP:
             raise ObservationClassTooLarge(
                 f"observation class {z!r} has {len(members)} non-target states; "
-                f"belief-support enumeration handles at most {max_group}")
+                f"belief-support enumeration handles at most {MAX_GROUP}")
         for r in range(1, len(members) + 1):
             for combo in itertools.combinations(members, r):
                 candidates.add(frozenset(combo))
@@ -245,18 +247,9 @@ def universal_as_reach(model: Pomdp, start: str, target: frozenset) -> Universal
 
 
 def _reachable_avoiding(model: Pomdp, start: str, target: frozenset) -> frozenset:
-    if start in target:
-        return frozenset()
-    seen = {start}
-    queue = [start]
-    while queue:
-        s = queue.pop()
-        for a in model.enabled(s):
-            for t, p in model.dist(s, a).items():
-                if p > 0 and t not in target and t not in seen:
-                    seen.add(t)
-                    queue.append(t)
-    return frozenset(seen)
+    """States reachable from `start` without entering `target`, which they exclude."""
+    graph = model.successor_graph()
+    return frozenset(closure([start], lambda s: () if s in target else graph[s]) - target)
 
 
 # -- the integrability dichotomy ----------------------------------------------------

@@ -302,17 +302,16 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="momix", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, state=True):
+    def common(p, state=True, out=False):
         p.add_argument("model", help="model JSON file")
         if state:
             p.add_argument("--state", required=True, help="initial state id")
         p.add_argument("--json", action="store_true", help="machine-readable output")
-        p.add_argument("--out", default=None, help="write result file")
+        if out:
+            p.add_argument("--out", default=None, help="write result file")
 
     p = sub.add_parser("validate", help="check model invariants")
-    p.add_argument("model")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--out", default=None)
+    common(p, state=False)
     p.set_defaults(func=_cmd_validate)
 
     p = sub.add_parser("evaluate", help="exact expected payoff of a strategy file")
@@ -321,19 +320,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_evaluate)
 
     p = sub.add_parser("frontier", help="pure payoff set with Pareto/vertex flags")
-    common(p)
+    common(p, out=True)
     p.add_argument("--skeleton", default="memoryless")
     p.set_defaults(func=_cmd_frontier)
 
     p = sub.add_parser("achieve", help="exact mixture for a finite target")
-    common(p)
+    common(p, out=True)
     p.add_argument("--skeleton", default="memoryless")
     p.add_argument("--target", required=True, help="comma-separated rationals")
     p.add_argument("--mode", choices=("equals", "dominates"), default="dominates")
     p.set_defaults(func=_cmd_achieve)
 
     p = sub.add_parser("approx", help="(eps, M)-approximation, +inf/-inf targets allowed")
-    common(p)
+    common(p, out=True)
     p.add_argument("--skeleton", default="memoryless")
     p.add_argument("--target", required=True, help="rationals with +inf/-inf sentinels")
     p.add_argument("--eps", required=True)
@@ -350,11 +349,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("belief-graph", help="belief-support graph as DOT")
-    common(p)
+    common(p, out=True)
     p.set_defaults(func=_cmd_belief_graph)
 
     p = sub.add_parser("simulate", help="seeded Monte-Carlo estimate")
-    common(p)
+    common(p, out=True)
     p.add_argument("--strategy", required=True)
     p.add_argument("--samples", type=int, default=10_000)
     p.add_argument("--horizon", type=int, default=64)

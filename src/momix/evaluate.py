@@ -7,24 +7,28 @@ the model with the strategy:
 * Buchi               -- absorption into bottom SCCs meeting the target,
 * discounted sum      -- x = r + lambda P x,
 * shortest path       -- +inf unless the target is hit almost surely, else
-                         the expected accumulated weight before the first hit,
+                         x = r + P x on the pre-target region,
 * total reward (>=0)  -- +inf iff a reachable bottom SCC earns positive
                          weight, else the transient accumulated weight,
-* gated discounted    -- E[DS * 1Reach] = E[DS] - y(init) where y solves the
-                         avoid-restricted discounted system driven by the
-                         never-reach probabilities.
+* gated discounted    -- E[DS * 1Reach] = E[DS] - y(init) where y solves
+                         y = r' + lambda P y on the pre-target region, r'
+                         the expected weight of a move times the probability
+                         of never reaching the target after it.
+
+The pre-target region of a target is the set of nodes reachable from the
+initial node without entering the target; hitting probabilities, too, are
+solved on it, on the nodes that can still hit the target.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from .errors import UnsupportedKind
+from .errors import UnknownState, UnsupportedKind
 from .linalg import solve_linear
-from .model import Pomdp, WeightFunction, strongly_connected_components
+from .model import Pomdp, WeightFunction, closure, strongly_connected_components
 from .payoffs import (BuchiIndicator, DiscountedSum, MultiPayoff,
                       ReachGatedDiscountedSum, ReachIndicator, ShortestPath,
                       TotalRewardNonNeg)
@@ -43,23 +47,6 @@ __all__ = [
 
 def _edges(chain: MarkovChain) -> List[Tuple[int, ...]]:
     return [tuple(sorted(row.keys())) for row in chain.matrix]
-
-
-def _backward_closure(chain: MarkovChain, targets: Set[int]) -> Set[int]:
-    """Nodes from which some target node is reachable."""
-    incoming: List[List[int]] = [[] for _ in chain.nodes]
-    for i, row in enumerate(chain.matrix):
-        for j in row:
-            incoming[j].append(i)
-    seen = set(targets)
-    stack = list(targets)
-    while stack:
-        node = stack.pop()
-        for pred in incoming[node]:
-            if pred not in seen:
-                seen.add(pred)
-                stack.append(pred)
-    return seen
 
 
 def _chain_sccs(chain: MarkovChain):
@@ -89,15 +76,29 @@ def _solve_on(chain: MarkovChain, nodes: Sequence[int], rhs: Sequence[Fraction],
     return dict(zip(nodes, solve_linear(matrix, rhs)))
 
 
-def _reach_probabilities(chain: MarkovChain, targets: Set[int]) -> Dict[int, Fraction]:
-    """Exact P(eventually hit `targets`) per node."""
-    probs = {i: Fraction(1) if i in targets else Fraction(0) for i in range(len(chain.nodes))}
-    interior = sorted(_backward_closure(chain, targets) - targets)
-    if interior:
+def _lift(chain: MarkovChain, target: frozenset) -> Set[int]:
+    """Chain nodes whose state lies in `target`."""
+    return {i for i, (s, _m) in enumerate(chain.nodes) if s in target}
+
+
+def _pre_target(chain: MarkovChain, targets: Set[int]) -> Tuple[List[int], Dict[int, Fraction]]:
+    """The pre-target region of `targets` in index order, and the exact
+    probability of eventually hitting `targets` from each of its nodes.
+    Every successor of a region node lies in the region or in `targets`, so
+    a system restricted to the region loses no term."""
+    region = sorted(closure([chain.init], lambda i: () if i in targets else chain.matrix[i])
+                    - targets)
+    incoming: Dict[int, List[int]] = {}
+    for i in region:
+        for j in chain.matrix[i]:
+            incoming.setdefault(j, []).append(i)
+    live = sorted(closure(targets, lambda j: incoming.get(j, ())) - targets)
+    probs = dict.fromkeys(region, Fraction(0))
+    if live:
         rhs = [sum((p for j, p in chain.matrix[i].items() if j in targets), Fraction(0))
-               for i in interior]
-        probs.update(_solve_on(chain, interior, rhs))
-    return probs
+               for i in live]
+        probs.update(_solve_on(chain, live, rhs))
+    return region, probs
 
 
 def _expected_step_weights(chain: MarkovChain, weights: WeightFunction) -> List[Fraction]:
@@ -112,10 +113,10 @@ def _expected_step_weights(chain: MarkovChain, weights: WeightFunction) -> List[
 
 
 def _eval_reach(chain: MarkovChain, target: frozenset) -> ExtReal:
-    targets = {i for i, (s, _m) in enumerate(chain.nodes) if s in target}
+    targets = _lift(chain, target)
     if chain.init in targets:
         return ExtReal(1)
-    return ExtReal(_reach_probabilities(chain, targets)[chain.init])
+    return ExtReal(_pre_target(chain, targets)[1][chain.init])
 
 
 def _eval_buchi(chain: MarkovChain, target: frozenset) -> ExtReal:
@@ -128,7 +129,7 @@ def _eval_buchi(chain: MarkovChain, target: frozenset) -> ExtReal:
         return ExtReal(0)
     if chain.init in good:
         return ExtReal(1)
-    return ExtReal(_reach_probabilities(chain, good)[chain.init])
+    return ExtReal(_pre_target(chain, good)[1][chain.init])
 
 
 def _eval_discounted(chain: MarkovChain, spec: DiscountedSum) -> ExtReal:
@@ -136,47 +137,15 @@ def _eval_discounted(chain: MarkovChain, spec: DiscountedSum) -> ExtReal:
     return ExtReal(_solve_on(chain, range(len(chain.nodes)), rewards, spec.discount)[chain.init])
 
 
-def _stopped_chain(chain: MarkovChain, target: frozenset) -> Tuple[MarkovChain, Set[int]]:
-    """Make lifted target nodes absorbing and restrict to the part reachable
-    from the initial node of the stopped dynamics."""
-    targets = {i for i, (s, _m) in enumerate(chain.nodes) if s in target}
-    keep = []
-    seen = {chain.init}
-    queue = deque([chain.init])
-    while queue:
-        i = queue.popleft()
-        keep.append(i)
-        if i in targets:
-            continue
-        for j in chain.matrix[i]:
-            if j not in seen:
-                seen.add(j)
-                queue.append(j)
-    remap = {old: new for new, old in enumerate(keep)}
-    nodes = tuple(chain.nodes[i] for i in keep)
-    rows = []
-    dists = []
-    for old in keep:
-        if old in targets:
-            rows.append({remap[old]: Fraction(1)})
-        else:
-            rows.append({remap[j]: p for j, p in chain.matrix[old].items()})
-        dists.append(chain.action_dists[old])
-    stopped = MarkovChain(nodes, {n: i for i, n in enumerate(nodes)}, tuple(rows),
-                          tuple(dists), remap[chain.init], chain.model)
-    return stopped, {remap[i] for i in targets if i in remap}
-
-
 def _eval_shortest_path(chain: MarkovChain, spec: ShortestPath) -> ExtReal:
-    stopped, targets = _stopped_chain(chain, spec.target)
-    if stopped.init in targets:
+    targets = _lift(chain, spec.target)
+    if chain.init in targets:
         return ExtReal(0)
-    reach = _reach_probabilities(stopped, targets)
-    if reach[stopped.init] != 1:
+    region, reach = _pre_target(chain, targets)
+    if reach[chain.init] != 1:
         return POS_INF
-    interior = [i for i in range(len(stopped.nodes)) if i not in targets]
-    rewards = _expected_step_weights(stopped, spec.weights)
-    return ExtReal(_solve_on(stopped, interior, [rewards[i] for i in interior])[stopped.init])
+    rewards = _expected_step_weights(chain, spec.weights)
+    return ExtReal(_solve_on(chain, region, [rewards[i] for i in region])[chain.init])
 
 
 def _eval_total_reward(chain: MarkovChain, spec: TotalRewardNonNeg) -> ExtReal:
@@ -197,15 +166,14 @@ def _eval_total_reward(chain: MarkovChain, spec: TotalRewardNonNeg) -> ExtReal:
 def _eval_gated_discounted(chain: MarkovChain, spec: ReachGatedDiscountedSum,
                            strategy: FiniteMemoryStrategy) -> ExtReal:
     plain = _eval_discounted(chain, DiscountedSum(spec.discount, spec.weights))
-    targets = {i for i, (s, _m) in enumerate(chain.nodes) if s in spec.target}
+    targets = _lift(chain, spec.target)
     if chain.init in targets:
         return plain
-    reach = _reach_probabilities(chain, targets)
+    region, reach = _pre_target(chain, targets)
     never = {i: 1 - p for i, p in reach.items()}  # h(c) = P(avoid target forever from c)
     model = chain.model
-    interior = [i for i in range(len(chain.nodes)) if i not in targets]
     rhs = []
-    for node in interior:
+    for node in region:
         s, mem = chain.nodes[node]
         z = model.obs[s]
         total = Fraction(0)
@@ -218,8 +186,8 @@ def _eval_gated_discounted(chain: MarkovChain, spec: ReachGatedDiscountedSum,
                     continue
                 total += alpha * spec.weights(s, a) * p * never[chain.index[(t, nxt_mem)]]
         rhs.append(total)
-    # The avoid-restricted system is I - lambda P on the non-target nodes.
-    avoided = _solve_on(chain, interior, rhs, spec.discount)[chain.init]  # E[DS * 1{never reach}]
+    # The avoid-restricted system is I - lambda P on the pre-target region.
+    avoided = _solve_on(chain, region, rhs, spec.discount)[chain.init]  # E[DS * 1{never reach}]
     return ExtReal(plain.finite - avoided)
 
 
@@ -370,6 +338,8 @@ def classify_integrability(model: Pomdp, dims: MultiPayoff, start: str) -> List[
     """
     from .beliefs import universal_as_reach  # local import avoids a cycle
 
+    if start not in model.states:
+        raise UnknownState(start)
     verdicts = []
     for spec in dims:
         if isinstance(spec, (ReachIndicator, BuchiIndicator, DiscountedSum,

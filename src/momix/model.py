@@ -292,16 +292,20 @@ def reachable_states(model: Pomdp, start: str) -> frozenset:
     """States reachable from `start` via positive-probability histories."""
     if start not in model.states:
         raise UnknownState(start)
-    graph = model.successor_graph()
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        s = frontier.pop()
-        for t in graph[s]:
-            if t not in seen:
-                seen.add(t)
-                frontier.append(t)
-    return frozenset(seen)
+    return frozenset(closure([start], model.successor_graph().__getitem__))
+
+
+def closure(roots, successors) -> set:
+    """Every node reachable from `roots` (included) by following
+    `successors`, a callable from a node to its successors."""
+    seen = set(roots)
+    stack = list(seen)
+    while stack:
+        for nxt in successors(stack.pop()):
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+    return seen
 
 
 def strongly_connected_components(graph: Mapping, order) -> List[list]:

@@ -32,13 +32,12 @@ estimator exists.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import UnsupportedKind
-from .model import Pomdp
+from .model import Pomdp, closure
 from .payoffs import (BuchiIndicator, DiscountedSum, MultiPayoff, ReachGatedDiscountedSum,
                       ReachIndicator, ShortestPath, TotalRewardNonNeg)
 from .rationals import ExtRealVector
@@ -133,7 +132,8 @@ class _ChainSampler:
     def settled(self, edge_weights, flags):
         """Nodes from which no reachable edge has a nonzero weight in any of
         `edge_weights` and every reachable node carries the node's own
-        `flags`: one reverse BFS from the nodes that break this locally."""
+        `flags`: all but the predecessor closure of the nodes that break
+        this locally."""
         import numpy as np
 
         n = len(self.successors)
@@ -146,13 +146,7 @@ class _ChainSampler:
                 preds[j].append(i)
                 if any(f[i] != f[j] for f in flags):
                     unsettled[i] = True
-        queue = deque(np.flatnonzero(unsettled).tolist())
-        while queue:
-            j = queue.popleft()
-            for i in preds[j]:
-                if not unsettled[i]:
-                    unsettled[i] = True
-                    queue.append(i)
+        unsettled[list(closure(np.flatnonzero(unsettled).tolist(), preds.__getitem__))] = True
         return ~unsettled
 
 

@@ -218,6 +218,8 @@ PROBE = ["probe", COMMUTE, "--state", "home", "--family", "STRATEGY"]
 BAD_INPUTS = {
     "unknown-state": (["frontier", os.path.join(MODELS, "split_reach.json"), "--state", "s",
                        "--skeleton", "counter:6"], None, None),
+    "classify-unknown-state": (["classify", os.path.join(MODELS, "split_reach.json"),
+                                "--state", "nosuch"], None, None),
     "counter-not-int": (["frontier", RUNNING, "--state", "s0", "--skeleton", "counter:x"],
                         None, None),
     "counter-negative": (["frontier", RUNNING, "--state", "s0", "--skeleton", "counter:-1"],
@@ -266,11 +268,23 @@ def test_bad_arguments_are_input_errors(argv, model_doc, strategy_doc, tmp_path,
     err = capsys.readouterr().err
     assert err.startswith("input error: ")
     if "split_reach.json" in argv[1]:
-        assert "input error: unknown state 's'" in err
+        assert f"input error: unknown state {argv[argv.index('--state') + 1]!r}" in err
 
 
 def test_jobs_is_a_usage_error():
     assert run(["frontier", RUNNING, "--state", "s0", "--jobs", "2"]) == 2
+
+
+def test_out_only_where_a_file_is_written(tmp_path):
+    """--out is a usage error on the subcommands that write no result file."""
+    family = tmp_path / "family.json"
+    family.write_text(json.dumps({"family": [{"index": 1, "strategy": TRAIN}], "limit": TRAIN}))
+    for argv in (["validate", COMMUTE], EVALUATE[:-1] + [TRAIN_FILE],
+                 ["lexopt", COMMUTE, "--state", "home"], ["classify", COMMUTE, "--state", "home"],
+                 PROBE[:-1] + [str(family)]):
+        assert run(argv + ["--json"]) == 0, argv
+        assert run(argv + ["--out", str(tmp_path / "x")]) == 2, argv
+    assert not (tmp_path / "x").exists()
 
 
 def test_malformed_model(tmp_path):

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import momix as mx
 from momix.errors import PoolTooLarge, UndefinedExpectation
@@ -300,8 +300,9 @@ def test_maximal_end_components(earn_or_exit):
 @st.composite
 def small_problems(draw):
     """An MDP with 2 to 5 states and at most 2 actions, one payoff of each of the
-    reach, discounted, total-reward and shortest-path kinds, and a
-    randomized counter strategy; as (model document, horizon, strategy seed)."""
+    reach, Buchi, discounted, reach-gated discounted, total-reward and
+    shortest-path kinds, and a randomized counter strategy; as (model
+    document, horizon, strategy seed)."""
     n = draw(st.integers(min_value=2, max_value=5))
     states = [f"s{i}" for i in range(n)]
     transitions, weights = {}, {}
@@ -318,9 +319,15 @@ def small_problems(draw):
     def target():  # never the start state, whose values would be trivial
         return draw(st.lists(st.sampled_from(states[1:]), min_size=1, unique=True))
 
+    def discount():
+        return f"{draw(st.integers(0, 7))}/8"
+
     payoffs = [
         {"kind": "reach", "target": target()},
-        {"kind": "discounted_sum", "lambda": f"{draw(st.integers(0, 7))}/8", "weights": "w"},
+        {"kind": "buchi", "target": target()},
+        {"kind": "discounted_sum", "lambda": discount(), "weights": "w"},
+        {"kind": "reach_gated_discounted_sum", "target": target(), "lambda": discount(),
+         "weights": "w"},
         {"kind": "total_reward", "weights": "w", "windex": 1},
         {"kind": "shortest_path", "target": target(), "weights": "w"},
     ]
@@ -337,7 +344,7 @@ def _closure(adj):
     return reach
 
 
-def _float_oracle(chain, spec):
+def _float_oracle(chain, strategy, spec):
     """The same payoff on the same product chain, from numpy float64 solves
     and boolean reachability only; None stands for +inf."""
     n = len(chain.nodes)
@@ -347,34 +354,69 @@ def _float_oracle(chain, spec):
             P[i, j] = float(p)
     reach = _closure(P > 0)
     init = chain.init
+    recurrent = [i for i in range(n) if all(reach[j, i] for j in range(n) if reach[i, j])]
 
     def rewards():
         return np.array([sum(float(alpha * spec.weights(s, a))
                              for a, alpha in chain.action_dists[i].items())
                          for i, (s, _m) in enumerate(chain.nodes)])
 
+    def moves(i):
+        """(probability, weight, successor) per action and next state from node i."""
+        s, mem = chain.nodes[i]
+        for a, alpha in chain.action_dists[i].items():
+            nxt = strategy.skeleton.step(mem, chain.model.obs[s], a)
+            for t, p in chain.model.dist(s, a).items():
+                if alpha * p > 0:
+                    yield float(alpha * p), float(spec.weights(s, a)), chain.index[(t, nxt)]
+
     def solve_on(nodes, rhs, discount=1.0):
+        """x = rhs + discount * P x on `nodes`, x = 0 elsewhere."""
         nodes = list(nodes)
-        if init not in nodes:
-            return 0.0
-        x = np.linalg.solve(np.eye(len(nodes)) - discount * P[np.ix_(nodes, nodes)], rhs)
-        return x[nodes.index(init)]
+        x = np.zeros(n)
+        if nodes:
+            x[nodes] = np.linalg.solve(np.eye(len(nodes)) - discount * P[np.ix_(nodes, nodes)],
+                                       rhs)
+        return x
+
+    def hitting(hit):
+        """P(eventually in `hit`) per node."""
+        nodes = [i for i in range(n) if i not in hit and reach[i, hit].any()]
+        x = solve_on(nodes, P[np.ix_(nodes, hit)].sum(axis=1))
+        x[hit] = 1.0
+        return x
 
     if isinstance(spec, mx.DiscountedSum):
-        return solve_on(range(n), rewards(), float(spec.discount))
+        return solve_on(range(n), rewards(), float(spec.discount))[init]
     if isinstance(spec, mx.TotalRewardNonNeg):
         r = rewards()
-        recurrent = [i for i in range(n) if all(reach[j, i] for j in range(n) if reach[i, j])]
         if any(r[i] > 0 for i in recurrent):
             return None
         transient = [i for i in range(n) if i not in recurrent]
-        return solve_on(transient, r[transient])
+        return solve_on(transient, r[transient])[init]
+    if isinstance(spec, mx.BuchiIndicator):
+        # a recurrent node reaches exactly its own bottom SCC
+        good = [i for i in recurrent
+                if any(reach[i, j] and chain.state_of(j) in spec.target for j in range(n))]
+        return hitting(good)[init]
     hit = [i for i, (s, _m) in enumerate(chain.nodes) if s in spec.target]
-    if init in hit:
-        return 1.0 if isinstance(spec, mx.ReachIndicator) else 0.0
     if isinstance(spec, mx.ReachIndicator):
-        nodes = [i for i in range(n) if i not in hit and reach[i, hit].any()]
-        return solve_on(nodes, P[np.ix_(nodes, hit)].sum(axis=1))
+        return hitting(hit)[init]
+    if isinstance(spec, mx.ReachGatedDiscountedSum):
+        # V = E[DS * 1Reach] on the non-target nodes, by the direct recursion:
+        # a move of weight w into a target node c' adds w + lambda D(c'), one
+        # into a non-target node w h(c') + lambda V(c').
+        lam = float(spec.discount)
+        D = solve_on(range(n), rewards(), lam)
+        if init in hit:
+            return D[init]
+        h = hitting(hit)
+        free = [i for i in range(n) if i not in hit]
+        rhs = [sum(q * (w * h[j] + (lam * D[j] if j in hit else 0.0)) for q, w, j in moves(i))
+               for i in free]
+        return solve_on(free, rhs, lam)[init]
+    if init in hit:
+        return 0.0
     # shortest path: the nodes reachable from init before the first hit
     free = P > 0
     free[hit, :] = False
@@ -382,10 +424,26 @@ def _float_oracle(chain, spec):
     before = [i for i in range(n) if from_init[i] and i not in hit]
     if not all(reach[i, hit].any() for i in before):
         return None
-    return solve_on(before, rewards()[before])
+    return solve_on(before, rewards()[before])[init]
+
+
+# s0 hits the target s1 surely and then leaves it for the closed class {s2},
+# which never returns: a shortest path that solved past the target would
+# meet a singular system there.
+PAST_THE_TARGET = ({
+    "states": ["s0", "s1", "s2"], "actions": ["a", "b"],
+    "transitions": {"s0": {"a": {"s1": "1"}}, "s1": {"a": {"s2": "1"}}, "s2": {"a": {"s2": "1"}}},
+    "weights": {"w": {"s0,a": ["1", "0"], "s1,a": ["2", "0"], "s2,a": ["3", "0"]}},
+    "payoffs": [{"kind": "reach", "target": ["s1"]}, {"kind": "buchi", "target": ["s2"]},
+                {"kind": "discounted_sum", "lambda": "1/2", "weights": "w"},
+                {"kind": "reach_gated_discounted_sum", "target": ["s1"], "lambda": "1/2",
+                 "weights": "w"},
+                {"kind": "total_reward", "weights": "w", "windex": 1},
+                {"kind": "shortest_path", "target": ["s1"], "weights": "w"}]}, 0, 0)
 
 
 @given(small_problems())
+@example(PAST_THE_TARGET)
 @settings(max_examples=150, deadline=None)
 def test_expected_payoff_matches_float_solves(problem):
     doc, horizon, seed = problem
@@ -394,7 +452,7 @@ def test_expected_payoff_matches_float_solves(problem):
     exact = mx.expected_payoff(model, strategy, "s0", dims)
     chain = mx.product_chain(model, strategy, "s0")
     for value, spec in zip(exact, dims):
-        oracle = _float_oracle(chain, spec)
+        oracle = _float_oracle(chain, strategy, spec)
         if oracle is None:
             assert value == mx.POS_INF
         else:

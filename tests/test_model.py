@@ -104,6 +104,29 @@ def test_reachable_unknown_state(two_discounts):
         mx.reachable_states(two_discounts[0], "nope")
 
 
+@st.composite
+def digraphs_with_roots(draw):
+    """Successor lists over nodes 0..n-1 (possibly empty, possibly repeating a
+    node) and a list of roots."""
+    n = draw(st.integers(1, 8))
+    node = st.integers(0, n - 1)
+    succ = draw(st.lists(st.lists(node, max_size=4), min_size=n, max_size=n))
+    return succ, draw(st.lists(node, max_size=3))
+
+
+@given(digraphs_with_roots())
+def test_closure_is_the_transitive_closure(problem):
+    succ, roots = problem
+    n = len(succ)
+    reach = [[i == j or j in succ[i] for j in range(n)] for i in range(n)]
+    for k in range(n):  # Warshall
+        for i in range(n):
+            if reach[i][k]:
+                reach[i] = [a or b for a, b in zip(reach[i], reach[k])]
+    expected = {j for r in roots for j in range(n) if reach[r][j]}
+    assert mx.model.closure(roots, succ.__getitem__) == expected
+
+
 # -- round trip ------------------------------------------------------------------
 
 names = st.sampled_from(["p", "q", "r", "u"])
