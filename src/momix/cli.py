@@ -13,8 +13,9 @@ import sys
 from fractions import Fraction
 
 from . import beliefs, evaluate, geometry, model as model_mod, montecarlo, payoffs, strategies, synthesis
-from .errors import (DimensionMismatch, InfeasibleApproximation, MomixError, NotAchievable,
-                     ObservationClassTooLarge, ParseError, SchemaError, UnknownState)
+from .errors import (DimensionMismatch, DisabledAction, EmptySupport, InfeasibleApproximation,
+                     MomixError, NotAchievable, ObservationClassTooLarge, ParseError, SchemaError,
+                     UnknownState)
 from .rationals import ExtRealVector, format_rational, parse_ext, parse_rational
 
 EXIT_OK = 0
@@ -33,12 +34,19 @@ def _fmt(value) -> str:
         return text
 
 
-def _load_problem(path):
+def _load_problem(path, checked=True):
+    """The model and payoffs of a file; unless `checked` is False, a model
+    that `validate` rejects is an input error naming its first violation."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            return payoffs.load_problem(handle.read())
+            mdl, dims = payoffs.load_problem(handle.read())
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
+    violations = model_mod.validate(mdl).violations if checked else ()
+    if violations:
+        rule, loc, msg = violations[0]
+        raise SchemaError(f"invalid model, [{rule}] {loc}: {msg}")
+    return mdl, dims
 
 
 def _skeleton(arg: str, mdl):
@@ -78,7 +86,7 @@ def _write_out(path, text):
 
 
 def _cmd_validate(args):
-    mdl, _ = _load_problem(args.model)
+    mdl, _ = _load_problem(args.model, checked=False)
     report = model_mod.validate(mdl)
     payload = {"ok": report.ok,
                "violations": [list(v) for v in report.violations]}
@@ -378,7 +386,7 @@ def run(argv) -> int:
     try:
         return args.func(args)
     except (ParseError, SchemaError, UnknownState, DimensionMismatch, ObservationClassTooLarge,
-            OSError, json.JSONDecodeError) as exc:
+            DisabledAction, EmptySupport, OSError, json.JSONDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except MomixError as exc:

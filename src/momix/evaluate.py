@@ -163,29 +163,16 @@ def _eval_total_reward(chain: MarkovChain, spec: TotalRewardNonNeg) -> ExtReal:
     return ExtReal(_solve_on(chain, transient, [rewards[i] for i in transient])[chain.init])
 
 
-def _eval_gated_discounted(chain: MarkovChain, spec: ReachGatedDiscountedSum,
-                           strategy: FiniteMemoryStrategy) -> ExtReal:
+def _eval_gated_discounted(chain: MarkovChain, spec: ReachGatedDiscountedSum) -> ExtReal:
     plain = _eval_discounted(chain, DiscountedSum(spec.discount, spec.weights))
     targets = _lift(chain, spec.target)
     if chain.init in targets:
         return plain
     region, reach = _pre_target(chain, targets)
-    never = {i: 1 - p for i, p in reach.items()}  # h(c) = P(avoid target forever from c)
-    model = chain.model
-    rhs = []
-    for node in region:
-        s, mem = chain.nodes[node]
-        z = model.obs[s]
-        total = Fraction(0)
-        for a, alpha in chain.action_dists[node].items():
-            if alpha == 0:
-                continue
-            nxt_mem = strategy.skeleton.step(mem, z, a)
-            for t, p in model.dist(s, a).items():
-                if p == 0 or t in spec.target:
-                    continue
-                total += alpha * spec.weights(s, a) * p * never[chain.index[(t, nxt_mem)]]
-        rhs.append(total)
+    # r'(c): expected weight of a move from c times h(successor), h = P(avoid target forever)
+    rhs = [sum((p * spec.weights(chain.state_of(i), a) * (1 - reach[j])
+                for a, p, j in chain.edges[i] if j not in targets), Fraction(0))
+           for i in region]
     # The avoid-restricted system is I - lambda P on the pre-target region.
     avoided = _solve_on(chain, region, rhs, spec.discount)[chain.init]  # E[DS * 1{never reach}]
     return ExtReal(plain.finite - avoided)
@@ -208,7 +195,7 @@ def expected_payoff(model: Pomdp, strategy: FiniteMemoryStrategy, start: str,
         elif isinstance(spec, TotalRewardNonNeg):
             values.append(_eval_total_reward(chain, spec))
         elif isinstance(spec, ReachGatedDiscountedSum):
-            values.append(_eval_gated_discounted(chain, spec, strategy))
+            values.append(_eval_gated_discounted(chain, spec))
         else:
             raise UnsupportedKind(type(spec).__name__)
     return ExtRealVector(values)

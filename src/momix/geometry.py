@@ -129,8 +129,9 @@ def membership_combination(q, points) -> Optional[List[Fraction]]:
 
 def caratheodory(q, points) -> Decomposition:
     """A convex combination of at most d+1 of the points recombining to q
-    exactly.  The simplex returns a basic solution, which already has small
-    support; an affine-dependency elimination pass guards the bound."""
+    exactly.  The simplex returns a basic solution: its nonzero columns of
+    [points; 1] are linearly independent, so at most rank([points; 1])
+    <= d+1 of them are nonzero."""
     pts = _check_points(points)
     q = as_point(q)
     coeffs = membership_combination(q, pts)
@@ -139,30 +140,9 @@ def caratheodory(q, points) -> Decomposition:
     d = len(q)
     idx = [i for i, c in enumerate(coeffs) if c != 0]
     alpha = [coeffs[i] for i in idx]
-    idx, alpha = _eliminate_dependencies(pts, idx, alpha, d + 1)
+    if len(idx) > d + 1:
+        raise SelfCheckFailed(f"a basic solution with {len(idx)} > d+1 nonzero coefficients")
     return Decomposition(tuple(idx), tuple(alpha))
-
-
-def _eliminate_dependencies(points, idx, alpha, target_size):
-    """Shrink a convex combination along affine dependencies of its support
-    until at most `target_size` coefficients remain positive."""
-    idx = list(idx)
-    alpha = list(alpha)
-    while len(idx) > target_size:
-        matrix = [[points[i][j] for i in idx] for j in range(len(points[0]))]
-        matrix.append([Fraction(1)] * len(idx))
-        basis = nullspace(matrix)
-        if not basis:
-            break
-        beta = basis[0]
-        if all(b <= 0 for b in beta):
-            beta = [-b for b in beta]
-        t = min(alpha[i] / beta[i] for i in range(len(idx)) if beta[i] > 0)
-        alpha = [a - t * b for a, b in zip(alpha, beta)]
-        keep = [i for i, a in enumerate(alpha) if a > 0]
-        idx = [idx[i] for i in keep]
-        alpha = [alpha[i] for i in keep]
-    return idx, alpha
 
 
 # -- extreme points, hulls, Pareto ----------------------------------------------------
@@ -452,9 +432,8 @@ def dominating_face_decomposition(q, points, mode: str = "in_hull") -> Decomposi
         face = [i for i in range(len(pts)) if dot(w, pts[i]) == level]
         inner = caratheodory(peak, [pts[i] for i in face])
         dec = Decomposition(tuple(face[i] for i in inner.indices), inner.coefficients)
-    if dec.support_size > d:
-        idx, alpha = _eliminate_dependencies(pts, list(dec.indices), list(dec.coefficients), d)
-        dec = Decomposition(tuple(idx), tuple(alpha))
+    if dec.support_size > d:  # the face, or the hull itself, spans at most d-1 dimensions
+        raise SelfCheckFailed(f"a face decomposition with {dec.support_size} > d points")
     recombined = dec.recombine(pts)
     if any(recombined[j] < q[j] for j in range(d)):
         raise SelfCheckFailed("the recombination does not dominate q")

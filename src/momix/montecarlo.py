@@ -13,8 +13,10 @@ The matrix is never built whole: `estimate_expectation` draws it in
 consecutive chunks of `_CHUNK` rows from one generator, into one reused
 buffer, which yields exactly the rows of the full matrix.  Each chunk is
 walked step by step, all its samples at once: step t takes the live samples'
-draws from column t+1 and moves them along flat edge indices (node*deg + k).
-Memory is O(chunk x horizon) plus one value per sample and dimension.  A
+draws from column t+1 and moves them along flat edge indices (node*deg + k),
+k counting the node's joint (action, successor) moves in the order of
+`MarkovChain.edges`: action order, then successor *state* order.  Memory is
+O(chunk x horizon) plus one value per sample and dimension.  A
 sample is *settled* once it stands on a node from which no reachable edge
 carries weight in any discounted or total-reward dimension and every
 reachable node has the node's own target flags (a shortest path then adds
@@ -70,86 +72,6 @@ class Estimate:
 _CHUNK = 4096
 
 
-class _ChainSampler:
-    """Flattens a product chain into edge arrays for vectorized walking.
-
-    Each step consumes one uniform draw and picks a joint (action, successor)
-    edge; the law is exactly "draw the action, then the successor".  Edge
-    order is deterministic (action order, then successor node index), and
-    each node's cumulative row ends at exactly 1.0.  Rows shorter than
-    `deg` are padded with cumulative 1.0, which no draw in [0, 1) reaches.
-    """
-
-    def __init__(self, model: Pomdp, strategy: FiniteMemoryStrategy, start: str):
-        import numpy as np
-
-        self.chain = product_chain(model, strategy, start)
-        chain = self.chain
-        n = len(chain.nodes)
-        edges: List[List[Tuple[float, int, str]]] = []
-        max_deg = 0
-        for i, (s, mem) in enumerate(chain.nodes):
-            z = model.obs[s]
-            row = []
-            for a in model.actions:
-                alpha = chain.action_dists[i].get(a)
-                if not alpha:
-                    continue
-                nxt_mem = strategy.skeleton.step(mem, z, a)
-                for t in model.states:
-                    p = model.dist(s, a).get(t, Fraction(0))
-                    if p > 0:
-                        row.append((float(alpha * p), chain.index[(t, nxt_mem)], a))
-            edges.append(row)
-            max_deg = max(max_deg, len(row))
-        self.deg = max_deg
-        self.cum = np.ones((n, max_deg), dtype=np.float64)
-        self.next = np.zeros((n, max_deg), dtype=np.int64)
-        self.actions = [[a for _p, _j, a in row] for row in edges]
-        self.successors = [[j for _p, j, _a in row] for row in edges]
-        for i, row in enumerate(edges):
-            acc = 0.0
-            for k, (p, j, _a) in enumerate(row):
-                acc += p
-                self.cum[i, k] = acc
-                self.next[i, k] = j
-            self.cum[i, len(row) - 1] = 1.0  # absorb float rounding
-
-    def edge_weights(self, weights):
-        import numpy as np
-
-        out = np.zeros(self.next.shape, dtype=np.float64)
-        for i, (s, _mem) in enumerate(self.chain.nodes):
-            for k, a in enumerate(self.actions[i]):
-                out[i, k] = float(weights(s, a))
-        return out
-
-    def target_flags(self, target):
-        import numpy as np
-
-        return np.array([s in target for s, _m in self.chain.nodes], dtype=bool)
-
-    def settled(self, edge_weights, flags):
-        """Nodes from which no reachable edge has a nonzero weight in any of
-        `edge_weights` and every reachable node carries the node's own
-        `flags`: all but the predecessor closure of the nodes that break
-        this locally."""
-        import numpy as np
-
-        n = len(self.successors)
-        unsettled = np.zeros(n, dtype=bool)
-        for w in edge_weights:
-            unsettled |= (w != 0).any(axis=1)
-        preds: List[List[int]] = [[] for _ in range(n)]
-        for i, succ in enumerate(self.successors):
-            for j in succ:
-                preds[j].append(i)
-                if any(f[i] != f[j] for f in flags):
-                    unsettled[i] = True
-        unsettled[list(closure(np.flatnonzero(unsettled).tolist(), preds.__getitem__))] = True
-        return ~unsettled
-
-
 def _uniform_row(seed: int, index: int, horizon: int):
     """Row `index` of the (samples, horizon+1) uniform matrix of `seed`,
     drawn alone: each Philox counter value gives four doubles."""
@@ -170,23 +92,16 @@ def sample_play(model: Pomdp, strategy, start: str, horizon: int, seed: int,
     `strategy` may be a finite-memory strategy or a finite mixture; a mixture
     draws its pure member once, from the first draw of the sample's row.
     """
-    import numpy as np
-
     u = _uniform_row(seed, index, horizon)
     if isinstance(strategy, FiniteMixture):
-        member = _pick_member(strategy, u[0])
-        sampler = _ChainSampler(model, member, start)
-    else:
-        sampler = _ChainSampler(model, strategy, start)
-    chain = sampler.chain
+        strategy = _pick_member(strategy, u[0])
+    walker = _Walker(model, strategy, start, ())
+    chain = walker.chain
     node = chain.init
-    out: List[str] = [chain.nodes[node][0]]
-    for t in range(horizon):
-        r = u[t + 1]
-        k = int(np.sum(sampler.cum[node] <= r))
-        out.append(sampler.actions[node][k])
-        node = int(sampler.next[node, k])
-        out.append(chain.nodes[node][0])
+    out: List[str] = [chain.state_of(node)]
+    for r in u[1:]:
+        a, _p, node = chain.edges[node][int((walker.cum[:, node] <= r).sum())]
+        out += [a, chain.state_of(node)]
     return tuple(out)
 
 
@@ -273,39 +188,80 @@ def _bias_bound(spec, horizon: int) -> Optional[Fraction]:
 
 
 class _Walker:
-    """One member's chain flattened for the walk: the cumulative rows as
-    columns over nodes, successors and per-dimension edge weights at flat
-    edge index node*deg + k, node target flags, and the settled nodes."""
+    """One member's product chain flattened for the walk.
+
+    Each step consumes one uniform draw r and picks a joint (action,
+    successor) edge of `chain.edges`; the law is exactly "draw the action,
+    then the successor".  Edges keep the chain's order (model action order,
+    then successor state order) at flat index node*deg + k.  `cum[k, i]` is
+    the float probability of node i's first k+1 edges, forced to exactly 1.0
+    at its last edge (absorbing rounding) and padded with 1.0 up to `deg`
+    edges; row deg-1, all 1.0, is left out.  No draw reaches 1.0, so r picks
+    edge k = #{entries <= r} of its node.  Alongside are the successors and
+    per-dimension edge weights at the flat edge indices, node target flags,
+    and the settled nodes.
+    """
 
     def __init__(self, model: Pomdp, strategy: FiniteMemoryStrategy, start: str,
                  dims: MultiPayoff):
         import numpy as np
 
-        sampler = _ChainSampler(model, strategy, start)
+        self.chain = chain = product_chain(model, strategy, start)
+        n = len(chain)
         self.dims = len(dims)
-        self.init = sampler.chain.init
-        self.deg = sampler.deg
-        # every column but the last, which is 1.0 on every node
-        self.cum = np.ascontiguousarray(sampler.cum[:, :-1].T)
-        self.next = sampler.next.ravel()
-        weights = {}         # dimension -> (node, k) edge weights
+        self.init = chain.init
+        self.deg = deg = max(len(moves) for moves in chain.edges)
+        cum = np.ones((deg, n), dtype=np.float64)
+        self.next = np.zeros(n * deg, dtype=np.int64)
+        for i, moves in enumerate(chain.edges):
+            acc = 0.0
+            for k, (_a, p, j) in enumerate(moves):
+                acc += float(p)
+                cum[k, i] = acc
+                self.next[i * deg + k] = j
+            cum[len(moves) - 1, i] = 1.0
+        self.cum = cum[:-1]
+        self.weights = {}    # dimension -> flat edge weights
         self.discount = {}   # dimension -> float discount (discounted kinds)
         self.flags = {}      # dimension -> node target flags
         for j, spec in enumerate(dims):
             if isinstance(spec, (DiscountedSum, ReachGatedDiscountedSum, TotalRewardNonNeg,
                                  ShortestPath)):
-                weights[j] = sampler.edge_weights(spec.weights)
+                w = np.zeros(n * deg, dtype=np.float64)
+                for i, moves in enumerate(chain.edges):
+                    for k, (a, _p, _j) in enumerate(moves):
+                        w[i * deg + k] = float(spec.weights(chain.state_of(i), a))
+                self.weights[j] = w
             if isinstance(spec, (DiscountedSum, ReachGatedDiscountedSum)):
                 self.discount[j] = float(spec.discount)
             if isinstance(spec, (ReachIndicator, ReachGatedDiscountedSum, ShortestPath)):
-                self.flags[j] = sampler.target_flags(spec.target)
+                self.flags[j] = np.array([s in spec.target for s, _m in chain.nodes], dtype=bool)
         self.until_hit = {j for j, spec in enumerate(dims) if isinstance(spec, ShortestPath)}
         # Shortest-path weights cannot unsettle a node: where no flag changes
         # any more, a sample that has hit the target adds nothing, and one
         # that has not is censored whatever it adds.
-        self.settled = sampler.settled(
-            [w for j, w in weights.items() if j not in self.until_hit], self.flags.values())
-        self.weights = {j: w.ravel() for j, w in weights.items()}
+        self.settled = self._settled(
+            [w for j, w in self.weights.items() if j not in self.until_hit])
+
+    def _settled(self, edge_weights):
+        """Nodes from which no reachable edge has a nonzero weight in any of
+        `edge_weights` and every reachable node carries the node's own
+        target flags: all but the predecessor closure of the nodes that
+        break this locally."""
+        import numpy as np
+
+        n = len(self.chain)
+        unsettled = np.zeros(n, dtype=bool)
+        for w in edge_weights:
+            unsettled |= (w != 0).reshape(n, self.deg).any(axis=1)
+        preds: List[List[int]] = [[] for _ in range(n)]
+        for i, row in enumerate(self.chain.matrix):
+            for j in row:
+                preds[j].append(i)
+                if any(f[i] != f[j] for f in self.flags.values()):
+                    unsettled[i] = True
+        unsettled[list(closure(np.flatnonzero(unsettled).tolist(), preds.__getitem__))] = True
+        return ~unsettled
 
     def walk(self, u, rows):
         """Walk the samples of chunk `rows` from the initial node, reading

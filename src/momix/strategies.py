@@ -273,13 +273,17 @@ class MarkovChain:
     nodes are (state, memory) pairs reachable from the initial pair; rows of
     `matrix` are sparse dicts over node indices and sum to exactly 1.
     `action_dists[i]` is the strategy's action distribution at node i, kept
-    for lifting weights and targets.
+    for lifting weights and targets.  `edges[i]` lists node i's joint moves
+    (action a, probability alpha(a) * p(t), successor node of state t), one
+    per action played and successor state, in model action order and then
+    model state order.
     """
 
     nodes: Tuple[Tuple[str, Mem], ...]
     index: Mapping[Tuple[str, Mem], int]
     matrix: Tuple[Mapping[int, Fraction], ...]
     action_dists: Tuple[Mapping[str, Fraction], ...]
+    edges: Tuple[Tuple[Tuple[str, Fraction, int], ...], ...]
     init: int
     model: Pomdp
 
@@ -298,12 +302,16 @@ def product_chain(model: Pomdp, strategy: FiniteMemoryStrategy, start: str) -> M
     index = {init: 0}
     rows: List[Dict[int, Fraction]] = []
     dists: List[Mapping[str, Fraction]] = []
+    edges: List[Tuple[Tuple[str, Fraction, int], ...]] = []
+    action_rank = {a: k for k, a in enumerate(model.actions)}
+    state_rank = {t: k for k, t in enumerate(model.states)}
     queue = deque([init])
     while queue:
         s, mem = queue.popleft()
         z = model.obs[s]
         dist = strategy.action_distribution(mem, z)
         row: Dict[int, Fraction] = {}
+        moves = []
         for a, alpha in dist.items():
             if alpha == 0:
                 continue
@@ -316,10 +324,14 @@ def product_chain(model: Pomdp, strategy: FiniteMemoryStrategy, start: str) -> M
                     index[node] = len(nodes)
                     nodes.append(node)
                     queue.append(node)
-                row[index[node]] = row.get(index[node], Fraction(0)) + alpha * p
+                j, q = index[node], alpha * p
+                row[j] = row.get(j, Fraction(0)) + q
+                moves.append((a, q, j))
+        moves.sort(key=lambda move: (action_rank[move[0]], state_rank[nodes[move[2]][0]]))
         rows.append(row)
         dists.append(dict(dist))
-    return MarkovChain(tuple(nodes), index, tuple(rows), tuple(dists), 0, model)
+        edges.append(tuple(moves))
+    return MarkovChain(tuple(nodes), index, tuple(rows), tuple(dists), tuple(edges), 0, model)
 
 
 # -- cylinder probabilities ------------------------------------------------------------

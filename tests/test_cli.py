@@ -207,6 +207,20 @@ def _document(path, **fields):
 TRAIN = _document(TRAIN_FILE)
 NO_LAMBDA = [{"kind": "discounted_sum", "weights": "w"}]
 BAD_WINDEX = [{"kind": "discounted_sum", "lambda": "1/2", "weights": "w", "windex": "z"}]
+# models that load but break a `validate` rule: a reachable state with no
+# enabled action, one observation on states with different enabled actions,
+# a distribution summing to 1/2
+REACH_S1 = [{"kind": "reach", "target": ["s1"]}]
+DEADLOCK = {"states": ["s0", "s1"], "actions": ["a"], "transitions": {"s0": {"a": {"s1": "1"}}},
+            "payoffs": REACH_S1}
+MIXED_OBSERVATION = {"states": ["s0", "s1", "s2"], "actions": ["a", "b"],
+                     "observations": ["x", "y"], "obs": {"s0": "x", "s1": "y", "s2": "y"},
+                     "transitions": {"s0": {"a": {"s1": "1/2", "s2": "1/2"}},
+                                     "s1": {"a": {"s1": "1"}, "b": {"s0": "1"}},
+                                     "s2": {"a": {"s2": "1"}}},
+                     "payoffs": REACH_S1}
+HALF_DISTRIBUTION = _document(RUNNING, transitions={**_document(RUNNING)["transitions"],
+                                                    "s1": {"a": {"s1": "1/2"}}})
 FRONTIER = ["frontier", "MODEL", "--state", "s0"]
 EVALUATE = ["evaluate", COMMUTE, "--state", "home", "--strategy", "STRATEGY"]
 SIMULATE = ["simulate", COMMUTE, "--state", "home", "--strategy", TRAIN_FILE]
@@ -248,9 +262,15 @@ BAD_INPUTS = {
     "update-unknown-memory": (EVALUATE, None,
                               {**TRAIN, "update": {**TRAIN["update"], "0,home,bike": ["0"]}}),
     "act-entry-list": (EVALUATE, None, {**TRAIN, "act": {**TRAIN["act"], "0,home": ["train"]}}),
+    "act-disabled-action": (EVALUATE, None, {**TRAIN, "act": {**TRAIN["act"], "0,home": "fly"}}),
+    "mixture-weights-zero": (EVALUATE, None, {"support": [TRAIN], "weights": ["0"]}),
     "family-not-list": (PROBE, None, {"family": 5, "limit": TRAIN}),
     "family-index-missing": (PROBE, None, {"family": [{"strategy": TRAIN}], "limit": TRAIN}),
     "family-not-object": (PROBE, None, [TRAIN]),
+    "deadlock": (FRONTIER, DEADLOCK, None),
+    "deadlock-lexopt": (["lexopt", "MODEL", "--state", "s0"], DEADLOCK, None),
+    "obs-action-consistency": (FRONTIER, MIXED_OBSERVATION, None),
+    "distribution-sum": (FRONTIER, HALF_DISTRIBUTION, None),
     "samples-zero": (SIMULATE + ["--samples", "0"], None, None),
     "horizon-negative": (SIMULATE + ["--horizon", "-3"], None, None),
     "seed-negative": (SIMULATE + ["--seed", "-1"], None, None),

@@ -460,6 +460,33 @@ def test_expected_payoff_matches_float_solves(problem):
             assert float(value.finite) == pytest.approx(oracle, rel=1e-9, abs=1e-9)
 
 
+@given(small_problems())
+@settings(max_examples=100, deadline=None)
+def test_chain_edges_are_the_joint_moves(problem):
+    """Grouped by successor, a node's edges give its matrix row; grouped by
+    action, its action distribution.  Each edge leads to the node of its
+    successor state under the skeleton's update, and the edges come in
+    model action order, then model state order, whatever the order of the
+    strategy's and the model's distributions."""
+    doc, horizon, seed = problem
+    model, _dims = mx.load_problem(json.dumps(doc))
+    drawn = grid_randomized(model, mx.counter(model, horizon), random.Random(seed))
+    strategy = mx.FiniteMemoryStrategy(drawn.skeleton, {key: dict(reversed(dist.items()))
+                                                        for key, dist in drawn.act.items()})
+    chain = mx.product_chain(model, strategy, "s0")
+    for i, (s, mem) in enumerate(chain.nodes):
+        by_node, by_action, order = {}, {}, []
+        for a, p, j in chain.edges[i]:
+            by_node[j] = by_node.get(j, 0) + p
+            by_action[a] = by_action.get(a, 0) + p
+            t = chain.state_of(j)
+            assert j == chain.index[(t, strategy.skeleton.step(mem, model.obs[s], a))]
+            order.append((model.actions.index(a), model.states.index(t)))
+        assert by_node == chain.matrix[i]
+        assert by_action == chain.action_dists[i]
+        assert order == sorted(set(order))
+
+
 # -- behaviour pools against brute-force table enumeration ------------------------------
 
 
