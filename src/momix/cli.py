@@ -42,10 +42,8 @@ def _load_problem(path, checked=True):
             mdl, dims = payoffs.load_problem(handle.read())
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    violations = model_mod.validate(mdl).violations if checked else ()
-    if violations:
-        rule, loc, msg = violations[0]
-        raise SchemaError(f"invalid model, [{rule}] {loc}: {msg}")
+    if checked:
+        model_mod.require_valid(mdl)
     return mdl, dims
 
 

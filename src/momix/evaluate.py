@@ -18,6 +18,10 @@ the model with the strategy:
 The pre-target region of a target is the set of nodes reachable from the
 initial node without entering the target; hitting probabilities, too, are
 solved on it, on the nodes that can still hit the target.
+
+Every system is solved by SCC blocks of the chain graph, successors first
+(`_solve_on`): a layered product chain, such as a counter skeleton's before
+it saturates, is solved by substitution alone.
 """
 
 from __future__ import annotations
@@ -26,9 +30,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from .errors import UnknownState, UnsupportedKind
+from .errors import SingularSystem, UnknownState, UnsupportedKind
 from .linalg import solve_linear
-from .model import Pomdp, WeightFunction, closure, strongly_connected_components
+from .model import (Pomdp, WeightFunction, closure, require_valid,
+                    strongly_connected_components)
 from .payoffs import (BuchiIndicator, DiscountedSum, MultiPayoff,
                       ReachGatedDiscountedSum, ReachIndicator, ShortestPath,
                       TotalRewardNonNeg)
@@ -64,16 +69,36 @@ def _chain_sccs(chain: MarkovChain):
 def _solve_on(chain: MarkovChain, nodes: Sequence[int], rhs: Sequence[Fraction],
               discount: Fraction = 1) -> Dict[int, Fraction]:
     """Unique solution of x = rhs + discount * P x on `nodes`, with x = 0
-    off `nodes` (the transient system I - discount * P restricted to them)."""
-    pos = {node: k for k, node in enumerate(nodes)}
-    matrix = [[Fraction(0)] * len(nodes) for _ in nodes]
-    for node, k in pos.items():
-        row = matrix[k]
-        row[k] += 1
-        for j, p in chain.matrix[node].items():
-            if j in pos:
-                row[pos[j]] -= discount * p
-    return dict(zip(nodes, solve_linear(matrix, rhs)))
+    off `nodes` (the transient system I - discount * P restricted to them).
+
+    The system is block triangular over the SCCs of the chain graph on
+    `nodes`, which come successors first: each block is solved with the
+    values of the blocks below it moved into its right-hand side, a
+    singleton by one division and a larger block by `solve_linear` on its
+    own rows.  Raises SingularSystem if a block is singular."""
+    b = dict(zip(nodes, rhs))
+    x: Dict[int, Fraction] = {}
+    for comp in strongly_connected_components({i: chain.matrix[i] for i in b}, b):
+        known = [b[i] + discount * sum((p * x[j] for j, p in chain.matrix[i].items() if j in x),
+                                       Fraction(0))
+                 for i in comp]
+        if len(comp) == 1:
+            node = comp[0]
+            pivot = 1 - discount * chain.matrix[node].get(node, 0)
+            if pivot == 0:
+                raise SingularSystem("the system matrix is singular")
+            x[node] = known[0] / pivot
+            continue
+        pos = {node: k for k, node in enumerate(comp)}
+        matrix = [[Fraction(0)] * len(comp) for _ in comp]
+        for node, k in pos.items():
+            row = matrix[k]
+            row[k] += 1
+            for j, p in chain.matrix[node].items():
+                if j in pos:
+                    row[pos[j]] -= discount * p
+        x.update(zip(comp, solve_linear(matrix, known)))
+    return x
 
 
 def _lift(chain: MarkovChain, target: frozenset) -> Set[int]:
@@ -180,7 +205,14 @@ def _eval_gated_discounted(chain: MarkovChain, spec: ReachGatedDiscountedSum) ->
 
 def expected_payoff(model: Pomdp, strategy: FiniteMemoryStrategy, start: str,
                     dims: MultiPayoff) -> ExtRealVector:
-    """Exact expected payoff vector of a finite-memory strategy."""
+    """Exact expected payoff vector of a finite-memory strategy.  Raises
+    SchemaError if `validate` rejects the model."""
+    require_valid(model)
+    return _expected_payoff(model, strategy, start, dims)
+
+
+def _expected_payoff(model: Pomdp, strategy: FiniteMemoryStrategy, start: str,
+                     dims: MultiPayoff) -> ExtRealVector:
     chain = product_chain(model, strategy, start)
     values = []
     for spec in dims:
@@ -231,9 +263,11 @@ def pure_payoff_set(model: Pomdp, start: str, dims: MultiPayoff, skeleton: Memor
     behaviour (`strategies.pure_behaviours`), ordered by earliest act table,
     which represents it.  `pool_size` and `winner_index` count act tables,
     the cap and the cost behaviours, so counter:30 on earn_or_exit.json
-    (2^31 tables, 32 behaviours) is a small pool."""
+    (2^31 tables, 32 behaviours) is a small pool.  Raises SchemaError if
+    `validate` rejects the model."""
+    require_valid(model)
     size, members = pure_behaviours(model, skeleton, start, cap)
-    return Pool(((strategy, expected_payoff(model, strategy, start, dims))
+    return Pool(((strategy, _expected_payoff(model, strategy, start, dims))
                  for _index, strategy in members),
                 size, [index for index, _strategy in members])
 
@@ -243,9 +277,10 @@ def mixed_expected_payoff(model: Pomdp, mixture: FiniteMixture, start: str,
     """Weighted sum of the pure expected payoffs, under 0 * inf = 0.
 
     Raises UndefinedExpectation if a dimension mixes +inf and -inf with
-    positive weights.
+    positive weights, and SchemaError if `validate` rejects the model.
     """
-    vectors = [expected_payoff(model, member, start, dims) for member in mixture.support]
+    require_valid(model)
+    vectors = [_expected_payoff(model, member, start, dims) for member in mixture.support]
     return ExtRealVector.combine(mixture.weights, vectors)
 
 

@@ -2,7 +2,9 @@
 
 Matrices are lists of lists of Fractions.  :func:`solve_linear` and
 :func:`cofactor_vector` run fraction-free (Bareiss) elimination on integer
-rows (scaled by :func:`momix.rationals.integer_row`); :func:`rref` is
+rows (scaled by :func:`momix.rationals.integer_row`); :func:`solve_linear`
+puts the right-hand side over one common denominator apart from the
+matrix, so its denominators never enter the matrix minors; :func:`rref` is
 Gauss-Jordan elimination over Fraction.  All pivots are exact, so there is
 no tolerance policy anywhere; a singular system raises
 :class:`SingularSystem`.
@@ -54,21 +56,27 @@ def cofactor_vector(rows: Sequence[Sequence[int]]) -> List[int]:
 
 
 def solve_linear(matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> List[Fraction]:
-    """Solve A x = b exactly for square A by Bareiss elimination on the
-    integer-scaled rows [A | b]."""
+    """Solve A x = b exactly for square A by Bareiss elimination on [A' | c]:
+    A' is A with each row scaled by the lcm of that row's denominators, and
+    the right-hand side, scaled by the same row factors, goes over one
+    common denominator D, so that A' x = c / D.  The minors of A' stay as
+    small as A's own entries allow; large numbers in b reach only the
+    right-hand column."""
     n = len(matrix)
     if any(len(row) != n for row in matrix) or len(rhs) != n:
         raise ValueError("solve_linear expects a square system")
-    a = [integer_row([*row, b])[0] for row, b in zip(matrix, rhs)]
+    rows = [integer_row(row) for row in matrix]
+    c, common = integer_row([b * scale for (_ints, scale), b in zip(rows, rhs)])
+    a = [[*ints, v] for (ints, _scale), v in zip(rows, c)]
     det = _bareiss(a, n)
     if det == 0:
         raise SingularSystem("the system matrix is singular")
-    # Cramer: det * x is an integer vector, so back-substitution stays exact.
+    # Cramer: det * D * x is an integer vector, so back-substitution stays exact.
     num = [0] * n
     for i in reversed(range(n)):
         row = a[i]
         num[i] = (det * row[n] - sum(row[j] * num[j] for j in range(i + 1, n))) // row[i]
-    return [Fraction(v, det) for v in num]
+    return [Fraction(v, det * common) for v in num]
 
 
 def rref(matrix: Sequence[Sequence[Fraction]]):

@@ -288,6 +288,14 @@ def validate(model: Pomdp) -> ValidationReport:
     return ValidationReport(ok=not violations, violations=tuple(violations))
 
 
+def require_valid(model: Pomdp) -> None:
+    """Raise SchemaError naming the first violation `validate` finds."""
+    violations = validate(model).violations
+    if violations:
+        rule, loc, msg = violations[0]
+        raise SchemaError(f"invalid model, [{rule}] {loc}: {msg}")
+
+
 def reachable_states(model: Pomdp, start: str) -> frozenset:
     """States reachable from `start` via positive-probability histories."""
     if start not in model.states:

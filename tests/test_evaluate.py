@@ -4,14 +4,16 @@ import json
 import random
 import tracemalloc
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import momix as mx
-from momix.errors import PoolTooLarge, UndefinedExpectation
-from momix.evaluate import IntegrabilityVerdict, maximal_end_components
+from momix.errors import PoolTooLarge, SchemaError, SingularSystem, UndefinedExpectation
+from momix.evaluate import IntegrabilityVerdict, _solve_on, maximal_end_components
+from momix.linalg import solve_linear
 
 from conftest import (commute_bike, commute_ltb, commute_train, distinct_vectors,
                       split_reach_choice, earn_or_exit_stay, earn_or_exit_leave, coin_exit_always,
@@ -592,3 +594,124 @@ def test_pool_counter30_is_small(earn_or_exit):
     assert [v for _s, v in pool] == [mx.vector(0, "+inf")] + [mx.vector(1, 30 - j)
                                                               for j in range(31)]
     assert list(pool.indices) == [0] + [2 ** j for j in range(31)]
+
+
+# -- block solves against the dense transient solve ------------------------------------
+
+
+def _dense_solve_on(chain, nodes, rhs, discount=1):
+    """The dense solve the block solver replaced, kept as the reference:
+    one I - discount * P system on all of `nodes`."""
+    pos = {node: k for k, node in enumerate(nodes)}
+    matrix = [[Fraction(0)] * len(nodes) for _ in nodes]
+    for node, k in pos.items():
+        row = matrix[k]
+        row[k] += 1
+        for j, p in chain.matrix[node].items():
+            if j in pos:
+                row[pos[j]] -= discount * p
+    return dict(zip(nodes, solve_linear(matrix, rhs)))
+
+
+@st.composite
+def transient_systems(draw):
+    """A chain matrix on up to 9 nodes, often with multi-node SCCs and
+    self-loops, and rows that may leak mass; a subset of the nodes in any
+    order, a right-hand side on it and a discount of 1 or 9/10."""
+    n = draw(st.integers(min_value=1, max_value=9))
+    rows = []
+    for i in range(n):
+        succ = draw(st.lists(st.integers(0, n - 1), max_size=4, unique=True))
+        if draw(st.booleans()) and i not in succ:
+            succ.append(i)
+        mass = draw(st.lists(st.integers(1, 6), min_size=len(succ), max_size=len(succ)))
+        leak = draw(st.sampled_from([0, 0, 1, 3]))
+        total = sum(mass) + leak
+        rows.append({j: Fraction(m, total) for j, m in zip(succ, mass)})
+    nodes = draw(st.lists(st.integers(0, n - 1), min_size=1, unique=True))
+    rhs = draw(st.lists(st.fractions(min_value=-5, max_value=5, max_denominator=30),
+                        min_size=len(nodes), max_size=len(nodes)))
+    discount = draw(st.sampled_from([Fraction(1), Fraction(9, 10)]))
+    return SimpleNamespace(matrix=rows), nodes, rhs, discount
+
+
+def _outcome(solve, system):
+    try:
+        return solve(*system)
+    except SingularSystem:
+        return SingularSystem
+
+
+@given(transient_systems())
+@example((SimpleNamespace(matrix=[{1: Fraction(1, 2), 0: Fraction(1, 4)}, {0: Fraction(1, 3)},
+                                  {0: Fraction(1, 2), 2: Fraction(1, 2)}]),
+          [2, 1, 0], [Fraction(1, 7), Fraction(2), Fraction(-3, 5)], Fraction(1)))
+@settings(max_examples=300, deadline=None)
+def test_block_solve_equals_dense_solve(system):
+    """Successors first, block by block, the solver returns exactly the
+    dense solve's Fractions, and is singular exactly when it is."""
+    assert _outcome(_solve_on, system) == _outcome(_dense_solve_on, system)
+
+
+def test_block_solve_on_a_layered_chain_is_exact():
+    """A counter skeleton's chain before it saturates is a layered DAG: every
+    block is a singleton, and values flow back from the last layer."""
+    chain = SimpleNamespace(matrix=[{1: Fraction(1, 2), 2: Fraction(1, 2)},
+                                    {2: Fraction(1, 3), 3: Fraction(2, 3)},
+                                    {3: Fraction(1)}, {3: Fraction(1)}])
+    rhs = [Fraction(1), Fraction(2), Fraction(3)]
+    x = _solve_on(chain, [0, 1, 2], rhs, Fraction(9, 10))
+    assert x == _dense_solve_on(chain, [0, 1, 2], rhs, Fraction(9, 10))
+    assert x[2] == 3 and x[1] == 2 + Fraction(9, 10) * Fraction(1, 3) * 3
+
+
+def test_singular_singleton_block_raises_singular_system():
+    """An absorbing node kept in an undiscounted system has the equation
+    x = b + x; it raises SingularSystem as the dense solve does, never a
+    ZeroDivisionError."""
+    chain = SimpleNamespace(matrix=[{1: Fraction(1)}, {1: Fraction(1)}])
+    for solve in (_solve_on, _dense_solve_on):
+        with pytest.raises(SingularSystem):
+            solve(chain, [0, 1], [Fraction(1), Fraction(0)])
+    assert _solve_on(chain, [0, 1], [Fraction(1), Fraction(0)], Fraction(1, 2)) \
+        == {0: Fraction(1), 1: Fraction(0)}
+
+
+# -- library entry points on invalid models --------------------------------------------
+
+
+INVALID_MODELS = {
+    "deadlock": ({"states": ["s0", "s1"], "actions": ["a"],
+                  "transitions": {"s0": {"a": {"s1": "1"}}}},
+                 "invalid model, [deadlock] s1: state has no enabled action"),
+    "obs-action-consistency": (
+        {"states": ["s0", "s1", "s2"], "actions": ["a", "b"], "observations": ["x", "y"],
+         "obs": {"s0": "x", "s1": "y", "s2": "y"},
+         "transitions": {"s0": {"a": {"s1": "1/2", "s2": "1/2"}},
+                         "s1": {"a": {"s1": "1"}, "b": {"s0": "1"}},
+                         "s2": {"a": {"s2": "1"}}}},
+        "invalid model, [obs-action-consistency] y: states s1 and s2 share observation y "
+        "but differ in enabled actions"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INVALID_MODELS))
+def test_library_entry_points_reject_invalid_models(name, monkeypatch):
+    """The models `validate` rejects raise the CLI's SchemaError message from
+    every evaluation entry point, checked once per call, not per member."""
+    doc, message = INVALID_MODELS[name]
+    doc = {**doc, "payoffs": [{"kind": "reach", "target": ["s1"]}]}
+    model, dims = mx.load_problem(json.dumps(doc))
+    skeleton = mx.memoryless(model)
+    strategy = mx.PureStrategy(skeleton, {(0, model.obs["s0"]): "a"})
+    mixture = mx.FiniteMixture.of([(strategy, Fraction(1, 2)), (strategy, Fraction(1, 2))])
+    calls = []
+    monkeypatch.setattr(mx.model, "validate", lambda m, real=mx.model.validate:
+                        calls.append(m) or real(m))
+    for call in (lambda: mx.pure_payoff_set(model, "s0", dims, skeleton),
+                 lambda: mx.expected_payoff(model, strategy, "s0", dims),
+                 lambda: mx.mixed_expected_payoff(model, mixture, "s0", dims)):
+        with pytest.raises(SchemaError) as info:
+            call()
+        assert str(info.value) == message
+    assert len(calls) == 3

@@ -3,7 +3,8 @@ output of `frontier`, `achieve`, `approx` and `lexopt` on the bundled
 models, and `supporting_map` / `dominating_face_decomposition` on fixed
 rational point sets in d = 3 and 4, must stay byte-identical; so must the
 `convex_hull` of those point sets, of a planar d = 3 set with a repeated
-point and of a collinear d = 2 set; so must the
+point and of a collinear d = 2 set; so must the exact `evaluate --json`
+output of a randomized strategy on a generated six-payoff model; so must the
 seeded `simulate --json` output of the README command and of a mixture, whose
 strategy files sit beside the goldens; and so must the stdout of the seven
 scripts under demos/.
@@ -71,6 +72,17 @@ def _cli_cases():
         "approx_earn_or_exit_counter6": ["approx", _model("earn_or_exit"), "--state", "s",
                                          "--target", "1/2,+inf", "--eps", "1/20", "--bigM", "5",
                                          "--skeleton", "counter:6"],
+        # long counter skeletons, whose product chains are layered DAGs
+        "frontier_coin_exit_counter8": ["frontier", _model("coin_exit"), "--state", "s",
+                                        "--skeleton", "counter:8"],
+        "approx_earn_or_exit_counter30": ["approx", _model("earn_or_exit"), "--state", "s",
+                                          "--target=1,+inf", "--eps", "1/10", "--bigM", "10",
+                                          "--skeleton", "counter:30"],
+        # a generated stochastic MDP with all six payoff kinds and a
+        # randomized 3-memory strategy; both files sit beside the goldens
+        "evaluate_chain_six_kinds": ["evaluate", os.path.join(GOLDEN, "chain_six_kinds.json"),
+                                     "--state", "r0", "--strategy",
+                                     os.path.join(GOLDEN, "chain_six_kinds_strategy.json")],
         # seeded Monte-Carlo: the README command and a mixture with censored samples
         "readme_simulate": ["simulate", _model("commute"), "--state", "home",
                             "--strategy", os.path.join(GOLDEN, "commute_train.json"),

@@ -1,7 +1,8 @@
 """Exact linear solves: solutions satisfy the system exactly, pivoting
-handles zero leading entries, and bad systems raise the documented errors.
-Cofactor vectors are orthogonal to their rows and vanish exactly on
-dependent rows."""
+handles zero leading entries, bad systems raise the documented errors, and
+scaling the right-hand side apart from the matrix returns the same
+Fractions as scaling whole [A | b] rows.  Cofactor vectors are orthogonal
+to their rows and vanish exactly on dependent rows."""
 
 from fractions import Fraction
 
@@ -9,7 +10,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from momix.errors import SingularSystem
-from momix.linalg import cofactor_vector, matrix_rank, solve_linear
+from momix.linalg import _bareiss, cofactor_vector, matrix_rank, solve_linear
+from momix.rationals import integer_row
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=12)
 
@@ -31,6 +33,53 @@ def test_solution_satisfies_system_exactly(system):
     assume(matrix_rank(matrix) == len(matrix))
     x = solve_linear(matrix, rhs)
     assert all(isinstance(v, Fraction) for v in x)
+    assert [sum((a * v for a, v in zip(row, x)), Fraction(0)) for row in matrix] == rhs
+
+
+def _row_scaled_solve(matrix, rhs):
+    """The solve that scaled each row of [A | b] by the lcm of all its
+    denominators, kept as the reference."""
+    n = len(matrix)
+    a = [integer_row([*row, b])[0] for row, b in zip(matrix, rhs)]
+    det = _bareiss(a, n)
+    if det == 0:
+        raise SingularSystem("the system matrix is singular")
+    num = [0] * n
+    for i in reversed(range(n)):
+        row = a[i]
+        num[i] = (det * row[n] - sum(row[j] * num[j] for j in range(i + 1, n))) // row[i]
+    return [Fraction(v, det) for v in num]
+
+
+# right-hand sides like exact hitting probabilities: numerators and
+# denominators of 300 bits and more
+wide_rationals = st.builds(Fraction, st.integers(-2 ** 320, 2 ** 320),
+                           st.integers(2 ** 300, 2 ** 330))
+
+
+@given(systems(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_common_denominator_rhs_equals_row_scaled_solve(system, data):
+    matrix, rhs = system
+    if data.draw(st.booleans()):
+        rhs = data.draw(st.lists(st.one_of(rationals, wide_rationals),
+                                 min_size=len(rhs), max_size=len(rhs)))
+    try:
+        expected = _row_scaled_solve(matrix, rhs)
+    except SingularSystem:
+        with pytest.raises(SingularSystem):
+            solve_linear(matrix, rhs)
+        return
+    assert solve_linear(matrix, rhs) == expected
+
+
+def test_wide_rhs_solves_exactly():
+    """A 400-bit right-hand side leaves the solution exact."""
+    big = Fraction(3 ** 250 + 1, 2 ** 400 - 593)
+    matrix = [[Fraction(1), Fraction(-9, 20)], [Fraction(-1, 3), Fraction(1)]]
+    rhs = [big, 1 - big]
+    x = solve_linear(matrix, rhs)
+    assert x == _row_scaled_solve(matrix, rhs)
     assert [sum((a * v for a, v in zip(row, x)), Fraction(0)) for row in matrix] == rhs
 
 
