@@ -8,6 +8,7 @@ not achievable, validation violations, ...), 2 usage error, 3 input error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -304,7 +305,10 @@ def _cmd_probe(args):
 # -- parser -------------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: each `parse_args` call starts a
+    fresh namespace from the defaults, so calls share nothing else."""
     parser = argparse.ArgumentParser(prog="momix", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -1,206 +1,310 @@
 """Exact expected multi-payoff vectors for finite-memory and mixed strategies.
 
-Everything reduces to exact rational linear systems on the product chain of
-the model with the strategy:
+A payoff's value at a node of the product of the model with a strategy
+depends only on the part of the product reachable from that node:
 
-* reachability        -- hitting probabilities of the lifted target,
-* Buchi               -- absorption into bottom SCCs meeting the target,
+* reachability        -- h(c) = 1 on the target, else sum_j P(c, j) h(j),
+* Buchi               -- the hitting probability of the bottom SCCs that
+                         meet the target,
 * discounted sum      -- x = r + lambda P x,
-* shortest path       -- +inf unless the target is hit almost surely, else
-                         x = r + P x on the pre-target region,
-* total reward (>=0)  -- +inf iff a reachable bottom SCC earns positive
-                         weight, else the transient accumulated weight,
-* gated discounted    -- E[DS * 1Reach] = E[DS] - y(init) where y solves
-                         y = r' + lambda P y on the pre-target region, r'
-                         the expected weight of a move times the probability
-                         of never reaching the target after it.
+* shortest path       -- 0 on the target, +inf where h < 1, else
+                         x = r + P x off the target,
+* total reward (>=0)  -- +inf where a bottom SCC earning positive weight is
+                         reachable, else x = r + P x off the bottom SCCs,
+* gated discounted    -- E[DS * 1Reach] = E[DS] - y, where y solves
+                         y = r' + lambda P y off the target, r' the expected
+                         weight of a move times the probability of never
+                         reaching the target after it.
 
-The pre-target region of a target is the set of nodes reachable from the
-initial node without entering the target; hitting probabilities, too, are
-solved on it, on the nodes that can still hit the target.
-
-Every system is solved by SCC blocks of the chain graph, successors first
-(`_solve_on`): a layered product chain, such as a counter skeleton's before
-it saturates, is solved by substitution alone.
+One call evaluates all its strategies together (a single strategy is a pool
+of one).  The model and each skeleton are stepped once, into a
+`strategies.TransitionTable`.  A strategy is walked over the table without
+arithmetic, and the product it reaches is condensed into SCC blocks,
+successors first.  Each block is hash-consed by its nodes with their action
+distributions and the keys of its successor blocks, as shared subgraphs are
+in a BDD's unique table (Bryant, IEEE TC 35, 1986): blocks with equal keys
+have equal values.  A block is solved only the first time its key appears,
+for every payoff dimension in one pass: hitting probabilities first, then
+the systems that read them.  Systems of a block that share their matrix,
+such as a discounted and a gated dimension with the same lambda, share one
+elimination.  The memo lives for one call.  So a pool costs one walk per
+member plus one solve per distinct block.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set
 
 from .errors import SingularSystem, UnknownState, UnsupportedKind
 from .linalg import solve_linear
-from .model import (Pomdp, WeightFunction, closure, require_valid,
-                    strongly_connected_components)
+from .model import Pomdp, iter_sccs, require_valid, strongly_connected_components
 from .payoffs import (BuchiIndicator, DiscountedSum, MultiPayoff,
                       ReachGatedDiscountedSum, ReachIndicator, ShortestPath,
                       TotalRewardNonNeg)
 from .rationals import ExtReal, ExtRealVector, POS_INF
-from .strategies import (FiniteMemoryStrategy, FiniteMixture, MarkovChain, MemorySkeleton,
-                         POOL_CAP, product_chain, pure_behaviours)
+from .strategies import (FiniteMemoryStrategy, FiniteMixture, MemorySkeleton, POOL_CAP,
+                         TransitionTable, pure_behaviours, transition_table)
 
 __all__ = [
     "expected_payoff", "pure_payoff_set", "Pool", "mixed_expected_payoff",
     "classify_integrability", "IntegrabilityVerdict", "maximal_end_components",
 ]
 
-
-# -- chain utilities ----------------------------------------------------------------
-
-
-def _edges(chain: MarkovChain) -> List[Tuple[int, ...]]:
-    return [tuple(sorted(row.keys())) for row in chain.matrix]
+_ZERO, _ONE = Fraction(0), Fraction(1)
+_KINDS = (ReachIndicator, BuchiIndicator, DiscountedSum, ShortestPath, TotalRewardNonNeg,
+          ReachGatedDiscountedSum)
 
 
-def _chain_sccs(chain: MarkovChain):
-    """SCCs of the chain graph, plus a bottom flag each."""
-    succ = _edges(chain)
-    comps = strongly_connected_components(dict(enumerate(succ)), range(len(succ)))
-    bottom = []
-    for comp in comps:
-        members = set(comp)
-        is_bottom = all(j in members for i in comp for j in succ[i])
-        bottom.append(is_bottom)
-    return comps, bottom
+def _affine(constant: Fraction, discount, pairs) -> Fraction:
+    """constant + discount * sum(p * v for (p, v) in pairs), with no
+    arithmetic spent on zero terms, unit factors or a zero constant."""
+    terms = [p if v is _ONE else p * v for p, v in pairs if v]
+    if not terms:
+        return constant
+    total = terms[0]
+    for term in terms[1:]:
+        total += term
+    if discount != 1:
+        total *= discount
+    return total + constant if constant else total
 
 
-def _solve_on(chain: MarkovChain, nodes: Sequence[int], rhs: Sequence[Fraction],
-              discount: Fraction = 1) -> Dict[int, Fraction]:
+def _solve_on(rows, nodes: Sequence[int], rhs: Sequence[tuple],
+              discount: Fraction = 1) -> Dict[int, tuple]:
     """Unique solution of x = rhs + discount * P x on `nodes`, with x = 0
-    off `nodes` (the transient system I - discount * P restricted to them).
+    off `nodes` (the transient system I - discount * P restricted to them),
+    for several right-hand sides at once: `rows[i]` maps node i's successors
+    to their probabilities, rhs[k] is the tuple of right-hand sides of
+    nodes[k], and the solution maps each node to the tuple of its values.
 
-    The system is block triangular over the SCCs of the chain graph on
-    `nodes`, which come successors first: each block is solved with the
-    values of the blocks below it moved into its right-hand side, a
-    singleton by one division and a larger block by `solve_linear` on its
-    own rows.  Raises SingularSystem if a block is singular."""
+    The system is block triangular over the SCCs of the graph on `nodes`,
+    which come successors first: each block is solved with the values of
+    the blocks below it moved into its right-hand side, a singleton by one
+    division and a larger block by one `solve_linear` on its own rows.
+    Raises SingularSystem if a block is singular."""
     b = dict(zip(nodes, rhs))
-    x: Dict[int, Fraction] = {}
-    for comp in strongly_connected_components({i: chain.matrix[i] for i in b}, b):
-        known = [b[i] + discount * sum((p * x[j] for j, p in chain.matrix[i].items() if j in x),
-                                       Fraction(0))
-                 for i in comp]
+    x: Dict[int, tuple] = {}
+    comps = [list(b)] if len(b) == 1 else strongly_connected_components({i: rows[i] for i in b}, b)
+    for comp in comps:
+        known = []
+        for i in comp:
+            below = [(p, x[j]) for j, p in rows[i].items() if j in x]
+            known.append(tuple(_affine(v, discount, [(p, y[k]) for p, y in below])
+                               for k, v in enumerate(b[i])) if below else b[i])
         if len(comp) == 1:
             node = comp[0]
-            pivot = 1 - discount * chain.matrix[node].get(node, 0)
+            loop = rows[node].get(node)
+            if loop is None:
+                x[node] = known[0]
+                continue
+            pivot = 1 - (loop if discount == 1 else discount * loop)
             if pivot == 0:
                 raise SingularSystem("the system matrix is singular")
-            x[node] = known[0] / pivot
+            x[node] = tuple(v / pivot for v in known[0])
             continue
         pos = {node: k for k, node in enumerate(comp)}
-        matrix = [[Fraction(0)] * len(comp) for _ in comp]
+        matrix = [[_ZERO] * len(comp) for _ in comp]
         for node, k in pos.items():
             row = matrix[k]
             row[k] += 1
-            for j, p in chain.matrix[node].items():
+            for j, p in rows[node].items():
                 if j in pos:
                     row[pos[j]] -= discount * p
         x.update(zip(comp, solve_linear(matrix, known)))
     return x
 
 
-def _lift(chain: MarkovChain, target: frozenset) -> Set[int]:
-    """Chain nodes whose state lies in `target`."""
-    return {i for i, (s, _m) in enumerate(chain.nodes) if s in target}
+class _Evaluator:
+    """The exact payoff vectors of strategies from one start state, sharing
+    one block memo per skeleton (see the module docstring).
+
+    A node's values are a list of slots: the hitting probability of each
+    target of a reach, shortest-path or gated dimension, then per other
+    dimension its value (a gated one: E[DS] and y).  A slot holds a
+    Fraction or POS_INF.  `tables` are transition tables already built
+    for skeletons, each with (start, init) as node 0."""
+
+    def __init__(self, model: Pomdp, start: str, dims: MultiPayoff,
+                 tables: Sequence[TransitionTable] = ()):
+        if start not in model.states:
+            raise UnknownState(start)
+        for spec in dims:
+            if not isinstance(spec, _KINDS):
+                raise UnsupportedKind(type(spec).__name__)
+        self.model, self.dims = model, tuple(dims)
+        self.start = start
+        targets = [spec.target for spec in dims
+                   if isinstance(spec, (ReachIndicator, ShortestPath, ReachGatedDiscountedSum))]
+        self.hit = {target: k for k, target in enumerate(dict.fromkeys(targets))}
+        self.slots = []  # per dimension: its slot, or (E[DS], y) for a gated one
+        width = len(self.hit)
+        for spec in dims:
+            if isinstance(spec, ReachIndicator):
+                self.slots.append(self.hit[spec.target])
+            elif isinstance(spec, ReachGatedDiscountedSum):
+                self.slots.append((width, width + 1))
+                width += 2
+            else:
+                self.slots.append(width)
+                width += 1
+        self.width = width
+        paired = list(zip(self.dims, self.slots))
+        self.buchi = [(spec, slot) for spec, slot in paired if isinstance(spec, BuchiIndicator)]
+        self.values = [(spec, slot) for spec, slot in paired
+                       if not isinstance(spec, (ReachIndicator, BuchiIndicator))]
+        self.memos = [_Memo(table) for table in tables]
+
+    def _memo(self, skeleton: MemorySkeleton) -> "_Memo":
+        for memo in self.memos:
+            if memo.table.skeleton is skeleton or memo.table.skeleton == skeleton:
+                return memo
+        self.memos.append(_Memo(transition_table(self.model, skeleton, [self.start])))
+        return self.memos[-1]
+
+    def __call__(self, strategy: FiniteMemoryStrategy) -> ExtRealVector:
+        memo = self._memo(strategy.skeleton)
+        table, unique, blocks = memo.table, memo.unique, memo.blocks
+        nodes, moves, obs = table.nodes, table.moves, self.model.obs
+        choice, graph, block_of = {}, {}, {}
+
+        def successors(i):
+            """Node i's action distribution and successors, read once."""
+            s, mem = nodes[i]
+            choice[i] = dist = strategy.choice(mem, obs[s])
+            graph[i] = out = [j for a, _alpha in dist for j, _p in moves[i][a]]
+            return out
+
+        for comp in iter_sccs([0], successors):
+            comp.sort()
+            below = frozenset([block_of[j] for i in comp for j in graph[i] if j in block_of])
+            key = (tuple([(i, choice[i]) for i in comp]), below)
+            block = unique.get(key)
+            if block is None:
+                outer = {j: blocks[block_of[j]][j] for i in comp for j in graph[i] if j in block_of}
+                block = unique[key] = len(blocks)
+                blocks.append(self._solve_block(table, comp, choice, outer))
+            for i in comp:
+                block_of[i] = block
+        values = blocks[block_of[0]][0]
+        out = []
+        for slot in self.slots:
+            if isinstance(slot, tuple):
+                value = values[slot[0]] - values[slot[1]]
+            else:
+                value = values[slot]
+            out.append(value if value is POS_INF else ExtReal(value))
+        return ExtRealVector(out)
+
+    def _solve_block(self, table, comp: List[int], choice, outer) -> Dict[int, list]:
+        """The slots of every node of one block, given the slots of the nodes
+        outside it that its nodes move to (`outer`, empty for a bottom
+        block)."""
+        nodes = table.nodes
+        rows: Dict[int, Dict[int, Fraction]] = {}
+        for i in comp:
+            row = rows[i] = {}
+            moves = table.moves[i]
+            for a, alpha in choice[i]:
+                for j, p in moves[a]:
+                    q = p if alpha == 1 else alpha * p
+                    row[j] = row[j] + q if j in row else q
+        state = {i: nodes[i][0] for i in comp}
+        vals = {i: [None] * self.width for i in comp}
+        slots = {**outer, **vals}  # every node a block node moves to -> its slots
+        bottom = not outer
+        systems: Dict[tuple, list] = {}  # (discount, unknowns) -> [(slot, constant terms)]
+
+        def reward(weights):
+            return {i: _affine(_ZERO, 1, [(weights(state[i], a), _ONE if alpha == 1 else alpha)
+                                          for a, alpha in choice[i]]) for i in comp}
+
+        # hitting probabilities: of each target, and of each Buchi target's
+        # good bottom blocks, which are only ever this block if it is bottom
+        for target, slot in self.hit.items():
+            rest = [i for i in comp if state[i] not in target]
+            for i in comp:
+                vals[i][slot] = _ONE if state[i] in target else _ZERO
+            if len(rest) < len(comp) or not bottom:
+                _system(systems, slot, 1, rest)
+        for spec, slot in self.buchi:
+            good = bottom and any(state[i] in spec.target for i in comp)
+            for i in comp:
+                vals[i][slot] = _ONE if good else _ZERO
+            if not bottom:
+                _system(systems, slot, 1, comp)
+        _solve_systems(systems, rows, slots, vals)
+
+        for spec, slot in self.values:
+            if isinstance(spec, DiscountedSum):
+                _system(systems, slot, spec.discount, comp, reward(spec.weights))
+            elif isinstance(spec, ReachGatedDiscountedSum):
+                plain, avoid = slot
+                _system(systems, plain, spec.discount, comp, reward(spec.weights))
+                h, target, weights = self.hit[spec.target], spec.target, spec.weights
+                rest = [i for i in comp if state[i] not in target]
+                for i in comp:
+                    vals[i][avoid] = _ZERO
+                _system(systems, avoid, spec.discount, rest, {i: _affine(_ZERO, 1, [
+                    (weights(state[i], a) if alpha == 1 else alpha * weights(state[i], a),
+                     _affine(_ZERO, 1, [(p, 1 - slots[j][h]) for j, p in table.moves[i][a]
+                                        if nodes[j][0] not in target]))
+                    for a, alpha in choice[i]]) for i in rest})
+            elif isinstance(spec, ShortestPath):
+                h = self.hit[spec.target]
+                sure = [i for i in comp if vals[i][h] == 1 and state[i] not in spec.target]
+                for i in comp:
+                    vals[i][slot] = _ZERO if state[i] in spec.target else POS_INF
+                _system(systems, slot, 1, sure, reward(spec.weights))
+            else:  # TotalRewardNonNeg
+                weight = reward(spec.weights)
+                if bottom:
+                    value = POS_INF if any(r > 0 for r in weight.values()) else _ZERO
+                elif any(v[slot] is POS_INF for v in outer.values()):
+                    value = POS_INF
+                else:
+                    value = None
+                    _system(systems, slot, 1, comp, weight)
+                for i in comp:
+                    vals[i][slot] = value
+        _solve_systems(systems, rows, slots, vals)
+        return vals
 
 
-def _pre_target(chain: MarkovChain, targets: Set[int]) -> Tuple[List[int], Dict[int, Fraction]]:
-    """The pre-target region of `targets` in index order, and the exact
-    probability of eventually hitting `targets` from each of its nodes.
-    Every successor of a region node lies in the region or in `targets`, so
-    a system restricted to the region loses no term."""
-    region = sorted(closure([chain.init], lambda i: () if i in targets else chain.matrix[i])
-                    - targets)
-    incoming: Dict[int, List[int]] = {}
-    for i in region:
-        for j in chain.matrix[i]:
-            incoming.setdefault(j, []).append(i)
-    live = sorted(closure(targets, lambda j: incoming.get(j, ())) - targets)
-    probs = dict.fromkeys(region, Fraction(0))
-    if live:
-        rhs = [sum((p for j, p in chain.matrix[i].items() if j in targets), Fraction(0))
-               for i in live]
-        probs.update(_solve_on(chain, live, rhs))
-    return region, probs
+def _system(systems, slot, discount, unknowns, constants=None):
+    """Queue x = constants + discount * P x for `slot` on `unknowns` (no
+    constants: 0), unless there is no unknown."""
+    if unknowns:
+        systems.setdefault((discount, tuple(unknowns)), []).append((slot, constants))
 
 
-def _expected_step_weights(chain: MarkovChain, weights: WeightFunction) -> List[Fraction]:
-    out = []
-    for i, (s, _mem) in enumerate(chain.nodes):
-        out.append(sum((alpha * weights(s, a) for a, alpha in chain.action_dists[i].items()),
-                       Fraction(0)))
-    return out
+def _solve_systems(systems, rows, slots, vals):
+    """Solve the queued systems, the slots of the other nodes moved into the
+    right-hand side; the systems with the same matrix share one
+    elimination.  Empties the queue."""
+    for (discount, unknowns), group in systems.items():
+        inside = set(unknowns)
+        rhs = []
+        for i in unknowns:
+            known = [(p, slots[j]) for j, p in rows[i].items() if j not in inside]
+            rhs.append(tuple(_affine(constants[i] if constants else _ZERO, discount,
+                                     [(p, v[slot]) for p, v in known])
+                             for slot, constants in group))
+        for i, x in _solve_on(rows, unknowns, rhs, discount).items():
+            for (slot, _constants), v in zip(group, x):
+                vals[i][slot] = v
+    systems.clear()
 
 
-# -- per-kind evaluation -------------------------------------------------------------
+class _Memo:
+    """One skeleton's transition table, its unique table of blocks (key ->
+    block number) and the blocks' slots (block number -> node -> slots)."""
 
-
-def _eval_reach(chain: MarkovChain, target: frozenset) -> ExtReal:
-    targets = _lift(chain, target)
-    if chain.init in targets:
-        return ExtReal(1)
-    return ExtReal(_pre_target(chain, targets)[1][chain.init])
-
-
-def _eval_buchi(chain: MarkovChain, target: frozenset) -> ExtReal:
-    comps, bottom = _chain_sccs(chain)
-    good: Set[int] = set()
-    for comp, is_bottom in zip(comps, bottom):
-        if is_bottom and any(chain.state_of(i) in target for i in comp):
-            good.update(comp)
-    if not good:
-        return ExtReal(0)
-    if chain.init in good:
-        return ExtReal(1)
-    return ExtReal(_pre_target(chain, good)[1][chain.init])
-
-
-def _eval_discounted(chain: MarkovChain, spec: DiscountedSum) -> ExtReal:
-    rewards = _expected_step_weights(chain, spec.weights)
-    return ExtReal(_solve_on(chain, range(len(chain.nodes)), rewards, spec.discount)[chain.init])
-
-
-def _eval_shortest_path(chain: MarkovChain, spec: ShortestPath) -> ExtReal:
-    targets = _lift(chain, spec.target)
-    if chain.init in targets:
-        return ExtReal(0)
-    region, reach = _pre_target(chain, targets)
-    if reach[chain.init] != 1:
-        return POS_INF
-    rewards = _expected_step_weights(chain, spec.weights)
-    return ExtReal(_solve_on(chain, region, [rewards[i] for i in region])[chain.init])
-
-
-def _eval_total_reward(chain: MarkovChain, spec: TotalRewardNonNeg) -> ExtReal:
-    rewards = _expected_step_weights(chain, spec.weights)
-    comps, bottom = _chain_sccs(chain)
-    recurrent: Set[int] = set()
-    for comp, is_bottom in zip(comps, bottom):
-        if is_bottom:
-            if any(rewards[i] > 0 for i in comp):
-                return POS_INF  # every chain node is reachable from init
-            recurrent.update(comp)
-    transient = [i for i in range(len(chain.nodes)) if i not in recurrent]
-    if chain.init in recurrent:
-        return ExtReal(0)
-    return ExtReal(_solve_on(chain, transient, [rewards[i] for i in transient])[chain.init])
-
-
-def _eval_gated_discounted(chain: MarkovChain, spec: ReachGatedDiscountedSum) -> ExtReal:
-    plain = _eval_discounted(chain, DiscountedSum(spec.discount, spec.weights))
-    targets = _lift(chain, spec.target)
-    if chain.init in targets:
-        return plain
-    region, reach = _pre_target(chain, targets)
-    # r'(c): expected weight of a move from c times h(successor), h = P(avoid target forever)
-    rhs = [sum((p * spec.weights(chain.state_of(i), a) * (1 - reach[j])
-                for a, p, j in chain.edges[i] if j not in targets), Fraction(0))
-           for i in region]
-    # The avoid-restricted system is I - lambda P on the pre-target region.
-    avoided = _solve_on(chain, region, rhs, spec.discount)[chain.init]  # E[DS * 1{never reach}]
-    return ExtReal(plain.finite - avoided)
+    def __init__(self, table: TransitionTable):
+        self.table = table
+        self.unique: Dict[tuple, int] = {}
+        self.blocks: List[Dict[int, list]] = []
 
 
 def expected_payoff(model: Pomdp, strategy: FiniteMemoryStrategy, start: str,
@@ -208,29 +312,7 @@ def expected_payoff(model: Pomdp, strategy: FiniteMemoryStrategy, start: str,
     """Exact expected payoff vector of a finite-memory strategy.  Raises
     SchemaError if `validate` rejects the model."""
     require_valid(model)
-    return _expected_payoff(model, strategy, start, dims)
-
-
-def _expected_payoff(model: Pomdp, strategy: FiniteMemoryStrategy, start: str,
-                     dims: MultiPayoff) -> ExtRealVector:
-    chain = product_chain(model, strategy, start)
-    values = []
-    for spec in dims:
-        if isinstance(spec, ReachIndicator):
-            values.append(_eval_reach(chain, spec.target))
-        elif isinstance(spec, BuchiIndicator):
-            values.append(_eval_buchi(chain, spec.target))
-        elif isinstance(spec, DiscountedSum):
-            values.append(_eval_discounted(chain, spec))
-        elif isinstance(spec, ShortestPath):
-            values.append(_eval_shortest_path(chain, spec))
-        elif isinstance(spec, TotalRewardNonNeg):
-            values.append(_eval_total_reward(chain, spec))
-        elif isinstance(spec, ReachGatedDiscountedSum):
-            values.append(_eval_gated_discounted(chain, spec))
-        else:
-            raise UnsupportedKind(type(spec).__name__)
-    return ExtRealVector(values)
+    return _Evaluator(model, start, dims)(strategy)
 
 
 # -- pools ----------------------------------------------------------------------------
@@ -246,7 +328,10 @@ class Pool(list):
     `size` the number of act tables: `pool_size` and `winner_index` count
     act tables, while the cap and the cost of building the pool count
     behaviours.  So `approx` on earn_or_exit.json at counter:30 (2^31
-    tables, 32 behaviours) succeeds.  A plain list of pairs is the pool
+    tables, 32 behaviours) succeeds.  Members are evaluated together:
+    the cost is one walk per behaviour plus one solve per distinct SCC
+    block of their products (see the module docstring), so a counter pool
+    pays for its shared suffixes once.  A plain list of pairs is the pool
     whose every member is its own table.
     """
 
@@ -259,16 +344,21 @@ class Pool(list):
 
 def pure_payoff_set(model: Pomdp, start: str, dims: MultiPayoff, skeleton: MemorySkeleton,
                     cap: int = POOL_CAP) -> Pool:
-    """The :class:`Pool` of the skeleton from `start`: one evaluation per
+    """The :class:`Pool` of the skeleton from `start`: one member per
     behaviour (`strategies.pure_behaviours`), ordered by earliest act table,
     which represents it.  `pool_size` and `winner_index` count act tables,
-    the cap and the cost behaviours, so counter:30 on earn_or_exit.json
-    (2^31 tables, 32 behaviours) is a small pool.  Raises SchemaError if
-    `validate` rejects the model."""
+    the cap behaviours, so counter:30 on earn_or_exit.json (2^31 tables, 32
+    behaviours) is a small pool.  One transition table serves the choice
+    points, the behaviour walk and the evaluation.  All members share one
+    evaluation: each is walked without arithmetic, and only its SCC blocks
+    not met before in this call are solved, so the exact work counts
+    distinct blocks, not behaviours.  PoolTooLarge comes from the walk, before any block is
+    solved.  Raises SchemaError if `validate` rejects the model."""
     require_valid(model)
-    size, members = pure_behaviours(model, skeleton, start, cap)
-    return Pool(((strategy, _expected_payoff(model, strategy, start, dims))
-                 for _index, strategy in members),
+    table = transition_table(model, skeleton, [start, *model.states])
+    size, members = pure_behaviours(model, table, cap)
+    evaluate = _Evaluator(model, start, dims, [table])
+    return Pool(((strategy, evaluate(strategy)) for _index, strategy in members),
                 size, [index for index, _strategy in members])
 
 
@@ -280,7 +370,8 @@ def mixed_expected_payoff(model: Pomdp, mixture: FiniteMixture, start: str,
     positive weights, and SchemaError if `validate` rejects the model.
     """
     require_valid(model)
-    vectors = [_expected_payoff(model, member, start, dims) for member in mixture.support]
+    evaluate = _Evaluator(model, start, dims)
+    vectors = [evaluate(member) for member in mixture.support]
     return ExtRealVector.combine(mixture.weights, vectors)
 
 

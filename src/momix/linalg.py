@@ -3,8 +3,9 @@
 Matrices are lists of lists of Fractions.  :func:`solve_linear` and
 :func:`cofactor_vector` run fraction-free (Bareiss) elimination on integer
 rows (scaled by :func:`momix.rationals.integer_row`); :func:`solve_linear`
-puts the right-hand side over one common denominator apart from the
-matrix, so its denominators never enter the matrix minors; :func:`rref` is
+puts each right-hand side over one common denominator apart from the
+matrix, so its denominators never enter the matrix minors, and solves
+several right-hand sides with one elimination; :func:`rref` is
 Gauss-Jordan elimination over Fraction.  All pivots are exact, so there is
 no tolerance policy anywhere; a singular system raises
 :class:`SingularSystem`.
@@ -55,28 +56,36 @@ def cofactor_vector(rows: Sequence[Sequence[int]]) -> List[int]:
     return z
 
 
-def solve_linear(matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> List[Fraction]:
-    """Solve A x = b exactly for square A by Bareiss elimination on [A' | c]:
+def solve_linear(matrix: Sequence[Sequence[Fraction]], rhs: Sequence[tuple]) -> List[tuple]:
+    """Solve A X = B exactly for square A by Bareiss elimination on [A' | C]:
     A' is A with each row scaled by the lcm of that row's denominators, and
-    the right-hand side, scaled by the same row factors, goes over one
+    each right-hand side, scaled by the same row factors, goes over its own
     common denominator D, so that A' x = c / D.  The minors of A' stay as
-    small as A's own entries allow; large numbers in b reach only the
-    right-hand column."""
+    small as A's own entries allow; large numbers in B reach only the
+    right-hand columns.
+
+    `rhs[i]` is the tuple of row i's entries of every right-hand side, and
+    the solution gives row i's values as a tuple in the same order: each
+    further right-hand side is one more column of the same elimination."""
     n = len(matrix)
     if any(len(row) != n for row in matrix) or len(rhs) != n:
         raise ValueError("solve_linear expects a square system")
     rows = [integer_row(row) for row in matrix]
-    c, common = integer_row([b * scale for (_ints, scale), b in zip(rows, rhs)])
-    a = [[*ints, v] for (ints, _scale), v in zip(rows, c)]
+    columns = [integer_row([b * scale for (_ints, scale), b in zip(rows, column)])
+               for column in zip(*rhs)]
+    a = [[*ints, *(c[i] for c, _common in columns)] for i, (ints, _scale) in enumerate(rows)]
     det = _bareiss(a, n)
     if det == 0:
         raise SingularSystem("the system matrix is singular")
     # Cramer: det * D * x is an integer vector, so back-substitution stays exact.
-    num = [0] * n
-    for i in reversed(range(n)):
-        row = a[i]
-        num[i] = (det * row[n] - sum(row[j] * num[j] for j in range(i + 1, n))) // row[i]
-    return [Fraction(v, det * common) for v in num]
+    solutions = []
+    for col, (_c, common) in enumerate(columns, start=n):
+        num = [0] * n
+        for i in reversed(range(n)):
+            row = a[i]
+            num[i] = (det * row[col] - sum(row[j] * num[j] for j in range(i + 1, n))) // row[i]
+        solutions.append([Fraction(v, det * common) for v in num])
+    return list(zip(*solutions))
 
 
 def rref(matrix: Sequence[Sequence[Fraction]]):

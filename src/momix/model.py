@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Mapping, Tuple
+from typing import Dict, Iterator, List, Mapping, Tuple
 
 from .errors import ParseError, SchemaError, UnknownState
 from .rationals import format_rational, parse_rational
@@ -317,45 +317,52 @@ def closure(roots, successors) -> set:
 
 
 def strongly_connected_components(graph: Mapping, order) -> List[list]:
-    """Tarjan's SCCs (iterative) of `graph`, node -> successors taken in the
-    given order, with DFS roots in `order`; successors outside `graph` are
+    """Tarjan's SCCs of `graph`, node -> successors taken in the given
+    order, with DFS roots in `order`; successors outside `graph` are
     ignored.  Components come in reverse topological order."""
-    index: Dict[object, int] = {}
-    low: Dict[object, int] = {}
-    on_stack = set()
+    return list(iter_sccs(order, lambda node: [nxt for nxt in graph[node] if nxt in graph]))
+
+
+_DONE = float("inf")
+
+
+def iter_sccs(roots, successors) -> Iterator[list]:
+    """Tarjan's SCCs (iterative) of the graph reachable from `roots`, DFS
+    roots in that order.  `successors(node)` lists a node's successors in
+    the order to take them and is called once per node, when the search
+    first reaches it, so the graph can be built while it is searched.  Each
+    component is yielded as soon as it is complete, in reverse topological
+    order: every component a node moves to comes before the node's own."""
+    index: Dict[object, float] = {}  # DFS index; infinite once the node's component is out
+    low: Dict[object, float] = {}
     stack: list = []
-    comps: List[list] = []
-    for root in order:
+    for root in roots:
         if root in index:
             continue
         index[root] = low[root] = len(index)
         stack.append(root)
-        on_stack.add(root)
-        work = [(root, iter(graph[root]))]
+        work = [(root, iter(successors(root)))]
         while work:
             node, it = work[-1]
             for nxt in it:
-                if nxt not in graph:
-                    continue
                 if nxt not in index:
                     index[nxt] = low[nxt] = len(index)
                     stack.append(nxt)
-                    on_stack.add(nxt)
-                    work.append((nxt, iter(graph[nxt])))
+                    work.append((nxt, iter(successors(nxt))))
                     break
-                if nxt in on_stack:
-                    low[node] = min(low[node], index[nxt])
+                if index[nxt] < low[node]:  # nxt is on the stack
+                    low[node] = index[nxt]
             else:
                 work.pop()
-                if work:
-                    low[work[-1][0]] = min(low[work[-1][0]], low[node])
+                if work and low[node] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[node]
                 if low[node] == index[node]:
-                    comp = []
-                    while not comp or comp[-1] != node:
+                    comp = [stack.pop()]
+                    while comp[-1] != node:
                         comp.append(stack.pop())
-                        on_stack.discard(comp[-1])
-                    comps.append(comp)
-    return comps
+                    for done in comp:
+                        index[done] = _DONE
+                    yield comp
 
 
 # -- bounded-cost unrolling -------------------------------------------------------

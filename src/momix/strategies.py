@@ -8,7 +8,9 @@ pure strategy at the start of a play and commit to it.
 
 The module also provides:
 
-* the exact product Markov chain of a model and a strategy,
+* the transition table of a model and a memory skeleton from a start
+  state, the one place the product is stepped, and the exact product
+  Markov chain of a model and a strategy built from it,
 * exact cylinder probabilities,
 * enumeration of all pure strategies over a skeleton, and of their
   distinct behaviours from a start state,
@@ -96,17 +98,35 @@ class FiniteMemoryStrategy:
     def action_distribution(self, mem: Mem, observation: str) -> Mapping[str, Fraction]:
         return self.act[(mem, observation)]
 
+    def choice(self, mem: Mem, observation: str) -> Tuple[Tuple[str, Fraction], ...]:
+        """The action distribution at (mem, observation) as a hashable tuple
+        of (action, weight) pairs of positive weight."""
+        return tuple((a, p) for a, p in self.act[(mem, observation)].items() if p)
+
     def __repr__(self):
         return f"<FiniteMemoryStrategy |M|={len(self.skeleton.memory)} entries={len(self.act)}>"
 
 
+_ONE = Fraction(1)
+
+
 class PureStrategy(FiniteMemoryStrategy):
-    """Deterministic strategy stored as a plain (memory, observation) -> action table."""
+    """Deterministic strategy stored as a plain (memory, observation) -> action
+    table; its action distributions are built from the table on demand."""
 
     def __init__(self, skeleton: MemorySkeleton, table: Mapping[Tuple[Mem, str], str]):
         self.skeleton = skeleton
         self.table = dict(table)
-        self.act = {k: {a: Fraction(1)} for k, a in self.table.items()}
+
+    @property
+    def act(self) -> Dict[Tuple[Mem, str], Dict[str, Fraction]]:
+        return {k: {a: _ONE} for k, a in self.table.items()}
+
+    def action_distribution(self, mem: Mem, observation: str) -> Mapping[str, Fraction]:
+        return {self.table[(mem, observation)]: _ONE}
+
+    def choice(self, mem: Mem, observation: str) -> Tuple[Tuple[str, int], ...]:
+        return ((self.table[(mem, observation)], 1),)
 
     def action_at(self, mem: Mem, observation: str) -> str:
         return self.table[(mem, observation)]
@@ -146,7 +166,8 @@ class FiniteMixture:
 def validate_strategy(model: Pomdp, strategy: FiniteMemoryStrategy):
     """Check distribution supports, sums and act coverage of reachable pairs."""
     strategy.skeleton.check_total(model)
-    for (mem, z), dist in strategy.act.items():
+    act = strategy.act
+    for (mem, z), dist in act.items():
         enabled = set(model.enabled_for_observation(z))
         if sum(dist.values(), Fraction(0)) != 1:
             raise SchemaError(f"act({mem},{z}) does not sum to 1")
@@ -156,7 +177,7 @@ def validate_strategy(model: Pomdp, strategy: FiniteMemoryStrategy):
             if p > 0 and a not in enabled:
                 raise DisabledAction(f"act({mem},{z}) puts weight on disabled action {a}")
     for (mem, z), _actions in reachable_choice_points(model, strategy.skeleton):
-        if (mem, z) not in strategy.act:
+        if (mem, z) not in act:
             raise SchemaError(f"act is missing reachable pair ({mem},{z})")
 
 
@@ -166,33 +187,22 @@ def validate_strategy(model: Pomdp, strategy: FiniteMemoryStrategy):
 def reachable_choice_points(model: Pomdp, skeleton: MemorySkeleton):
     """(memory, observation) pairs reachable in the model/skeleton product
     when the action is unrestricted, each with its enabled action tuple.
-    Order is deterministic (BFS layer, then state/memory order)."""
-    seen = set()
-    points: List[Tuple[Tuple[Mem, str], Tuple[str, ...]]] = []
-    point_keys = set()
-    frontier = [(s, skeleton.init) for s in model.states]
+    Order is deterministic (memory order, then observation order)."""
     # Restrict to product states reachable from *some* initial state; every
     # evaluation starts at (s0, init) so this covers all uses.
-    order_key = {s: i for i, s in enumerate(model.states)}
-    mem_key = {m: i for i, m in enumerate(skeleton.memory)}
-    frontier.sort(key=lambda sq: (order_key[sq[0]], mem_key[sq[1]]))
-    queue = deque(frontier)
-    seen.update(queue)
-    while queue:
-        s, mem = queue.popleft()
-        z = model.obs[s]
-        enabled = model.enabled(s)
-        if (mem, z) not in point_keys:
-            point_keys.add((mem, z))
-            points.append(((mem, z), enabled))
-        for a in enabled:
-            nxt_mem = skeleton.step(mem, z, a)
-            for t, p in model.dist(s, a).items():
-                if p > 0 and (t, nxt_mem) not in seen:
-                    seen.add((t, nxt_mem))
-                    queue.append((t, nxt_mem))
-    points.sort(key=lambda pz: (mem_key[pz[0][0]], model.observations.index(pz[0][1])))
-    return points
+    return _choice_points(model, transition_table(model, skeleton, model.states))
+
+
+def _choice_points(model: Pomdp, table: TransitionTable):
+    """The choice points of the nodes of `table`, ordered as in
+    `reachable_choice_points`; each point takes the enabled actions of the
+    first node that reaches it."""
+    points: Dict[Tuple[Mem, str], Tuple[str, ...]] = {}
+    for s, mem in table.nodes:
+        points.setdefault((mem, model.obs[s]), model.enabled(s))
+    mem_key = {m: i for i, m in enumerate(table.skeleton.memory)}
+    obs_key = {z: i for i, z in enumerate(model.observations)}
+    return sorted(points.items(), key=lambda pz: (mem_key[pz[0][0]], obs_key[pz[0][1]]))
 
 
 def enumerate_pure(model: Pomdp, skeleton: MemorySkeleton, cap: int = 1_000_000) -> Iterator[PureStrategy]:
@@ -209,11 +219,15 @@ def enumerate_pure(model: Pomdp, skeleton: MemorySkeleton, cap: int = 1_000_000)
         yield PureStrategy(skeleton, dict(zip(keys, combo)))
 
 
-def pure_behaviours(model: Pomdp, skeleton: MemorySkeleton, start: str,
+def pure_behaviours(model: Pomdp, table: TransitionTable,
                     cap: int = POOL_CAP) -> Tuple[int, List[Tuple[int, PureStrategy]]]:
-    """The distinct behaviours of the pure strategies over the skeleton from
-    `start`, found by walking the product depth-first from (start, init) and
-    branching only at the choice points (memory, observation) it reaches.
+    """The distinct behaviours of the pure strategies over a skeleton from a
+    start state, found by walking the product depth-first from node 0 of
+    `table`, (start, init), and branching only at the choice points
+    (memory, observation) it reaches.  `table` is the skeleton's transition
+    table from `start` and then every state (`transition_table(model,
+    skeleton, [start, *model.states])`): its nodes give the choice points
+    of `enumerate_pure`, which number the act tables.
 
     Returns the number of act tables and, sorted by index, one (index,
     table) pair per behaviour: its earliest act table (unreached choice
@@ -224,35 +238,31 @@ def pure_behaviours(model: Pomdp, skeleton: MemorySkeleton, start: str,
     one past `cap`, before any table is built.  So counter:30 on
     earn_or_exit.json, 2^31 tables, is a pool of 32 behaviours.
     """
-    if start not in model.states:
-        raise UnknownState(start)
-    points = reachable_choice_points(model, skeleton)
+    skeleton = table.skeleton
+    points = _choice_points(model, table)
     slot = {key: i for i, (key, _) in enumerate(points)}
     place = [1] * len(points)  # mixed radix, first choice point most significant
     for i in range(len(points) - 1, 0, -1):
         place[i - 1] = place[i] * len(points[i][1])
+    node_slot = [slot[(mem, model.obs[s])] for s, mem in table.nodes]
     indices: List[int] = []
-    root = (start, skeleton.init)
     # pending branches: (table index so far, action position per reached
     # slot, nodes seen, nodes to expand); unreached slots count as position 0
-    branches = [(0, {}, {root}, [root])]
+    branches = [(0, {}, {0}, [0])]
     while branches:
         index, choice, seen, todo = branches.pop()
         while todo:
-            s, mem = todo.pop()
-            z = model.obs[s]
-            i = slot[(mem, z)]
+            node = todo.pop()
+            i = node_slot[node]
             if i not in choice:
                 for other in range(len(points[i][1]) - 1, 0, -1):
                     branches.append((index + other * place[i], {**choice, i: other},
-                                     set(seen), todo + [(s, mem)]))
+                                     set(seen), todo + [node]))
                 choice[i] = 0
-            a = points[i][1][choice[i]]
-            nxt = skeleton.step(mem, z, a)
-            for t, p in model.dist(s, a).items():
-                if p > 0 and (t, nxt) not in seen:
-                    seen.add((t, nxt))
-                    todo.append((t, nxt))
+            for nxt, _p in table.moves[node][points[i][1][choice[i]]]:
+                if nxt not in seen:
+                    seen.add(nxt)
+                    todo.append(nxt)
         if len(indices) == cap:
             raise PoolTooLarge(None, cap, "behaviours")
         indices.append(index)
@@ -294,28 +304,44 @@ class MarkovChain:
         return len(self.nodes)
 
 
-def product_chain(model: Pomdp, strategy: FiniteMemoryStrategy, start: str) -> MarkovChain:
-    if start not in model.states:
-        raise UnknownState(start)
-    init = (start, strategy.skeleton.init)
-    nodes = [init]
-    index = {init: 0}
-    rows: List[Dict[int, Fraction]] = []
-    dists: List[Mapping[str, Fraction]] = []
-    edges: List[Tuple[Tuple[str, Fraction, int], ...]] = []
-    action_rank = {a: k for k, a in enumerate(model.actions)}
-    state_rank = {t: k for k, t in enumerate(model.states)}
-    queue = deque([init])
-    while queue:
-        s, mem = queue.popleft()
+@dataclass(frozen=True)
+class TransitionTable:
+    """The product of a model with a memory skeleton, stepped once.
+
+    `nodes` are the (state, memory) pairs reachable under any enabled
+    actions from the roots (s, init), s in the start states the table was
+    built from: the roots first, in that order, then the other pairs in
+    breadth-first order, so node 0 is the first start state's.  `moves[i][a]`
+    lists the moves of node i under action a as (successor node,
+    probability) pairs, one per successor state of positive probability in
+    the order of the model's distribution.  The exact evaluator,
+    `reachable_choice_points`, the behaviour walk of `pure_behaviours` and
+    `product_chain` (and through it the Monte-Carlo walker) read the product
+    from here instead of stepping the skeleton themselves.
+    """
+
+    skeleton: MemorySkeleton
+    nodes: Tuple[Tuple[str, Mem], ...]
+    moves: Tuple[Mapping[str, Tuple[Tuple[int, Fraction], ...]], ...]
+
+
+def transition_table(model: Pomdp, skeleton: MemorySkeleton,
+                     starts: Sequence[str]) -> TransitionTable:
+    """The :class:`TransitionTable` of `model` and `skeleton` from the
+    states `starts`.  Raises UnknownState for an unknown start state."""
+    index = {}
+    for start in starts:
+        if start not in model.states:
+            raise UnknownState(start)
+        index.setdefault((start, skeleton.init), len(index))
+    nodes = list(index)
+    moves: List[Dict[str, Tuple[Tuple[int, Fraction], ...]]] = []
+    for s, mem in nodes:  # grows while it is read: breadth-first
         z = model.obs[s]
-        dist = strategy.action_distribution(mem, z)
-        row: Dict[int, Fraction] = {}
-        moves = []
-        for a, alpha in dist.items():
-            if alpha == 0:
-                continue
-            nxt_mem = strategy.skeleton.step(mem, z, a)
+        out = {}
+        for a in model.enabled(s):
+            nxt_mem = skeleton.step(mem, z, a)
+            row = []
             for t, p in model.dist(s, a).items():
                 if p == 0:
                     continue
@@ -323,15 +349,47 @@ def product_chain(model: Pomdp, strategy: FiniteMemoryStrategy, start: str) -> M
                 if node not in index:
                     index[node] = len(nodes)
                     nodes.append(node)
-                    queue.append(node)
-                j, q = index[node], alpha * p
+                row.append((index[node], p))
+            out[a] = tuple(row)
+        moves.append(out)
+    return TransitionTable(skeleton, tuple(nodes), tuple(moves))
+
+
+def product_chain(model: Pomdp, strategy: FiniteMemoryStrategy, start: str) -> MarkovChain:
+    """The chain of `strategy` from `start`, read off the transition table of
+    its skeleton: nodes in breadth-first order, following the strategy's
+    action distributions and then the model's."""
+    table = transition_table(model, strategy.skeleton, [start])
+    order = [0]  # table node of each chain node
+    position = {0: 0}
+    rows: List[Dict[int, Fraction]] = []
+    dists: List[Mapping[str, Fraction]] = []
+    edges: List[Tuple[Tuple[str, Fraction, int], ...]] = []
+    action_rank = {a: k for k, a in enumerate(model.actions)}
+    state_rank = {t: k for k, t in enumerate(model.states)}
+    for node in order:  # grows while it is read: breadth-first
+        s, mem = table.nodes[node]
+        dist = strategy.action_distribution(mem, model.obs[s])
+        row: Dict[int, Fraction] = {}
+        moves = []
+        for a, alpha in dist.items():
+            if alpha == 0:
+                continue
+            for nxt, p in table.moves[node][a]:
+                if nxt not in position:
+                    position[nxt] = len(order)
+                    order.append(nxt)
+                j, q = position[nxt], alpha * p
                 row[j] = row.get(j, Fraction(0)) + q
                 moves.append((a, q, j))
-        moves.sort(key=lambda move: (action_rank[move[0]], state_rank[nodes[move[2]][0]]))
+        moves.sort(key=lambda move: (action_rank[move[0]],
+                                     state_rank[table.nodes[order[move[2]]][0]]))
         rows.append(row)
         dists.append(dict(dist))
         edges.append(tuple(moves))
-    return MarkovChain(tuple(nodes), index, tuple(rows), tuple(dists), tuple(edges), 0, model)
+    nodes = tuple(table.nodes[node] for node in order)
+    return MarkovChain(nodes, {node: j for j, node in enumerate(nodes)}, tuple(rows),
+                       tuple(dists), tuple(edges), 0, model)
 
 
 # -- cylinder probabilities ------------------------------------------------------------

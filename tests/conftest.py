@@ -6,8 +6,14 @@ from fractions import Fraction
 import pytest
 
 import momix as mx
+from momix.linalg import solve_linear
 
 MODELS = os.path.join(os.path.dirname(__file__), os.pardir, "models")
+
+
+def solve_column(matrix, rhs):
+    """`solve_linear` on one right-hand side: one value per row in and out."""
+    return [x for (x,) in solve_linear(matrix, [(b,) for b in rhs])]
 
 
 def load(name):

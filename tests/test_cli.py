@@ -25,6 +25,25 @@ def run_json(capsys, argv):
     return code, json.loads(out)
 
 
+def test_parser_is_built_once_and_calls_do_not_leak(capsys, tmp_path, monkeypatch):
+    """`run` reuses one parser; an option given to one call never reaches
+    the next: a dropped --out writes no file, a usage error still exits 2,
+    and the --skeleton and --mode defaults hold after other values."""
+    monkeypatch.chdir(tmp_path)
+    assert mx.cli._build_parser() is mx.cli._build_parser()
+    out = tmp_path / "f"
+    assert run_json(capsys, ["frontier", RUNNING, "--state", "s0", "--out", str(out)])[0] == 0
+    out.unlink()
+    assert run_json(capsys, ["frontier", RUNNING, "--state", "s0"])[0] == 0
+    assert list(tmp_path.iterdir()) == []
+    assert run(["frontier", RUNNING]) == 2
+    capsys.readouterr()
+    achieve = ["achieve", RUNNING, "--state", "s0", "--target", "2,1"]
+    explicit = run_json(capsys, achieve + ["--skeleton", "memoryless", "--mode", "dominates"])
+    assert run_json(capsys, achieve + ["--skeleton", "counter:2", "--mode", "equals"]) != explicit
+    assert run_json(capsys, achieve) == explicit
+
+
 def test_validate_ok(capsys):
     code, payload = run_json(capsys, ["validate", COMMUTE])
     assert code == 0 and payload["ok"]

@@ -13,12 +13,11 @@ from hypothesis import assume, example, given, settings, strategies as st
 import momix as mx
 from momix.errors import PoolTooLarge, SchemaError, SingularSystem, UndefinedExpectation
 from momix.evaluate import IntegrabilityVerdict, _solve_on, maximal_end_components
-from momix.linalg import solve_linear
 
 from conftest import (commute_bike, commute_ltb, commute_train, distinct_vectors,
                       split_reach_choice, earn_or_exit_stay, earn_or_exit_leave, coin_exit_always,
                       coin_exit_switch, gated_reward_leave, grid_randomized, load,
-                      memoryless_table)
+                      memoryless_table, solve_column)
 
 
 def test_coin_exit_spath_always_a(coin_exit):
@@ -550,14 +549,14 @@ def test_pool_matches_table_enumeration_generated(problem):
 def test_pool_cap_counts_behaviours_and_stops_early(coin_exit, monkeypatch):
     """Every act table of coin_exit is its own behaviour: at counter:200 the
     walk must give up after cap + 1 behaviours, before any table is built
-    or evaluated."""
+    or any member is walked and solved by the evaluator."""
     model, dims = coin_exit
     built, evaluations = [], []
     real_pure = mx.strategies.PureStrategy
     monkeypatch.setattr(mx.strategies, "PureStrategy",
                         lambda *args: built.append(args) or real_pure(*args))
-    monkeypatch.setattr(mx.evaluate, "expected_payoff",
-                        lambda *args: evaluations.append(args))
+    monkeypatch.setattr(mx.evaluate._Evaluator, "__call__",
+                        lambda self, *args: evaluations.append(args))
     with pytest.raises(PoolTooLarge, match="more than 50 behaviours") as raised:
         mx.pure_payoff_set(model, "s", dims, mx.counter(model, 200), cap=50)
     assert raised.value.size is None and raised.value.cap == 50
@@ -610,7 +609,7 @@ def _dense_solve_on(chain, nodes, rhs, discount=1):
         for j, p in chain.matrix[node].items():
             if j in pos:
                 row[pos[j]] -= discount * p
-    return dict(zip(nodes, solve_linear(matrix, rhs)))
+    return dict(zip(nodes, solve_column(matrix, rhs)))
 
 
 @st.composite
@@ -635,6 +634,12 @@ def transient_systems(draw):
     return SimpleNamespace(matrix=rows), nodes, rhs, discount
 
 
+def _block_solve(chain, nodes, rhs, discount=1):
+    """The block solver on one right-hand side column."""
+    x = _solve_on(chain.matrix, nodes, [(b,) for b in rhs], discount)
+    return {node: value for node, (value,) in x.items()}
+
+
 def _outcome(solve, system):
     try:
         return solve(*system)
@@ -650,7 +655,7 @@ def _outcome(solve, system):
 def test_block_solve_equals_dense_solve(system):
     """Successors first, block by block, the solver returns exactly the
     dense solve's Fractions, and is singular exactly when it is."""
-    assert _outcome(_solve_on, system) == _outcome(_dense_solve_on, system)
+    assert _outcome(_block_solve, system) == _outcome(_dense_solve_on, system)
 
 
 def test_block_solve_on_a_layered_chain_is_exact():
@@ -660,7 +665,7 @@ def test_block_solve_on_a_layered_chain_is_exact():
                                     {2: Fraction(1, 3), 3: Fraction(2, 3)},
                                     {3: Fraction(1)}, {3: Fraction(1)}])
     rhs = [Fraction(1), Fraction(2), Fraction(3)]
-    x = _solve_on(chain, [0, 1, 2], rhs, Fraction(9, 10))
+    x = _block_solve(chain, [0, 1, 2], rhs, Fraction(9, 10))
     assert x == _dense_solve_on(chain, [0, 1, 2], rhs, Fraction(9, 10))
     assert x[2] == 3 and x[1] == 2 + Fraction(9, 10) * Fraction(1, 3) * 3
 
@@ -670,10 +675,10 @@ def test_singular_singleton_block_raises_singular_system():
     x = b + x; it raises SingularSystem as the dense solve does, never a
     ZeroDivisionError."""
     chain = SimpleNamespace(matrix=[{1: Fraction(1)}, {1: Fraction(1)}])
-    for solve in (_solve_on, _dense_solve_on):
+    for solve in (_block_solve, _dense_solve_on):
         with pytest.raises(SingularSystem):
             solve(chain, [0, 1], [Fraction(1), Fraction(0)])
-    assert _solve_on(chain, [0, 1], [Fraction(1), Fraction(0)], Fraction(1, 2)) \
+    assert _block_solve(chain, [0, 1], [Fraction(1), Fraction(0)], Fraction(1, 2)) \
         == {0: Fraction(1), 1: Fraction(0)}
 
 

@@ -13,6 +13,8 @@ from momix.errors import SingularSystem
 from momix.linalg import _bareiss, cofactor_vector, matrix_rank, solve_linear
 from momix.rationals import integer_row
 
+from conftest import solve_column
+
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=12)
 
 
@@ -31,7 +33,7 @@ def systems(draw):
 def test_solution_satisfies_system_exactly(system):
     matrix, rhs = system
     assume(matrix_rank(matrix) == len(matrix))
-    x = solve_linear(matrix, rhs)
+    x = solve_column(matrix, rhs)
     assert all(isinstance(v, Fraction) for v in x)
     assert [sum((a * v for a, v in zip(row, x)), Fraction(0)) for row in matrix] == rhs
 
@@ -68,9 +70,29 @@ def test_common_denominator_rhs_equals_row_scaled_solve(system, data):
         expected = _row_scaled_solve(matrix, rhs)
     except SingularSystem:
         with pytest.raises(SingularSystem):
-            solve_linear(matrix, rhs)
+            solve_column(matrix, rhs)
         return
-    assert solve_linear(matrix, rhs) == expected
+    assert solve_column(matrix, rhs) == expected
+
+
+@given(systems(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_several_right_hand_sides_equal_column_solves(system, data):
+    """Tuples of right-hand sides, some with 300-bit denominators, give the
+    tuples of the column-by-column solutions, and are singular exactly when
+    one column is."""
+    matrix, rhs = system
+    n = len(rhs)
+    columns = [rhs] + [data.draw(st.lists(st.one_of(rationals, wide_rationals),
+                                          min_size=n, max_size=n))
+                       for _ in range(data.draw(st.integers(1, 3)))]
+    try:
+        expected = [solve_column(matrix, column) for column in columns]
+    except SingularSystem:
+        with pytest.raises(SingularSystem):
+            solve_linear(matrix, list(zip(*columns)))
+        return
+    assert solve_linear(matrix, list(zip(*columns))) == list(zip(*expected))
 
 
 def test_wide_rhs_solves_exactly():
@@ -78,18 +100,18 @@ def test_wide_rhs_solves_exactly():
     big = Fraction(3 ** 250 + 1, 2 ** 400 - 593)
     matrix = [[Fraction(1), Fraction(-9, 20)], [Fraction(-1, 3), Fraction(1)]]
     rhs = [big, 1 - big]
-    x = solve_linear(matrix, rhs)
+    x = solve_column(matrix, rhs)
     assert x == _row_scaled_solve(matrix, rhs)
     assert [sum((a * v for a, v in zip(row, x)), Fraction(0)) for row in matrix] == rhs
 
 
 def test_zero_leading_entries_need_row_swaps():
     matrix = [[0, 0, 1], [0, Fraction(1, 3), 1], [2, 0, Fraction(-1, 2)]]
-    assert solve_linear(matrix, [1, 2, 3]) == [Fraction(7, 4), 3, 1]
+    assert solve_column(matrix, [1, 2, 3]) == [Fraction(7, 4), 3, 1]
 
 
 def test_empty_system():
-    assert solve_linear([], []) == []
+    assert solve_column([], []) == []
 
 
 @given(systems(), st.data())
@@ -101,7 +123,7 @@ def test_dependent_rows_are_singular(system, data):
     k = data.draw(rationals)
     matrix[i] = [k * v for v in matrix[j]]
     with pytest.raises(SingularSystem):
-        solve_linear(matrix, rhs)
+        solve_column(matrix, rhs)
 
 
 @pytest.mark.parametrize("matrix, rhs", [
@@ -111,7 +133,7 @@ def test_dependent_rows_are_singular(system, data):
 ])
 def test_non_square_system_is_rejected(matrix, rhs):
     with pytest.raises(ValueError, match="square"):
-        solve_linear(matrix, rhs)
+        solve_column(matrix, rhs)
 
 
 @st.composite

@@ -1,0 +1,292 @@
+"""The shared pool evaluator against the per-member evaluator it replaced.
+
+Below is the evaluator momix used before pools were evaluated with a block
+memo, copied verbatim: it builds each strategy's product chain and solves
+it from scratch.  Pools, single strategies and mixtures must
+give exactly its Fractions on generated models with all six payoff kinds,
+shared observations and counter skeletons up to counter:4.
+"""
+
+import json
+import random
+from fractions import Fraction
+from typing import Dict, List, Sequence, Set, Tuple
+
+from hypothesis import example, given, settings, strategies as st
+
+import momix as mx
+from momix.errors import PoolTooLarge, SingularSystem, UnsupportedKind
+from momix.model import Pomdp, WeightFunction, closure, strongly_connected_components
+from momix.payoffs import (BuchiIndicator, DiscountedSum, MultiPayoff, ReachGatedDiscountedSum,
+                           ReachIndicator, ShortestPath, TotalRewardNonNeg)
+from momix.rationals import ExtReal, ExtRealVector, POS_INF
+from momix.strategies import FiniteMemoryStrategy, MarkovChain, product_chain
+
+from conftest import grid_randomized, solve_column as solve_linear
+from test_evaluate import small_observed_problems
+
+
+# -- the per-member evaluator, verbatim ------------------------------------------------
+
+# -- chain utilities ----------------------------------------------------------------
+
+
+def _edges(chain: MarkovChain) -> List[Tuple[int, ...]]:
+    return [tuple(sorted(row.keys())) for row in chain.matrix]
+
+
+def _chain_sccs(chain: MarkovChain):
+    """SCCs of the chain graph, plus a bottom flag each."""
+    succ = _edges(chain)
+    comps = strongly_connected_components(dict(enumerate(succ)), range(len(succ)))
+    bottom = []
+    for comp in comps:
+        members = set(comp)
+        is_bottom = all(j in members for i in comp for j in succ[i])
+        bottom.append(is_bottom)
+    return comps, bottom
+
+
+def _solve_on(chain: MarkovChain, nodes: Sequence[int], rhs: Sequence[Fraction],
+              discount: Fraction = 1) -> Dict[int, Fraction]:
+    """Unique solution of x = rhs + discount * P x on `nodes`, with x = 0
+    off `nodes` (the transient system I - discount * P restricted to them).
+
+    The system is block triangular over the SCCs of the chain graph on
+    `nodes`, which come successors first: each block is solved with the
+    values of the blocks below it moved into its right-hand side, a
+    singleton by one division and a larger block by `solve_linear` on its
+    own rows.  Raises SingularSystem if a block is singular."""
+    b = dict(zip(nodes, rhs))
+    x: Dict[int, Fraction] = {}
+    for comp in strongly_connected_components({i: chain.matrix[i] for i in b}, b):
+        known = [b[i] + discount * sum((p * x[j] for j, p in chain.matrix[i].items() if j in x),
+                                       Fraction(0))
+                 for i in comp]
+        if len(comp) == 1:
+            node = comp[0]
+            pivot = 1 - discount * chain.matrix[node].get(node, 0)
+            if pivot == 0:
+                raise SingularSystem("the system matrix is singular")
+            x[node] = known[0] / pivot
+            continue
+        pos = {node: k for k, node in enumerate(comp)}
+        matrix = [[Fraction(0)] * len(comp) for _ in comp]
+        for node, k in pos.items():
+            row = matrix[k]
+            row[k] += 1
+            for j, p in chain.matrix[node].items():
+                if j in pos:
+                    row[pos[j]] -= discount * p
+        x.update(zip(comp, solve_linear(matrix, known)))
+    return x
+
+
+def _lift(chain: MarkovChain, target: frozenset) -> Set[int]:
+    """Chain nodes whose state lies in `target`."""
+    return {i for i, (s, _m) in enumerate(chain.nodes) if s in target}
+
+
+def _pre_target(chain: MarkovChain, targets: Set[int]) -> Tuple[List[int], Dict[int, Fraction]]:
+    """The pre-target region of `targets` in index order, and the exact
+    probability of eventually hitting `targets` from each of its nodes.
+    Every successor of a region node lies in the region or in `targets`, so
+    a system restricted to the region loses no term."""
+    region = sorted(closure([chain.init], lambda i: () if i in targets else chain.matrix[i])
+                    - targets)
+    incoming: Dict[int, List[int]] = {}
+    for i in region:
+        for j in chain.matrix[i]:
+            incoming.setdefault(j, []).append(i)
+    live = sorted(closure(targets, lambda j: incoming.get(j, ())) - targets)
+    probs = dict.fromkeys(region, Fraction(0))
+    if live:
+        rhs = [sum((p for j, p in chain.matrix[i].items() if j in targets), Fraction(0))
+               for i in live]
+        probs.update(_solve_on(chain, live, rhs))
+    return region, probs
+
+
+def _expected_step_weights(chain: MarkovChain, weights: WeightFunction) -> List[Fraction]:
+    out = []
+    for i, (s, _mem) in enumerate(chain.nodes):
+        out.append(sum((alpha * weights(s, a) for a, alpha in chain.action_dists[i].items()),
+                       Fraction(0)))
+    return out
+
+
+# -- per-kind evaluation -------------------------------------------------------------
+
+
+def _eval_reach(chain: MarkovChain, target: frozenset) -> ExtReal:
+    targets = _lift(chain, target)
+    if chain.init in targets:
+        return ExtReal(1)
+    return ExtReal(_pre_target(chain, targets)[1][chain.init])
+
+
+def _eval_buchi(chain: MarkovChain, target: frozenset) -> ExtReal:
+    comps, bottom = _chain_sccs(chain)
+    good: Set[int] = set()
+    for comp, is_bottom in zip(comps, bottom):
+        if is_bottom and any(chain.state_of(i) in target for i in comp):
+            good.update(comp)
+    if not good:
+        return ExtReal(0)
+    if chain.init in good:
+        return ExtReal(1)
+    return ExtReal(_pre_target(chain, good)[1][chain.init])
+
+
+def _eval_discounted(chain: MarkovChain, spec: DiscountedSum) -> ExtReal:
+    rewards = _expected_step_weights(chain, spec.weights)
+    return ExtReal(_solve_on(chain, range(len(chain.nodes)), rewards, spec.discount)[chain.init])
+
+
+def _eval_shortest_path(chain: MarkovChain, spec: ShortestPath) -> ExtReal:
+    targets = _lift(chain, spec.target)
+    if chain.init in targets:
+        return ExtReal(0)
+    region, reach = _pre_target(chain, targets)
+    if reach[chain.init] != 1:
+        return POS_INF
+    rewards = _expected_step_weights(chain, spec.weights)
+    return ExtReal(_solve_on(chain, region, [rewards[i] for i in region])[chain.init])
+
+
+def _eval_total_reward(chain: MarkovChain, spec: TotalRewardNonNeg) -> ExtReal:
+    rewards = _expected_step_weights(chain, spec.weights)
+    comps, bottom = _chain_sccs(chain)
+    recurrent: Set[int] = set()
+    for comp, is_bottom in zip(comps, bottom):
+        if is_bottom:
+            if any(rewards[i] > 0 for i in comp):
+                return POS_INF  # every chain node is reachable from init
+            recurrent.update(comp)
+    transient = [i for i in range(len(chain.nodes)) if i not in recurrent]
+    if chain.init in recurrent:
+        return ExtReal(0)
+    return ExtReal(_solve_on(chain, transient, [rewards[i] for i in transient])[chain.init])
+
+
+def _eval_gated_discounted(chain: MarkovChain, spec: ReachGatedDiscountedSum) -> ExtReal:
+    plain = _eval_discounted(chain, DiscountedSum(spec.discount, spec.weights))
+    targets = _lift(chain, spec.target)
+    if chain.init in targets:
+        return plain
+    region, reach = _pre_target(chain, targets)
+    # r'(c): expected weight of a move from c times h(successor), h = P(avoid target forever)
+    rhs = [sum((p * spec.weights(chain.state_of(i), a) * (1 - reach[j])
+                for a, p, j in chain.edges[i] if j not in targets), Fraction(0))
+           for i in region]
+    # The avoid-restricted system is I - lambda P on the pre-target region.
+    avoided = _solve_on(chain, region, rhs, spec.discount)[chain.init]  # E[DS * 1{never reach}]
+    return ExtReal(plain.finite - avoided)
+
+
+def _expected_payoff(model: Pomdp, strategy: FiniteMemoryStrategy, start: str,
+                     dims: MultiPayoff) -> ExtRealVector:
+    chain = product_chain(model, strategy, start)
+    values = []
+    for spec in dims:
+        if isinstance(spec, ReachIndicator):
+            values.append(_eval_reach(chain, spec.target))
+        elif isinstance(spec, BuchiIndicator):
+            values.append(_eval_buchi(chain, spec.target))
+        elif isinstance(spec, DiscountedSum):
+            values.append(_eval_discounted(chain, spec))
+        elif isinstance(spec, ShortestPath):
+            values.append(_eval_shortest_path(chain, spec))
+        elif isinstance(spec, TotalRewardNonNeg):
+            values.append(_eval_total_reward(chain, spec))
+        elif isinstance(spec, ReachGatedDiscountedSum):
+            values.append(_eval_gated_discounted(chain, spec))
+        else:
+            raise UnsupportedKind(type(spec).__name__)
+    return ExtRealVector(values)
+
+
+# -- the shared evaluator against it -------------------------------------------------
+
+
+@st.composite
+def pool_problems(draw):
+    """A generated model with shared observations (`small_observed_problems`),
+    a counter horizon up to 4, a start state and a seed."""
+    doc, _horizon = draw(small_observed_problems())
+    return (doc, draw(st.integers(0, 4)), draw(st.sampled_from(doc["states"])),
+            draw(st.integers(0, 2 ** 16)))
+
+
+def _pool(model, start, dims, horizon):
+    """The pool at counter:horizon, or at counter:0 if that has over 64
+    behaviours."""
+    try:
+        return mx.pure_payoff_set(model, start, dims, mx.counter(model, horizon), cap=64)
+    except PoolTooLarge:
+        return mx.pure_payoff_set(model, start, dims, mx.counter(model, 0), cap=64)
+
+
+@given(pool_problems())
+@settings(max_examples=150, deadline=None)
+def test_pool_members_equal_the_reference(problem):
+    """Every member's vector is the reference's, and so is every member's
+    vector in a second call with the dimensions reversed: the memo of one
+    call serves no other."""
+    doc, horizon, start, _seed = problem
+    model, dims = mx.load_problem(json.dumps(doc))
+    for order in (dims, dims[::-1]):
+        pool = _pool(model, start, order, horizon)
+        for strategy, vector in pool:
+            assert vector == _expected_payoff(model, strategy, start, order)
+
+
+# Every state has one action, so every strategy has the same product: the
+# mixture's later members meet only blocks already known.
+ALL_FORCED = ({
+    "states": ["s0", "s1"], "actions": ["a", "b"],
+    "transitions": {"s0": {"a": {"s0": "1"}}, "s1": {"a": {"s0": "1"}}},
+    "weights": {"w": {"s0,a": ["0", "0"], "s1,a": ["0", "0"]}},
+    "payoffs": [{"kind": "reach", "target": ["s1"]}, {"kind": "buchi", "target": ["s1"]},
+                {"kind": "discounted_sum", "lambda": "0/8", "weights": "w"},
+                {"kind": "reach_gated_discounted_sum", "target": ["s1"], "lambda": "0/8",
+                 "weights": "w"},
+                {"kind": "total_reward", "weights": "w", "windex": 1},
+                {"kind": "shortest_path", "target": ["s1"], "weights": "w"}],
+    "observations": ["s0", "s1"], "obs": {"s0": "s0", "s1": "s1"}}, 0, "s0", 0)
+
+
+@given(pool_problems())
+@example(ALL_FORCED)
+@settings(max_examples=100, deadline=None)
+def test_strategies_and_mixtures_equal_the_reference(problem):
+    """A randomized strategy, and a mixture of three pool members whose
+    skeletons are equal but distinct objects or differ, evaluate to the
+    reference's vectors."""
+    doc, horizon, start, seed = problem
+    model, dims = mx.load_problem(json.dumps(doc))
+    rng = random.Random(seed)
+    randomized = grid_randomized(model, mx.counter(model, horizon), rng)
+    assert mx.expected_payoff(model, randomized, start, dims) \
+        == _expected_payoff(model, randomized, start, dims)
+    members = [rng.choice(_pool(model, start, dims, rng.randrange(horizon + 1)))[0]
+               for _ in range(3)]
+    members = [mx.PureStrategy(mx.counter(model, len(s.skeleton.memory) - 1), s.table)
+               if rng.random() < 0.5 else s for s in members]
+    weights = [Fraction(rng.randint(1, 5)) for _ in members]
+    mixture = mx.FiniteMixture.of(zip(members, [w / sum(weights) for w in weights]))
+    assert mx.mixed_expected_payoff(model, mixture, start, dims) == ExtRealVector.combine(
+        mixture.weights, [_expected_payoff(model, s, start, dims) for s in mixture.support])
+
+
+def test_a_pool_steps_its_product_once(coin_exit, monkeypatch):
+    """The choice points, the behaviour walk and the evaluator of one pool
+    read one transition table."""
+    model, dims = coin_exit
+    tables = []
+    real_table = mx.strategies.transition_table
+    for module in (mx.strategies, mx.evaluate):
+        monkeypatch.setattr(module, "transition_table",
+                            lambda *args: tables.append(args) or real_table(*args))
+    pool = mx.pure_payoff_set(model, "s", dims, mx.counter(model, 4))
+    assert len(pool) == 2 ** 5 and len(tables) == 1

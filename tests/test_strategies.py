@@ -273,6 +273,24 @@ def test_strategy_file_round_trip(commute):
         mx.expected_payoff(model, sigma, "home", dims)
 
 
+def test_loading_a_pure_strategy_builds_its_act_dict_once(coin_exit, monkeypatch):
+    """A pure strategy's act dict is built from its table on each access,
+    so validating one read from a file must build it once, not once per
+    reachable choice point of its 201-memory skeleton."""
+    model, _ = coin_exit
+    skeleton = mx.counter(model, 200)
+    sigma = mx.PureStrategy(skeleton, {key: enabled[0] for key, enabled
+                                       in reachable_choice_points(model, skeleton)})
+    doc = strategy_to_dict(sigma)
+    builds = []
+    real_act = mx.PureStrategy.act
+    monkeypatch.setattr(mx.PureStrategy, "act",
+                        property(lambda self: builds.append(self) or real_act.fget(self)))
+    back = strategy_from_dict(doc, model)
+    assert isinstance(back, mx.PureStrategy) and len(back.table) == len(sigma.table) > 200
+    assert len(builds) == 1
+
+
 def test_mixture_file_round_trip(commute, tmp_path):
     import json
     model, dims = commute
