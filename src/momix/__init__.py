@@ -13,12 +13,9 @@ from .errors import *  # noqa: F401,F403
 from .model import (Pomdp, ValidationReport, WeightFunction, load_model,
                     load_model_file, reachable_states, serialize,
                     unroll_cost_counter, validate)
-from .payoffs import (BuchiIndicator, CylinderUnion, DiscountedSum,
-                      GeneralizedDiscounted, LassoPlay, ReachGatedDiscountedSum,
-                      ReachIndicator, ShortestPath, TotalRewardNonNeg,
-                      check_prefix_independent_continuity, eval_play,
-                      eval_play_truncated, is_clopen_objective, load_payoffs,
-                      load_problem, scc_decompose)
+from .payoffs import (BuchiIndicator, DiscountedSum, LassoPlay, ReachGatedDiscountedSum,
+                      ReachIndicator, ShortestPath, TotalRewardNonNeg, eval_play,
+                      load_payoffs, load_problem)
 from .rationals import ExtReal, ExtRealVector, NEG_INF, POS_INF, parse_rational, vector
 from .strategies import (FiniteMemoryStrategy, FiniteMixture, MarkovChain,
                          MemorySkeleton, PureStrategy, counter, cylinder_prob,
@@ -26,10 +23,9 @@ from .strategies import (FiniteMemoryStrategy, FiniteMixture, MarkovChain,
                          mixed_to_behavioural, product_chain, strategy_premetric)
 from .evaluate import (IntegrabilityVerdict, classify_integrability,
                        expected_payoff, mixed_expected_payoff, pure_payoff_set)
-from .geometry import (Decomposition, Hull, Hyperplane, LinearMap,
-                       achievability_lp, caratheodory, convex_hull,
-                       dominating_face_decomposition, extreme_points,
-                       pareto_frontier, separate, supporting_map)
+from .geometry import (Decomposition, Hull, LinearMap, achievability_lp, caratheodory,
+                       convex_hull, dominating_face_decomposition, extreme_points,
+                       pareto_frontier, supporting_map)
 from .synthesis import (LexResult, MixtureCertificate, achieve, approximate,
                         check_pure_dominates_lex, lex_optimize, reduce_support)
 from .beliefs import (BeliefGraph, belief_graph, belief_update,

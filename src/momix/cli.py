@@ -245,13 +245,17 @@ def _cmd_belief_graph(args):
     return EXIT_OK
 
 
+def _require_at_least(args, bounds):
+    for option, least in bounds:
+        if getattr(args, option) < least:
+            raise SchemaError(f"--{option} must be at least {least}, not {getattr(args, option)}")
+
+
 def _cmd_simulate(args):
     mdl, dims = _load_problem(args.model)
     dims = _need_payoffs(dims)
     loaded = strategies.load_strategy_file(args.strategy, mdl)
-    for option, least in (("samples", 1), ("horizon", 1), ("seed", 0)):
-        if getattr(args, option) < least:
-            raise SchemaError(f"--{option} must be at least {least}, not {getattr(args, option)}")
+    _require_at_least(args, (("samples", 1), ("horizon", 1), ("seed", 0)))
     cfg = montecarlo.SampleConfig(samples=args.samples, horizon=args.horizon, seed=args.seed)
     est = montecarlo.estimate_expectation(mdl, loaded, args.state, dims, cfg)
     payload = {"ok": True, "mean": list(est.mean), "stderr": list(est.stderr),
@@ -289,6 +293,7 @@ def _cmd_probe(args):
             raise SchemaError(f"family entry {entry!r} needs an integer 'index'") from None
         family.append((index, strategies.strategy_from_dict(entry.get("strategy"), mdl)))
     limit = strategies.strategy_from_dict(doc.get("limit"), mdl)
+    _require_at_least(args, (("horizon", 1),))
     table = montecarlo.convergence_probe(mdl, family, limit, args.state, dims, args.horizon)
     payload = {"ok": True,
                "limit": table.limit_vector.serialize(),

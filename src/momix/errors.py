@@ -39,10 +39,6 @@ class MalformedHistory(MomixError):
     """A history is not well formed against its model."""
 
 
-class UnknownScc(MomixError):
-    """A coefficient map does not match the SCC decomposition."""
-
-
 # -- strategies -------------------------------------------------------------
 
 class DisabledAction(MomixError):

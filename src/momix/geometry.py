@@ -1,12 +1,12 @@
 """Exact convex geometry over rational points in small dimension.
 
-Hulls, extreme points, Pareto filtering, strong separation, supporting
-linear maps (the lexicographic-maximum construction used to reach points on
-faces of payoff sets), Caratheodory decompositions and the achievability
-feasibility test.  Membership, extreme points and every LP-based question
-are decided by the exact simplex in :mod:`momix.lp`; hull facets come from
-integer cofactor normals and integer sign tests.  Degeneracies (collinear
-point families and the like) are resolved exactly, never by tolerance.
+Hulls, extreme points, Pareto filtering, supporting linear maps (the
+lexicographic-maximum construction used to reach points on faces of payoff
+sets), Caratheodory decompositions and the achievability feasibility test.
+Membership, extreme points and every LP-based question are decided by the
+exact simplex in :mod:`momix.lp`; hull facets come from integer cofactor
+normals and integer sign tests.  Degeneracies (collinear point families and
+the like) are resolved exactly, never by tolerance.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from math import gcd
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import DimensionMismatch, NotDominated, NotInHull, SelfCheckFailed
-from .linalg import cofactor_vector, dot, nullspace, rref
+from .linalg import cofactor_vector, dot, rref
 from .lp import LinearProgram
 from .rationals import ExtRealVector, format_rational, integer_row
 
@@ -41,17 +41,6 @@ def _check_points(points) -> List[Point]:
     if d < 1 or any(len(p) != d for p in pts):
         raise DimensionMismatch("points of mixed dimensions")
     return pts
-
-
-@dataclass(frozen=True)
-class Hyperplane:
-    """<normal, x> <= offset contains the reference set."""
-
-    normal: Point
-    offset: Fraction
-
-    def value(self, point) -> Fraction:
-        return dot(self.normal, as_point(point))
 
 
 @dataclass(frozen=True)
@@ -163,7 +152,8 @@ def extreme_points(points) -> Tuple[int, ...]:
 
 
 def affine_span(points) -> Tuple[List[Point], Point]:
-    """Basis of the direction space of the affine span, plus the base point."""
+    """Basis of the direction space of the affine span, in reduced row
+    echelon form, plus the base point."""
     pts = _check_points(points)
     base = pts[0]
     dirs = [tuple(p[j] - base[j] for j in range(len(base))) for p in pts[1:]]
@@ -190,14 +180,17 @@ def convex_hull(points) -> Hull:
     corner_points = {unique[i] for i in extreme_points(unique)}
     verts = tuple(i for i, p in enumerate(pts) if p in corner_points)
     basis, base = affine_span(pts)
-    k = len(basis)
-
+    # The reduced basis gives one span equality per free column f, ascending:
+    # e_f - sum_r basis[r][f] e_{p_r}, with p_r the pivot (leading) column of row r.
+    pivots = [next(j for j, x in enumerate(b) if x) for b in basis]
     span_eqs = []
-    if k < d:
-        normals = nullspace([list(b) for b in basis]) if basis else \
-            [[Fraction(1) if j == i else Fraction(0) for j in range(d)] for i in range(d)]
-        for n in normals:
-            span_eqs.append((tuple(n), dot(n, base)))
+    for f in range(d):
+        if f in pivots:
+            continue
+        n = [Fraction(int(j == f)) for j in range(d)]
+        for b, p in zip(basis, pivots):
+            n[p] = -b[f]
+        span_eqs.append((tuple(n), dot(n, base)))
 
     return Hull(tuple(pts), verts, _facets(sorted(corner_points), basis), tuple(span_eqs))
 
@@ -264,36 +257,6 @@ def pareto_frontier(vectors: Sequence[ExtRealVector]) -> Tuple[int, ...]:
         if not any(v.strictly_dominated_by(w) for w in vecs):
             out.append(i)
     return tuple(out)
-
-
-# -- separation -------------------------------------------------------------------------
-
-
-def separate(q, points) -> Optional[Hyperplane]:
-    """A hyperplane strongly separating q from conv(points), if q is outside.
-
-    The returned orientation satisfies <n, p> <= offset < <n, q> with strict
-    margin on both sides.
-    """
-    pts = _check_points(points)
-    q = as_point(q)
-    d = len(q)
-    lp = LinearProgram()
-    u = [lp.var(f"u{j}", lo=Fraction(-1), hi=Fraction(1)) for j in range(d)]
-    m = lp.var("m", lo=None)
-    for p in pts:
-        row = {u[j]: p[j] for j in range(d)}
-        row[m] = Fraction(-1)
-        lp.constrain(row, "<=", Fraction(0))
-    objective = {u[j]: q[j] for j in range(d)}
-    objective[m] = Fraction(-1)
-    result = lp.solve(objective, maximize=True)
-    if not result.ok or result.objective <= 0:
-        return None
-    normal = tuple(result[u[j]] for j in range(d))
-    worst = max(dot(normal, p) for p in pts)
-    offset = (worst + dot(normal, q)) / 2
-    return Hyperplane(normal, offset)
 
 
 # -- supporting maps ----------------------------------------------------------------------

@@ -1,47 +1,52 @@
 """Exact rational linear algebra.
 
-Matrices are lists of lists of Fractions.  :func:`solve_linear` and
-:func:`cofactor_vector` run fraction-free (Bareiss) elimination on integer
-rows (scaled by :func:`momix.rationals.integer_row`); :func:`solve_linear`
-puts each right-hand side over one common denominator apart from the
-matrix, so its denominators never enter the matrix minors, and solves
-several right-hand sides with one elimination; :func:`rref` is
-Gauss-Jordan elimination over Fraction.  All pivots are exact, so there is
-no tolerance policy anywhere; a singular system raises
+Matrices are lists of lists of Fractions.  One elimination kernel,
+fraction-free (Bareiss) elimination on integer rows (scaled by
+:func:`momix.rationals.integer_row`), serves :func:`solve_linear`,
+:func:`cofactor_vector` and :func:`rref`.  :func:`solve_linear` puts each
+right-hand side over one common denominator apart from the matrix, so its
+denominators never enter the matrix minors, and solves several right-hand
+sides with one elimination.  All pivots are exact, so there is no
+tolerance policy anywhere; a singular system raises
 :class:`SingularSystem`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, Sequence
+from typing import List, Sequence, Tuple
 
 from .errors import SingularSystem
 from .rationals import integer_row
 
 
-def _bareiss(a: List[List[int]], n: int) -> int:
+def _bareiss(a: List[List[int]], ncols: int) -> Tuple[List[int], int]:
     """Fraction-free elimination (Bareiss, Math. Comp. 22, 1968) of the
-    first n columns of the integer rows a, in place: every entry after step
-    k is a (k+1)-minor, so dividing by the previous pivot is exact.  The
-    pivot is the first nonzero entry of its column.  Returns the determinant
-    of the leading n x n block, 0 (and a half-eliminated a) if singular."""
+    first ncols columns of the integer rows a to row echelon form, in place:
+    every entry below the pivot rows after step k is a (k+1)-minor, so
+    dividing by the previous pivot is exact.  The pivot is the first nonzero
+    entry of its column at or below the current row; a column without one is
+    skipped.  Returns the pivot columns and, when every column is a pivot
+    column, the signed last pivot (0 otherwise): det(a) for a square a."""
     sign = 1
     prev = 1
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
+    pivots: List[int] = []
+    for col in range(ncols):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(a)) if a[i][col] != 0), None)
         if pivot is None:
-            return 0
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
+            continue
+        if pivot != r:
+            a[r], a[pivot] = a[pivot], a[r]
             sign = -sign
-        top = a[col]
+        top = a[r]
         akk = top[col]
-        for r in range(col + 1, n):
-            ark = a[r][col]
-            a[r] = [(akk * v - ark * p) // prev for v, p in zip(a[r], top)]
+        for i in range(r + 1, len(a)):
+            aik = a[i][col]
+            a[i] = [(akk * v - aik * p) // prev for v, p in zip(a[i], top)]
         prev = akk
-    return sign * prev
+        pivots.append(col)
+    return pivots, (sign * prev if len(pivots) == ncols else 0)
 
 
 def cofactor_vector(rows: Sequence[Sequence[int]]) -> List[int]:
@@ -51,7 +56,7 @@ def cofactor_vector(rows: Sequence[Sequence[int]]) -> List[int]:
     m = len(rows) + 1
     z = []
     for t in range(m):
-        det = _bareiss([row[:t] + row[t + 1:] for row in rows], m - 1)
+        _pivots, det = _bareiss([row[:t] + row[t + 1:] for row in rows], m - 1)
         z.append(-det if t % 2 else det)
     return z
 
@@ -74,7 +79,7 @@ def solve_linear(matrix: Sequence[Sequence[Fraction]], rhs: Sequence[tuple]) -> 
     columns = [integer_row([b * scale for (_ints, scale), b in zip(rows, column)])
                for column in zip(*rhs)]
     a = [[*ints, *(c[i] for c, _common in columns)] for i, (ints, _scale) in enumerate(rows)]
-    det = _bareiss(a, n)
+    _pivots, det = _bareiss(a, n)
     if det == 0:
         raise SingularSystem("the system matrix is singular")
     # Cramer: det * D * x is an integer vector, so back-substitution stays exact.
@@ -89,52 +94,22 @@ def solve_linear(matrix: Sequence[Sequence[Fraction]], rhs: Sequence[tuple]) -> 
 
 
 def rref(matrix: Sequence[Sequence[Fraction]]):
-    """Reduced row echelon form; returns (rows, pivot_columns)."""
-    rows = [[Fraction(x) for x in row] for row in matrix]
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(r, nrows) if rows[i][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = Fraction(1) / rows[r][col]
-        rows[r] = [v * inv for v in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][col] != 0:
-                factor = rows[i][col]
-                rows[i] = [v - factor * p for v, p in zip(rows[i], rows[r])]
-        pivots.append(col)
-        r += 1
-        if r == nrows:
-            break
-    return rows, pivots
-
-
-def nullspace(matrix: Sequence[Sequence[Fraction]]) -> List[List[Fraction]]:
-    """Basis of {x : A x = 0}, deterministic (free variables in column order)."""
-    if not matrix:
-        raise ValueError("nullspace of an empty matrix is ambiguous")
-    ncols = len(matrix[0])
-    rows, pivots = rref(matrix)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free:
-        vec = [Fraction(0)] * ncols
-        vec[f] = Fraction(1)
-        for r, p in enumerate(pivots):
-            vec[p] = -rows[r][f]
-        basis.append(vec)
-    return basis
-
-
-def matrix_rank(matrix: Sequence[Sequence[Fraction]]) -> int:
-    if not matrix:
-        return 0
-    _, pivots = rref(matrix)
-    return len(pivots)
+    """Reduced row echelon form; returns (rows, pivot_columns), the rows
+    past the rank all zero.  Each row is scaled to integers and brought to
+    echelon form by :func:`_bareiss`; with D the last pivot, D times every
+    reduced row is an integer vector (Cramer), so the back-substitution over
+    the pivot columns divides exactly."""
+    ncols = len(matrix[0]) if matrix else 0
+    a = [integer_row([Fraction(x) for x in row])[0] for row in matrix]
+    pivots, _det = _bareiss(a, ncols)
+    reduced: List[List[int]] = []
+    last = a[len(pivots) - 1][pivots[-1]] if pivots else 1
+    for k in reversed(range(len(pivots))):
+        row, later = a[k], pivots[k + 1:]
+        reduced.insert(0, [(last * v - sum(row[p] * r[j] for p, r in zip(later, reduced)))
+                           // row[pivots[k]] for j, v in enumerate(row)])
+    rows = [[Fraction(v, last) for v in row] for row in reduced]
+    return rows + [[Fraction(0)] * ncols for _ in range(len(a) - len(pivots))], pivots
 
 
 def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:

@@ -1,4 +1,4 @@
-"""Payoff catalog, play-level evaluation and continuity checks.
+"""Payoff catalog and play-level evaluation.
 
 Supported payoff kinds (one per dimension of a multi-payoff):
 
@@ -20,12 +20,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, List, Mapping, Sequence, Tuple, Union
+from typing import List, Mapping, Sequence, Tuple, Union
 
-from .errors import (MalformedHistory, MalformedLasso, ParseError, SchemaError,
-                     UnknownScc, UnsupportedKind)
-from .model import (Pomdp, WeightFunction, model_from_dict, require_field,
-                    strongly_connected_components)
+from .errors import MalformedHistory, MalformedLasso, ParseError, SchemaError, UnsupportedKind
+from .model import Pomdp, WeightFunction, model_from_dict, require_field
 from .rationals import ExtReal, POS_INF, ZERO, parse_rational
 
 
@@ -317,76 +315,10 @@ def _discounted_value(discount: Fraction, weights: WeightFunction, play: LassoPl
     return value
 
 
-# -- generalized discounted sums ----------------------------------------------------
+# -- histories ---------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GeneralizedDiscounted:
-    """History-dependent discount/weight with finite memory depth.
-
-    `discount(window, action)` and `weight(window, action)` read the last
-    `depth` (state, action) pairs of the history (`window` is that truncated
-    tuple, ending with the current state) and must satisfy
-    0 <= discount <= discount_cap < 1 and |weight| <= weight_bound.
-    """
-
-    discount: Callable[[Tuple[str, ...], str], Fraction]
-    weight: Callable[[Tuple[str, ...], str], Fraction]
-    discount_cap: Fraction
-    weight_bound: Fraction
-    depth: int = 1
-
-    def __post_init__(self):
-        if not (0 <= self.discount_cap < 1):
-            raise SchemaError("discount cap must lie in [0, 1)")
-        if self.weight_bound < 0:
-            raise SchemaError("weight bound must be non-negative")
-
-
-def eval_play_truncated(g: GeneralizedDiscounted, prefix: Sequence[str]) -> Tuple[Fraction, Fraction]:
-    """Partial generalized-discounted sum of a play prefix, with a two-sided
-    tail bound: any infinite continuation has payoff inside [lo, hi].
-
-    `prefix` alternates states and actions and must contain at least one full
-    step.  The returned interval is the partial sum over the given steps plus
-    or minus 2 * W * cap^N / (1 - cap).
-    """
-    steps = [(prefix[i], prefix[i + 1]) for i in range(0, len(prefix) - len(prefix) % 2, 2)]
-    if not steps:
-        raise ValueError("prefix must contain at least one (state, action) step")
-    partial = Fraction(0)
-    factor = Fraction(1)
-    history: List[str] = []
-    for s, a in steps:
-        history += [s, a]
-        window = tuple(history[-(2 * g.depth):])
-        w = Fraction(g.weight(window, a))
-        lam = Fraction(g.discount(window, a))
-        if abs(w) > g.weight_bound:
-            raise SchemaError("weight exceeds declared bound")
-        if not (0 <= lam <= g.discount_cap):
-            raise SchemaError("discount exceeds declared cap")
-        partial += factor * w
-        factor *= lam
-    n = len(steps)
-    radius = 2 * g.weight_bound * g.discount_cap ** n / (1 - g.discount_cap) \
-        if g.discount_cap > 0 else Fraction(0)
-    return partial - radius, partial + radius
-
-
-# -- clopen objectives ---------------------------------------------------------------
-
-History = Tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class CylinderUnion:
-    """An objective given as a finite union of history cylinders."""
-
-    histories: Tuple[History, ...]
-
-
-def check_history(model: Pomdp, history: Sequence[str]) -> History:
+def check_history(model: Pomdp, history: Sequence[str]) -> Tuple[str, ...]:
     history = tuple(history)
     if len(history) % 2 == 0 or not history:
         raise MalformedHistory("a history alternates s a s ... s")
@@ -399,87 +331,3 @@ def check_history(model: Pomdp, history: Sequence[str]) -> History:
     if history[0] not in model.states:
         raise MalformedHistory(f"unknown state {history[0]}")
     return history
-
-
-def normalize_cylinders(model: Pomdp, obj: CylinderUnion) -> CylinderUnion:
-    """Drop histories whose cylinder is contained in another member's."""
-    histories = [check_history(model, h) for h in obj.histories]
-    kept = []
-    for h in histories:
-        if any(len(other) < len(h) and h[: len(other)] == other for other in histories):
-            continue  # a strict prefix is present: Cyl(h) is inside Cyl(other)
-        if h in kept:
-            continue
-        kept.append(h)
-    return CylinderUnion(tuple(kept))
-
-
-def is_clopen_objective(model: Pomdp, obj: CylinderUnion) -> Tuple[bool, int]:
-    """A finite union of cylinders is always clopen; returns the horizon l
-    (number of transitions) after which membership is determined."""
-    normalized = normalize_cylinders(model, obj)
-    horizon = max((len(h) // 2 for h in normalized.histories), default=0)
-    return True, horizon
-
-
-def cylinder_member(obj: CylinderUnion, play_prefix: Sequence[str]) -> bool:
-    """Whether a play starting with `play_prefix` belongs to the union (the
-    prefix must be at least as long as the longest member history)."""
-    prefix = tuple(play_prefix)
-    return any(prefix[: len(h)] == h for h in obj.histories)
-
-
-# -- strongly connected components ------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SccDecomposition:
-    components: Tuple[frozenset, ...]   # topological order: edges go forward
-    component_of: Mapping[str, int]
-    reach_pairs: frozenset               # (i, j) with j reachable from i, i != j
-
-    def reaches(self, i: int, j: int) -> bool:
-        return i == j or (i, j) in self.reach_pairs
-
-
-def scc_decompose(model: Pomdp) -> SccDecomposition:
-    """Tarjan SCCs of the underlying directed graph plus their reachability DAG."""
-    graph = model.successor_graph()
-    components = [frozenset(c) for c in strongly_connected_components(graph, model.states)]
-    # Tarjan emits components in reverse topological order.
-    components.reverse()
-    component_of = {}
-    for i, comp in enumerate(components):
-        for s in comp:
-            component_of[s] = i
-
-    n = len(components)
-    direct = [set() for _ in range(n)]
-    for s in model.states:
-        for t in graph[s]:
-            i, j = component_of[s], component_of[t]
-            if i != j:
-                direct[i].add(j)
-    reach = [set(d) for d in direct]
-    for i in range(n - 1, -1, -1):
-        for j in list(reach[i]):
-            reach[i] |= reach[j]
-    pairs = frozenset((i, j) for i in range(n) for j in reach[i])
-    return SccDecomposition(tuple(components), component_of, pairs)
-
-
-def check_prefix_independent_continuity(model: Pomdp, coeffs: Mapping[int, ExtReal]) -> bool:
-    """Whether sum_i coeffs[i] * 1[Buchi(C_i)] is a continuous payoff.
-
-    `coeffs` maps SCC indices (as produced by scc_decompose) to extended
-    reals.  The payoff is continuous exactly when any two SCCs related by
-    reachability carry the same coefficient.
-    """
-    decomposition = scc_decompose(model)
-    expected = set(range(len(decomposition.components)))
-    if set(coeffs) != expected:
-        raise UnknownScc(f"coefficients must be keyed by SCC indices {sorted(expected)}")
-    for (i, j) in decomposition.reach_pairs:
-        if ExtReal(coeffs[i]) != ExtReal(coeffs[j]):
-            return False
-    return True

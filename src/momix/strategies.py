@@ -491,32 +491,34 @@ def strategy_premetric(model: Pomdp, sigma: FiniteMemoryStrategy, tau: FiniteMem
     """Max over histories with at most `horizon` states of the *squared*
     Euclidean distance between the two action distributions.
 
-    Returning the squared distance keeps the result rational; compare it
-    against squared thresholds.
+    The distance at a history depends only on its last state and the two
+    memories, so the walk is breadth-first over (state, sigma memory, tau
+    memory) and visits each triple once, at the fewest states it is reached
+    with: a longer history to it sees the same distance and has fewer
+    states left to extend by.  Returning the squared distance keeps the
+    result rational; compare it against squared thresholds.
     """
-    if horizon < 1:
-        return Fraction(0)
+    layer = [(s, sigma.skeleton.init, tau.skeleton.init) for s in model.states]
+    seen = set(layer)
     best = Fraction(0)
-    for start in model.states:
-        stack = [(start, sigma.skeleton.init, tau.skeleton.init, 1)]
-        while stack:
-            s, ms, mt, states_so_far = stack.pop()
+    states_so_far = 0
+    while layer and states_so_far < horizon:
+        states_so_far += 1
+        frontier, layer = layer, []
+        for s, ms, mt in frontier:
             z = model.obs[s]
             ds = sigma.action_distribution(ms, z)
             dt = tau.action_distribution(mt, z)
-            actions = set(ds) | set(dt)
-            d2 = sum(((ds.get(a, Fraction(0)) - dt.get(a, Fraction(0))) ** 2 for a in actions),
-                     Fraction(0))
-            if d2 > best:
-                best = d2
-            if states_so_far >= horizon:
-                continue
+            d2 = sum(((ds.get(a, Fraction(0)) - dt.get(a, Fraction(0))) ** 2
+                      for a in set(ds) | set(dt)), Fraction(0))
+            best = max(best, d2)
             for a in model.enabled(s):
                 nms = sigma.skeleton.step(ms, z, a)
                 nmt = tau.skeleton.step(mt, z, a)
                 for t, p in model.dist(s, a).items():
-                    if p > 0:
-                        stack.append((t, nms, nmt, states_so_far + 1))
+                    if p > 0 and (t, nms, nmt) not in seen:
+                        seen.add((t, nms, nmt))
+                        layer.append((t, nms, nmt))
     return best
 
 

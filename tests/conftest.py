@@ -16,6 +16,48 @@ def solve_column(matrix, rhs):
     return [x for (x,) in solve_linear(matrix, [(b,) for b in rhs])]
 
 
+def fraction_rref(matrix):
+    """Reduced row echelon form by Gauss-Jordan elimination over Fraction;
+    returns (rows, pivot_columns).  The reference for `linalg.rref`, which
+    eliminates fraction-free; the rank is len(pivot_columns)."""
+    rows = [[Fraction(x) for x in row] for row in matrix]
+    nrows = len(rows)
+    ncols = len(rows[0]) if rows else 0
+    pivots = []
+    r = 0
+    for col in range(ncols):
+        pivot = next((i for i in range(r, nrows) if rows[i][col] != 0), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = Fraction(1) / rows[r][col]
+        rows[r] = [v * inv for v in rows[r]]
+        for i in range(nrows):
+            if i != r and rows[i][col] != 0:
+                factor = rows[i][col]
+                rows[i] = [v - factor * p for v, p in zip(rows[i], rows[r])]
+        pivots.append(col)
+        r += 1
+        if r == nrows:
+            break
+    return rows, pivots
+
+
+def fraction_nullspace(matrix):
+    """Basis of {x : A x = 0} from `fraction_rref`, free variables in column
+    order."""
+    ncols = len(matrix[0])
+    rows, pivots = fraction_rref(matrix)
+    basis = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        vec = [Fraction(0)] * ncols
+        vec[f] = Fraction(1)
+        for r, p in enumerate(pivots):
+            vec[p] = -rows[r][f]
+        basis.append(vec)
+    return basis
+
+
 def load(name):
     with open(os.path.join(MODELS, name), "r", encoding="utf-8") as fh:
         return mx.load_problem(fh.read())

@@ -310,6 +310,14 @@ def test_bad_arguments_are_input_errors(argv, model_doc, strategy_doc, tmp_path,
         assert f"input error: unknown state {argv[argv.index('--state') + 1]!r}" in err
 
 
+@pytest.mark.parametrize("horizon", ["0", "-5"])
+def test_probe_horizon_below_one_is_an_input_error(horizon, tmp_path, capsys):
+    family = tmp_path / "family.json"
+    family.write_text(json.dumps({"family": [{"index": 1, "strategy": TRAIN}], "limit": TRAIN}))
+    assert run(PROBE[:-1] + [str(family), "--horizon", horizon]) == 3
+    assert capsys.readouterr().err == f"input error: --horizon must be at least 1, not {horizon}\n"
+
+
 def test_jobs_is_a_usage_error():
     assert run(["frontier", RUNNING, "--state", "s0", "--jobs", "2"]) == 2
 

@@ -14,9 +14,11 @@ from hypothesis import example, given, settings, strategies as st
 import momix as mx
 from momix import geometry
 from momix.errors import NotDominated, NotInHull
-from momix.geometry import Hull, Point, affine_span, extreme_points, membership_combination
-from momix.linalg import dot, nullspace, solve_linear
+from momix.geometry import Hull, Point, extreme_points, membership_combination
+from momix.linalg import dot, solve_linear
 from momix.lp import LinearProgram
+
+from conftest import fraction_nullspace, fraction_rref
 
 
 # -- brute-force oracles ----------------------------------------------------------------
@@ -31,9 +33,8 @@ def barycentric_member(q, simplex):
     matrix.append([Fraction(1)] * k)
     # least-squares-free: the system is (d+1) x k; solve via any square subsystem
     # after checking consistency by substitution over all rows.
-    from momix.linalg import rref
     rows = [row + [rhs] for row, rhs in zip(matrix, list(q) + [Fraction(1)])]
-    reduced, pivots = rref(rows)
+    reduced, pivots = fraction_rref(rows)
     coeffs = [Fraction(0)] * k
     for r, p in enumerate(pivots):
         if p == k:  # pivot in the rhs column: inconsistent
@@ -54,8 +55,7 @@ def brute_force_in_hull(q, points):
     for size in range(1, d + 2):
         for combo in itertools.combinations(points, size):
             dirs = [tuple(p[j] - combo[0][j] for j in range(d)) for p in combo[1:]]
-            from momix.linalg import matrix_rank
-            if dirs and matrix_rank([list(v) for v in dirs]) < len(dirs):
+            if dirs and len(fraction_rref(dirs)[1]) < len(dirs):
                 continue  # affinely dependent subset; a smaller one covers it
             if barycentric_member(q, list(combo)) is not None:
                 return True
@@ -229,33 +229,6 @@ def test_pareto_duplicates_kept():
 def test_pareto_with_infinities():
     vecs = [mx.vector(1, "+inf"), mx.vector(1, 5), mx.vector(0, "+inf")]
     assert mx.pareto_frontier(vecs) == (0,)
-
-
-# -- separation ---------------------------------------------------------------------------------
-
-
-def test_separate_outside_point():
-    h = mx.separate((Fraction(2), Fraction(2)), TRIANGLE)
-    assert h is not None
-    assert all(h.value(p) <= h.offset for p in TRIANGLE)
-    assert h.value((Fraction(2), Fraction(2))) > h.offset
-    assert max(h.value(p) for p in TRIANGLE) < h.offset  # strict margin on both sides
-
-
-def test_separate_vertex_and_facet_interior():
-    assert mx.separate(TRIANGLE[0], TRIANGLE) is None
-    midpoint = tuple((TRIANGLE[0][j] + TRIANGLE[1][j]) / 2 for j in range(2))
-    assert mx.separate(midpoint, TRIANGLE) is None
-
-
-def test_separate_consistent_with_achievability():
-    rng = random.Random(3)
-    for _ in range(20):
-        points = rational_cloud(rng, 6, 2, denom=4)
-        q = rational_cloud(rng, 1, 2, denom=4)[0]
-        sep = mx.separate(q, points)
-        member = membership_combination(q, points)
-        assert (sep is None) == (member is not None)
 
 
 # -- supporting maps ------------------------------------------------------------------------------
@@ -450,7 +423,7 @@ def _basis_orthogonal_to(basis: Sequence[Point], w: Point) -> List[Point]:
     row = [dot(w, basis[t]) for t in range(k)]
     if all(v == 0 for v in row):
         return list(basis)
-    null_z = nullspace([row])
+    null_z = fraction_nullspace([row])
     out = []
     for z in null_z:
         vec = tuple(
@@ -519,7 +492,7 @@ def test_supporting_normals_match_kernel_basis_reference(case):
         assert mx.dominating_face_decomposition(q, points) == dec
 
 
-# -- reference: the Fraction convex hull, kept verbatim ------------------------------------
+# -- reference: the Fraction convex hull, on its own Fraction affine span ------------------
 
 
 def reference_convex_hull(points) -> Hull:
@@ -539,12 +512,16 @@ def reference_convex_hull(points) -> Hull:
             unique.append(p)
     corner_points = {unique[i] for i in extreme_points(unique)}
     verts = tuple(i for i, p in enumerate(pts) if p in corner_points)
-    basis, base = affine_span(pts)
+    base = pts[0]
+    dirs = [tuple(p[j] - base[j] for j in range(d)) for p in pts[1:]]
+    dirs = [v for v in dirs if any(x != 0 for x in v)]
+    reduced, pivots = fraction_rref(dirs) if dirs else ([], [])
+    basis = [tuple(row) for row in reduced[:len(pivots)]]
     k = len(basis)
 
     span_eqs = []
     if k < d:
-        normals = nullspace([list(b) for b in basis]) if basis else \
+        normals = fraction_nullspace([list(b) for b in basis]) if basis else \
             [[Fraction(1) if j == i else Fraction(0) for j in range(d)] for i in range(d)]
         for n in normals:
             span_eqs.append((tuple(n), dot(n, base)))
@@ -558,7 +535,7 @@ def reference_convex_hull(points) -> Hull:
             dirs = [tuple(p[j] - chosen[0][j] for j in range(d)) for p in chosen[1:]]
             # normal n = sum_t z_t basis[t] with <n, dir> = 0 for all dirs
             rows = [[dot(dirv, bvec) for bvec in basis] for dirv in dirs]
-            null_z = nullspace(rows) if rows else \
+            null_z = fraction_nullspace(rows) if rows else \
                 [[Fraction(1) if j == i else Fraction(0) for j in range(k)] for i in range(k)]
             if len(null_z) != 1:
                 continue  # affinely dependent subset

@@ -2,18 +2,19 @@
 handles zero leading entries, bad systems raise the documented errors, and
 scaling the right-hand side apart from the matrix returns the same
 Fractions as scaling whole [A | b] rows.  Cofactor vectors are orthogonal
-to their rows and vanish exactly on dependent rows."""
+to their rows and vanish exactly on dependent rows.  The fraction-free
+`rref` returns the Fractions of Gauss-Jordan elimination over Fraction."""
 
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from momix.errors import SingularSystem
-from momix.linalg import _bareiss, cofactor_vector, matrix_rank, solve_linear
+from momix.linalg import _bareiss, cofactor_vector, rref, solve_linear
 from momix.rationals import integer_row
 
-from conftest import solve_column
+from conftest import fraction_rref, solve_column
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=12)
 
@@ -32,7 +33,7 @@ def systems(draw):
 @settings(max_examples=150, deadline=None)
 def test_solution_satisfies_system_exactly(system):
     matrix, rhs = system
-    assume(matrix_rank(matrix) == len(matrix))
+    assume(len(fraction_rref(matrix)[1]) == len(matrix))
     x = solve_column(matrix, rhs)
     assert all(isinstance(v, Fraction) for v in x)
     assert [sum((a * v for a, v in zip(row, x)), Fraction(0)) for row in matrix] == rhs
@@ -43,7 +44,7 @@ def _row_scaled_solve(matrix, rhs):
     denominators, kept as the reference."""
     n = len(matrix)
     a = [integer_row([*row, b])[0] for row, b in zip(matrix, rhs)]
-    det = _bareiss(a, n)
+    _pivots, det = _bareiss(a, n)
     if det == 0:
         raise SingularSystem("the system matrix is singular")
     num = [0] * n
@@ -152,9 +153,42 @@ def test_cofactor_vector_is_orthogonal_and_vanishes_on_dependent_rows(rows):
     z = cofactor_vector(rows)
     assert len(z) == len(rows) + 1
     assert all(sum(a * b for a, b in zip(row, z)) == 0 for row in rows)
-    assert any(z) == (matrix_rank(rows) == len(rows))
+    assert any(z) == (len(fraction_rref(rows)[1]) == len(rows))
 
 
 def test_cofactor_vector_is_the_cross_product():
     assert cofactor_vector([[1, 2, 3], [4, 5, 6]]) == [-3, 6, -3]
     assert cofactor_vector([]) == [1]
+
+
+@st.composite
+def rectangular_matrices(draw):
+    """Matrices of 0 to 6 rows and 0 to 5 columns with mixed denominators:
+    some all zero, some rank-deficient through repeated rows, multiples of
+    other rows or zero columns."""
+    m = draw(st.integers(min_value=0, max_value=6))
+    n = draw(st.integers(min_value=0, max_value=5))
+    entry = st.just(Fraction(0)) if draw(st.integers(0, 5)) == 0 else rationals
+    matrix = [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(m)]
+    if m >= 2 and draw(st.booleans()):
+        i, j = draw(st.permutations(range(m)))[:2]
+        matrix[i] = [draw(rationals) * v for v in matrix[j]] if draw(st.booleans()) \
+            else list(matrix[j])
+    if n and draw(st.booleans()):
+        col = draw(st.integers(0, n - 1))
+        for row in matrix:
+            row[col] = Fraction(0)
+    return matrix
+
+
+@given(rectangular_matrices())
+@example([])
+@example([[]])
+@example([[0, 0], [0, 0]])
+@example([[Fraction(1, 3), 0, 2]] * 3)
+@example([[0, Fraction(2, 5)], [Fraction(1, 7), 1], [3, 0]])
+@settings(max_examples=300, deadline=None)
+def test_rref_equals_fraction_gauss_jordan(matrix):
+    rows, pivots = rref(matrix)
+    assert (rows, pivots) == fraction_rref(matrix)
+    assert all(type(v) is Fraction for row in rows for v in row)

@@ -238,7 +238,39 @@ def test_strongly_connected_components_match_recursive_tarjan(problem):
         _recursive_tarjan(graph, order)
 
 
-# Component orders on the bundled models: scc_decompose (topological) and
+@given(st.integers(min_value=2, max_value=5), st.data())
+@settings(max_examples=40, deadline=None)
+def test_scc_against_reachability_oracle(n, data):
+    """Tarjan vs the definition: s ~ t iff both reach each other."""
+    states = [f"s{i}" for i in range(n)]
+    edges = {s: data.draw(st.lists(st.sampled_from(states), min_size=1, max_size=n,
+                                   unique=True), label=f"edges{s}") for s in states}
+    doc = {"states": states, "actions": ["a"],
+           "transitions": {s: {"a": {t: f"1/{len(ts)}" for t in ts}}
+                           for s, ts in edges.items()}}
+    model = mx.load_model(json.dumps(doc))
+    components = mx.model.strongly_connected_components(model.successor_graph(), model.states)
+    component_of = {s: i for i, comp in enumerate(components) for s in comp}
+
+    def reaches(a, b):
+        seen, frontier = {a}, [a]
+        while frontier:
+            for t in edges[frontier.pop()]:
+                if t not in seen:
+                    seen.add(t)
+                    frontier.append(t)
+        return b in seen
+
+    for s in states:
+        for t in states:
+            same = component_of[s] == component_of[t]
+            assert same == (reaches(s, t) and reaches(t, s))
+            if reaches(s, t) and not same:
+                assert component_of[t] < component_of[s]  # successors first
+
+
+# Component orders on the bundled models: the strongly connected components
+# in topological order (the reverse of the order Tarjan emits them in) and
 # the states of each maximal end component, in the order they are found.
 BUNDLED_SCC_ORDERS = {
     "coin_exit.json": ([["s"], ["t"]], [["s"], ["t"]]),
@@ -256,6 +288,7 @@ BUNDLED_SCC_ORDERS = {
 def test_component_orders_on_bundled_models(name):
     model, _dims = load(name)
     sccs, mecs = BUNDLED_SCC_ORDERS[name]
-    assert [sorted(c) for c in mx.scc_decompose(model).components] == sccs
+    components = mx.model.strongly_connected_components(model.successor_graph(), model.states)
+    assert [sorted(c) for c in reversed(components)] == sccs
     assert [sorted(states) for states, _pairs in
             mx.evaluate.maximal_end_components(model)] == mecs

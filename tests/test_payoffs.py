@@ -6,8 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import momix as mx
-from momix.errors import MalformedLasso, UnknownScc
-from momix.payoffs import CylinderUnion, GeneralizedDiscounted, normalize_cylinders
+from momix.errors import MalformedLasso
 
 
 def brute_force_discounted(lam, weights, play, terms=200):
@@ -112,175 +111,3 @@ def test_rotation_invariance_property(two_discounts, loops, rot):
     play = mx.LassoPlay.check(model, prefix, cycle)
     for spec in dims:
         assert mx.eval_play(spec, play.rotate_cycle(rot)) == mx.eval_play(spec, play)
-
-
-# -- truncated generalized discounted sums ----------------------------------------
-
-
-def constant_gd(lam, w, cap, bound):
-    return GeneralizedDiscounted(
-        discount=lambda window, a: Fraction(lam),
-        weight=lambda window, a: Fraction(w),
-        discount_cap=Fraction(cap),
-        weight_bound=Fraction(bound),
-        depth=1,
-    )
-
-
-def test_truncated_interval_example(coin_exit):
-    g = constant_gd(Fraction(1, 2), 1, Fraction(1, 2), 1)
-    prefix = ("s", "b") * 4 + ("s",)
-    lo, hi = mx.eval_play_truncated(g, prefix)
-    assert (lo, hi) == (Fraction(13, 8), Fraction(17, 8))
-
-
-def test_truncated_zero_weights():
-    g = constant_gd(Fraction(1, 2), 0, Fraction(1, 2), 0)
-    assert mx.eval_play_truncated(g, ("s", "b", "s", "b")) == (Fraction(0), Fraction(0))
-
-
-def test_truncated_no_tail():
-    g = constant_gd(0, 1, 0, 1)
-    lo, hi = mx.eval_play_truncated(g, ("s", "b"))
-    assert lo == hi == 1
-
-
-def test_truncated_contains_closed_form(coin_exit):
-    model, _ = coin_exit
-    w = model.weight_function("unit")
-    spec = mx.DiscountedSum(Fraction(1, 2), w)
-    play = mx.LassoPlay.check(model, ("s",), ("s", "b"))
-    value = mx.eval_play(spec, play).finite
-    g = constant_gd(Fraction(1, 2), 1, Fraction(1, 2), 1)
-    widths = []
-    for n in range(1, 8):
-        lo, hi = mx.eval_play_truncated(g, ("s", "b") * n)
-        assert lo <= value <= hi
-        widths.append(hi - lo)
-    for a, b in zip(widths, widths[1:]):
-        assert b == a / 2  # geometric shrinkage
-
-
-# -- clopen objectives ---------------------------------------------------------------
-
-
-def test_clopen_single_cylinder(two_discounts):
-    model, _ = two_discounts
-    obj = CylinderUnion((("s0", "a", "s2"),))
-    assert mx.is_clopen_objective(model, obj) == (True, 1)
-
-
-def test_clopen_full_cone_depth_two(two_discounts):
-    model, _ = two_discounts
-    # all histories of length 2 from s0
-    hs = []
-    for a in model.enabled("s0"):
-        for t, p in model.dist("s0", a).items():
-            for b in model.enabled(t):
-                for u, q in model.dist(t, b).items():
-                    hs.append((("s0", a, t, b, u)))
-    obj = CylinderUnion(tuple(hs))
-    ok, horizon = mx.is_clopen_objective(model, obj)
-    assert ok and horizon == 2
-    # brute force: membership over depth-3 prefixes equals the full cone
-    from momix.payoffs import cylinder_member
-    def plays(prefix, depth):
-        if depth == 0:
-            yield prefix
-            return
-        s = prefix[-1]
-        for a in model.enabled(s):
-            for t, p in model.dist(s, a).items():
-                yield from plays(prefix + (a, t), depth - 1)
-    assert all(cylinder_member(obj, p) for p in plays(("s0",), 3))
-
-
-def test_clopen_nested_normalized(two_discounts):
-    model, _ = two_discounts
-    nested = CylinderUnion((("s0", "a", "s2", "a", "s2"), ("s0", "a", "s2")))
-    ok, horizon = mx.is_clopen_objective(model, nested)
-    assert ok and horizon == 1
-    kept = normalize_cylinders(model, nested)
-    assert kept.histories == (("s0", "a", "s2"),)
-
-
-# -- SCC decomposition and prefix-independent continuity ------------------------------
-
-
-def test_scc_two_discounts(two_discounts):
-    model, _ = two_discounts
-    dec = mx.scc_decompose(model)
-    assert set(dec.components) == {frozenset({s}) for s in model.states}
-    i = {next(iter(c)): k for k, c in enumerate(dec.components)}
-    for other in ("s1", "s2", "s3"):
-        assert dec.reaches(i["s0"], i[other])
-    assert dec.reaches(i["s2"], i["s3"])
-    assert not dec.reaches(i["s3"], i["s2"])
-
-
-def test_scc_complete_graph():
-    import json
-    doc = {"states": ["x", "y"], "actions": ["a"],
-           "transitions": {"x": {"a": {"y": "1"}}, "y": {"a": {"x": "1"}}}}
-    model = mx.load_model(json.dumps(doc))
-    dec = mx.scc_decompose(model)
-    assert dec.components == (frozenset({"x", "y"}),)
-
-
-def test_scc_coin_exit(coin_exit):
-    model, _ = coin_exit
-    dec = mx.scc_decompose(model)
-    assert set(dec.components) == {frozenset({"s"}), frozenset({"t"})}
-    i = {next(iter(c)): k for k, c in enumerate(dec.components)}
-    assert dec.reaches(i["s"], i["t"]) and not dec.reaches(i["t"], i["s"])
-
-
-@given(st.integers(min_value=2, max_value=5), st.data())
-@settings(max_examples=40, deadline=None)
-def test_scc_against_reachability_oracle(n, data):
-    """Tarjan vs the definition: s ~ t iff both reach each other."""
-    import json
-    states = [f"s{i}" for i in range(n)]
-    edges = {s: data.draw(st.lists(st.sampled_from(states), min_size=1, max_size=n,
-                                   unique=True), label=f"edges{s}") for s in states}
-    doc = {"states": states, "actions": ["a"],
-           "transitions": {s: {"a": {t: f"1/{len(ts)}" for t in ts}}
-                           for s, ts in edges.items()}}
-    model = mx.load_model(json.dumps(doc))
-    dec = mx.scc_decompose(model)
-
-    def reaches(a, b):
-        seen, frontier = {a}, [a]
-        while frontier:
-            for t in edges[frontier.pop()]:
-                if t not in seen:
-                    seen.add(t)
-                    frontier.append(t)
-        return b in seen
-
-    for s in states:
-        for t in states:
-            same = dec.component_of[s] == dec.component_of[t]
-            assert same == (reaches(s, t) and reaches(t, s))
-            if s != t and reaches(s, t):
-                i, j = dec.component_of[s], dec.component_of[t]
-                assert dec.reaches(i, j)
-
-
-def test_prefix_independent_continuity(earn_or_exit):
-    model, _ = earn_or_exit
-    dec = mx.scc_decompose(model)
-    i = {next(iter(c)): k for k, c in enumerate(dec.components)}
-    bad = {i["s"]: mx.ExtReal(0), i["t"]: mx.ExtReal(1)}
-    good = {i["s"]: mx.ExtReal(1), i["t"]: mx.ExtReal(1)}
-    assert not mx.check_prefix_independent_continuity(model, bad)
-    assert mx.check_prefix_independent_continuity(model, good)
-    with pytest.raises(UnknownScc):
-        mx.check_prefix_independent_continuity(model, {0: mx.ExtReal(0)})
-
-
-def test_single_scc_always_continuous():
-    import json
-    doc = {"states": ["x"], "actions": ["a"], "transitions": {"x": {"a": {"x": "1"}}}}
-    model = mx.load_model(json.dumps(doc))
-    assert mx.check_prefix_independent_continuity(model, {0: mx.POS_INF})

@@ -1,5 +1,6 @@
-"""Static checks on the source of momix itself: no unused imports, and one
-product walk, which `strategies.py` owns."""
+"""Static checks on the source of momix itself: no unused imports, no
+module-level private name that nothing else uses, and one product walk,
+which `strategies.py` owns."""
 
 import ast
 import os
@@ -35,6 +36,52 @@ def test_scan_finds_an_unused_import():
 def test_no_unused_imports(module):
     with open(os.path.join(SRC, module), "r", encoding="utf-8") as fh:
         assert unused_imports(fh.read()) == []
+
+
+def unreferenced_private_names(sources):
+    """Module-level private names (`_x`, not dunders) of the given modules,
+    {file name: source}, that no other top-level statement of any of them
+    reads, as "file:name"."""
+    defined, used = [], set()
+    for name, source in sources.items():
+        for stmt in ast.parse(source).body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                bound = {stmt.name}
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                bound = {node.id for t in targets for node in ast.walk(t)
+                         if isinstance(node, ast.Name)}
+            else:
+                bound = set()
+            defined += [(name, b) for b in sorted(bound)
+                        if b.startswith("_") and not b.startswith("__")]
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    read = node.id
+                elif isinstance(node, ast.Attribute):
+                    read = node.attr
+                elif isinstance(node, ast.alias):
+                    read = node.name
+                else:
+                    continue
+                if read not in bound:
+                    used.add(read)
+    return [f"{name}:{b}" for name, b in defined if b not in used]
+
+
+def test_scan_finds_an_unreferenced_private_name():
+    sources = {"a.py": "def _loop():\n    return _loop()\n\n"
+                       "def _helper():\n    pass\n\n_TABLE = {}\nx = _helper()\n",
+               "b.py": "from .a import _TABLE\n_UNUSED: int = 1\n"}
+    assert unreferenced_private_names(sources) == ["a.py:_loop", "b.py:_UNUSED"]
+
+
+def test_every_private_name_is_referenced():
+    sources = {}
+    for module in MODULES + ["__init__.py"]:
+        with open(os.path.join(SRC, module), "r", encoding="utf-8") as fh:
+            sources[module] = fh.read()
+    assert unreferenced_private_names(sources) == []
 
 
 def skeleton_steps(source: str):

@@ -1,6 +1,7 @@
 """Strategies: product chains, cylinders, enumeration, Kuhn conversion and
 the bounded-horizon premetric (with the two lemmas backing it)."""
 
+import json
 import random
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ from momix.strategies import reachable_choice_points, strategy_from_dict, strate
 
 from conftest import (commute_ltb, commute_train, split_reach_choice, coin_exit_always,
                       coin_exit_switch, grid_randomized, memoryless_table)
+from test_evaluate import small_observed_problems
 
 
 def test_product_chain_coin_exit(coin_exit):
@@ -197,6 +199,63 @@ def test_premetric_family_horizons(coin_exit):
         sig = coin_exit_switch(model, n)
         assert mx.strategy_premetric(model, sig, limit, n) == 0
         assert mx.strategy_premetric(model, sig, limit, n + 1) == 2
+
+
+def history_premetric(model, sigma, tau, horizon):
+    """The premetric by walking every history with at most `horizon` states,
+    exponential in the horizon: the reference for the walk over (state,
+    sigma memory, tau memory) triples."""
+    if horizon < 1:
+        return Fraction(0)
+    best = Fraction(0)
+    for start in model.states:
+        stack = [(start, sigma.skeleton.init, tau.skeleton.init, 1)]
+        while stack:
+            s, ms, mt, states_so_far = stack.pop()
+            z = model.obs[s]
+            ds = sigma.action_distribution(ms, z)
+            dt = tau.action_distribution(mt, z)
+            actions = set(ds) | set(dt)
+            d2 = sum(((ds.get(a, Fraction(0)) - dt.get(a, Fraction(0))) ** 2 for a in actions),
+                     Fraction(0))
+            if d2 > best:
+                best = d2
+            if states_so_far >= horizon:
+                continue
+            for a in model.enabled(s):
+                nms = sigma.skeleton.step(ms, z, a)
+                nmt = tau.skeleton.step(mt, z, a)
+                for t, p in model.dist(s, a).items():
+                    if p > 0:
+                        stack.append((t, nms, nmt, states_so_far + 1))
+    return best
+
+
+@given(small_observed_problems(), st.integers(0, 3), st.integers(0, 2 ** 16))
+@settings(max_examples=60, deadline=None)
+def test_premetric_equals_history_walk_generated(problem, other_horizon, seed):
+    doc, horizon = problem
+    model, _dims = mx.load_problem(json.dumps(doc))
+    rng = random.Random(seed)
+    sigma = grid_randomized(model, mx.counter(model, horizon), rng, grid=2)
+    tau = grid_randomized(model, mx.counter(model, other_horizon), rng, grid=2)
+    for k in range(6):
+        assert mx.strategy_premetric(model, sigma, tau, k) == \
+            history_premetric(model, sigma, tau, k)
+
+
+def test_premetric_visits_each_memory_triple_once(coin_exit):
+    """At horizon 200 the history walk would never finish; the triple walk
+    asks each strategy for at most |S| |M_sigma| |M_tau| distributions."""
+    model, _ = coin_exit
+    sigma, tau = coin_exit_switch(model, 5), coin_exit_switch(model, 3)
+    calls = []
+    for strategy in (sigma, tau):
+        real = strategy.action_distribution
+        strategy.action_distribution = \
+            lambda mem, z, real=real: calls.append((mem, z)) or real(mem, z)
+    assert mx.strategy_premetric(model, sigma, tau, 200) == 2
+    assert len(calls) <= 2 * len(model.states) * 6 * 4
 
 
 @given(st.lists(st.tuples(st.fractions(min_value=0, max_value=1),
