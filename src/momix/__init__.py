@@ -11,16 +11,15 @@ and is the only floating-point component.
 
 from .errors import *  # noqa: F401,F403
 from .model import (Pomdp, ValidationReport, WeightFunction, load_model,
-                    load_model_file, reachable_states, serialize,
-                    unroll_cost_counter, validate)
+                    reachable_states, serialize, unroll_cost_counter, validate)
 from .payoffs import (BuchiIndicator, DiscountedSum, LassoPlay, ReachGatedDiscountedSum,
                       ReachIndicator, ShortestPath, TotalRewardNonNeg, eval_play,
-                      load_payoffs, load_problem)
+                      load_problem)
 from .rationals import ExtReal, ExtRealVector, NEG_INF, POS_INF, parse_rational, vector
-from .strategies import (FiniteMemoryStrategy, FiniteMixture, MarkovChain,
-                         MemorySkeleton, PureStrategy, counter, cylinder_prob,
-                         enumerate_pure, lasso_outcome, memoryless,
-                         mixed_to_behavioural, product_chain, strategy_premetric)
+from .strategies import (FiniteMemoryStrategy, FiniteMixture, MemorySkeleton,
+                         PureStrategy, counter, cylinder_prob, enumerate_pure,
+                         lasso_outcome, memoryless, mixed_to_behavioural,
+                         strategy_premetric)
 from .evaluate import (IntegrabilityVerdict, classify_integrability,
                        expected_payoff, mixed_expected_payoff, pure_payoff_set)
 from .geometry import (Decomposition, Hull, LinearMap, achievability_lp, caratheodory,
@@ -28,8 +27,7 @@ from .geometry import (Decomposition, Hull, LinearMap, achievability_lp, carathe
                        pareto_frontier, supporting_map)
 from .synthesis import (LexResult, MixtureCertificate, achieve, approximate,
                         check_pure_dominates_lex, lex_optimize, reduce_support)
-from .beliefs import (BeliefGraph, belief_graph, belief_update,
-                      classify_shortest_path, reach_bound_check,
-                      universal_as_reach)
+from .beliefs import (BeliefGraph, belief_graph, classify_shortest_path,
+                      reach_bound_check, universal_as_reach)
 from .montecarlo import (Estimate, SampleConfig, convergence_probe,
                          estimate_expectation, sample_play)

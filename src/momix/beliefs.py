@@ -19,34 +19,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
 
-from .errors import DisabledAction, ObservationClassTooLarge, PreconditionViolated, UnknownState
+from .errors import ObservationClassTooLarge, PreconditionViolated, UnknownState
 from .model import Pomdp, closure
-from .strategies import FiniteMemoryStrategy, MemorySkeleton, PureStrategy, product_chain
+from .strategies import FiniteMemoryStrategy, MemorySkeleton, PureStrategy, transition_table
 
 BeliefSupport = FrozenSet[str]
 
 
-def check_belief_support(model: Pomdp, support) -> BeliefSupport:
-    support = frozenset(support)
-    if not support:
-        raise ValueError("belief supports are non-empty")
-    unknown = support - set(model.states)
-    if unknown:
-        raise UnknownState(sorted(unknown)[0])
-    observations = {model.obs[s] for s in support}
-    if len(observations) > 1:
-        raise ValueError(f"belief support mixes observations {sorted(observations)}")
-    return support
-
-
-def belief_update(model: Pomdp, support: BeliefSupport, action: str,
-                  observation: str) -> Optional[BeliefSupport]:
+def _belief_update(model: Pomdp, support: BeliefSupport, action: str,
+                   observation: str) -> Optional[BeliefSupport]:
     """States with the given observation reachable in one `action` step from
-    the support; None when that observation cannot occur."""
-    support = check_belief_support(model, support)
-    enabled = model.enabled(next(iter(support)))
-    if action not in enabled:
-        raise DisabledAction(f"action {action} disabled in support {sorted(support)}")
+    the support, a set of states of one observation, under an action they
+    enable; None when that observation cannot occur."""
     successors = set()
     for s in support:
         for t, p in model.dist(s, action).items():
@@ -89,7 +73,7 @@ def belief_graph(model: Pomdp, start: str) -> BeliefGraph:
         enabled = model.enabled(next(iter(support)))
         for a in enabled:
             for z in model.observations:
-                nxt = belief_update(model, support, a, z)
+                nxt = _belief_update(model, support, a, z)
                 if nxt is None:
                     continue
                 edges.append((support, a, z, nxt))
@@ -130,7 +114,7 @@ def _avoidance_winning_supports(model: Pomdp, target: frozenset) -> Dict[BeliefS
         """The first enabled action keeping every observation outcome of
         `support` inside the current winning set."""
         for a in model.enabled(next(iter(support))):
-            outcomes = (belief_update(model, support, a, z) for z in model.observations)
+            outcomes = (_belief_update(model, support, a, z) for z in model.observations)
             if all(nxt is None or nxt in winning for nxt in outcomes):
                 return a
         return None
@@ -270,23 +254,25 @@ def classify_shortest_path(model: Pomdp, start: str, target: frozenset):
 
 def bounded_reach_probability(model: Pomdp, strategy: FiniteMemoryStrategy, start: str,
                               target: frozenset, steps: int) -> Fraction:
-    """Exact P(target hit within `steps` transitions) on the product chain."""
-    chain = product_chain(model, strategy, start)
-    hit = {i for i, (s, _m) in enumerate(chain.nodes) if s in target}
-    dist: Dict[int, Fraction] = {chain.init: Fraction(1)}
-    absorbed = Fraction(0)
-    if chain.init in hit:
+    """Exact P(target hit within `steps` transitions), pushing the mass of
+    the strategy's moves over the transition table of its skeleton."""
+    table = transition_table(model, strategy.skeleton, [start])
+    if start in target:
         return Fraction(1)
+    dist: Dict[int, Fraction] = {0: Fraction(1)}
+    absorbed = Fraction(0)
     for _ in range(steps):
         nxt: Dict[int, Fraction] = {}
         for node, mass in dist.items():
-            for j, p in chain.matrix[node].items():
-                if p == 0:
-                    continue
-                if j in hit:
-                    absorbed += mass * p
-                else:
-                    nxt[j] = nxt.get(j, Fraction(0)) + mass * p
+            s, mem = table.nodes[node]
+            for a, alpha in strategy.choice(mem, model.obs[s]):
+                share = mass * alpha
+                for j, p in table.moves[node][a]:
+                    q = share * p
+                    if table.nodes[j][0] in target:
+                        absorbed += q
+                    else:
+                        nxt[j] = nxt.get(j, Fraction(0)) + q
         dist = nxt
         if not dist:
             break

@@ -166,6 +166,8 @@ def _cmd_achieve(args):
     dims = _need_payoffs(dims)
     skeleton = _skeleton(args.skeleton, mdl)
     target = _target_vector(args.target, dims)
+    if not target.is_finite:
+        raise SchemaError("achieve needs a finite target; use approx")
     pool = evaluate.pure_payoff_set(mdl, args.state, dims, skeleton)
     try:
         cert = synthesis.achieve(target, pool, mode=args.mode, pool_info=args.skeleton)
@@ -190,10 +192,12 @@ def _cmd_approx(args):
     eps = parse_rational(args.eps)
     if eps <= 0:
         raise SchemaError(f"--eps must be positive, not {args.eps}")
+    big_m = parse_rational(args.bigM)
+    if big_m <= 0:
+        raise SchemaError(f"--bigM must be positive, not {args.bigM}")
     pool = evaluate.pure_payoff_set(mdl, args.state, dims, skeleton)
     try:
-        cert = synthesis.approximate(target, eps, parse_rational(args.bigM), pool,
-                                     pool_info=args.skeleton)
+        cert = synthesis.approximate(target, eps, big_m, pool, pool_info=args.skeleton)
     except InfeasibleApproximation as exc:
         _emit(args, {"ok": False, "reason": str(exc)}, [f"infeasible: {exc}"])
         return EXIT_NEGATIVE

@@ -214,11 +214,6 @@ def model_from_dict(doc: Mapping) -> Pomdp:
     )
 
 
-def load_model_file(path) -> Pomdp:
-    with open(path, "r", encoding="utf-8") as handle:
-        return load_model(handle.read())
-
-
 def serialize(model: Pomdp) -> str:
     """Canonical JSON for a Pomdp; load_model(serialize(m)) == m."""
     doc = {

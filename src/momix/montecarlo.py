@@ -15,7 +15,7 @@ buffer, which yields exactly the rows of the full matrix.  Each chunk is
 walked step by step, all its samples at once: step t takes the live samples'
 draws from column t+1 and moves them along flat edge indices (node*deg + k),
 k counting the node's joint (action, successor) moves in the order of
-`MarkovChain.edges`: action order, then successor *state* order.  Memory is
+`_Walker.edges`: action order, then successor *state* order.  Memory is
 O(chunk x horizon) plus one value per sample and dimension.  A
 sample is *settled* once it stands on a node from which no reachable edge
 carries weight in any discounted or total-reward dimension and every
@@ -43,7 +43,7 @@ from .model import Pomdp, closure
 from .payoffs import (BuchiIndicator, DiscountedSum, MultiPayoff, ReachGatedDiscountedSum,
                       ReachIndicator, ShortestPath, TotalRewardNonNeg)
 from .rationals import ExtRealVector
-from .strategies import FiniteMemoryStrategy, FiniteMixture, product_chain, strategy_premetric
+from .strategies import FiniteMemoryStrategy, FiniteMixture, strategy_premetric, transition_table
 
 
 @dataclass(frozen=True)
@@ -96,12 +96,11 @@ def sample_play(model: Pomdp, strategy, start: str, horizon: int, seed: int,
     if isinstance(strategy, FiniteMixture):
         strategy = _pick_member(strategy, u[0])
     walker = _Walker(model, strategy, start, ())
-    chain = walker.chain
-    node = chain.init
-    out: List[str] = [chain.state_of(node)]
+    node = 0
+    out: List[str] = [walker.nodes[node][0]]
     for r in u[1:]:
-        a, _p, node = chain.edges[node][int((walker.cum[:, node] <= r).sum())]
-        out += [a, chain.state_of(node)]
+        a, _p, node = walker.edges[node][int((walker.cum[:, node] <= r).sum())]
+        out += [a, walker.nodes[node][0]]
     return tuple(out)
 
 
@@ -188,16 +187,20 @@ def _bias_bound(spec, horizon: int) -> Optional[Fraction]:
 
 
 class _Walker:
-    """One member's product chain flattened for the walk.
+    """One member's moves over the transition table, flattened for the walk.
 
-    Each step consumes one uniform draw r and picks a joint (action,
-    successor) edge of `chain.edges`; the law is exactly "draw the action,
-    then the successor".  Edges keep the chain's order (model action order,
-    then successor state order) at flat index node*deg + k.  `cum[k, i]` is
-    the float probability of node i's first k+1 edges, forced to exactly 1.0
-    at its last edge (absorbing rounding) and padded with 1.0 up to `deg`
-    edges; row deg-1, all 1.0, is left out.  No draw reaches 1.0, so r picks
-    edge k = #{entries <= r} of its node.  Alongside are the successors and
+    `nodes` are the (state, memory) pairs the member reaches from (start,
+    init), node 0, numbered breadth-first: the member's distribution order,
+    then the table's.  `edges[i]` lists node i's joint moves (action a,
+    probability alpha(a) * p(t), successor node of state t), one per action
+    played and successor state, in model action order and then model state
+    order.  Each step consumes one uniform draw r and picks one edge; the
+    law is exactly "draw the action, then the successor".  Edge k of node i
+    sits at flat index i*deg + k.  `cum[k, i]` is the float probability of
+    node i's first k+1 edges, forced to exactly 1.0 at its last edge
+    (absorbing rounding) and padded with 1.0 up to `deg` edges; row deg-1,
+    all 1.0, is left out.  No draw reaches 1.0, so r picks edge
+    k = #{entries <= r} of its node.  Alongside are the successors and
     per-dimension edge weights at the flat edge indices, node target flags,
     and the settled nodes.
     """
@@ -206,14 +209,32 @@ class _Walker:
                  dims: MultiPayoff):
         import numpy as np
 
-        self.chain = chain = product_chain(model, strategy, start)
-        n = len(chain)
+        table = transition_table(model, strategy.skeleton, [start])
+        order = [0]  # table node of each walker node
+        position = {0: 0}
+        edges: List[Tuple[Tuple[str, Fraction, int], ...]] = []
+        action_rank = {a: k for k, a in enumerate(model.actions)}
+        state_rank = {t: k for k, t in enumerate(model.states)}
+        for node in order:  # grows while it is read: breadth-first
+            s, mem = table.nodes[node]
+            moves = []
+            for a, alpha in strategy.choice(mem, model.obs[s]):
+                for nxt, p in table.moves[node][a]:
+                    if nxt not in position:
+                        position[nxt] = len(order)
+                        order.append(nxt)
+                    moves.append((a, alpha * p, position[nxt]))
+            moves.sort(key=lambda move: (action_rank[move[0]],
+                                         state_rank[table.nodes[order[move[2]]][0]]))
+            edges.append(tuple(moves))
+        self.nodes = [table.nodes[node] for node in order]
+        self.edges = edges
+        n = len(order)
         self.dims = len(dims)
-        self.init = chain.init
-        self.deg = deg = max(len(moves) for moves in chain.edges)
+        self.deg = deg = max(len(moves) for moves in edges)
         cum = np.ones((deg, n), dtype=np.float64)
         self.next = np.zeros(n * deg, dtype=np.int64)
-        for i, moves in enumerate(chain.edges):
+        for i, moves in enumerate(edges):
             acc = 0.0
             for k, (_a, p, j) in enumerate(moves):
                 acc += float(p)
@@ -228,14 +249,14 @@ class _Walker:
             if isinstance(spec, (DiscountedSum, ReachGatedDiscountedSum, TotalRewardNonNeg,
                                  ShortestPath)):
                 w = np.zeros(n * deg, dtype=np.float64)
-                for i, moves in enumerate(chain.edges):
+                for i, moves in enumerate(edges):
                     for k, (a, _p, _j) in enumerate(moves):
-                        w[i * deg + k] = float(spec.weights(chain.state_of(i), a))
+                        w[i * deg + k] = float(spec.weights(self.nodes[i][0], a))
                 self.weights[j] = w
             if isinstance(spec, (DiscountedSum, ReachGatedDiscountedSum)):
                 self.discount[j] = float(spec.discount)
             if isinstance(spec, (ReachIndicator, ReachGatedDiscountedSum, ShortestPath)):
-                self.flags[j] = np.array([s in spec.target for s, _m in chain.nodes], dtype=bool)
+                self.flags[j] = np.array([s in spec.target for s, _m in self.nodes], dtype=bool)
         self.until_hit = {j for j, spec in enumerate(dims) if isinstance(spec, ShortestPath)}
         # Shortest-path weights cannot unsettle a node: where no flag changes
         # any more, a sample that has hit the target adds nothing, and one
@@ -250,13 +271,13 @@ class _Walker:
         break this locally."""
         import numpy as np
 
-        n = len(self.chain)
+        n = len(self.nodes)
         unsettled = np.zeros(n, dtype=bool)
         for w in edge_weights:
             unsettled |= (w != 0).reshape(n, self.deg).any(axis=1)
         preds: List[List[int]] = [[] for _ in range(n)]
-        for i, row in enumerate(self.chain.matrix):
-            for j in row:
+        for i, moves in enumerate(self.edges):
+            for _a, _p, j in moves:
                 preds[j].append(i)
                 if any(f[i] != f[j] for f in self.flags.values()):
                     unsettled[i] = True
@@ -264,7 +285,7 @@ class _Walker:
         return ~unsettled
 
     def walk(self, u, rows):
-        """Walk the samples of chunk `rows` from the initial node, reading
+        """Walk the samples of chunk `rows` from node 0, reading
         step t's draw from column t+1 of the chunk's uniforms `u`; returns
         their (dims, len(rows)) accumulated sums and target hits.
 
@@ -276,9 +297,9 @@ class _Walker:
         acc = np.zeros((self.dims, m), dtype=np.float64)
         hit = np.zeros((self.dims, m), dtype=bool)
         for j, flags in self.flags.items():
-            hit[j] = flags[self.init]
+            hit[j] = flags[0]
         pos = np.arange(m)  # index into `rows` of each live sample
-        state = np.full(m, self.init, dtype=np.int64)
+        state = np.zeros(m, dtype=np.int64)
         live_acc, live_hit = acc.copy(), hit.copy()
         discount_pow = {j: 1.0 for j in self.discount}
         for t in range(u.shape[1] - 1):

@@ -167,21 +167,6 @@ def payoff_from_dict(model: Pomdp, entry: Mapping) -> PayoffSpec:
     return spec
 
 
-def load_payoffs(text_or_doc, model: Pomdp) -> MultiPayoff:
-    """Read the `payoffs` array of a model document."""
-    if isinstance(text_or_doc, str):
-        try:
-            doc = json.loads(text_or_doc)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON: {exc}") from exc
-    else:
-        doc = text_or_doc
-    entries = require_field(doc, "payoffs", list, [])
-    if not entries:
-        raise SchemaError("document has no payoffs")
-    return tuple(payoff_from_dict(model, e) for e in entries)
-
-
 def load_problem(text: str):
     """Convenience: parse a document into (model, multi-payoff or None)."""
     try:

@@ -8,9 +8,9 @@ pure strategy at the start of a play and commit to it.
 
 The module also provides:
 
-* the transition table of a model and a memory skeleton from a start
-  state, the one place the product is stepped, and the exact product
-  Markov chain of a model and a strategy built from it,
+* the transition table of a model and a memory skeleton from its start
+  states, the one place the product is stepped; a strategy's moves are
+  `table.moves[node][a]` for each (a, alpha) of its `choice` there,
 * exact cylinder probabilities,
 * enumeration of all pure strategies over a skeleton, and of their
   distinct behaviours from a start state,
@@ -273,35 +273,7 @@ def pure_behaviours(model: Pomdp, table: TransitionTable,
         for index in indices]
 
 
-# -- product chain ------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class MarkovChain:
-    """Exact product of a model with a finite-memory strategy.
-
-    nodes are (state, memory) pairs reachable from the initial pair; rows of
-    `matrix` are sparse dicts over node indices and sum to exactly 1.
-    `action_dists[i]` is the strategy's action distribution at node i, kept
-    for lifting weights and targets.  `edges[i]` lists node i's joint moves
-    (action a, probability alpha(a) * p(t), successor node of state t), one
-    per action played and successor state, in model action order and then
-    model state order.
-    """
-
-    nodes: Tuple[Tuple[str, Mem], ...]
-    index: Mapping[Tuple[str, Mem], int]
-    matrix: Tuple[Mapping[int, Fraction], ...]
-    action_dists: Tuple[Mapping[str, Fraction], ...]
-    edges: Tuple[Tuple[Tuple[str, Fraction, int], ...], ...]
-    init: int
-    model: Pomdp
-
-    def state_of(self, i: int) -> str:
-        return self.nodes[i][0]
-
-    def __len__(self):
-        return len(self.nodes)
+# -- the product ----------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -315,9 +287,9 @@ class TransitionTable:
     lists the moves of node i under action a as (successor node,
     probability) pairs, one per successor state of positive probability in
     the order of the model's distribution.  The exact evaluator,
-    `reachable_choice_points`, the behaviour walk of `pure_behaviours` and
-    `product_chain` (and through it the Monte-Carlo walker) read the product
-    from here instead of stepping the skeleton themselves.
+    `reachable_choice_points`, the behaviour walk of `pure_behaviours`, the
+    Monte-Carlo walker and the bounded-reach walk read the product from
+    here instead of stepping the skeleton themselves.
     """
 
     skeleton: MemorySkeleton
@@ -353,43 +325,6 @@ def transition_table(model: Pomdp, skeleton: MemorySkeleton,
             out[a] = tuple(row)
         moves.append(out)
     return TransitionTable(skeleton, tuple(nodes), tuple(moves))
-
-
-def product_chain(model: Pomdp, strategy: FiniteMemoryStrategy, start: str) -> MarkovChain:
-    """The chain of `strategy` from `start`, read off the transition table of
-    its skeleton: nodes in breadth-first order, following the strategy's
-    action distributions and then the model's."""
-    table = transition_table(model, strategy.skeleton, [start])
-    order = [0]  # table node of each chain node
-    position = {0: 0}
-    rows: List[Dict[int, Fraction]] = []
-    dists: List[Mapping[str, Fraction]] = []
-    edges: List[Tuple[Tuple[str, Fraction, int], ...]] = []
-    action_rank = {a: k for k, a in enumerate(model.actions)}
-    state_rank = {t: k for k, t in enumerate(model.states)}
-    for node in order:  # grows while it is read: breadth-first
-        s, mem = table.nodes[node]
-        dist = strategy.action_distribution(mem, model.obs[s])
-        row: Dict[int, Fraction] = {}
-        moves = []
-        for a, alpha in dist.items():
-            if alpha == 0:
-                continue
-            for nxt, p in table.moves[node][a]:
-                if nxt not in position:
-                    position[nxt] = len(order)
-                    order.append(nxt)
-                j, q = position[nxt], alpha * p
-                row[j] = row.get(j, Fraction(0)) + q
-                moves.append((a, q, j))
-        moves.sort(key=lambda move: (action_rank[move[0]],
-                                     state_rank[table.nodes[order[move[2]]][0]]))
-        rows.append(row)
-        dists.append(dict(dist))
-        edges.append(tuple(moves))
-    nodes = tuple(table.nodes[node] for node in order)
-    return MarkovChain(nodes, {node: j for j, node in enumerate(nodes)}, tuple(rows),
-                       tuple(dists), tuple(edges), 0, model)
 
 
 # -- cylinder probabilities ------------------------------------------------------------

@@ -139,6 +139,8 @@ def approximate(target: ExtRealVector, eps: Fraction, big_m: Fraction, pool: Poo
     big_m = Fraction(big_m)
     if eps <= 0:
         raise ValueError("eps must be positive")
+    if big_m <= 0:
+        raise ValueError("M must be positive")
     d = len(target)
     fin_dims = [j for j in range(d) if target[j].is_finite]
     inf_dims = [j for j in range(d) if not target[j].is_finite]

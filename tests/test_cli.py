@@ -318,6 +318,21 @@ def test_probe_horizon_below_one_is_an_input_error(horizon, tmp_path, capsys):
     assert capsys.readouterr().err == f"input error: --horizon must be at least 1, not {horizon}\n"
 
 
+TWO_DISCOUNTS_INF = ["--state", "s0", "--target=+inf,0"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["achieve", RUNNING] + TWO_DISCOUNTS_INF, "achieve needs a finite target; use approx"),
+    (["approx", RUNNING] + TWO_DISCOUNTS_INF + ["--eps", "1/2", "--bigM", "-3"],
+     "--bigM must be positive, not -3"),
+    (["approx", RUNNING] + TWO_DISCOUNTS_INF + ["--eps", "1/2", "--bigM", "0"],
+     "--bigM must be positive, not 0"),
+], ids=["achieve-infinite-target", "bigM-negative", "bigM-zero"])
+def test_meaningless_targets_and_bounds_are_input_errors(argv, message, capsys):
+    assert run(argv) == 3
+    assert capsys.readouterr().err == f"input error: {message}\n"
+
+
 def test_jobs_is_a_usage_error():
     assert run(["frontier", RUNNING, "--state", "s0", "--jobs", "2"]) == 2
 

@@ -11,13 +11,14 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import momix as mx
+from momix import montecarlo
 from momix.errors import PoolTooLarge, SchemaError, SingularSystem, UndefinedExpectation
 from momix.evaluate import IntegrabilityVerdict, _solve_on, maximal_end_components
 
 from conftest import (commute_bike, commute_ltb, commute_train, distinct_vectors,
                       split_reach_choice, earn_or_exit_stay, earn_or_exit_leave, coin_exit_always,
                       coin_exit_switch, gated_reward_leave, grid_randomized, load,
-                      memoryless_table, solve_column)
+                      memoryless_table, product_chain, solve_column)
 
 
 def test_coin_exit_spath_always_a(coin_exit):
@@ -451,7 +452,7 @@ def test_expected_payoff_matches_float_solves(problem):
     model, dims = mx.load_problem(json.dumps(doc))
     strategy = grid_randomized(model, mx.counter(model, horizon), random.Random(seed))
     exact = mx.expected_payoff(model, strategy, "s0", dims)
-    chain = mx.product_chain(model, strategy, "s0")
+    chain = product_chain(model, strategy, "s0")
     for value, spec in zip(exact, dims):
         oracle = _float_oracle(chain, strategy, spec)
         if oracle is None:
@@ -464,28 +465,31 @@ def test_expected_payoff_matches_float_solves(problem):
 @given(small_problems())
 @settings(max_examples=100, deadline=None)
 def test_chain_edges_are_the_joint_moves(problem):
-    """Grouped by successor, a node's edges give its matrix row; grouped by
-    action, its action distribution.  Each edge leads to the node of its
-    successor state under the skeleton's update, and the edges come in
-    model action order, then model state order, whatever the order of the
-    strategy's and the model's distributions."""
+    """The Monte-Carlo walker's edges from a node are its joint moves: each
+    has the probability alpha(a) * p(t) and leads to the node of its
+    successor state under the skeleton's update; grouped by action they
+    give the strategy's distribution there.  The edges come in model action
+    order, then model state order, whatever the order of the strategy's and
+    the model's distributions, and the nodes are exactly those reached."""
     doc, horizon, seed = problem
     model, _dims = mx.load_problem(json.dumps(doc))
     drawn = grid_randomized(model, mx.counter(model, horizon), random.Random(seed))
     strategy = mx.FiniteMemoryStrategy(drawn.skeleton, {key: dict(reversed(dist.items()))
                                                         for key, dist in drawn.act.items()})
-    chain = mx.product_chain(model, strategy, "s0")
-    for i, (s, mem) in enumerate(chain.nodes):
-        by_node, by_action, order = {}, {}, []
-        for a, p, j in chain.edges[i]:
-            by_node[j] = by_node.get(j, 0) + p
+    walker = montecarlo._Walker(model, strategy, "s0", ())
+    index = {node: i for i, node in enumerate(walker.nodes)}
+    assert walker.nodes[0] == ("s0", 0) and len(index) == len(walker.nodes)
+    for i, (s, mem) in enumerate(walker.nodes):
+        by_action, order = {}, []
+        for a, p, j in walker.edges[i]:
             by_action[a] = by_action.get(a, 0) + p
-            t = chain.state_of(j)
-            assert j == chain.index[(t, strategy.skeleton.step(mem, model.obs[s], a))]
+            t = walker.nodes[j][0]
+            assert j == index[(t, strategy.skeleton.step(mem, model.obs[s], a))]
+            assert p == strategy.act[(mem, model.obs[s])][a] * model.dist(s, a)[t]
             order.append((model.actions.index(a), model.states.index(t)))
-        assert by_node == chain.matrix[i]
-        assert by_action == chain.action_dists[i]
+        assert by_action == dict(strategy.choice(mem, model.obs[s]))
         assert order == sorted(set(order))
+    assert {j for moves in walker.edges for _a, _p, j in moves} | {0} == set(index.values())
 
 
 # -- behaviour pools against brute-force table enumeration ------------------------------

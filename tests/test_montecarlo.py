@@ -21,16 +21,17 @@ from hypothesis import given, settings, strategies as st
 
 import momix as mx
 from momix import montecarlo
+from momix.beliefs import bounded_reach_probability
 from momix.errors import UnsupportedKind
 from momix.model import Pomdp
 from momix.montecarlo import Estimate, SampleConfig, _bias_bound
 from momix.payoffs import (BuchiIndicator, DiscountedSum, MultiPayoff, ReachGatedDiscountedSum,
                            ReachIndicator, ShortestPath, TotalRewardNonNeg)
-from momix.strategies import FiniteMemoryStrategy, FiniteMixture, product_chain
+from momix.strategies import FiniteMemoryStrategy, FiniteMixture
 
 from conftest import (commute_train, split_reach_choice, coin_exit_always, coin_exit_switch,
                       earn_or_exit_leave, gated_reward_leave, grid_randomized, load,
-                      memoryless_table)
+                      memoryless_table, product_chain)
 
 
 # -- reference: the whole-matrix walk, kept verbatim ----------------------------
@@ -514,6 +515,70 @@ def test_settled_nodes():
     nodes = product_chain(model, sigma, "s").nodes
     assert {state for (state, _m), flag in zip(nodes, walker.settled) if flag} == {"t", "v"}
     _assert_same(model, sigma, "s", dims, CHUNK + 1, 5, seed=2)
+
+
+@st.composite
+def clashing_problems(draw):
+    """A model whose action "s1" has the name of a state and comes first in
+    action order, whose distributions list successors in reverse state
+    order, and a counter strategy on it, pure or with its distributions in
+    reverse action order; as (model, strategy, target)."""
+    n = draw(st.integers(2, 5))
+    states = [f"s{i}" for i in range(n)]
+    transitions = {}
+    for s in states:
+        transitions[s] = {}
+        for a in draw(st.lists(st.sampled_from(["a", "s1"]), min_size=1, max_size=2, unique=True)):
+            succ = sorted(draw(st.lists(st.sampled_from(states), min_size=1, max_size=3,
+                                        unique=True)), reverse=True)
+            raw = draw(st.lists(st.integers(1, 4), min_size=len(succ), max_size=len(succ)))
+            transitions[s][a] = {t: str(Fraction(r, sum(raw))) for t, r in zip(succ, raw)}
+    model = mx.load_model(json.dumps({"states": states, "actions": ["s1", "a"],
+                                      "transitions": transitions}))
+    skeleton = mx.counter(model, draw(st.integers(0, 2)))
+    rng = random.Random(draw(st.integers(0, 2 ** 16)))
+    if draw(st.booleans()):
+        strategy = _pure(model, skeleton, rng)
+    else:
+        drawn = grid_randomized(model, skeleton, rng)
+        strategy = FiniteMemoryStrategy(skeleton, {key: dict(reversed(dist.items()))
+                                                   for key, dist in drawn.act.items()})
+    return model, strategy, frozenset(draw(st.lists(st.sampled_from(states), unique=True)))
+
+
+def _reach_within(chain, target, steps):
+    """P(target hit within `steps` transitions), pushing mass over the rows
+    of the reference chain."""
+    hit = {i for i, (s, _m) in enumerate(chain.nodes) if s in target}
+    if chain.init in hit:
+        return Fraction(1)
+    dist, absorbed = {chain.init: Fraction(1)}, Fraction(0)
+    for _ in range(steps):
+        nxt = {}
+        for node, mass in dist.items():
+            for j, p in chain.matrix[node].items():
+                if j in hit:
+                    absorbed += mass * p
+                else:
+                    nxt[j] = nxt.get(j, Fraction(0)) + mass * p
+        dist = nxt
+    return absorbed
+
+
+@settings(max_examples=100, deadline=None)
+@given(clashing_problems())
+def test_walks_match_the_reference_chain(problem):
+    """The walker's nodes and edges are the reference chain's, in the same
+    order, and the bounded-reach walk gives the chain's mass push, when an
+    action has a state's name and no distribution comes in model order."""
+    model, strategy, target = problem
+    chain = product_chain(model, strategy, "s0")
+    walker = montecarlo._Walker(model, strategy, "s0", ())
+    assert tuple(walker.nodes) == chain.nodes
+    assert tuple(walker.edges) == chain.edges
+    for steps in range(7):
+        assert bounded_reach_probability(model, strategy, "s0", target, steps) \
+            == _reach_within(chain, target, steps)
 
 
 def test_streamed_walk_memory(two_discounts):

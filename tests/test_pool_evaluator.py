@@ -20,9 +20,9 @@ from momix.model import Pomdp, WeightFunction, closure, strongly_connected_compo
 from momix.payoffs import (BuchiIndicator, DiscountedSum, MultiPayoff, ReachGatedDiscountedSum,
                            ReachIndicator, ShortestPath, TotalRewardNonNeg)
 from momix.rationals import ExtReal, ExtRealVector, POS_INF
-from momix.strategies import FiniteMemoryStrategy, MarkovChain, product_chain
+from momix.strategies import FiniteMemoryStrategy
 
-from conftest import grid_randomized, solve_column as solve_linear
+from conftest import MarkovChain, grid_randomized, product_chain, solve_column as solve_linear
 from test_evaluate import small_observed_problems
 
 

@@ -1,5 +1,6 @@
-"""Strategies: product chains, cylinders, enumeration, Kuhn conversion and
-the bounded-horizon premetric (with the two lemmas backing it)."""
+"""Strategies: the reference product chain, cylinders, enumeration, Kuhn
+conversion and the bounded-horizon premetric (with the two lemmas backing
+it)."""
 
 import json
 import random
@@ -13,14 +14,14 @@ from momix.errors import PoolTooLarge
 from momix.strategies import reachable_choice_points, strategy_from_dict, strategy_to_dict
 
 from conftest import (commute_ltb, commute_train, split_reach_choice, coin_exit_always,
-                      coin_exit_switch, grid_randomized, memoryless_table)
+                      coin_exit_switch, grid_randomized, memoryless_table, product_chain)
 from test_evaluate import small_observed_problems
 
 
 def test_product_chain_coin_exit(coin_exit):
     model, _ = coin_exit
     always_a = coin_exit_always(model, "a")
-    chain = mx.product_chain(model, always_a, "s")
+    chain = product_chain(model, always_a, "s")
     assert len(chain) == 2
     i_s = chain.index[("s", 0)]
     i_t = chain.index[("t", 0)]
@@ -31,7 +32,7 @@ def test_product_chain_coin_exit(coin_exit):
 def test_product_chain_rows_sum_to_one(two_discounts):
     model, _ = two_discounts
     for strategy in mx.enumerate_pure(model, mx.counter(model, 2)):
-        chain = mx.product_chain(model, strategy, "s0")
+        chain = product_chain(model, strategy, "s0")
         for row in chain.matrix:
             assert sum(row.values(), Fraction(0)) == 1
 
@@ -39,7 +40,7 @@ def test_product_chain_rows_sum_to_one(two_discounts):
 def test_deterministic_chain_single_edges(two_discounts):
     model, _ = two_discounts
     strategy = memoryless_table(model, {"s0": "a", "s2": "a"})
-    chain = mx.product_chain(model, strategy, "s0")
+    chain = product_chain(model, strategy, "s0")
     assert all(len(row) == 1 and sum(row.values()) == 1 for row in chain.matrix)
 
 
@@ -54,7 +55,7 @@ def test_counter_chain_hand_construction(two_discounts):
         table[(q, "s2")] = "a" if q < 3 else "b"
         table[(q, "s3")] = "a"
     strategy = mx.PureStrategy(sk, table)
-    chain = mx.product_chain(model, strategy, "s0")
+    chain = product_chain(model, strategy, "s0")
     assert set(chain.nodes) == {("s0", 0), ("s2", 1), ("s2", 2), ("s2", 3), ("s3", 3)}
 
 

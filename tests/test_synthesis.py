@@ -102,6 +102,15 @@ def test_approximate_all_finite_reduces_to_achieve(split_reach_pool):
         assert abs(got.finite - want.finite) <= Fraction(1, 100)
 
 
+@pytest.mark.parametrize("eps, big_m, message", [(0, 10, "eps must be positive"),
+                                                  (Fraction(1, 10), 0, "M must be positive"),
+                                                  (Fraction(1, 10), -3, "M must be positive")],
+                         ids=["eps-zero", "M-zero", "M-negative"])
+def test_approximate_rejects_nonpositive_eps_and_m(split_reach_pool, eps, big_m, message):
+    with pytest.raises(ValueError, match=message):
+        mx.approximate(mx.vector(1, "+inf"), eps, big_m, split_reach_pool)
+
+
 def test_approximate_infeasible_without_witnesses(earn_or_exit):
     model, dims = earn_or_exit
     pool = mx.pure_payoff_set(model, "s", dims, mx.counter(model, 2))
