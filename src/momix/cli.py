@@ -124,8 +124,7 @@ def _cmd_frontier(args):
     finite = [v.to_fractions() for v in distinct if v.is_finite]
     vertex_set = set()
     if finite and len(finite) == len(distinct):
-        hull = geometry.convex_hull(finite)
-        vertex_set = {distinct[i] for i in hull.vertices}
+        vertex_set = {distinct[i] for i in geometry.extreme_points(finite)}
     rows = []
     for i, v in enumerate(distinct):
         rows.append({

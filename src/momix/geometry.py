@@ -4,14 +4,17 @@ Hulls, extreme points, Pareto filtering, supporting linear maps (the
 lexicographic-maximum construction used to reach points on faces of payoff
 sets), Caratheodory decompositions and the achievability feasibility test.
 Membership, extreme points and every LP-based question are decided by the
-exact simplex in :mod:`momix.lp`; hull facets come from integer cofactor
-normals and integer sign tests.  Degeneracies (collinear point families and
-the like) are resolved exactly, never by tolerance.
+exact simplex in :mod:`momix.lp` (extreme points from the Farkas
+certificates of membership LPs over the vertices found so far); hull facets
+come from integer cofactor normals and integer sign tests.  Degeneracies
+(collinear point families and the like) are resolved exactly, never by
+tolerance.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -138,17 +141,37 @@ def caratheodory(q, points) -> Decomposition:
 
 
 def extreme_points(points) -> Tuple[int, ...]:
-    """Indices i with points[i] outside the hull of the other points."""
+    """Indices i with points[i] outside the hull of the other points: the
+    hull's vertices that occur once (a repeated corner lies in the hull of
+    its copy).
+
+    Output-sensitive, after Clarkson (FOCS 1994): a list E of vertices found
+    so far starts with the lexicographic maximum, and each distinct point is
+    tested against conv(E) by one membership LP over E.  A point outside
+    comes with the LP's Farkas certificate (u, u0), u.e + u0 <= 0 on E and
+    u.p + u0 > 0; the point of largest u.x, ties going to the lexicographic
+    maximum, is then a vertex of the whole hull outside E.  It joins E and
+    the point is tested again."""
     pts = _check_points(points)
-    out = []
-    for i in range(len(pts)):
-        others = [p for j, p in enumerate(pts) if j != i]
-        if not others:
-            out.append(i)
-            continue
-        if membership_combination(pts[i], others) is None:
-            out.append(i)
-    return tuple(out)
+    unique = list(dict.fromkeys(pts))
+    d = len(unique[0])
+    flat = integer_row([x for p in unique for x in p])[0]
+    ints = [tuple(flat[i:i + d]) for i in range(0, len(flat), d)]
+    found = [max(range(len(unique)), key=unique.__getitem__)]
+    for i, p in enumerate(unique):
+        while i not in found:
+            farkas = _combination_lp(p, [unique[j] for j in found])[0].solve({}).farkas
+            if farkas is None:
+                break  # p is a combination of other vertices
+            u = farkas[:d]
+            best = max(range(len(unique)),
+                       key=lambda j: (sum(a * x for a, x in zip(u, ints[j])), ints[j]))
+            if best in found:
+                raise SelfCheckFailed("the separating direction peaks on a vertex already found")
+            found.append(best)
+    corners = {unique[j] for j in found}
+    count = Counter(pts)
+    return tuple(i for i, p in enumerate(pts) if p in corners and count[p] == 1)
 
 
 def affine_span(points) -> Tuple[List[Point], Point]:
@@ -281,8 +304,11 @@ def _lexmin_supporting_normal(q: Point, points: Sequence[Point],
                               rows: Sequence[Point]) -> Optional[Point]:
     """Lexicographically smallest sup-norm-1 vector w orthogonal to `rows`
     with <w, p - q> <= 0 for all points.  Deterministic; None if only w = 0
-    works.  Each piece w_c = +-1 is one LP over w in [-1, 1]^d, minimized in
-    w_0, w_1, ... in turn, each optimum fixed by a row before the next."""
+    works.  Each piece w_c = +-1 is one LP over w in [-1, 1]^d whose
+    objectives w_0, w_1, ... are minimized in order in one tableau
+    (lexicographic linear optimization, Isermann, OR Spektrum 4, 1982): one
+    phase 1 per piece, and the piece's minimum over all d coordinates is a
+    single point."""
     d = len(q)
 
     def piece_lexmin(coord: int, sign: int) -> Optional[Point]:
@@ -299,12 +325,8 @@ def _lexmin_supporting_normal(q: Point, points: Sequence[Point],
         for row in rows:
             constrain(row, "==")
         lp.constrain({w[coord]: 1}, "==", sign)
-        for wj in w:
-            result = lp.solve({wj: 1})
-            if not result.ok:
-                return None
-            lp.constrain({wj: 1}, "==", result.objective)
-        return tuple(result[wj] for wj in w)
+        result = lp.solve(*({wj: 1} for wj in w))
+        return tuple(result[wj] for wj in w) if result.ok else None
 
     pieces = (piece_lexmin(coord, sign) for coord in range(d) for sign in (-1, 1))
     return min((w for w in pieces if w is not None), default=None)

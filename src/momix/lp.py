@@ -11,15 +11,24 @@ pivot sequence, the basic solution and the value are exactly those of the
 plain rational simplex.  Intended for the tiny, possibly degenerate
 programs of the geometry module (dimensions <= ~6, tens of variables), not
 for scale.
+
+Lexicographic objectives (Isermann, OR Spektrum 4, 1982) share one tableau:
+after each objective only columns with zero reduced cost under every earlier
+one may enter, so the search stays on the optimal face and a cascade of
+objectives costs one phase 1.  An infeasible program comes back with row
+multipliers y read off the final phase-1 tableau (a Farkas certificate):
+y.A <= 0 on every standard-form column, slacks included, and y.b > 0.  They
+are re-checked with exact integers before they are returned.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Dict, List, Mapping, Optional, Tuple
 
+from .errors import SelfCheckFailed
 from .rationals import integer_row
 
 OPTIMAL = "optimal"
@@ -29,9 +38,18 @@ UNBOUNDED = "unbounded"
 
 @dataclass
 class LpResult:
+    """`objective` is the value of the first objective.  `farkas` is set
+    when the program is infeasible: integer multipliers y, one per row (the
+    constraints in order, then one `x <= hi` row per upper-bounded variable
+    in declaration order), with y <= 0 on `<=` rows and y >= 0 on `>=` rows,
+    y.A <= 0 on every column (== 0 on a free variable's) and
+    y.(b - A lo) > 0, so no x >= lo satisfies the rows.  Any certificate
+    will do, so results compare without it."""
+
     status: str
     objective: Optional[Fraction]
     values: Dict[str, Fraction]
+    farkas: Optional[Tuple[int, ...]] = field(default=None, compare=False)
 
     @property
     def ok(self) -> bool:
@@ -68,10 +86,13 @@ class LinearProgram:
         self._constraints.append(({k: Fraction(v) for k, v in coeffs.items()},
                                   sense, Fraction(rhs)))
 
-    def solve(self, objective: Mapping[str, Fraction], maximize: bool = False) -> LpResult:
-        """Optimize; returns OPTIMAL with a basic solution, INFEASIBLE, or
-        UNBOUNDED."""
-        for name in objective:
+    def solve(self, objective: Mapping[str, Fraction], *tiebreaks: Mapping[str, Fraction],
+              maximize: bool = False) -> LpResult:
+        """Optimize `objective`, then each of `tiebreaks` in turn on the
+        optimal face of those before it, in one tableau; returns OPTIMAL with
+        a basic solution, INFEASIBLE with a Farkas certificate, or UNBOUNDED."""
+        objectives = (objective,) + tiebreaks
+        for name in (name for obj in objectives for name in obj):
             if name not in self._index:
                 raise ValueError(f"unknown variable {name!r}")
         # Map each model variable to non-negative standard-form columns:
@@ -111,16 +132,19 @@ class LinearProgram:
             rows.append(row)
             rhs.append(b)
 
-        cost: list = [0] * total
-        for name, coef in objective.items():
-            coef = -Fraction(coef) if maximize else Fraction(coef)
-            cost[plus_col[name]] = coef
-            if name in minus_col:
-                cost[minus_col[name]] = -coef
+        costs = []
+        for obj in objectives:
+            cost: list = [0] * total
+            for name, coef in obj.items():
+                coef = -Fraction(coef) if maximize else Fraction(coef)
+                cost[plus_col[name]] = coef
+                if name in minus_col:
+                    cost[minus_col[name]] = -coef
+            costs.append(cost)
 
-        status, solution, _value = _simplex(rows, rhs, cost)
+        status, solution, _value, farkas = _simplex(rows, rhs, *costs)
         if status != OPTIMAL:
-            return LpResult(status, None, {})
+            return LpResult(status, None, {}, farkas)
 
         values: Dict[str, Fraction] = {}
         for name, _lo, _hi in self._vars:
@@ -132,8 +156,10 @@ class LinearProgram:
         return LpResult(OPTIMAL, obj, values)
 
 
-def _simplex(rows: List[list], rhs: List[Fraction], cost: list):
-    """min cost . x  s.t. rows . x = rhs, x >= 0; exact, Bland's rule.
+def _simplex(rows: List[list], rhs: List[Fraction], cost: list, *tiebreaks: list):
+    """min cost . x, then each of `tiebreaks` on the optimal face of those
+    before it, s.t. rows . x = rhs, x >= 0; exact, Bland's rule.  Returns
+    (status, solution, value of `cost`, Farkas multipliers when infeasible).
 
     Entries are Fractions or ints.  Row i is scaled to integers by s_i (the
     lcm of its denominators, negated when its rhs is negative) but keeps a
@@ -147,10 +173,12 @@ def _simplex(rows: List[list], rhs: List[Fraction], cost: list):
     scales = []
     for i, (row, bi) in enumerate(zip(rows, rhs)):
         ints, s = integer_row([*row, bi])
-        scales.append(s)
         if bi < 0:
             ints = [-v for v in ints]
+            s = -s
+        scales.append(s)
         tab.append(ints[:n] + [int(j == i) for j in range(m)] + ints[n:])
+    start = [row[:n] + row[width:] for row in tab]
     basis = [n + i for i in range(m)]
     det = 1
 
@@ -177,13 +205,14 @@ def _simplex(rows: List[list], rhs: List[Fraction], cost: list):
         basis[r] = c
 
     def run(c_vec, allowed):
-        """Minimize over columns < allowed; returns the status and det * z."""
+        """Minimize, entering only the columns in `allowed` (ascending);
+        returns the status and det * z."""
         z = [det * c for c in c_vec] + [0]
         for i, bv in enumerate(basis):
             if c_vec[bv]:
                 z = [v - c_vec[bv] * t for v, t in zip(z, tab[i])]
         while True:
-            enter = next((j for j in range(allowed) if z[j] < 0), None)
+            enter = next((j for j in allowed if z[j] < 0), None)
             if enter is None:
                 return OPTIMAL, z
             candidates = [i for i, row in enumerate(tab) if row[enter] > 0]
@@ -198,11 +227,12 @@ def _simplex(rows: List[list], rhs: List[Fraction], cost: list):
             pivot(leave, enter, z)
 
     scale = lcm(*scales)
-    status, z = run([0] * n + [scale // s for s in scales], width)
+    phase1 = [0] * n + [scale // abs(s) for s in scales]
+    status, z = run(phase1, range(width))
     if status != OPTIMAL:  # phase 1 is bounded below by 0, cannot be unbounded
-        return status, None, None
+        return status, None, None, None
     if z[width] != 0:
-        return INFEASIBLE, None, None
+        return INFEASIBLE, None, None, _farkas(start, scales, phase1, z, det)
 
     # Drive artificial variables out of the basis where possible.
     for i in range(m):
@@ -212,12 +242,31 @@ def _simplex(rows: List[list], rhs: List[Fraction], cost: list):
                 pivot(i, enter, None)
             # else: redundant row, artificial stays basic at value 0
 
-    int_cost, scale = integer_row(cost)
-    status, z = run(int_cost + [0] * m, n)
-    if status != OPTIMAL:
-        return status, None, None
+    allowed = range(n)
+    for c in (cost,) + tiebreaks:
+        status, z = run(integer_row(c)[0] + [0] * m, allowed)
+        if status != OPTIMAL:
+            return status, None, None, None
+        # the optimal face: columns with a positive reduced cost stay at 0
+        allowed = [j for j in allowed if z[j] == 0]
     solution = [Fraction(0)] * n
     for i, bv in enumerate(basis):
         if bv < n:
             solution[bv] = Fraction(tab[i][width], det)
-    return OPTIMAL, solution, Fraction(-z[width], det * scale)
+    return OPTIMAL, solution, sum((c * x for c, x in zip(cost, solution)), Fraction(0)), None
+
+
+def _farkas(start, scales, phase1, z, det) -> Tuple[int, ...]:
+    """Multipliers y of the unscaled rows with y.A <= 0 on every column and
+    y.b > 0, from the optimal phase-1 reduced costs z (times det): the
+    artificial of row i has reduced cost phase1_i - y'_i, where y' weighs
+    the rows as scaled in `start` (integer columns, then the rhs)."""
+    m = len(scales)
+    n = len(start[0]) - 1
+    scaled = [det * phase1[n + i] - z[n + i] for i in range(m)]  # det * y'
+    combined = [sum(y * row[j] for y, row in zip(scaled, start)) for j in range(n + 1)]
+    if any(v > 0 for v in combined[:n]) or combined[n] <= 0:
+        raise SelfCheckFailed("the phase-1 multipliers do not certify infeasibility")
+    y = [v * s for v, s in zip(scaled, scales)]
+    g = gcd(*y)
+    return tuple(v // g for v in y)

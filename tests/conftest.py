@@ -4,12 +4,14 @@ and the reference implementations the library is checked against."""
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Mapping, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import pytest
 
 import momix as mx
+from momix.geometry import Point, _check_points, membership_combination
 from momix.linalg import solve_linear
+from momix.lp import LinearProgram
 from momix.model import Pomdp
 from momix.strategies import FiniteMemoryStrategy, Mem, transition_table
 
@@ -129,6 +131,78 @@ def product_chain(model: Pomdp, strategy: FiniteMemoryStrategy, start: str) -> M
     nodes = tuple(table.nodes[node] for node in order)
     return MarkovChain(nodes, {node: j for j, node in enumerate(nodes)}, tuple(rows),
                        tuple(dists), tuple(edges), 0, model)
+
+
+# -- reference: the row-fixing lexicographic cascade and the n-LP extreme points ------------
+# kept verbatim, but for their names
+
+
+def cascade_lexmin_supporting_normal(q: Point, points: Sequence[Point],
+                                     rows: Sequence[Point]) -> Optional[Point]:
+    """Lexicographically smallest sup-norm-1 vector w orthogonal to `rows`
+    with <w, p - q> <= 0 for all points.  Deterministic; None if only w = 0
+    works.  Each piece w_c = +-1 is one LP over w in [-1, 1]^d, minimized in
+    w_0, w_1, ... in turn, each optimum fixed by a row before the next."""
+    d = len(q)
+
+    def piece_lexmin(coord: int, sign: int) -> Optional[Point]:
+        lp = LinearProgram()
+        w = [lp.var(f"w{j}", lo=-1, hi=1) for j in range(d)]
+
+        def constrain(vector, sense):
+            coeffs = {w[j]: v for j, v in enumerate(vector) if v != 0}
+            if coeffs:
+                lp.constrain(coeffs, sense, 0)
+
+        for p in points:
+            constrain([x - y for x, y in zip(p, q)], "<=")
+        for row in rows:
+            constrain(row, "==")
+        lp.constrain({w[coord]: 1}, "==", sign)
+        for wj in w:
+            result = lp.solve({wj: 1})
+            if not result.ok:
+                return None
+            lp.constrain({wj: 1}, "==", result.objective)
+        return tuple(result[wj] for wj in w)
+
+    pieces = (piece_lexmin(coord, sign) for coord in range(d) for sign in (-1, 1))
+    return min((w for w in pieces if w is not None), default=None)
+
+
+def n_lp_extreme_points(points) -> Tuple[int, ...]:
+    """Indices i with points[i] outside the hull of the other points."""
+    pts = _check_points(points)
+    out = []
+    for i in range(len(pts)):
+        others = [p for j, p in enumerate(pts) if j != i]
+        if not others:
+            out.append(i)
+            continue
+        if membership_combination(pts[i], others) is None:
+            out.append(i)
+    return tuple(out)
+
+
+def certifies_program(program, y):
+    """The Farkas condition on a LinearProgram as declared: y <= 0 on `<=`
+    rows and >= 0 on `>=` rows (the constraints, then `x <= hi` per upper
+    bound), y.A <= 0 on each variable's column and == 0 on a free one's, and
+    y.(b - A lo) > 0."""
+    rows = list(program._constraints) + [({name: Fraction(1)}, "<=", hi)
+                                         for name, _lo, hi in program._vars if hi is not None]
+    if len(y) != len(rows):
+        return False
+    if any((sense == "<=" and v > 0) or (sense == ">=" and v < 0)
+           for v, (_c, sense, _b) in zip(y, rows)):
+        return False
+    slack = sum(v * b for v, (_c, _s, b) in zip(y, rows))
+    for name, lo, _hi in program._vars:
+        column = sum(v * coeffs.get(name, 0) for v, (coeffs, _s, _b) in zip(y, rows))
+        if column > 0 or (lo is None and column != 0):
+            return False
+        slack -= column * (lo or 0)
+    return slack > 0
 
 
 def load(name):

@@ -2,17 +2,13 @@
 pass line each.  Run with `pytest tests/test_acceptance.py -v -s`.
 """
 
-import math
 import random
 from fractions import Fraction
-
-import pytest
 
 import momix as mx
 
 from conftest import (commute_ltb, commute_train, distinct_vectors, split_reach_choice,
-                      earn_or_exit_stay, earn_or_exit_leave, coin_exit_always, coin_exit_switch,
-                      gated_reward_leave, grid_randomized, load, memoryless_table)
+                      coin_exit_always, coin_exit_switch, grid_randomized, memoryless_table)
 
 
 def _report(number, message):

@@ -10,7 +10,7 @@ import momix as mx
 from momix.beliefs import _belief_update, bounded_reach_probability, min_transition_probability
 from momix.errors import PreconditionViolated
 
-from conftest import commute_train, coin_exit_always, load
+from conftest import commute_train, coin_exit_always
 
 
 def test_belief_update_mdp_singletons(coin_exit):

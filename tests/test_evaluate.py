@@ -15,10 +15,9 @@ from momix import montecarlo
 from momix.errors import PoolTooLarge, SchemaError, SingularSystem, UndefinedExpectation
 from momix.evaluate import IntegrabilityVerdict, _solve_on, maximal_end_components
 
-from conftest import (commute_bike, commute_ltb, commute_train, distinct_vectors,
-                      split_reach_choice, earn_or_exit_stay, earn_or_exit_leave, coin_exit_always,
-                      coin_exit_switch, gated_reward_leave, grid_randomized, load,
-                      memoryless_table, product_chain, solve_column)
+from conftest import (commute_ltb, commute_train, distinct_vectors, split_reach_choice,
+                      earn_or_exit_stay, earn_or_exit_leave, coin_exit_always, coin_exit_switch,
+                      gated_reward_leave, grid_randomized, load, product_chain, solve_column)
 
 
 def test_coin_exit_spath_always_a(coin_exit):

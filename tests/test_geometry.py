@@ -1,6 +1,7 @@
 """Exact geometry against brute-force oracles (simplex-free where possible),
-the supporting normals against the kernel-basis construction they
-replaced, and the integer hull against the Fraction hull it replaced."""
+the supporting normals against the kernel-basis construction and the
+row-fixing cascade they replaced, the extreme points against one LP per
+point, and the integer hull against the Fraction hull it replaced."""
 
 import itertools
 import random
@@ -15,10 +16,11 @@ import momix as mx
 from momix import geometry
 from momix.errors import NotDominated, NotInHull
 from momix.geometry import Hull, Point, extreme_points, membership_combination
-from momix.linalg import dot, solve_linear
-from momix.lp import LinearProgram
+from momix.linalg import dot
+from momix.lp import INFEASIBLE, LinearProgram
 
-from conftest import fraction_nullspace, fraction_rref
+from conftest import (cascade_lexmin_supporting_normal, certifies_program, fraction_nullspace,
+                      fraction_rref, n_lp_extreme_points)
 
 
 # -- brute-force oracles ----------------------------------------------------------------
@@ -490,6 +492,62 @@ def test_supporting_normals_match_kernel_basis_reference(case):
     with mock.patch.object(geometry, "_lexmin_supporting_normal", reference_normal):
         assert mx.supporting_map(q, points).rows == rows
         assert mx.dominating_face_decomposition(q, points) == dec
+
+
+# -- one-tableau lexicographic pieces and certificate-driven extreme points --------------
+
+
+def checked_solve(solve):
+    """LinearProgram.solve, asserting that every infeasible answer carries
+    a certificate of its infeasibility."""
+    def run(program, *objectives, **kwargs):
+        result = solve(program, *objectives, **kwargs)
+        assert (result.farkas is not None) == (result.status == INFEASIBLE)
+        assert result.farkas is None or certifies_program(program, result.farkas)
+        return result
+    return run
+
+
+def _fractions(points):
+    return [tuple(Fraction(x) for x in p) for p in points]
+
+
+# a square's corners with points on its edges listed first, so that a
+# separating direction along an edge ties a non-vertex with the corners
+SQUARE_EDGES = _fractions([(1, 0), (0, 1), (2, 1), (1, 2), (0, 0), (2, 0), (0, 2), (2, 2),
+                           (1, 1)])
+
+
+@given(point_sets_and_queries())
+@example((_fractions([(1, 2, 3)]), _fractions([(1, 2, 3)])[0]))
+@example((_fractions([(0, 1), (2, 5), (1, 3), (2, 5), (-1, -1)]), _fractions([(1, 3)])[0]))
+@example((SQUARE_EDGES, SQUARE_EDGES[0]))
+@example((SQUARE_EDGES, SQUARE_EDGES[-1]))
+@example((_fractions([(0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1), (1, 0, 1), (0, 0, 0)]),
+          _fractions([(1, 1, 1)])[0]))
+@settings(max_examples=150, deadline=None)
+def test_geometry_matches_the_row_fixing_and_n_lp_references(case):
+    """Repeated, collinear, lower-dimensional and single-point sets in d <= 4:
+    the one-tableau normals, the maps and decompositions built on them and
+    the extreme points equal those of the old code, and every infeasible
+    LP on the way returns a certificate of it."""
+    points, q = case
+    below = tuple(x - 1 for x in q)
+    with mock.patch.object(LinearProgram, "solve", checked_solve(LinearProgram.solve)):
+        vertices = extreme_points(points)
+        rows = mx.supporting_map(q, points).rows
+        normals = [geometry._lexmin_supporting_normal(q, points, rows[:k])
+                   for k in range(len(rows) + 1)]
+        decs = [mx.dominating_face_decomposition(q, points),
+                mx.dominating_face_decomposition(below, points, mode="dominated")]
+    assert vertices == n_lp_extreme_points(points)
+    assert normals == [cascade_lexmin_supporting_normal(q, points, rows[:k])
+                       for k in range(len(rows) + 1)]
+    with mock.patch.object(geometry, "_lexmin_supporting_normal",
+                           cascade_lexmin_supporting_normal):
+        assert mx.supporting_map(q, points).rows == rows
+        assert [mx.dominating_face_decomposition(q, points),
+                mx.dominating_face_decomposition(below, points, mode="dominated")] == decs
 
 
 # -- reference: the Fraction convex hull, on its own Fraction affine span ------------------

@@ -6,12 +6,14 @@ rational point sets in d = 3 and 4, must stay byte-identical; so must the
 point and of a collinear d = 2 set; so must the exact `evaluate --json`
 output of a randomized strategy on a generated six-payoff model; so must the
 seeded `simulate --json` output of the README command and of a mixture, whose
-strategy files sit beside the goldens; and so must the stdout of the seven
-scripts under demos/.
+strategy files sit beside the goldens; so must `frontier --json` and
+`achieve --json` (dominates) on two one-choice point models in d = 3 and 4,
+whose memoryless pools are hull vertices on a sphere plus interior points;
+and so must the stdout of the seven scripts under demos/.
 
 The `.txt` files under tests/golden/ were written by running this module as
 a script (`PYTHONPATH=src python tests/test_golden.py`), which rewrites them
-from whatever momix is on the path.
+from whatever momix is on the path, and writes the point models beside them.
 """
 
 import contextlib
@@ -42,6 +44,83 @@ MODEL_STARTS = {
 
 def _model(name):
     return os.path.join(MODELS, f"{name}.json")
+
+
+# -- one-choice point models ------------------------------------------------------
+
+
+def _sphere_points(rng, d, count):
+    """`count` distinct rational points on the unit sphere, by inverse
+    stereographic projection of small rational parameters: each is a vertex
+    of the hull of any set holding it and otherwise only points of the ball."""
+    out = []
+    while len(out) < count:
+        u = [Fraction(rng.randint(-3, 3), 2) for _ in range(d - 1)]
+        norm = sum(x * x for x in u)
+        p = tuple([2 * x / (1 + norm) for x in u] + [(norm - 1) / (1 + norm)])
+        if p not in out:
+            out.append(p)
+    return out
+
+
+def _interior_points(rng, vertices, count):
+    """`count` distinct strict convex combinations of 2 or 3 sphere points,
+    none of them a vertex."""
+    out = []
+    while len(out) < count:
+        chosen = rng.sample(range(len(vertices)), rng.randint(2, 3))
+        raw = [rng.randint(1, 3) for _ in chosen]
+        p = tuple(sum(Fraction(w, sum(raw)) * vertices[i][j] for w, i in zip(raw, chosen))
+                  for j in range(len(vertices[0])))
+        if p not in out and p not in vertices:
+            out.append(p)
+    return out
+
+
+def _point_pool(seed, d, n_vertices, n_inner):
+    """Sphere and interior points, shuffled, scaled and shifted per coordinate."""
+    rng = random.Random(seed)
+    unit = _sphere_points(rng, d, n_vertices)
+    points = unit + _interior_points(rng, unit, n_inner)
+    rng.shuffle(points)
+    scale = [Fraction(rng.randint(4, 12), 4) for _ in range(d)]
+    shift = [Fraction(rng.randrange(9, 25, 2), 4) for _ in range(d)]
+    return [tuple(a * x + b for a, x, b in zip(scale, p, shift)) for p in points]
+
+
+def _one_choice_model(points) -> dict:
+    """Start state `s` with one action per point, each moving to an absorbing
+    sink `z`; d discounted-sum payoffs read the point off the first step, so
+    the memoryless pool is exactly `points`, in order."""
+    d = len(points[0])
+    names = [f"p{i}" for i in range(len(points))]
+    weights = {f"s,{a}": [str(c) for c in p] for a, p in zip(names, points)}
+    weights["z,stay"] = ["0"] * d
+    return {"states": ["s", "z"], "actions": names + ["stay"],
+            "transitions": {"s": {a: {"z": "1"} for a in names}, "z": {"stay": {"z": "1"}}},
+            "weights": {"w": weights},
+            "payoffs": [{"kind": "discounted_sum", "lambda": "1/2", "weights": "w", "windex": j}
+                        for j in range(d)]}
+
+
+POINT_MODELS = {  # name: (seed, d, sphere points, interior points)
+    "points_d3": (5, 3, 10, 6),
+    "points_d4": (6, 4, 10, 6),
+}
+
+
+def _point_model_path(name):
+    return os.path.join(GOLDEN, f"{name}.json")
+
+
+def _below_target(seed, points):
+    """A convex combination of three of the points with each coordinate
+    lowered by its own k/8, k in 1..8: strictly dominated by a hull point."""
+    rng = random.Random(seed)
+    chosen = rng.sample(points, 3)
+    raw = [rng.randint(1, 5) for _ in chosen]
+    return [sum(Fraction(w, sum(raw)) * p[j] for w, p in zip(raw, chosen))
+            - Fraction(rng.randint(1, 8), 8) for j in range(len(points[0]))]
 
 
 def _cli_cases():
@@ -91,6 +170,12 @@ def _cli_cases():
                                        "--strategy", os.path.join(GOLDEN, "coin_exit_mixture.json"),
                                        "--samples", "20000", "--seed", "5", "--horizon", "32"],
     }
+    for name, (seed, *shape) in POINT_MODELS.items():
+        path = _point_model_path(name)
+        target = _below_target(seed, _point_pool(seed, *shape))
+        cases[f"frontier_{name}"] = ["frontier", path, "--state", "s"]
+        cases[f"achieve_dominates_{name}"] = ["achieve", path, "--state", "s", "--target="
+                                              + ",".join(str(x) for x in target)]
     for name, start in MODEL_STARTS.items():
         for cmd in ("frontier", "lexopt"):
             cases[f"{cmd}_{name}"] = [cmd, _model(name), "--state", start,
@@ -229,6 +314,10 @@ def test_demo_golden(name):
 
 def _write_all():
     os.makedirs(GOLDEN, exist_ok=True)
+    for name, (seed, *shape) in POINT_MODELS.items():
+        with open(_point_model_path(name), "w", encoding="utf-8") as fh:
+            json.dump(_one_choice_model(_point_pool(seed, *shape)), fh, indent=1)
+            fh.write("\n")
     outputs = {name: cli_output(argv) for name, argv in CLI_CASES.items()}
     outputs.update({name: geometry_output(*case) for name, case in GEOMETRY_CASES.items()})
     outputs.update({name: hull_output(points) for name, points in HULL_CASES.items()})

@@ -1,8 +1,15 @@
 """The exact simplex: the fraction-free integer tableau in momix.lp must
 make exactly the pivots of the plain Fraction tableau it replaced, so its
 status, basic solution and value equal those of the reference below on
-generated programs, and the named textbook cases come out as expected."""
+generated programs, and the named textbook cases come out as expected.
+Every infeasible answer carries multipliers that certify it; lexicographic
+objectives in one tableau reach the values of the row-fixing cascade; and
+the certificate re-check still raises under `python -O`."""
 
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 from typing import List
 from unittest import mock
@@ -12,6 +19,8 @@ from hypothesis import given, settings, strategies as st
 
 from momix import lp
 from momix.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram
+
+from conftest import certifies_program
 
 # -- reference: the Fraction-tableau simplex, kept verbatim ---------------------
 
@@ -112,10 +121,11 @@ def _pivot(tab, z, basis, row, col, width):
 
 
 def reference_solve(program, objective, maximize=False):
-    """LinearProgram.solve with the reference simplex under it."""
+    """LinearProgram.solve with the reference simplex under it (which
+    returns no certificate)."""
     def fraction_simplex(rows, rhs, cost):
-        return _simplex([[Fraction(v) for v in row] for row in rows],
-                        [Fraction(b) for b in rhs], [Fraction(c) for c in cost])
+        return (*_simplex([[Fraction(v) for v in row] for row in rows],
+                          [Fraction(b) for b in rhs], [Fraction(c) for c in cost]), None)
     with mock.patch.object(lp, "_simplex", fraction_simplex):
         return program.solve(objective, maximize=maximize)
 
@@ -160,12 +170,23 @@ def standard_forms(draw):
     return rows, rhs, cost
 
 
+def certifies(rows, rhs, y):
+    """y.A <= 0 on every column and y.b > 0: no x >= 0 has A x = b."""
+    n = len(rows[0]) if rows else 0
+    return (len(y) == len(rows)
+            and all(sum(v * row[j] for v, row in zip(y, rows)) <= 0 for j in range(n))
+            and sum(v * b for v, b in zip(y, rhs)) > 0)
+
+
 @given(standard_forms())
 @settings(max_examples=300, deadline=None)
 def test_integer_tableau_matches_fraction_tableau(problem):
     rows, rhs, cost = problem
     expected = _simplex([list(r) for r in rows], list(rhs), list(cost))
-    assert lp._simplex([list(r) for r in rows], list(rhs), list(cost)) == expected
+    status, solution, value, farkas = lp._simplex([list(r) for r in rows], list(rhs), list(cost))
+    assert (status, solution, value) == expected
+    assert (farkas is not None) == (status == INFEASIBLE)
+    assert farkas is None or certifies(rows, rhs, farkas)
 
 
 @st.composite
@@ -193,6 +214,59 @@ def test_solve_matches_reference(case):
     result = program.solve(objective, maximize=maximize)
     assert result == reference_solve(program, objective, maximize)
     assert all(type(v) is Fraction for v in result.values.values())
+    assert (result.farkas is not None) == (result.status == INFEASIBLE)
+    assert result.farkas is None or certifies_program(program, result.farkas)
+
+
+def cascade(program, objectives, maximize):
+    """The row-fixing reference for lexicographic objectives: solve for each
+    objective in turn on a copy, then fix its optimum by an equality row."""
+    copy = LinearProgram()
+    copy._vars, copy._index = list(program._vars), dict(program._index)
+    copy._constraints = list(program._constraints)
+    for objective in objectives:
+        result = copy.solve(objective, maximize=maximize)
+        if not result.ok:
+            return result.status, None
+        copy.constrain(objective, "==", result.objective)
+    return OPTIMAL, result
+
+
+def values_of(objectives, values):
+    return [sum((Fraction(c) * values[name] for name, c in objective.items()), Fraction(0))
+            for objective in objectives]
+
+
+@given(programs(), st.lists(st.dictionaries(st.sampled_from(["x0", "x1", "x2", "x3"]),
+                                            rationals), max_size=3))
+@settings(max_examples=300, deadline=None)
+def test_lexicographic_objectives_match_the_row_fixing_cascade(case, more):
+    """One tableau reaches the cascade's value in every objective, within
+    the variables' lower bounds."""
+    program, objective, maximize = case
+    more = [{k: v for k, v in obj.items() if k in program._index} for obj in more]
+    objectives = [objective] + more
+    result = program.solve(*objectives, maximize=maximize)
+    status, reference = cascade(program, objectives, maximize)
+    assert result.status == status
+    if status == OPTIMAL:
+        assert values_of(objectives, result.values) == values_of(objectives, reference.values)
+        assert result.objective == values_of(objectives, result.values)[0]
+        assert all(result.values[name] >= lo for name, lo, _hi in program._vars
+                   if lo is not None)
+
+
+def test_lexicographic_minimum_on_a_face():
+    """min -x - y on the square [0, 1]^2 cut by x + y <= 3/2 leaves the edge
+    x + y = 3/2; minimizing x on it, then y, picks (1/2, 1)."""
+    p = LinearProgram()
+    x, y = p.var("x", hi=1), p.var("y", hi=1)
+    p.constrain({x: 1, y: 1}, "<=", Fraction(3, 2))
+    result = p.solve({x: -1, y: -1}, {x: 1}, {y: 1})
+    assert result.values == {"x": Fraction(1, 2), "y": 1}
+    assert result.objective == Fraction(-3, 2)
+    result = p.solve({x: -1, y: -1}, {y: 1})
+    assert result.values == {"x": 1, "y": Fraction(1, 2)}
 
 
 # -- named cases ----------------------------------------------------------------
@@ -209,7 +283,10 @@ def test_infeasible():
     x = p.var("x")
     p.constrain({x: 1}, ">=", Fraction(1, 2))
     p.constrain({x: 2}, "<=", Fraction(1, 3))
-    assert solved(p, {x: 1}).status == INFEASIBLE
+    result = solved(p, {x: 1})
+    assert result.status == INFEASIBLE
+    assert result.farkas == (2, -1)  # 2 (x >= 1/2) - (2x <= 1/3): 0 >= 2/3
+    assert certifies_program(p, result.farkas)
 
 
 def test_unbounded():
@@ -267,7 +344,7 @@ def test_phase_one_weighs_artificials_as_the_unscaled_rows():
     rhs = [Fraction(13, 45), Fraction(2)]
     expected = (OPTIMAL, [0, Fraction(20, 93), Fraction(239, 279)], 0)
     assert _simplex([list(r) for r in rows], list(rhs), [Fraction(0)] * 3) == expected
-    assert lp._simplex(rows, rhs, [Fraction(0)] * 3) == expected
+    assert lp._simplex(rows, rhs, [Fraction(0)] * 3) == (*expected, None)
 
 
 def test_ratio_ties_go_to_the_smallest_basic_index():
@@ -277,7 +354,7 @@ def test_ratio_ties_go_to_the_smallest_basic_index():
     cost = [Fraction(0), Fraction(1, 5), Fraction(0), Fraction(0)]
     expected = (OPTIMAL, [Fraction(3, 5), 0, 0, Fraction(369, 200)], 0)
     assert _simplex([list(r) for r in rows], list(rhs), list(cost)) == expected
-    assert lp._simplex(rows, rhs, cost) == expected
+    assert lp._simplex(rows, rhs, cost) == (*expected, None)
 
 
 def test_unknown_objective_variable():
@@ -285,3 +362,44 @@ def test_unknown_objective_variable():
     p.var("x")
     with pytest.raises(ValueError, match="unknown variable 'y'"):
         p.solve({"y": 1})
+
+
+def test_certificate_rechecks_run_under_optimize():
+    """Multipliers that do not certify infeasibility, and a separating
+    direction of `extreme_points` that peaks on a vertex already found,
+    raise SelfCheckFailed, not an assert, so both checks hold under
+    `python -O` too."""
+    script = textwrap.dedent("""
+        from fractions import Fraction
+        from momix import geometry, lp
+        from momix.errors import SelfCheckFailed
+
+        assert False, "asserts must be off"
+        p = lp.LinearProgram()
+        x = p.var("x")
+        p.constrain({x: 1}, ">=", Fraction(1, 2))
+        p.constrain({x: 2}, "<=", Fraction(1, 3))
+        print(p.solve({x: 1}).farkas)
+        farkas = lp._farkas
+        lp._farkas = lambda start, scales, phase1, z, det: farkas(
+            start, scales, phase1, [-v for v in z], det)
+        try:
+            p.solve({x: 1})
+        except SelfCheckFailed as exc:
+            print("raised:", exc)
+        lp._farkas = farkas
+        lp.LinearProgram.solve = lambda program, *objectives: lp.LpResult(
+            lp.INFEASIBLE, None, {}, (0, 0, -1))
+        try:
+            geometry.extreme_points([(0, 0), (1, 0), (0, 1)])
+        except SelfCheckFailed as exc:
+            print("raised:", exc)
+    """)
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.splitlines() == [
+        "(2, -1)", "raised: the phase-1 multipliers do not certify infeasibility",
+        "raised: the separating direction peaks on a vertex already found"]

@@ -1,5 +1,5 @@
-"""Static checks on the source of momix itself: no unused imports, no
-module-level private name that nothing else uses, no public function or
+"""Static checks on the source of momix itself: no unused imports (in the
+tests too), no module-level private name that nothing else uses, no public function or
 class that only its definition and its re-export name, and one product
 walk, which `strategies.py` owns."""
 
@@ -36,9 +36,16 @@ def test_scan_finds_an_unused_import():
         == ["Optional", "os"]
 
 
-@pytest.mark.parametrize("module", MODULES)
+TESTS = sorted(os.path.join("tests", name) for name in os.listdir(os.path.join(ROOT, "tests"))
+               if name.endswith(".py"))
+
+
+@pytest.mark.parametrize("module", MODULES + TESTS)
 def test_no_unused_imports(module):
-    with open(os.path.join(SRC, module), "r", encoding="utf-8") as fh:
+    """Every module of `src/momix` (named by its file name) and every file
+    under `tests/` (named by its path)."""
+    path = os.path.join(ROOT, module) if module in TESTS else os.path.join(SRC, module)
+    with open(path, "r", encoding="utf-8") as fh:
         assert unused_imports(fh.read()) == []
 
 

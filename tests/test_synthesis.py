@@ -13,8 +13,7 @@ import pytest
 import momix as mx
 from momix.errors import InfeasibleApproximation, NotAchievable
 
-from conftest import (MODELS, distinct_vectors, split_reach_choice, earn_or_exit_stay,
-                      earn_or_exit_leave, gated_reward_leave, grid_randomized)
+from conftest import MODELS, earn_or_exit_stay, earn_or_exit_leave, grid_randomized
 
 
 @pytest.fixture(scope="module")
