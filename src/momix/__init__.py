@@ -3,7 +3,7 @@
 
 The package evaluates multi-dimensional payoffs exactly (rational
 arithmetic end to end), computes the geometry of pure-strategy payoff sets
-(hulls, extreme points, Pareto frontiers, achievability), and builds
+(membership, extreme points, Pareto frontiers, achievability), and builds
 finite mixtures of pure strategies that realize or approximate target
 payoff vectors.  Monte-Carlo estimation lives in :mod:`momix.montecarlo`
 and is the only floating-point component.
@@ -22,9 +22,9 @@ from .strategies import (FiniteMemoryStrategy, FiniteMixture, MemorySkeleton,
                          strategy_premetric)
 from .evaluate import (IntegrabilityVerdict, classify_integrability,
                        expected_payoff, mixed_expected_payoff, pure_payoff_set)
-from .geometry import (Decomposition, Hull, LinearMap, achievability_lp, caratheodory,
-                       convex_hull, dominating_face_decomposition, extreme_points,
-                       pareto_frontier, supporting_map)
+from .geometry import (Decomposition, LinearMap, achievability_lp, caratheodory,
+                       dominating_face_decomposition, extreme_points, pareto_frontier,
+                       supporting_map)
 from .synthesis import (LexResult, MixtureCertificate, achieve, approximate,
                         check_pure_dominates_lex, lex_optimize, reduce_support)
 from .beliefs import (BeliefGraph, belief_graph, classify_shortest_path,

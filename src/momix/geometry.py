@@ -1,27 +1,24 @@
 """Exact convex geometry over rational points in small dimension.
 
-Hulls, extreme points, Pareto filtering, supporting linear maps (the
+Membership, extreme points, Pareto filtering, supporting linear maps (the
 lexicographic-maximum construction used to reach points on faces of payoff
 sets), Caratheodory decompositions and the achievability feasibility test.
-Membership, extreme points and every LP-based question are decided by the
-exact simplex in :mod:`momix.lp` (extreme points from the Farkas
-certificates of membership LPs over the vertices found so far); hull facets
-come from integer cofactor normals and integer sign tests.  Degeneracies
-(collinear point families and the like) are resolved exactly, never by
-tolerance.
+Every question is decided by the exact simplex in :mod:`momix.lp` (extreme
+points from the Farkas certificates of membership LPs over the vertices
+found so far); the one other computation is the rank of a point set's
+directions.  Degeneracies (collinear point families and the like) are
+resolved exactly, never by tolerance.
 """
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import DimensionMismatch, NotDominated, NotInHull, SelfCheckFailed
-from .linalg import cofactor_vector, dot, rref
+from .linalg import dot, rank
 from .lp import LinearProgram
 from .rationals import ExtRealVector, format_rational, integer_row
 
@@ -77,31 +74,14 @@ class LinearMap:
         return tuple(dot(row, p) for row in self.rows)
 
 
-@dataclass(frozen=True)
-class Hull:
-    points: Tuple[Point, ...]
-    vertices: Tuple[int, ...]
-    facets: Tuple[Tuple[Point, Fraction], ...]
-    span_equalities: Tuple[Tuple[Point, Fraction], ...]
-
-    def contains_by_facets(self, point) -> bool:
-        p = as_point(point)
-        return all(dot(n, p) == c for n, c in self.span_equalities) and \
-            all(dot(n, p) <= c for n, c in self.facets)
-
-
 # -- membership and combinations ---------------------------------------------------
 
 
-def _combination_lp(q: Point, points: Sequence[Point], senses: str = "=="):
+def _combination_lp(q: Point, points: Sequence[Point], sense: str = "=="):
     lp = LinearProgram()
     names = [lp.var(f"a{i}") for i in range(len(points))]
     for j in range(len(q)):
-        coeffs = {names[i]: points[i][j] for i in range(len(points))}
-        if senses == "==":
-            lp.constrain(coeffs, "==", q[j])
-        else:
-            lp.constrain(coeffs, ">=", q[j])
+        lp.constrain({names[i]: points[i][j] for i in range(len(points))}, sense, q[j])
     lp.constrain({n: Fraction(1) for n in names}, "==", Fraction(1))
     return lp, names
 
@@ -137,7 +117,7 @@ def caratheodory(q, points) -> Decomposition:
     return Decomposition(tuple(idx), tuple(alpha))
 
 
-# -- extreme points, hulls, Pareto ----------------------------------------------------
+# -- extreme points, Pareto -----------------------------------------------------------
 
 
 def extreme_points(points) -> Tuple[int, ...]:
@@ -172,103 +152,6 @@ def extreme_points(points) -> Tuple[int, ...]:
     corners = {unique[j] for j in found}
     count = Counter(pts)
     return tuple(i for i, p in enumerate(pts) if p in corners and count[p] == 1)
-
-
-def affine_span(points) -> Tuple[List[Point], Point]:
-    """Basis of the direction space of the affine span, in reduced row
-    echelon form, plus the base point."""
-    pts = _check_points(points)
-    base = pts[0]
-    dirs = [tuple(p[j] - base[j] for j in range(len(base))) for p in pts[1:]]
-    dirs = [d for d in dirs if any(v != 0 for v in d)]
-    if not dirs:
-        return [], base
-    rows, pivots = rref(dirs)
-    basis = [tuple(row) for row in rows[: len(pivots)]]
-    return basis, base
-
-
-def convex_hull(points) -> Hull:
-    """Exact vertices and facets; lower-dimensional inputs are handled via
-    the affine span (facets then live inside the span, and the span itself
-    is reported as equalities).
-
-    Unlike :func:`extreme_points` (which follows the index-wise definition,
-    so a duplicated corner is extreme under neither index), the hull reports
-    every input index whose point is a corner of the distinct point set.
-    """
-    pts = _check_points(points)
-    d = len(pts[0])
-    unique = list(dict.fromkeys(pts))
-    corner_points = {unique[i] for i in extreme_points(unique)}
-    verts = tuple(i for i, p in enumerate(pts) if p in corner_points)
-    basis, base = affine_span(pts)
-    # The reduced basis gives one span equality per free column f, ascending:
-    # e_f - sum_r basis[r][f] e_{p_r}, with p_r the pivot (leading) column of row r.
-    pivots = [next(j for j, x in enumerate(b) if x) for b in basis]
-    span_eqs = []
-    for f in range(d):
-        if f in pivots:
-            continue
-        n = [Fraction(int(j == f)) for j in range(d)]
-        for b, p in zip(basis, pivots):
-            n[p] = -b[f]
-        span_eqs.append((tuple(n), dot(n, base)))
-
-    return Hull(tuple(pts), verts, _facets(sorted(corner_points), basis), tuple(span_eqs))
-
-
-def _facets(vertex_points: Sequence[Point], basis: Sequence[Point]):
-    """The facets of conv(vertex_points) inside its affine span, spanned by
-    `basis` (k rows), as (outward normal, offset) pairs with the first
-    nonzero normal entry of absolute value 1, in the order of their first
-    spanning k-subset of vertex_points.
-
-    Fraction-free: the points are scaled to integers by one common lcm, each
-    basis row by its own, and only the coordinates <basis_t, point> enter
-    the loop.  A subset's normal sum_t z_t basis_t has the cofactors of its
-    k - 1 direction rows as z; the sides are integer sign tests."""
-    k = len(basis)
-    if k == 0:
-        return ()
-    d = len(basis[0])
-    flat, scale = integer_row([x for p in vertex_points for x in p])
-    int_basis = [integer_row(b)[0] for b in basis]
-    int_points = [flat[i:i + d] for i in range(0, len(flat), d)]
-    coords = [[sum(b * x for b, x in zip(row, p)) for row in int_basis] for p in int_points]
-    facets = []
-    seen = set()
-    for combo in itertools.combinations(coords, k):
-        origin = combo[0]
-        z = cofactor_vector([[x - o for x, o in zip(c, origin)] for c in combo[1:]])
-        if not any(z):
-            continue  # affinely dependent subset
-        offset = sum(a * b for a, b in zip(z, origin))
-        above = below = False
-        for c in coords:
-            value = sum(a * b for a, b in zip(z, c)) - offset
-            if value > 0:
-                above = True
-            elif value < 0:
-                below = True
-            else:
-                continue
-            if above and below:
-                break
-        if above and below:
-            continue
-        if above:
-            z, offset = [-a for a in z], -offset
-        normal = [sum(a * row[j] for a, row in zip(z, int_basis)) for j in range(d)]
-        g = gcd(*normal)
-        key = tuple(x // g for x in normal)
-        if key in seen:
-            continue
-        seen.add(key)
-        first = abs(next(x for x in normal if x))
-        facets.append((tuple(Fraction(x, first) for x in normal),
-                       Fraction(offset, first * scale)))
-    return tuple(facets)
 
 
 def pareto_frontier(vectors: Sequence[ExtRealVector]) -> Tuple[int, ...]:
@@ -374,6 +257,8 @@ def dominating_face_decomposition(q, points, mode: str = "in_hull") -> Decomposi
     pts = _check_points(points)
     q = as_point(q)
     d = len(q)
+    if d != len(pts[0]):
+        raise DimensionMismatch("query dimension differs from points")
     if mode not in ("in_hull", "dominated"):
         raise ValueError("mode must be 'in_hull' or 'dominated'")
 
@@ -382,15 +267,11 @@ def dominating_face_decomposition(q, points, mode: str = "in_hull") -> Decomposi
             raise NotDominated(f"{_format_point(q)} is not in the convex hull")
         base = q
     else:
-        lp, names = _combination_lp(q, pts, senses=">=")
+        lp, names = _combination_lp(q, pts, sense=">=")
         result = lp.solve({}, maximize=False)
         if not result.ok:
             raise NotDominated(f"{_format_point(q)} is not dominated by the hull")
-        coeffs = [result[n] for n in names]
-        base = tuple(
-            sum((coeffs[i] * pts[i][j] for i in range(len(pts))), Fraction(0))
-            for j in range(d)
-        )
+        base = Decomposition(tuple(range(len(pts))), tuple(result[n] for n in names)).recombine(pts)
 
     # Push along the diagonal onto the boundary.
     lp = LinearProgram()
@@ -406,8 +287,7 @@ def dominating_face_decomposition(q, points, mode: str = "in_hull") -> Decomposi
         raise SelfCheckFailed("the diagonal LP is infeasible, yet gamma = 0 is feasible")
     peak = tuple(base[j] + result[gamma] for j in range(d))
 
-    basis, _ = affine_span(pts)
-    if len(basis) < d:
+    if rank([[x - y for x, y in zip(p, pts[0])] for p in pts[1:]]) < d:
         dec = caratheodory(peak, pts)
     else:
         w = _lexmin_supporting_normal(peak, pts, [])

@@ -2,13 +2,12 @@
 
 Matrices are lists of lists of Fractions.  One elimination kernel,
 fraction-free (Bareiss) elimination on integer rows (scaled by
-:func:`momix.rationals.integer_row`), serves :func:`solve_linear`,
-:func:`cofactor_vector` and :func:`rref`.  :func:`solve_linear` puts each
-right-hand side over one common denominator apart from the matrix, so its
-denominators never enter the matrix minors, and solves several right-hand
-sides with one elimination.  All pivots are exact, so there is no
-tolerance policy anywhere; a singular system raises
-:class:`SingularSystem`.
+:func:`momix.rationals.integer_row`), serves :func:`solve_linear` and
+:func:`rank`.  :func:`solve_linear` puts each right-hand side over one
+common denominator apart from the matrix, so its denominators never enter
+the matrix minors, and solves several right-hand sides with one
+elimination.  All pivots are exact, so there is no tolerance policy
+anywhere; a singular system raises :class:`SingularSystem`.
 """
 
 from __future__ import annotations
@@ -49,18 +48,6 @@ def _bareiss(a: List[List[int]], ncols: int) -> Tuple[List[int], int]:
     return pivots, (sign * prev if len(pivots) == ncols else 0)
 
 
-def cofactor_vector(rows: Sequence[Sequence[int]]) -> List[int]:
-    """For m - 1 integer rows of length m: z_t = (-1)^t times the minor with
-    column t deleted (the generalized cross product).  Every row is
-    orthogonal to z, and z = 0 exactly when the rows are dependent."""
-    m = len(rows) + 1
-    z = []
-    for t in range(m):
-        _pivots, det = _bareiss([row[:t] + row[t + 1:] for row in rows], m - 1)
-        z.append(-det if t % 2 else det)
-    return z
-
-
 def solve_linear(matrix: Sequence[Sequence[Fraction]], rhs: Sequence[tuple]) -> List[tuple]:
     """Solve A X = B exactly for square A by Bareiss elimination on [A' | C]:
     A' is A with each row scaled by the lcm of that row's denominators, and
@@ -93,23 +80,11 @@ def solve_linear(matrix: Sequence[Sequence[Fraction]], rhs: Sequence[tuple]) -> 
     return list(zip(*solutions))
 
 
-def rref(matrix: Sequence[Sequence[Fraction]]):
-    """Reduced row echelon form; returns (rows, pivot_columns), the rows
-    past the rank all zero.  Each row is scaled to integers and brought to
-    echelon form by :func:`_bareiss`; with D the last pivot, D times every
-    reduced row is an integer vector (Cramer), so the back-substitution over
-    the pivot columns divides exactly."""
+def rank(matrix: Sequence[Sequence[Fraction]]) -> int:
+    """The number of pivot columns :func:`_bareiss` finds in the rows
+    scaled to integers."""
     ncols = len(matrix[0]) if matrix else 0
-    a = [integer_row([Fraction(x) for x in row])[0] for row in matrix]
-    pivots, _det = _bareiss(a, ncols)
-    reduced: List[List[int]] = []
-    last = a[len(pivots) - 1][pivots[-1]] if pivots else 1
-    for k in reversed(range(len(pivots))):
-        row, later = a[k], pivots[k + 1:]
-        reduced.insert(0, [(last * v - sum(row[p] * r[j] for p, r in zip(later, reduced)))
-                           // row[pivots[k]] for j, v in enumerate(row)])
-    rows = [[Fraction(v, last) for v in row] for row in reduced]
-    return rows + [[Fraction(0)] * ncols for _ in range(len(a) - len(pivots))], pivots
+    return len(_bareiss([integer_row(row)[0] for row in matrix], ncols)[0])
 
 
 def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:

@@ -532,7 +532,7 @@ def strategy_from_dict(doc: Mapping, model: Pomdp) -> FiniteMemoryStrategy:
             act[(m, z)] = {entry: Fraction(1)}
         elif isinstance(entry, dict):
             act[(m, z)] = {a: parse_rational(p) for a, p in entry.items()}
-            if len(act[(m, z)]) > 1:
+            if list(act[(m, z)].values()) != [1]:
                 pure = False
         else:
             raise SchemaError(f"act[{key!r}] must be an action or an action distribution")

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .errors import (InfeasibleApproximation, NotAchievable, NotDominated, NotInHull,
-                     SelfCheckFailed)
+from .errors import (DimensionMismatch, InfeasibleApproximation, NotAchievable, NotDominated,
+                     NotInHull, SelfCheckFailed)
 from .evaluate import Pool
 from .geometry import achievability_lp, caratheodory
 from .lp import LinearProgram
@@ -32,6 +32,8 @@ class MixtureCertificate:
     pool_info: Optional[str] = None
 
     def verify(self) -> bool:
+        if len(self.realized) != len(self.target):
+            return False
         kind = self.relation[0]
         if kind == "equals":
             return self.realized == self.target
@@ -142,6 +144,8 @@ def approximate(target: ExtRealVector, eps: Fraction, big_m: Fraction, pool: Poo
     if big_m <= 0:
         raise ValueError("M must be positive")
     d = len(target)
+    if pool and len(pool[0][1]) != d:
+        raise DimensionMismatch("target dimension differs from the pool's")
     fin_dims = [j for j in range(d) if target[j].is_finite]
     inf_dims = [j for j in range(d) if not target[j].is_finite]
 

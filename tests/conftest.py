@@ -25,8 +25,8 @@ def solve_column(matrix, rhs):
 
 def fraction_rref(matrix):
     """Reduced row echelon form by Gauss-Jordan elimination over Fraction;
-    returns (rows, pivot_columns).  The reference for `linalg.rref`, which
-    eliminates fraction-free; the rank is len(pivot_columns)."""
+    returns (rows, pivot_columns).  The rank is len(pivot_columns), the
+    reference for `linalg.rank`, which eliminates fraction-free."""
     rows = [[Fraction(x) for x in row] for row in matrix]
     nrows = len(rows)
     ncols = len(rows[0]) if rows else 0

@@ -224,6 +224,7 @@ def _document(path, **fields):
 
 
 TRAIN = _document(TRAIN_FILE)
+HALF_TRAIN = {**TRAIN, "act": {**TRAIN["act"], "0,home": {"train": "1/2"}}}
 NO_LAMBDA = [{"kind": "discounted_sum", "weights": "w"}]
 BAD_WINDEX = [{"kind": "discounted_sum", "lambda": "1/2", "weights": "w", "windex": "z"}]
 # models that load but break a `validate` rule: a reachable state with no
@@ -282,6 +283,11 @@ BAD_INPUTS = {
                               {**TRAIN, "update": {**TRAIN["update"], "0,home,bike": ["0"]}}),
     "act-entry-list": (EVALUATE, None, {**TRAIN, "act": {**TRAIN["act"], "0,home": ["train"]}}),
     "act-disabled-action": (EVALUATE, None, {**TRAIN, "act": {**TRAIN["act"], "0,home": "fly"}}),
+    # one action with a weight other than 1 is a distribution that does not sum to 1
+    "act-single-weight-half": (EVALUATE, None, HALF_TRAIN),
+    "act-single-weight-zero": (EVALUATE, None,
+                               {**TRAIN, "act": {**TRAIN["act"], "0,home": {"bike": "0"}}}),
+    "mixture-member-single-weight": (EVALUATE, None, {"support": [HALF_TRAIN], "weights": ["1"]}),
     "mixture-weights-zero": (EVALUATE, None, {"support": [TRAIN], "weights": ["0"]}),
     "family-not-list": (PROBE, None, {"family": 5, "limit": TRAIN}),
     "family-index-missing": (PROBE, None, {"family": [{"strategy": TRAIN}], "limit": TRAIN}),

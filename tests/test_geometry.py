@@ -1,7 +1,7 @@
 """Exact geometry against brute-force oracles (simplex-free where possible),
 the supporting normals against the kernel-basis construction and the
-row-fixing cascade they replaced, the extreme points against one LP per
-point, and the integer hull against the Fraction hull it replaced."""
+row-fixing cascade they replaced, and the extreme points against one LP
+per point."""
 
 import itertools
 import random
@@ -15,7 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 import momix as mx
 from momix import geometry
 from momix.errors import NotDominated, NotInHull
-from momix.geometry import Hull, Point, extreme_points, membership_combination
+from momix.geometry import Point, extreme_points, membership_combination
 from momix.linalg import dot
 from momix.lp import INFEASIBLE, LinearProgram
 
@@ -179,31 +179,28 @@ def test_hull_two_discounts_points(two_discounts):
         if v not in uniq:
             uniq.append(v)
     pts = [v.to_fractions() for v in uniq]
-    hull = mx.convex_hull(pts)
-    assert set(hull.vertices) == set(range(len(pts)))  # every point is a corner
+    assert extreme_points(pts) == tuple(range(len(pts)))  # every point is a corner
     for p in pts:
-        assert hull.contains_by_facets(p)
+        assert membership_combination(p, pts) is not None
 
 
 def test_hull_idempotent():
     rng = random.Random(77)
     pts = rational_cloud(rng, 9, 2)
-    hull = mx.convex_hull(pts)
-    verts = [pts[i] for i in hull.vertices]
-    again = mx.convex_hull(verts)
-    assert {verts[i] for i in again.vertices} == set(verts)
+    verts = [pts[i] for i in extreme_points(pts)]
+    assert extreme_points(verts) == tuple(range(len(verts)))
     for p in pts:
-        assert hull.contains_by_facets(p)
+        assert membership_combination(p, verts) is not None
 
 
 def test_hull_degenerate_line():
     pts = [(Fraction(0), Fraction(0)), (Fraction(1), Fraction(1)), (Fraction(2), Fraction(2))]
-    hull = mx.convex_hull(pts)
-    assert set(hull.vertices) == {0, 2}
-    assert hull.span_equalities  # the carrying line is reported
-    assert all(hull.contains_by_facets(p) for p in pts)
+    assert extreme_points(pts) == (0, 2)
+    assert all(membership_combination(p, pts) is not None for p in pts)
     outside = (Fraction(3), Fraction(3))  # on the line, beyond the segment
-    assert not hull.contains_by_facets(outside)
+    assert membership_combination(outside, pts) is None
+    off = (Fraction(1), Fraction(0))  # inside the bounding box, off the line
+    assert membership_combination(off, pts) is None
 
 
 def test_pareto_split_reach():
@@ -548,112 +545,3 @@ def test_geometry_matches_the_row_fixing_and_n_lp_references(case):
         assert mx.supporting_map(q, points).rows == rows
         assert [mx.dominating_face_decomposition(q, points),
                 mx.dominating_face_decomposition(below, points, mode="dominated")] == decs
-
-
-# -- reference: the Fraction convex hull, on its own Fraction affine span ------------------
-
-
-def reference_convex_hull(points) -> Hull:
-    """Exact vertices and facets; lower-dimensional inputs are handled via
-    the affine span (facets then live inside the span, and the span itself
-    is reported as equalities).
-
-    Unlike :func:`extreme_points` (which follows the index-wise definition,
-    so a duplicated corner is extreme under neither index), the hull reports
-    every input index whose point is a corner of the distinct point set.
-    """
-    pts = geometry._check_points(points)
-    d = len(pts[0])
-    unique: List[Point] = []
-    for p in pts:
-        if p not in unique:
-            unique.append(p)
-    corner_points = {unique[i] for i in extreme_points(unique)}
-    verts = tuple(i for i, p in enumerate(pts) if p in corner_points)
-    base = pts[0]
-    dirs = [tuple(p[j] - base[j] for j in range(d)) for p in pts[1:]]
-    dirs = [v for v in dirs if any(x != 0 for x in v)]
-    reduced, pivots = fraction_rref(dirs) if dirs else ([], [])
-    basis = [tuple(row) for row in reduced[:len(pivots)]]
-    k = len(basis)
-
-    span_eqs = []
-    if k < d:
-        normals = fraction_nullspace([list(b) for b in basis]) if basis else \
-            [[Fraction(1) if j == i else Fraction(0) for j in range(d)] for i in range(d)]
-        for n in normals:
-            span_eqs.append((tuple(n), dot(n, base)))
-
-    facets = []
-    seen = set()
-    if k >= 1:
-        vertex_points = sorted(corner_points)
-        for combo in itertools.combinations(range(len(vertex_points)), k):
-            chosen = [vertex_points[i] for i in combo]
-            dirs = [tuple(p[j] - chosen[0][j] for j in range(d)) for p in chosen[1:]]
-            # normal n = sum_t z_t basis[t] with <n, dir> = 0 for all dirs
-            rows = [[dot(dirv, bvec) for bvec in basis] for dirv in dirs]
-            null_z = fraction_nullspace(rows) if rows else \
-                [[Fraction(1) if j == i else Fraction(0) for j in range(k)] for i in range(k)]
-            if len(null_z) != 1:
-                continue  # affinely dependent subset
-            z = null_z[0]
-            normal = tuple(
-                sum((z[t] * basis[t][j] for t in range(k)), Fraction(0)) for j in range(d)
-            )
-            offset = dot(normal, chosen[0])
-            values = [dot(normal, p) - offset for p in pts]
-            if all(v <= 0 for v in values):
-                n, c = normal, offset
-            elif all(v >= 0 for v in values):
-                n, c = tuple(-x for x in normal), -offset
-            else:
-                continue
-            scale = next(abs(x) for x in n if x != 0)
-            key = (tuple(x / scale for x in n), c / scale)
-            if key not in seen:
-                seen.add(key)
-                facets.append(key)
-    return Hull(tuple(pts), verts, tuple(facets), tuple(span_eqs))
-
-
-# -- the integer hull against the reference ------------------------------------------------
-
-mixed_rationals = st.builds(Fraction, st.integers(min_value=-8, max_value=8),
-                            st.sampled_from([1, 2, 3, 5, 7]))
-
-
-@st.composite
-def hull_point_sets(draw):
-    """Rational point sets in d <= 4 with mixed denominators: a single point,
-    a full-dimensional set, or a collinear, coplanar or other
-    lower-dimensional set mapped in by a rational affine map; some points
-    repeated.  Points drawn from a small grid give facets through more than
-    d vertices."""
-    d = draw(st.integers(min_value=1, max_value=4))
-    k = draw(st.integers(min_value=0, max_value=d))
-    n = draw(st.integers(min_value=1, max_value=9))
-    coordinate = st.builds(Fraction, st.integers(0, 2)) if draw(st.booleans()) \
-        else mixed_rationals
-    low = [tuple(draw(coordinate) for _ in range(k)) for _ in range(n)]
-    if k == d and draw(st.booleans()):
-        points = low
-    else:
-        matrix = [[draw(mixed_rationals) for _ in range(k)] for _ in range(d)]
-        shift = [draw(mixed_rationals) for _ in range(d)]
-        points = [tuple(shift[j] + sum((a * x for a, x in zip(matrix[j], p)), Fraction(0))
-                        for j in range(d)) for p in low]
-    points += [draw(st.sampled_from(points)) for _ in range(draw(st.integers(0, 3)))]
-    return points
-
-
-# a pyramid over a trapezoid: its base is spanned by four vertex triples
-# whose cofactor normals differ in length
-TRAPEZOID_PYRAMID = [(0, 0, 0), (3, 0, 0), (1, 1, 0), (2, 1, 0), (Fraction(3, 2), Fraction(1, 2), 2)]
-
-
-@given(hull_point_sets())
-@example([tuple(Fraction(x) for x in p) for p in TRAPEZOID_PYRAMID])
-@settings(max_examples=200, deadline=None)
-def test_convex_hull_matches_fraction_reference(points):
-    assert mx.convex_hull(points) == reference_convex_hull(points)

@@ -2,14 +2,16 @@
 output of `frontier`, `achieve`, `approx` and `lexopt` on the bundled
 models, and `supporting_map` / `dominating_face_decomposition` on fixed
 rational point sets in d = 3 and 4, must stay byte-identical; so must the
-`convex_hull` of those point sets, of a planar d = 3 set with a repeated
-point and of a collinear d = 2 set; so must the exact `evaluate --json`
+hull vertices (`extreme_points` over the distinct points) of those point
+sets, of a planar d = 3 set with a repeated point and of a collinear d = 2
+set; so must the exact `evaluate --json`
 output of a randomized strategy on a generated six-payoff model; so must the
 seeded `simulate --json` output of the README command and of a mixture, whose
 strategy files sit beside the goldens; so must `frontier --json` and
 `achieve --json` (dominates) on two one-choice point models in d = 3 and 4,
 whose memoryless pools are hull vertices on a sphere plus interior points;
-and so must the stdout of the seven scripts under demos/.
+and so must the stdout of the seven scripts under demos/.  Every `.txt`
+file under tests/golden/ is the golden of one of these cases.
 
 The `.txt` files under tests/golden/ were written by running this module as
 a script (`PYTHONPATH=src python tests/test_golden.py`), which rewrites them
@@ -255,16 +257,13 @@ def geometry_output(seed, d, n) -> str:
 
 
 def hull_output(points) -> str:
-    hull = mx.convex_hull(points)
-
-    def rows(pairs):
-        return [{"normal": [str(x) for x in n], "offset": str(c)} for n, c in pairs]
-
+    """The points and every index whose point is a vertex of the hull of the
+    distinct points, a repeated vertex under each of its indices."""
+    unique = list(dict.fromkeys(points))
+    corners = {unique[i] for i in mx.extreme_points(unique)}
     payload = {
-        "points": [[str(x) for x in p] for p in hull.points],
-        "vertices": list(hull.vertices),
-        "facets": rows(hull.facets),
-        "span_equalities": rows(hull.span_equalities),
+        "points": [[str(x) for x in p] for p in points],
+        "vertices": [i for i, p in enumerate(points) if p in corners],
     }
     return json.dumps(payload, indent=2) + "\n"
 
@@ -310,6 +309,13 @@ def test_hull_golden(name):
 @pytest.mark.parametrize("name", DEMO_CASES)
 def test_demo_golden(name):
     assert demo_output(name) == _read(f"demo_{name}")
+
+
+def test_every_golden_has_a_case():
+    cases = {*CLI_CASES, *GEOMETRY_CASES, *HULL_CASES, *(f"demo_{name}" for name in DEMO_CASES)}
+    orphans = [name for name in sorted(os.listdir(GOLDEN))
+               if name.endswith(".txt") and name[:-len(".txt")] not in cases]
+    assert orphans == []
 
 
 def _write_all():

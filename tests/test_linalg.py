@@ -1,9 +1,9 @@
 """Exact linear solves: solutions satisfy the system exactly, pivoting
 handles zero leading entries, bad systems raise the documented errors, and
 scaling the right-hand side apart from the matrix returns the same
-Fractions as scaling whole [A | b] rows.  Cofactor vectors are orthogonal
-to their rows and vanish exactly on dependent rows.  The fraction-free
-`rref` returns the Fractions of Gauss-Jordan elimination over Fraction."""
+Fractions as scaling whole [A | b] rows.  The fraction-free `rank` counts
+the pivots of Gauss-Jordan elimination over Fraction, on rectangular
+matrices and on the direction rows of degenerate point sets."""
 
 from fractions import Fraction
 
@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from momix.errors import SingularSystem
-from momix.linalg import _bareiss, cofactor_vector, rref, solve_linear
+from momix.linalg import _bareiss, rank, solve_linear
 from momix.rationals import integer_row
 
 from conftest import fraction_rref, solve_column
@@ -138,30 +138,6 @@ def test_non_square_system_is_rejected(matrix, rhs):
 
 
 @st.composite
-def wide_integer_matrices(draw):
-    """m - 1 integer rows of length m, often dependent."""
-    m = draw(st.integers(min_value=1, max_value=5))
-    rows = [draw(st.lists(st.integers(-3, 3), min_size=m, max_size=m)) for _ in range(m - 1)]
-    if m >= 3 and draw(st.booleans()):
-        rows[-1] = [a - 2 * b for a, b in zip(rows[0], rows[1])]
-    return rows
-
-
-@given(wide_integer_matrices())
-@settings(max_examples=200, deadline=None)
-def test_cofactor_vector_is_orthogonal_and_vanishes_on_dependent_rows(rows):
-    z = cofactor_vector(rows)
-    assert len(z) == len(rows) + 1
-    assert all(sum(a * b for a, b in zip(row, z)) == 0 for row in rows)
-    assert any(z) == (len(fraction_rref(rows)[1]) == len(rows))
-
-
-def test_cofactor_vector_is_the_cross_product():
-    assert cofactor_vector([[1, 2, 3], [4, 5, 6]]) == [-3, 6, -3]
-    assert cofactor_vector([]) == [1]
-
-
-@st.composite
 def rectangular_matrices(draw):
     """Matrices of 0 to 6 rows and 0 to 5 columns with mixed denominators:
     some all zero, some rank-deficient through repeated rows, multiples of
@@ -188,7 +164,47 @@ def rectangular_matrices(draw):
 @example([[Fraction(1, 3), 0, 2]] * 3)
 @example([[0, Fraction(2, 5)], [Fraction(1, 7), 1], [3, 0]])
 @settings(max_examples=300, deadline=None)
-def test_rref_equals_fraction_gauss_jordan(matrix):
-    rows, pivots = rref(matrix)
-    assert (rows, pivots) == fraction_rref(matrix)
-    assert all(type(v) is Fraction for row in rows for v in row)
+def test_rank_is_the_fraction_gauss_jordan_pivot_count(matrix):
+    assert rank(matrix) == len(fraction_rref(matrix)[1])
+
+
+mixed_rationals = st.builds(Fraction, st.integers(min_value=-8, max_value=8),
+                            st.sampled_from([1, 2, 3, 5, 7]))
+
+
+@st.composite
+def point_sets(draw):
+    """Rational point sets in d <= 4 with mixed denominators: a single point,
+    a full-dimensional set, or a collinear, coplanar or other
+    lower-dimensional set mapped in by a rational affine map; some points
+    repeated.  Points drawn from a small grid put more than d points on one
+    hyperplane."""
+    d = draw(st.integers(min_value=1, max_value=4))
+    k = draw(st.integers(min_value=0, max_value=d))
+    n = draw(st.integers(min_value=1, max_value=9))
+    coordinate = st.builds(Fraction, st.integers(0, 2)) if draw(st.booleans()) \
+        else mixed_rationals
+    low = [tuple(draw(coordinate) for _ in range(k)) for _ in range(n)]
+    if k == d and draw(st.booleans()):
+        points = low
+    else:
+        matrix = [[draw(mixed_rationals) for _ in range(k)] for _ in range(d)]
+        shift = [draw(mixed_rationals) for _ in range(d)]
+        points = [tuple(shift[j] + sum((a * x for a, x in zip(matrix[j], p)), Fraction(0))
+                        for j in range(d)) for p in low]
+    points += [draw(st.sampled_from(points)) for _ in range(draw(st.integers(0, 3)))]
+    return points
+
+
+# a pyramid over a trapezoid: four coplanar base points
+TRAPEZOID_PYRAMID = [(0, 0, 0), (3, 0, 0), (1, 1, 0), (2, 1, 0), (Fraction(3, 2), Fraction(1, 2), 2)]
+
+
+@given(point_sets())
+@example([tuple(Fraction(x) for x in p) for p in TRAPEZOID_PYRAMID])
+@settings(max_examples=200, deadline=None)
+def test_rank_of_point_set_directions(points):
+    """The rank `dominating_face_decomposition` reads to tell a
+    full-dimensional point set from a lower-dimensional one."""
+    dirs = [[x - y for x, y in zip(p, points[0])] for p in points[1:]]
+    assert rank(dirs) == len(fraction_rref(dirs)[1])

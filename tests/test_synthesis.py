@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 import momix as mx
-from momix.errors import InfeasibleApproximation, NotAchievable
+from momix.errors import DimensionMismatch, InfeasibleApproximation, NotAchievable
 
 from conftest import MODELS, earn_or_exit_stay, earn_or_exit_leave, grid_randomized
 
@@ -26,6 +26,24 @@ def gated_reward_pool(gated_reward):
 def split_reach_pool(split_reach):
     model, dims = split_reach
     return mx.pure_payoff_set(model, "s0", dims, mx.memoryless(model))
+
+
+def test_targets_of_the_wrong_dimension_are_refused(split_reach_pool):
+    points = [v.to_fractions() for _s, v in split_reach_pool]
+    too_long = mx.vector(0, 0, 0)
+    with pytest.raises(DimensionMismatch):
+        mx.achieve(too_long, split_reach_pool, mode="dominates")
+    with pytest.raises(DimensionMismatch):
+        mx.achievability_lp(too_long.to_fractions(), points)
+    with pytest.raises(DimensionMismatch):
+        mx.dominating_face_decomposition(too_long.to_fractions(), points, mode="dominated")
+    with pytest.raises(DimensionMismatch):
+        mx.approximate(mx.vector(0), Fraction(1, 10), 10, split_reach_pool)
+    # a certificate whose realized vector is longer than its target fails its check
+    cert = mx.approximate(mx.vector(1, 0), Fraction(1, 10), 10, split_reach_pool)
+    assert cert.verify()
+    short = mx.MixtureCertificate(cert.mixture, cert.realized, cert.relation, mx.vector(1))
+    assert not short.verify()
 
 
 def test_achieve_gated_reward_target(gated_reward, gated_reward_pool):
