@@ -6,24 +6,28 @@ history.  Whether *every* strategy reaches a target almost surely is decided
 by a safety game on belief supports: the answer is "no" exactly when some
 state, reachable from the start without touching the target, admits a pure
 belief-based strategy whose reachable supports stay disjoint from the target
-forever.  When the answer is "yes", every strategy reaches the target within
+forever.  The game is played on the supports reachable by belief updates
+from the singletons of those states (Chatterjee, Chmelik and Tracol, JCSS
+82, 2016), the same closure that `belief_graph` draws from one start state;
+like that graph, it can be exponential in the size of an observation class.
+When the answer is "yes", every strategy reaches the target within
 k = 2^|S| steps with probability at least eta^k (eta the minimum transition
 probability), which yields the bound P(reach within l*k) >= 1 - (1 - eta^k)^l.
 """
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
 
-from .errors import ObservationClassTooLarge, PreconditionViolated, UnknownState
+from .errors import PreconditionViolated, UnknownState
 from .model import Pomdp, closure
 from .strategies import FiniteMemoryStrategy, MemorySkeleton, PureStrategy, transition_table
 
 BeliefSupport = FrozenSet[str]
+BeliefEdge = Tuple[BeliefSupport, str, str, BeliefSupport]  # (B, a, z, B')
 
 
 def _belief_update(model: Pomdp, support: BeliefSupport, action: str,
@@ -39,10 +43,32 @@ def _belief_update(model: Pomdp, support: BeliefSupport, action: str,
     return frozenset(successors) if successors else None
 
 
+def _support_closure(model: Pomdp, roots: Iterable[BeliefSupport]
+                     ) -> Tuple[List[BeliefSupport], List[BeliefEdge]]:
+    """Every belief support reachable from `roots` by belief updates, in
+    breadth-first order from the roots in their order, and the edges
+    (B, a, z, B') between them, per support in enabled-action and then
+    observation order.  The only place belief supports are generated."""
+    nodes = list(roots)
+    seen = set(nodes)
+    edges = []
+    for support in nodes:  # grows while it is read: breadth-first
+        for a in model.enabled(next(iter(support))):
+            for z in model.observations:
+                nxt = _belief_update(model, support, a, z)
+                if nxt is None:
+                    continue
+                edges.append((support, a, z, nxt))
+                if nxt not in seen:
+                    seen.add(nxt)
+                    nodes.append(nxt)
+    return nodes, edges
+
+
 @dataclass(frozen=True)
 class BeliefGraph:
     nodes: Tuple[BeliefSupport, ...]
-    edges: Tuple[Tuple[BeliefSupport, str, str, BeliefSupport], ...]  # (B, a, z, B')
+    edges: Tuple[BeliefEdge, ...]
     init: BeliefSupport
 
     def to_dot(self) -> str:
@@ -60,73 +86,41 @@ class BeliefGraph:
 
 
 def belief_graph(model: Pomdp, start: str) -> BeliefGraph:
-    """BFS closure of belief updates from the singleton support of `start`."""
+    """The belief supports reachable from the singleton support of `start`."""
     if start not in model.states:
         raise UnknownState(start)
     init = frozenset({start})
-    nodes = [init]
-    seen = {init}
-    edges = []
-    queue = deque([init])
-    while queue:
-        support = queue.popleft()
-        enabled = model.enabled(next(iter(support)))
-        for a in enabled:
-            for z in model.observations:
-                nxt = _belief_update(model, support, a, z)
-                if nxt is None:
-                    continue
-                edges.append((support, a, z, nxt))
-                if nxt not in seen:
-                    seen.add(nxt)
-                    nodes.append(nxt)
-                    queue.append(nxt)
+    nodes, edges = _support_closure(model, [init])
     return BeliefGraph(tuple(nodes), tuple(edges), init)
 
 
 # -- the avoidance safety game ---------------------------------------------------
 
-# Largest observation class whose 2^n belief supports are enumerated.
-MAX_GROUP = 20
 
-
-def _avoidance_winning_supports(model: Pomdp, target: frozenset) -> Dict[BeliefSupport, str]:
-    """Greatest set of target-disjoint belief supports from which a belief
-    strategy can keep all observation outcomes target-disjoint forever.
-    Returns the winning supports with one safe action each."""
-    groups: Dict[str, List[str]] = {}
-    for s in model.states:
-        if s not in target:
-            groups.setdefault(model.obs[s], []).append(s)
-    candidates = set()
-    for z, members in groups.items():
-        if len(members) > MAX_GROUP:
-            raise ObservationClassTooLarge(
-                f"observation class {z!r} has {len(members)} non-target states; "
-                f"belief-support enumeration handles at most {MAX_GROUP}")
-        for r in range(1, len(members) + 1):
-            for combo in itertools.combinations(members, r):
-                candidates.add(frozenset(combo))
-
-    winning = set(candidates)
+def _avoidance_winning_supports(model: Pomdp, target: frozenset,
+                                roots: Iterable[BeliefSupport]) -> Dict[BeliefSupport, str]:
+    """Greatest set of target-disjoint belief supports, among those
+    reachable from `roots`, from which a belief strategy can keep all
+    observation outcomes target-disjoint forever.  Returns the winning
+    supports with their first safe action in enabled order."""
+    nodes, edges = _support_closure(model, roots)
+    outcomes: Dict[BeliefSupport, Dict[str, List[BeliefSupport]]] = {
+        b: {a: [] for a in model.enabled(next(iter(b)))} for b in nodes}
+    for b, a, _z, b2 in edges:
+        outcomes[b][a].append(b2)
+    winning = {b for b in nodes if target.isdisjoint(b)}
 
     def safe_action(support) -> Optional[str]:
         """The first enabled action keeping every observation outcome of
         `support` inside the current winning set."""
-        for a in model.enabled(next(iter(support))):
-            outcomes = (_belief_update(model, support, a, z) for z in model.observations)
-            if all(nxt is None or nxt in winning for nxt in outcomes):
-                return a
-        return None
+        return next((a for a, nxt in outcomes[support].items()
+                     if all(b in winning for b in nxt)), None)
 
-    changed = True
-    while changed:
-        changed = False
-        for support in sorted(winning, key=sorted):
-            if safe_action(support) is None:
-                winning.discard(support)
-                changed = True
-    return {support: safe_action(support) for support in winning}
+    while True:
+        losing = [b for b in winning if safe_action(b) is None]
+        if not losing:
+            return {b: safe_action(b) for b in winning}
+        winning.difference_update(losing)
 
 
 def _avoider_strategy(model: Pomdp, start: str, choice: Mapping[BeliefSupport, str]) -> PureStrategy:
@@ -189,7 +183,6 @@ class UniversalReachResult:
     holds: bool
     k: int
     eta: Fraction
-    reachable_support_count: int
     witness_state: Optional[str] = None
     witness: Optional[PureStrategy] = None
 
@@ -216,18 +209,13 @@ def universal_as_reach(model: Pomdp, start: str, target: frozenset) -> Universal
         raise UnknownState(start)
     k = 2 ** len(model.states)
     eta = min_transition_probability(model)
-    support_count = len(belief_graph(model, start).nodes)
-
-    avoid_reachable = _reachable_avoiding(model, start, target)
-    if not avoid_reachable:  # start is already in the target
-        return UniversalReachResult(True, k, eta, support_count)
-    choice = _avoidance_winning_supports(model, target)
-    for s in sorted(avoid_reachable, key=model.states.index):
+    avoid_reachable = sorted(_reachable_avoiding(model, start, target), key=model.states.index)
+    choice = _avoidance_winning_supports(model, target, [frozenset({s}) for s in avoid_reachable])
+    for s in avoid_reachable:
         if frozenset({s}) in choice:
-            witness = _avoider_strategy(model, s, choice)
-            return UniversalReachResult(False, k, eta, support_count,
-                                        witness_state=s, witness=witness)
-    return UniversalReachResult(True, k, eta, support_count)
+            return UniversalReachResult(False, k, eta, witness_state=s,
+                                        witness=_avoider_strategy(model, s, choice))
+    return UniversalReachResult(True, k, eta)
 
 
 def _reachable_avoiding(model: Pomdp, start: str, target: frozenset) -> frozenset:

@@ -2,7 +2,8 @@
 
 Every subcommand is a thin adapter over the library; results are identical
 to direct calls.  Exit codes: 0 success, 1 domain-negative result (target
-not achievable, validation violations, ...), 2 usage error, 3 input error.
+not achievable, validation violations, ...) or stdout closed by its reader
+(nothing is printed to stderr then), 2 usage error, 3 input error.
 """
 
 from __future__ import annotations
@@ -10,13 +11,13 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from fractions import Fraction
 
 from . import beliefs, evaluate, geometry, model as model_mod, montecarlo, payoffs, strategies, synthesis
 from .errors import (DimensionMismatch, DisabledAction, EmptySupport, InfeasibleApproximation,
-                     MomixError, NotAchievable, ObservationClassTooLarge, ParseError, SchemaError,
-                     UnknownState)
+                     MomixError, NotAchievable, ParseError, SchemaError, UnknownState)
 from .rationals import ExtRealVector, format_rational, parse_ext, parse_rational
 
 EXIT_OK = 0
@@ -394,9 +395,17 @@ def run(argv) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0,) else EXIT_OK
     try:
-        return args.func(args)
-    except (ParseError, SchemaError, UnknownState, DimensionMismatch, ObservationClassTooLarge,
-            DisabledAction, EmptySupport, OSError, json.JSONDecodeError) as exc:
+        status = args.func(args)
+        sys.stdout.flush()  # a closed pipe fails here, not at interpreter exit
+        return status
+    except BrokenPipeError:
+        # The reader closed stdout (`momix ... | head`): Python docs, "Note on SIGPIPE".
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_NEGATIVE
+    except (ParseError, SchemaError, UnknownState, DimensionMismatch, DisabledAction,
+            EmptySupport, OSError, json.JSONDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except MomixError as exc:

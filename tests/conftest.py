@@ -1,6 +1,7 @@
 """Shared fixtures: the bundled models and the strategies used throughout,
 and the reference implementations the library is checked against."""
 
+import itertools
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -9,6 +10,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 import pytest
 
 import momix as mx
+from momix.beliefs import BeliefSupport, _avoider_strategy, _belief_update, _reachable_avoiding
 from momix.geometry import Point, _check_points, membership_combination
 from momix.linalg import solve_linear
 from momix.lp import LinearProgram
@@ -182,6 +184,66 @@ def n_lp_extreme_points(points) -> Tuple[int, ...]:
         if membership_combination(pts[i], others) is None:
             out.append(i)
     return tuple(out)
+
+
+# -- reference: the avoidance game on every subset of each observation class ------
+# kept verbatim, but for its name and the error it raises
+
+
+# Largest observation class whose 2^n belief supports are enumerated.
+MAX_GROUP = 20
+
+
+def subset_avoidance_winning_supports(model: Pomdp, target: frozenset) -> Dict[BeliefSupport, str]:
+    """Greatest set of target-disjoint belief supports from which a belief
+    strategy can keep all observation outcomes target-disjoint forever.
+    Returns the winning supports with one safe action each."""
+    groups: Dict[str, List[str]] = {}
+    for s in model.states:
+        if s not in target:
+            groups.setdefault(model.obs[s], []).append(s)
+    candidates = set()
+    for z, members in groups.items():
+        if len(members) > MAX_GROUP:
+            raise ValueError(
+                f"observation class {z!r} has {len(members)} non-target states; "
+                f"belief-support enumeration handles at most {MAX_GROUP}")
+        for r in range(1, len(members) + 1):
+            for combo in itertools.combinations(members, r):
+                candidates.add(frozenset(combo))
+
+    winning = set(candidates)
+
+    def safe_action(support) -> Optional[str]:
+        """The first enabled action keeping every observation outcome of
+        `support` inside the current winning set."""
+        for a in model.enabled(next(iter(support))):
+            outcomes = (_belief_update(model, support, a, z) for z in model.observations)
+            if all(nxt is None or nxt in winning for nxt in outcomes):
+                return a
+        return None
+
+    changed = True
+    while changed:
+        changed = False
+        for support in sorted(winning, key=sorted):
+            if safe_action(support) is None:
+                winning.discard(support)
+                changed = True
+    return {support: safe_action(support) for support in winning}
+
+
+def subset_game_universal_as_reach(model: Pomdp, start: str, target: frozenset):
+    """`beliefs.universal_as_reach` on the subset game above, as
+    (holds, witness_state, witness)."""
+    avoid_reachable = _reachable_avoiding(model, start, target)
+    if not avoid_reachable:  # start is already in the target
+        return True, None, None
+    choice = subset_avoidance_winning_supports(model, target)
+    for s in sorted(avoid_reachable, key=model.states.index):
+        if frozenset({s}) in choice:
+            return False, s, _avoider_strategy(model, s, choice)
+    return True, None, None
 
 
 def certifies_program(program, y):

@@ -5,12 +5,16 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import momix as mx
-from momix.beliefs import _belief_update, bounded_reach_probability, min_transition_probability
+from momix.beliefs import (_avoidance_winning_supports, _belief_update, _reachable_avoiding,
+                           _support_closure, bounded_reach_probability,
+                           min_transition_probability)
 from momix.errors import PreconditionViolated
 
-from conftest import commute_train, coin_exit_always
+from conftest import (coin_exit_always, commute_train, subset_avoidance_winning_supports,
+                      subset_game_universal_as_reach)
 
 
 def test_belief_update_mdp_singletons(coin_exit):
@@ -138,6 +142,56 @@ def test_universal_reach_mdp_oracle(commute, coin_exit, earn_or_exit, two_discou
                     avoid_reachable = mx.beliefs._reachable_avoiding(model, start, target)
                     expected = not any(s in safe for s in avoid_reachable)
                 assert result.holds == expected, (start, target_state)
+
+
+@st.composite
+def observed_models(draw):
+    """A valid POMDP with 2 to 6 states sharing 1 to 3 observations (one
+    observation makes it blind), actions a and b enabled per observation,
+    and a target that leaves s0 out; as (model, target)."""
+    n = draw(st.integers(min_value=2, max_value=6))
+    states = [f"s{i}" for i in range(n)]
+    labels = [f"z{j}" for j in range(draw(st.integers(min_value=1, max_value=3)))]
+    obs = {s: draw(st.sampled_from(labels)) for s in states}
+    enabled = {z: draw(st.sampled_from([["a"], ["b"], ["a", "b"]])) for z in labels}
+    transitions = {}
+    for s in states:
+        for a in enabled[obs[s]]:
+            succ = draw(st.lists(st.sampled_from(states), min_size=1, max_size=3, unique=True))
+            mass = draw(st.lists(st.integers(1, 3), min_size=len(succ), max_size=len(succ)))
+            transitions.setdefault(s, {})[a] = {t: str(Fraction(m, sum(mass)))
+                                                for t, m in zip(succ, mass)}
+    doc = {"states": states, "actions": ["a", "b"], "observations": sorted(set(obs.values())),
+           "obs": obs, "transitions": transitions}
+    target = frozenset(draw(st.lists(st.sampled_from(states[1:]), min_size=1, unique=True)))
+    return mx.load_model(json.dumps(doc)), target
+
+
+@given(observed_models())
+@settings(max_examples=300, deadline=None)
+def test_reachable_game_matches_the_subset_game(problem):
+    """The game on the supports reachable from the avoid-reachable
+    singletons gives the verdict, witness state and witness strategy of the
+    game on every subset of each observation class, and the same safe
+    action on every support of the closure."""
+    model, target = problem
+    assert mx.validate(model).ok
+    result = mx.universal_as_reach(model, "s0", target)
+    holds, witness_state, witness = subset_game_universal_as_reach(model, "s0", target)
+    assert (result.holds, result.witness_state) == (holds, witness_state)
+    if witness is not None:
+        assert result.witness.skeleton.memory == witness.skeleton.memory
+        assert result.witness.skeleton.init == witness.skeleton.init
+        assert result.witness.skeleton.update == witness.skeleton.update
+        assert result.witness.table == witness.table
+    roots = [frozenset({s}) for s in sorted(_reachable_avoiding(model, "s0", target),
+                                            key=model.states.index)]
+    choice = _avoidance_winning_supports(model, target, roots)
+    reference = subset_avoidance_winning_supports(model, target)
+    nodes, _edges = _support_closure(model, roots)
+    assert set(choice) <= set(nodes)
+    for support in nodes:
+        assert choice.get(support) == reference.get(support), support
 
 
 def test_classify_shortest_path(coin_exit, commute):

@@ -3,6 +3,8 @@ calls, and exit codes follow the contract."""
 
 import json
 import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -148,7 +150,10 @@ def test_classify(capsys):
     assert payload["verdicts"] == ["universally_unambiguously_integrable_only"]
 
 
-def test_classify_observation_class_too_large(capsys, tmp_path):
+def test_classify_ring_in_one_observation_class(capsys, tmp_path):
+    """21 states share observation o, so 2^21 supports are conceivable, but
+    the game reaches only the singletons of the ring and {t}: an avoider
+    loops on a forever."""
     ring = [f"r{i}" for i in range(21)]
     doc = {"states": ring + ["t"], "actions": ["a", "b"],
            "observations": ["o", "x"], "obs": {**{s: "o" for s in ring}, "t": "x"},
@@ -159,9 +164,27 @@ def test_classify_observation_class_too_large(capsys, tmp_path):
            "payoffs": [{"kind": "shortest_path", "target": ["t"], "weights": "unit"}]}
     path = tmp_path / "ring.json"
     path.write_text(json.dumps(doc))
-    assert run(["classify", str(path), "--state", "r0"]) == 3
-    err = capsys.readouterr().err
-    assert err.startswith("input error: observation class 'o' has 21 non-target states")
+    code, payload = run_json(capsys, ["classify", str(path), "--state", "r0"])
+    assert code == 0
+    assert payload["verdicts"] == ["universally_unambiguously_integrable_only"]
+
+
+def test_closed_stdout_exits_1_quietly():
+    """A reader that stops early (`momix ... | head -c 10`) is not bad input:
+    the command exits 1 and prints nothing to stderr."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # every write to stdout fails with EPIPE
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    try:
+        done = subprocess.run([sys.executable, "-m", "momix", "frontier", COIN_EXIT,
+                               "--state", "s", "--skeleton", "counter:8", "--json"],
+                              stdout=write_end, stderr=subprocess.PIPE, env=env)
+    finally:
+        os.close(write_end)
+    assert done.returncode == 1
+    assert done.stderr == b""
 
 
 def test_belief_graph_dot(capsys, tmp_path):

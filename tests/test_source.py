@@ -1,7 +1,8 @@
 """Static checks on the source of momix itself: no unused imports (in the
 tests too), no module-level private name that nothing else uses, no public function or
-class that only its definition and its re-export name, and one product
-walk, which `strategies.py` owns."""
+class that only its definition and its re-export name, no public dataclass field
+that nothing outside its module reads, and one product walk, which
+`strategies.py` owns."""
 
 import ast
 import glob
@@ -137,6 +138,50 @@ def test_every_public_name_is_read():
         with open(path, "r", encoding="utf-8") as fh:
             readers.append(fh.read())
     assert unread_public_names(sources, readers) == []
+
+
+def unread_fields(sources, readers):
+    """Public fields of the public dataclasses in `sources`, {file name:
+    source}, that no other module of them reads as an attribute and no word
+    of the texts `readers` names; as "file:Class.field"."""
+    reads = {name: {node.attr for node in ast.walk(ast.parse(source))
+                    if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+             for name, source in sources.items()}
+    words = {word for text in readers for word in re.findall(r"\w+", text)}
+    unread = []
+    for name, source in sources.items():
+        seen = words.union(*(r for other, r in reads.items() if other != name))
+        for stmt in ast.parse(source).body:
+            if (isinstance(stmt, ast.ClassDef) and not stmt.name.startswith("_")
+                    and any("dataclass" in ast.unparse(d) for d in stmt.decorator_list)):
+                unread += [f"{name}:{stmt.name}.{node.target.id}" for node in stmt.body
+                           if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)
+                           and not node.target.id.startswith("_") and node.target.id not in seen]
+    return unread
+
+
+def test_scan_finds_an_unread_field():
+    sources = {"a.py": "from dataclasses import dataclass\n\n"
+                       "@dataclass(frozen=True)\nclass Result:\n"
+                       "    holds: bool\n    count: int\n    note: str = ''\n    _cache: dict = None\n\n"
+                       "    def show(self):\n        return self.count\n\n"
+                       "class Plain:\n    size: int\n",
+               "b.py": "def check(result):\n    return result.holds\n"}
+    assert unread_fields(sources, ["See `note` in the README."]) == ["a.py:Result.count"]
+
+
+def test_every_public_field_is_read():
+    """A field of a public dataclass is read by another module, a demo, the
+    README or a test; its own module's reads do not count."""
+    sources, readers = {}, []
+    for module in MODULES:
+        with open(os.path.join(SRC, module), "r", encoding="utf-8") as fh:
+            sources[module] = fh.read()
+    for path in (glob.glob(os.path.join(ROOT, "tests", "*.py"))
+                 + glob.glob(os.path.join(ROOT, "demos", "*.py")) + [os.path.join(ROOT, "README.md")]):
+        with open(path, "r", encoding="utf-8") as fh:
+            readers.append(fh.read())
+    assert unread_fields(sources, readers) == []
 
 
 def skeleton_steps(source: str):
