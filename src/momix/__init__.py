@@ -17,9 +17,8 @@ from .payoffs import (BuchiIndicator, DiscountedSum, LassoPlay, ReachGatedDiscou
                       load_problem)
 from .rationals import ExtReal, ExtRealVector, NEG_INF, POS_INF, parse_rational, vector
 from .strategies import (FiniteMemoryStrategy, FiniteMixture, MemorySkeleton,
-                         PureStrategy, counter, cylinder_prob, enumerate_pure,
-                         lasso_outcome, memoryless, mixed_to_behavioural,
-                         strategy_premetric)
+                         PureStrategy, counter, cylinder_prob, lasso_outcome, memoryless,
+                         mixed_to_behavioural, strategy_premetric)
 from .evaluate import (IntegrabilityVerdict, classify_integrability,
                        expected_payoff, mixed_expected_payoff, pure_payoff_set)
 from .geometry import (Decomposition, LinearMap, achievability_lp, caratheodory,

@@ -17,10 +17,11 @@ probability), which yields the bound P(reach within l*k) >= 1 - (1 - eta^k)^l.
 
 from __future__ import annotations
 
+import itertools
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 from .errors import PreconditionViolated, UnknownState
 from .model import Pomdp, closure
@@ -240,16 +241,18 @@ def classify_shortest_path(model: Pomdp, start: str, target: frozenset):
 # -- geometric reach bound -------------------------------------------------------------
 
 
-def bounded_reach_probability(model: Pomdp, strategy: FiniteMemoryStrategy, start: str,
-                              target: frozenset, steps: int) -> Fraction:
-    """Exact P(target hit within `steps` transitions), pushing the mass of
-    the strategy's moves over the transition table of its skeleton."""
+def _reach_probabilities(model: Pomdp, strategy: FiniteMemoryStrategy, start: str,
+                         target: frozenset) -> Iterator[Fraction]:
+    """Exact P(target hit within t transitions) for t = 0, 1, 2, ...,
+    pushing the mass of the strategy's moves over the transition table of
+    its skeleton one step per item."""
     table = transition_table(model, strategy.skeleton, [start])
     if start in target:
-        return Fraction(1)
+        yield from itertools.repeat(Fraction(1))
     dist: Dict[int, Fraction] = {0: Fraction(1)}
     absorbed = Fraction(0)
-    for _ in range(steps):
+    while True:
+        yield absorbed
         nxt: Dict[int, Fraction] = {}
         for node, mass in dist.items():
             s, mem = table.nodes[node]
@@ -262,9 +265,13 @@ def bounded_reach_probability(model: Pomdp, strategy: FiniteMemoryStrategy, star
                     else:
                         nxt[j] = nxt.get(j, Fraction(0)) + q
         dist = nxt
-        if not dist:
-            break
-    return absorbed
+
+
+def bounded_reach_probability(model: Pomdp, strategy: FiniteMemoryStrategy, start: str,
+                              target: frozenset, steps: int) -> Fraction:
+    """Exact P(target hit within `steps` transitions)."""
+    return next(itertools.islice(_reach_probabilities(model, strategy, start, target),
+                                 steps, None))
 
 
 @dataclass(frozen=True)
@@ -286,9 +293,7 @@ def reach_bound_check(model: Pomdp, strategy: FiniteMemoryStrategy, start: str,
     if not result.holds:
         raise PreconditionViolated("target is not reached almost surely under every strategy")
     k, eta = result.k, result.eta
-    rows = []
-    for l in range(1, l_max + 1):
-        exact = bounded_reach_probability(model, strategy, start, target, l * k)
-        bound = 1 - (1 - eta ** k) ** l
-        rows.append((l, exact, bound))
-    return ReachBoundReport(k, eta, tuple(rows))
+    exact = itertools.islice(_reach_probabilities(model, strategy, start, target),
+                             k, l_max * k + 1, k)  # one walk, read at steps k, 2k, ...
+    rows = tuple((l, p, 1 - (1 - eta ** k) ** l) for l, p in enumerate(exact, 1))
+    return ReachBoundReport(k, eta, rows)

@@ -323,7 +323,9 @@ class Pool(list):
     per behaviour of the pure strategies over a skeleton from a start state.
 
     Canonical order: behaviours sorted by their earliest act table (its
-    position in `enumerate_pure`), with that table as the member's
+    index in the mixed-radix numbering of act tables over the choice points
+    of `reachable_choice_points`, first point most significant; see
+    `strategies.pure_behaviours`), with that table as the member's
     strategy.  `indices[i]` is the earliest table index of member i and
     `size` the number of act tables: `pool_size` and `winner_index` count
     act tables, while the cap and the cost of building the pool count

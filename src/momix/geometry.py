@@ -5,8 +5,9 @@ lexicographic-maximum construction used to reach points on faces of payoff
 sets), Caratheodory decompositions and the achievability feasibility test.
 Every question is decided by the exact simplex in :mod:`momix.lp` (extreme
 points from the Farkas certificates of membership LPs over the vertices
-found so far); the one other computation is the rank of a point set's
-directions.  Degeneracies (collinear point families and the like) are
+found so far, supporting normals from LPs over the points that cut off
+their earlier solutions); the one other computation is the rank of a point
+set's directions.  Degeneracies (collinear point families and the like) are
 resolved exactly, never by tolerance.
 """
 
@@ -190,26 +191,41 @@ def _lexmin_supporting_normal(q: Point, points: Sequence[Point],
     works.  Each piece w_c = +-1 is one LP over w in [-1, 1]^d whose
     objectives w_0, w_1, ... are minimized in order in one tableau
     (lexicographic linear optimization, Isermann, OR Spektrum 4, 1982): one
-    phase 1 per piece, and the piece's minimum over all d coordinates is a
-    single point."""
+    phase 1 per solve, and the piece's minimum over all d coordinates is a
+    single point.
+
+    The point rows are generated lazily (Dantzig, Fulkerson, Johnson, Oper.
+    Res. 2, 1954): a piece poses only the rows of the points found so far,
+    shared by all pieces, and while its solution w has <w, p - q> > 0 for
+    some point, the point of largest such gap (the first on ties) joins them
+    and the piece is solved again.  The relaxation contains the full
+    feasible set, so an infeasible relaxation answers the piece, and a
+    relaxed lexmin that meets every point row is the full one.  A new row
+    always cuts off the last solution, so no row is added twice."""
     d = len(q)
+    flat = integer_row([x - y for p in points for x, y in zip(p, q)])[0]
+    diffs = [flat[i:i + d] for i in range(0, len(flat), d)]
+    active: List[int] = []
 
     def piece_lexmin(coord: int, sign: int) -> Optional[Point]:
-        lp = LinearProgram()
-        w = [lp.var(f"w{j}", lo=-1, hi=1) for j in range(d)]
-
-        def constrain(vector, sense):
-            coeffs = {w[j]: v for j, v in enumerate(vector) if v != 0}
-            if coeffs:
-                lp.constrain(coeffs, sense, 0)
-
-        for p in points:
-            constrain([x - y for x, y in zip(p, q)], "<=")
-        for row in rows:
-            constrain(row, "==")
-        lp.constrain({w[coord]: 1}, "==", sign)
-        result = lp.solve(*({wj: 1} for wj in w))
-        return tuple(result[wj] for wj in w) if result.ok else None
+        while True:
+            lp = LinearProgram()
+            w = [lp.var(f"w{j}", lo=-1, hi=1) for j in range(d)]
+            for vector, sense in [*((diffs[i], "<=") for i in active), *((r, "==") for r in rows)]:
+                coeffs = {w[j]: v for j, v in enumerate(vector) if v != 0}
+                if coeffs:
+                    lp.constrain(coeffs, sense, 0)
+            lp.constrain({w[coord]: 1}, "==", sign)
+            result = lp.solve(*({wj: 1} for wj in w))
+            if not result.ok:
+                return None
+            normal = tuple(result[wj] for wj in w)
+            scaled = integer_row(normal)[0]
+            gaps = [sum(a * x for a, x in zip(scaled, diff)) for diff in diffs]
+            worst = max(range(len(gaps)), key=gaps.__getitem__)
+            if gaps[worst] <= 0:
+                return normal
+            active.append(worst)
 
     pieces = (piece_lexmin(coord, sign) for coord in range(d) for sign in (-1, 1))
     return min((w for w in pieces if w is not None), default=None)

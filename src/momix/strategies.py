@@ -12,8 +12,8 @@ The module also provides:
   states, the one place the product is stepped; a strategy's moves are
   `table.moves[node][a]` for each (a, alpha) of its `choice` there,
 * exact cylinder probabilities,
-* enumeration of all pure strategies over a skeleton, and of their
-  distinct behaviours from a start state,
+* the distinct behaviours of the pure strategies over a skeleton from a
+  start state, each named by its earliest act table,
 * the conversion of a finite mixture into an outcome-equivalent behavioural
   strategy (posterior-weighted choices over the still-consistent support),
 * the bounded-horizon premetric underlying strategy convergence arguments.
@@ -21,13 +21,12 @@ The module also provides:
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 from .errors import (DisabledAction, EmptySupport, ParseError, PoolTooLarge, SchemaError,
                      UnknownState)
@@ -181,7 +180,7 @@ def validate_strategy(model: Pomdp, strategy: FiniteMemoryStrategy):
             raise SchemaError(f"act is missing reachable pair ({mem},{z})")
 
 
-# -- reachable choice points and enumeration -------------------------------------
+# -- reachable choice points and behaviours --------------------------------------
 
 
 def reachable_choice_points(model: Pomdp, skeleton: MemorySkeleton):
@@ -205,20 +204,6 @@ def _choice_points(model: Pomdp, table: TransitionTable):
     return sorted(points.items(), key=lambda pz: (mem_key[pz[0][0]], obs_key[pz[0][1]]))
 
 
-def enumerate_pure(model: Pomdp, skeleton: MemorySkeleton, cap: int = 1_000_000) -> Iterator[PureStrategy]:
-    """All deterministic act tables over the reachable choice points, in
-    lexicographic table order.  Deterministic across runs."""
-    points = reachable_choice_points(model, skeleton)
-    size = 1
-    for _, enabled in points:
-        size *= len(enabled)
-    if size > cap:
-        raise PoolTooLarge(size, cap)
-    keys = [key for key, _ in points]
-    for combo in itertools.product(*(enabled for _, enabled in points)):
-        yield PureStrategy(skeleton, dict(zip(keys, combo)))
-
-
 def pure_behaviours(model: Pomdp, table: TransitionTable,
                     cap: int = POOL_CAP) -> Tuple[int, List[Tuple[int, PureStrategy]]]:
     """The distinct behaviours of the pure strategies over a skeleton from a
@@ -227,16 +212,21 @@ def pure_behaviours(model: Pomdp, table: TransitionTable,
     (memory, observation) it reaches.  `table` is the skeleton's transition
     table from `start` and then every state (`transition_table(model,
     skeleton, [start, *model.states])`): its nodes give the choice points
-    of `enumerate_pure`, which number the act tables.
+    of `reachable_choice_points`, which number the act tables.  An act
+    table's index is a mixed-radix number with one digit per choice point,
+    in that order and the first point most significant: the digit is the
+    position of the table's action among the point's enabled actions.  So
+    index 0 plays the first enabled action everywhere, and the last choice
+    point's action changes fastest.
 
     Returns the number of act tables and, sorted by index, one (index,
     table) pair per behaviour: its earliest act table (unreached choice
-    points at their first enabled action) and that table's position in
-    `enumerate_pure`.  Indices and size count act tables (`winner_index`,
-    `pool_size`); the cap and the cost count behaviours.  The walk keeps
-    only the index of each behaviour and raises PoolTooLarge at the first
-    one past `cap`, before any table is built.  So counter:30 on
-    earn_or_exit.json, 2^31 tables, is a pool of 32 behaviours.
+    points at their first enabled action) and that table's index.  Indices
+    and size count act tables (`winner_index`, `pool_size`); the cap and
+    the cost count behaviours.  The walk keeps only the index of each
+    behaviour and raises PoolTooLarge at the first one past `cap`, before
+    any table is built.  So counter:30 on earn_or_exit.json, 2^31 tables,
+    is a pool of 32 behaviours.
     """
     skeleton = table.skeleton
     points = _choice_points(model, table)

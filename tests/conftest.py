@@ -5,17 +5,19 @@ import itertools
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import pytest
 
 import momix as mx
 from momix.beliefs import BeliefSupport, _avoider_strategy, _belief_update, _reachable_avoiding
+from momix.errors import PoolTooLarge
 from momix.geometry import Point, _check_points, membership_combination
 from momix.linalg import solve_linear
 from momix.lp import LinearProgram
 from momix.model import Pomdp
-from momix.strategies import FiniteMemoryStrategy, Mem, transition_table
+from momix.strategies import (FiniteMemoryStrategy, Mem, MemorySkeleton, PureStrategy,
+                              reachable_choice_points, transition_table)
 
 MODELS = os.path.join(os.path.dirname(__file__), os.pardir, "models")
 
@@ -65,6 +67,23 @@ def fraction_nullspace(matrix):
             vec[p] = -rows[r][f]
         basis.append(vec)
     return basis
+
+
+# -- reference: every act table of a pool, kept verbatim but for its imports -------
+
+
+def enumerate_pure(model: Pomdp, skeleton: MemorySkeleton, cap: int = 1_000_000) -> Iterator[PureStrategy]:
+    """All deterministic act tables over the reachable choice points, in
+    lexicographic table order.  Deterministic across runs."""
+    points = reachable_choice_points(model, skeleton)
+    size = 1
+    for _, enabled in points:
+        size *= len(enabled)
+    if size > cap:
+        raise PoolTooLarge(size, cap)
+    keys = [key for key, _ in points]
+    for combo in itertools.product(*(enabled for _, enabled in points)):
+        yield PureStrategy(skeleton, dict(zip(keys, combo)))
 
 
 # -- reference: the product Markov chain, kept verbatim ------------------------------
@@ -135,8 +154,8 @@ def product_chain(model: Pomdp, strategy: FiniteMemoryStrategy, start: str) -> M
                        tuple(dists), tuple(edges), 0, model)
 
 
-# -- reference: the row-fixing lexicographic cascade and the n-LP extreme points ------------
-# kept verbatim, but for their names
+# -- reference: the row-fixing lexicographic cascade, the one-LP-per-piece normal over
+# every point and the n-LP extreme points; kept verbatim, but for their names
 
 
 def cascade_lexmin_supporting_normal(q: Point, points: Sequence[Point],
@@ -167,6 +186,38 @@ def cascade_lexmin_supporting_normal(q: Point, points: Sequence[Point],
                 return None
             lp.constrain({wj: 1}, "==", result.objective)
         return tuple(result[wj] for wj in w)
+
+    pieces = (piece_lexmin(coord, sign) for coord in range(d) for sign in (-1, 1))
+    return min((w for w in pieces if w is not None), default=None)
+
+
+def dense_lexmin_supporting_normal(q: Point, points: Sequence[Point],
+                                   rows: Sequence[Point]) -> Optional[Point]:
+    """Lexicographically smallest sup-norm-1 vector w orthogonal to `rows`
+    with <w, p - q> <= 0 for all points.  Deterministic; None if only w = 0
+    works.  Each piece w_c = +-1 is one LP over w in [-1, 1]^d whose
+    objectives w_0, w_1, ... are minimized in order in one tableau
+    (lexicographic linear optimization, Isermann, OR Spektrum 4, 1982): one
+    phase 1 per piece, and the piece's minimum over all d coordinates is a
+    single point."""
+    d = len(q)
+
+    def piece_lexmin(coord: int, sign: int) -> Optional[Point]:
+        lp = LinearProgram()
+        w = [lp.var(f"w{j}", lo=-1, hi=1) for j in range(d)]
+
+        def constrain(vector, sense):
+            coeffs = {w[j]: v for j, v in enumerate(vector) if v != 0}
+            if coeffs:
+                lp.constrain(coeffs, sense, 0)
+
+        for p in points:
+            constrain([x - y for x, y in zip(p, q)], "<=")
+        for row in rows:
+            constrain(row, "==")
+        lp.constrain({w[coord]: 1}, "==", sign)
+        result = lp.solve(*({wj: 1} for wj in w))
+        return tuple(result[wj] for wj in w) if result.ok else None
 
     pieces = (piece_lexmin(coord, sign) for coord in range(d) for sign in (-1, 1))
     return min((w for w in pieces if w is not None), default=None)

@@ -8,7 +8,8 @@ from fractions import Fraction
 import momix as mx
 
 from conftest import (commute_ltb, commute_train, distinct_vectors, split_reach_choice,
-                      coin_exit_always, coin_exit_switch, grid_randomized, memoryless_table)
+                      coin_exit_always, coin_exit_switch, enumerate_pure, grid_randomized,
+                      memoryless_table)
 
 
 def _report(number, message):
@@ -219,7 +220,7 @@ def test_criterion_07_kuhn_mixing(split_reach, commute):
     rng = random.Random(1789)
     mixtures_checked = 0
     for model, dims, start in ((split_reach[0], split_reach[1], "s0"), (commute[0], commute[1], "home")):
-        pures = list(mx.enumerate_pure(model, mx.counter(model, 2)))
+        pures = list(enumerate_pure(model, mx.counter(model, 2)))
         histories = _histories_up_to(model, start, 6)
         for _ in range(25):
             members = rng.sample(pures, k=min(4, len(pures)))

@@ -13,7 +13,8 @@ from momix.beliefs import (_avoidance_winning_supports, _belief_update, _reachab
                            min_transition_probability)
 from momix.errors import PreconditionViolated
 
-from conftest import (coin_exit_always, commute_train, subset_avoidance_winning_supports,
+from conftest import (coin_exit_always, commute_bike, commute_ltb, commute_train,
+                      enumerate_pure, memoryless_table, subset_avoidance_winning_supports,
                       subset_game_universal_as_reach)
 
 
@@ -208,6 +209,10 @@ def test_classify_shortest_path(coin_exit, commute):
 # -- the geometric bound ----------------------------------------------------------------
 
 
+ONE_STEP = {"states": ["x", "y"], "actions": ["a"],  # x reaches y in exactly one step
+            "transitions": {"x": {"a": {"y": "1"}}, "y": {"a": {"y": "1"}}}}
+
+
 def test_reach_bound_commute(commute):
     model, _ = commute
     report = mx.reach_bound_check(model, commute_train(model), "home",
@@ -224,12 +229,26 @@ def test_reach_bound_trivial_cases(commute):
     model, _ = commute
     sigma = commute_train(model)
     assert bounded_reach_probability(model, sigma, "work", frozenset({"work"}), 0) == 1
-    doc = {"states": ["x", "y"], "actions": ["a"],
-           "transitions": {"x": {"a": {"y": "1"}}, "y": {"a": {"y": "1"}}}}
-    one_step = mx.load_model(json.dumps(doc))
-    from conftest import memoryless_table
+    one_step = mx.load_model(json.dumps(ONE_STEP))
     sigma1 = memoryless_table(one_step, {})
     assert bounded_reach_probability(one_step, sigma1, "x", frozenset({"y"}), 1) == 1
+
+
+def test_reach_bound_rows_read_one_walk(commute):
+    """The rows read off one walk at steps k, 2k, ... equal a fresh walk of
+    l*k steps per l: on the commute, from a start in the target, and once
+    all the mass is absorbed."""
+    model, _ = commute
+    one_step = mx.load_model(json.dumps(ONE_STEP))
+    cases = [(model, sigma, start, frozenset({"work"}))
+             for sigma in (commute_train(model), commute_bike(model), commute_ltb(model, 2))
+             for start in ("home", "work")]
+    cases.append((one_step, memoryless_table(one_step, {}), "x", frozenset({"y"})))
+    for mdl, sigma, start, target in cases:
+        report = mx.reach_bound_check(mdl, sigma, start, target, 3)
+        assert [l for l, _exact, _bound in report.rows] == [1, 2, 3]
+        for l, exact, _bound in report.rows:
+            assert exact == bounded_reach_probability(mdl, sigma, start, target, l * report.k)
 
 
 def test_reach_bound_precondition(coin_exit):
@@ -247,7 +266,7 @@ def test_eta_k_bound_over_pool(commute):
     result = mx.universal_as_reach(model, "home", target)
     assert result.holds
     k, eta = result.k, result.eta
-    for sigma in mx.enumerate_pure(model, mx.counter(model, 2)):
+    for sigma in enumerate_pure(model, mx.counter(model, 2)):
         for start in mx.beliefs._reachable_avoiding(model, "home", target):
             assert bounded_reach_probability(model, sigma, start, target, k) >= eta ** k
 

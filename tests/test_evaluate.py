@@ -17,7 +17,8 @@ from momix.evaluate import IntegrabilityVerdict, _solve_on, maximal_end_componen
 
 from conftest import (commute_ltb, commute_train, distinct_vectors, split_reach_choice,
                       earn_or_exit_stay, earn_or_exit_leave, coin_exit_always, coin_exit_switch,
-                      gated_reward_leave, grid_randomized, load, product_chain, solve_column)
+                      enumerate_pure, gated_reward_leave, grid_randomized, load, product_chain,
+                      solve_column)
 
 
 def test_coin_exit_spath_always_a(coin_exit):
@@ -176,7 +177,7 @@ def test_brute_force_equivalence_deterministic(two_discounts, earn_or_exit, gate
     """On deterministic-transition models the chain value equals the payoff
     of the unique lasso outcome."""
     for model, dims in (two_discounts, earn_or_exit, gated_reward):
-        for strategy in mx.enumerate_pure(model, mx.counter(model, 2)):
+        for strategy in enumerate_pure(model, mx.counter(model, 2)):
             play = mx.lasso_outcome(model, strategy, model.states[0])
             direct = mx.ExtRealVector([mx.eval_play(spec, play) for spec in dims])
             assert mx.expected_payoff(model, strategy, model.states[0], dims) == direct
@@ -185,7 +186,7 @@ def test_brute_force_equivalence_deterministic(two_discounts, earn_or_exit, gate
 def test_mixed_equals_behavioural_value(split_reach, commute):
     rng = random.Random(99)
     for model, dims in (split_reach, commute):
-        pures = list(mx.enumerate_pure(model, mx.counter(model, 2)))
+        pures = list(enumerate_pure(model, mx.counter(model, 2)))
         for _ in range(6):
             members = rng.sample(pures, k=3)
             raw = [rng.randint(1, 4) for _ in members]
@@ -214,7 +215,7 @@ def test_discounted_bounds(two_discounts):
     for spec in dims:
         lo = min(spec.weights.table.values()) / (1 - spec.discount)
         hi = max(spec.weights.table.values()) / (1 - spec.discount)
-        for strategy in mx.enumerate_pure(model, mx.counter(model, 2)):
+        for strategy in enumerate_pure(model, mx.counter(model, 2)):
             value = mx.expected_payoff(model, strategy, "s0", (spec,))[0].finite
             assert lo <= value <= hi
 
@@ -500,7 +501,7 @@ def _check_pool_against_tables(model, dims, start, skeleton):
     each vector as its representative, and the lexopt winner index."""
     pool = mx.pure_payoff_set(model, start, dims, skeleton)
     tables = [(s, mx.expected_payoff(model, s, start, dims))
-              for s in mx.enumerate_pure(model, skeleton)]
+              for s in enumerate_pure(model, skeleton)]
     assert pool.size == len(tables)
     assert len(pool.indices) == len(pool)
     assert list(pool.indices) == sorted(set(pool.indices))

@@ -16,11 +16,13 @@ import momix as mx
 from momix import geometry
 from momix.errors import NotDominated, NotInHull
 from momix.geometry import Point, extreme_points, membership_combination
-from momix.linalg import dot
+from momix.linalg import dot, rank
 from momix.lp import INFEASIBLE, LinearProgram
 
-from conftest import (cascade_lexmin_supporting_normal, certifies_program, fraction_nullspace,
-                      fraction_rref, n_lp_extreme_points)
+from conftest import (cascade_lexmin_supporting_normal, certifies_program,
+                      dense_lexmin_supporting_normal, fraction_nullspace, fraction_rref,
+                      n_lp_extreme_points)
+from test_golden import POINT_MODELS, _point_pool
 
 
 # -- brute-force oracles ----------------------------------------------------------------
@@ -545,3 +547,67 @@ def test_geometry_matches_the_row_fixing_and_n_lp_references(case):
         assert mx.supporting_map(q, points).rows == rows
         assert [mx.dominating_face_decomposition(q, points),
                 mx.dominating_face_decomposition(below, points, mode="dominated")] == decs
+
+
+# -- lazy point rows against the normal over every point --------------------------------
+
+
+def _random_points(n, d):
+    """n points in d dimensions with numerators 0..40 over denominators in
+    {1, 2, 3, 5, 7}, seed 1."""
+    rng = random.Random(1)
+    return [tuple(Fraction(rng.randint(0, 40), rng.choice([1, 2, 3, 5, 7])) for _ in range(d))
+            for _ in range(n)]
+
+
+NORMAL_POINT_SETS = {
+    **{name: _point_pool(seed, *shape) for name, (seed, *shape) in POINT_MODELS.items()},
+    "random_40_d3": _random_points(40, 3),
+    "random_30_d4": _random_points(30, 4),
+}
+
+
+def _edge_midpoint(points, vertices):
+    """The midpoint of the first edge, in vertex order, at the lexmax
+    vertex, with its supporting map: the face of the midpoint is an edge
+    when its points span one direction."""
+    top = max(points)
+    for i in vertices:
+        if points[i] == top:
+            continue
+        mid = tuple((x + y) / 2 for x, y in zip(top, points[i]))
+        smap = mx.supporting_map(mid, points)
+        face = [p for p in points if smap.apply(p) == smap.apply(mid)]
+        if rank([[x - y for x, y in zip(p, mid)] for p in face]) == 1:
+            return mid, smap.rows
+    raise AssertionError("no edge at the lexmax vertex")
+
+
+@pytest.mark.parametrize("name", sorted(NORMAL_POINT_SETS))
+def test_lazy_point_rows_match_the_normal_over_every_point(name):
+    """At the lexmax vertex, an edge midpoint and the centroid, with no rows
+    and with the rows of the supporting map there, the normals equal
+    those of one LP per piece over every point; every infeasible LP carries
+    a certificate, and no LP poses a row for as many points as the hull has
+    vertices."""
+    points = NORMAL_POINT_SETS[name]
+    d = len(points[0])
+    vertices = extreme_points(points)
+    top = max(points)
+    mid, mid_rows = _edge_midpoint(points, vertices)
+    centroid = tuple(sum(p[j] for p in points) / len(points) for j in range(d))
+    queries = [(top, mx.supporting_map(top, points).rows), (mid, mid_rows),
+               (centroid, mx.supporting_map(centroid, points).rows)]
+    point_rows = []
+
+    def counted(solve):
+        def run(program, *objectives, **kwargs):
+            point_rows.append(sum(sense == "<=" for _c, sense, _b in program._constraints))
+            return solve(program, *objectives, **kwargs)
+        return run
+
+    cases = list(dict.fromkeys((q, r) for q, rows in queries for r in ((), rows)))
+    with mock.patch.object(LinearProgram, "solve", counted(checked_solve(LinearProgram.solve))):
+        normals = [geometry._lexmin_supporting_normal(q, points, rows) for q, rows in cases]
+    assert normals == [dense_lexmin_supporting_normal(q, points, rows) for q, rows in cases]
+    assert max(point_rows) < len(vertices)

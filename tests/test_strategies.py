@@ -14,7 +14,8 @@ from momix.errors import PoolTooLarge
 from momix.strategies import reachable_choice_points, strategy_from_dict, strategy_to_dict
 
 from conftest import (commute_ltb, commute_train, split_reach_choice, coin_exit_always,
-                      coin_exit_switch, grid_randomized, memoryless_table, product_chain)
+                      coin_exit_switch, enumerate_pure, grid_randomized, memoryless_table,
+                      product_chain)
 from test_evaluate import small_observed_problems
 
 
@@ -31,7 +32,7 @@ def test_product_chain_coin_exit(coin_exit):
 
 def test_product_chain_rows_sum_to_one(two_discounts):
     model, _ = two_discounts
-    for strategy in mx.enumerate_pure(model, mx.counter(model, 2)):
+    for strategy in enumerate_pure(model, mx.counter(model, 2)):
         chain = product_chain(model, strategy, "s0")
         for row in chain.matrix:
             assert sum(row.values(), Fraction(0)) == 1
@@ -69,7 +70,7 @@ def test_cylinder_probs_coin_exit(coin_exit):
 
 def test_enumerate_pure_split_reach(split_reach):
     model, _ = split_reach
-    pool = list(mx.enumerate_pure(model, mx.memoryless(model)))
+    pool = list(enumerate_pure(model, mx.memoryless(model)))
     assert len(pool) == 3
     assert [s.action_at(0, "s0") for s in pool] == ["a", "b", "c"]
 
@@ -78,12 +79,12 @@ def test_enumerate_single_action_model(split_reach):
     import json
     doc = {"states": ["x"], "actions": ["a"], "transitions": {"x": {"a": {"x": "1"}}}}
     model = mx.load_model(json.dumps(doc))
-    assert len(list(mx.enumerate_pure(model, mx.memoryless(model)))) == 1
+    assert len(list(enumerate_pure(model, mx.memoryless(model)))) == 1
 
 
 def test_enumerate_counter_two_discounts(two_discounts):
     model, _ = two_discounts
-    pool = list(mx.enumerate_pure(model, mx.counter(model, 3)))
+    pool = list(enumerate_pure(model, mx.counter(model, 3)))
     # duplicate-free as tables and matching the product over choice points
     points = reachable_choice_points(model, mx.counter(model, 3))
     expected = 1
@@ -103,7 +104,7 @@ def test_enumerate_counter_two_discounts(two_discounts):
 def test_pool_cap(two_discounts):
     model, _ = two_discounts
     with pytest.raises(PoolTooLarge):
-        list(mx.enumerate_pure(model, mx.counter(model, 6), cap=10))
+        list(enumerate_pure(model, mx.counter(model, 6), cap=10))
 
 
 # -- Kuhn conversion ------------------------------------------------------------------
@@ -150,7 +151,7 @@ def test_kuhn_commute_divergence(commute):
 def test_kuhn_exact_weighted_sums(split_reach, commute):
     rng = random.Random(20240917)
     for model, _dims in (split_reach, commute):
-        pures = list(mx.enumerate_pure(model, mx.counter(model, 2)))
+        pures = list(enumerate_pure(model, mx.counter(model, 2)))
         for _ in range(8):
             members = rng.sample(pures, k=min(3, len(pures)))
             raw = [rng.randint(1, 5) for _ in members]
@@ -309,7 +310,7 @@ def test_closeness_lemma(split_reach):
 
 def test_lasso_outcome_matches_eval(two_discounts):
     model, dims = two_discounts
-    for strategy in mx.enumerate_pure(model, mx.counter(model, 3)):
+    for strategy in enumerate_pure(model, mx.counter(model, 3)):
         play = mx.lasso_outcome(model, strategy, "s0")
         vec = mx.ExtRealVector([mx.eval_play(spec, play) for spec in dims])
         assert vec == mx.expected_payoff(model, strategy, "s0", dims)
