@@ -43,9 +43,10 @@ for l in (0, 1, 2, 3, 4, 12):
 # point beating 90% punctuality with an expected commute below 27.
 points = [(p, -e) for _label, p, e in rows]
 target = (Fraction(9, 10), Fraction(-27))
-decomposition = mx.achievability_lp(target, points)
 print("\ntarget: P >= 9/10 and E <= 27")
-if decomposition is None:
+try:
+    decomposition = mx.dominating_face_decomposition(target, points, mode="dominated")
+except mx.NotDominated:
     print("  not achievable over this pool")
 else:
     print(f"  achievable by mixing {len(decomposition.indices)} pure strategies:")

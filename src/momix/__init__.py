@@ -12,20 +12,18 @@ and is the only floating-point component.
 from .errors import *  # noqa: F401,F403
 from .model import (Pomdp, ValidationReport, WeightFunction, load_model,
                     reachable_states, serialize, unroll_cost_counter, validate)
-from .payoffs import (BuchiIndicator, DiscountedSum, LassoPlay, ReachGatedDiscountedSum,
-                      ReachIndicator, ShortestPath, TotalRewardNonNeg, eval_play,
-                      load_problem)
+from .payoffs import (BuchiIndicator, DiscountedSum, ReachGatedDiscountedSum, ReachIndicator,
+                      ShortestPath, TotalRewardNonNeg, load_problem)
 from .rationals import ExtReal, ExtRealVector, NEG_INF, POS_INF, parse_rational, vector
 from .strategies import (FiniteMemoryStrategy, FiniteMixture, MemorySkeleton,
-                         PureStrategy, counter, cylinder_prob, lasso_outcome, memoryless,
-                         mixed_to_behavioural, strategy_premetric)
+                         PureStrategy, counter, cylinder_prob, memoryless, mixed_to_behavioural,
+                         strategy_premetric)
 from .evaluate import (IntegrabilityVerdict, classify_integrability,
                        expected_payoff, mixed_expected_payoff, pure_payoff_set)
-from .geometry import (Decomposition, LinearMap, achievability_lp, caratheodory,
-                       dominating_face_decomposition, extreme_points, pareto_frontier,
-                       supporting_map)
-from .synthesis import (LexResult, MixtureCertificate, achieve, approximate,
-                        check_pure_dominates_lex, lex_optimize, reduce_support)
+from .geometry import (Decomposition, LinearMap, caratheodory, dominating_face_decomposition,
+                       extreme_points, pareto_frontier, supporting_map)
+from .synthesis import (LexResult, MixtureCertificate, achieve, approximate, lex_optimize,
+                        reduce_support)
 from .beliefs import (BeliefGraph, belief_graph, classify_shortest_path,
                       reach_bound_check, universal_as_reach)
 from .montecarlo import (Estimate, SampleConfig, convergence_probe,

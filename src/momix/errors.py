@@ -29,11 +29,7 @@ class UnknownState(MomixError):
         self.state = state
 
 
-# -- plays / histories ------------------------------------------------------
-
-class MalformedLasso(MomixError):
-    """A lasso play is not well formed against its model."""
-
+# -- histories --------------------------------------------------------------
 
 class MalformedHistory(MomixError):
     """A history is not well formed against its model."""

@@ -2,7 +2,8 @@
 
 Membership, extreme points, Pareto filtering, supporting linear maps (the
 lexicographic-maximum construction used to reach points on faces of payoff
-sets), Caratheodory decompositions and the achievability feasibility test.
+sets), Caratheodory decompositions and dominating decompositions on faces,
+which also decide achievability.
 Every question is decided by the exact simplex in :mod:`momix.lp` (extreme
 points from the Farkas certificates of membership LPs over the vertices
 found so far, supporting normals from LPs over the points that cut off
@@ -171,7 +172,7 @@ def pareto_frontier(vectors: Sequence[ExtRealVector]) -> Tuple[int, ...]:
 
 def _in_relative_interior(q: Point, points: Sequence[Point]) -> bool:
     """q in relint(conv(points)): some representation uses every point with a
-    strictly positive coefficient."""
+    strictly positive coefficient.  Raises NotInHull if q has none."""
     lp = LinearProgram()
     names = [lp.var(f"a{i}") for i in range(len(points))]
     m = lp.var("m", lo=None)
@@ -181,7 +182,9 @@ def _in_relative_interior(q: Point, points: Sequence[Point]) -> bool:
     for n in names:
         lp.constrain({n: Fraction(1), m: Fraction(-1)}, ">=", Fraction(0))
     result = lp.solve({m: Fraction(1)}, maximize=True)
-    return result.ok and result.objective > 0
+    if not result.ok:  # m <= a_i <= 1 bounds the LP, so it is infeasible
+        raise NotInHull(f"{_format_point(q)} is not in the convex hull")
+    return result.objective > 0
 
 
 def _lexmin_supporting_normal(q: Point, points: Sequence[Point],
@@ -243,8 +246,8 @@ def supporting_map(q, points) -> LinearMap:
     pts = _check_points(points)
     q = as_point(q)
     d = len(q)
-    if membership_combination(q, pts) is None:
-        raise NotInHull(f"{_format_point(q)} is not in the convex hull")
+    if d != len(pts[0]):
+        raise DimensionMismatch("query dimension differs from points")
     current = list(pts)
     rows: List[Point] = []
     while len(rows) <= d:
@@ -320,11 +323,3 @@ def dominating_face_decomposition(q, points, mode: str = "in_hull") -> Decomposi
         raise SelfCheckFailed("the recombination does not dominate q")
     return dec
 
-
-def achievability_lp(q, points) -> Optional[Decomposition]:
-    """Feasibility of {alpha >= 0, sum alpha = 1, sum alpha p >= q}; on
-    success the dominating decomposition with support at most d."""
-    try:
-        return dominating_face_decomposition(q, points, mode="dominated")
-    except NotDominated:
-        return None

@@ -363,8 +363,12 @@ def iter_sccs(roots, successors) -> Iterator[list]:
 # -- bounded-cost unrolling -------------------------------------------------------
 
 
+# Largest unrolled model `unroll_cost_counter` builds.
+MAX_UNROLLED_STATES = 100_000
+
+
 def unroll_cost_counter(model: Pomdp, weight: WeightFunction, budget: Fraction,
-                        target: frozenset, max_states: int = 100_000):
+                        target: frozenset):
     """Track accumulated cost up to `budget` inside the state space.
 
     Returns (unrolled model, unrolled target states).  The new states are
@@ -394,8 +398,8 @@ def unroll_cost_counter(model: Pomdp, weight: WeightFunction, budget: Fraction,
         if node in nodes:
             continue
         nodes.add(node)
-        if len(nodes) > max_states:
-            raise ValueError(f"unrolled model exceeds {max_states} states")
+        if len(nodes) > MAX_UNROLLED_STATES:
+            raise ValueError(f"unrolled model exceeds {MAX_UNROLLED_STATES} states")
         s, cost = node
         obs_map[name(s, cost)] = model.obs[s]
         is_target = s in target and cost is not None

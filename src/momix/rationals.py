@@ -15,8 +15,6 @@ from typing import Iterable, Sequence, Union
 
 from .errors import SchemaError, UndefinedExpectation
 
-Rat = Fraction
-
 _INF_TOKENS = {"+inf": 1, "inf": 1, "+oo": 1, "-inf": -1, "-oo": -1}
 
 

@@ -28,10 +28,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
-from .errors import (DisabledAction, EmptySupport, ParseError, PoolTooLarge, SchemaError,
-                     UnknownState)
+from .errors import (DisabledAction, EmptySupport, MalformedHistory, ParseError, PoolTooLarge,
+                     SchemaError, UnknownState)
 from .model import Pomdp, require_field
-from .payoffs import LassoPlay, check_history
 from .rationals import format_rational, parse_rational
 
 Mem = object  # memory states are any hashable identifiers (ints, strings)
@@ -126,9 +125,6 @@ class PureStrategy(FiniteMemoryStrategy):
 
     def choice(self, mem: Mem, observation: str) -> Tuple[Tuple[str, int], ...]:
         return ((self.table[(mem, observation)], 1),)
-
-    def action_at(self, mem: Mem, observation: str) -> str:
-        return self.table[(mem, observation)]
 
     def __repr__(self):
         choices = ",".join(f"{k}->{a}" for k, a in sorted(self.table.items(), key=str))
@@ -320,6 +316,21 @@ def transition_table(model: Pomdp, skeleton: MemorySkeleton,
 # -- cylinder probabilities ------------------------------------------------------------
 
 
+def check_history(model: Pomdp, history: Sequence[str]) -> Tuple[str, ...]:
+    history = tuple(history)
+    if len(history) % 2 == 0 or not history:
+        raise MalformedHistory("a history alternates s a s ... s")
+    for i in range(0, len(history) - 2, 2):
+        s, a, t = history[i], history[i + 1], history[i + 2]
+        if (s, a) not in model.transitions:
+            raise MalformedHistory(f"action {a} disabled in {s}")
+        if model.dist(s, a).get(t, Fraction(0)) <= 0:
+            raise MalformedHistory(f"transition {s} -{a}-> {t} has probability 0")
+    if history[0] not in model.states:
+        raise MalformedHistory(f"unknown state {history[0]}")
+    return history
+
+
 def cylinder_prob(model: Pomdp, strategy: FiniteMemoryStrategy, start: str,
                   history: Sequence[str]) -> Fraction:
     """Exact probability of the cylinder of `history` from `start`."""
@@ -445,33 +456,6 @@ def strategy_premetric(model: Pomdp, sigma: FiniteMemoryStrategy, tau: FiniteMem
                         seen.add((t, nms, nmt))
                         layer.append((t, nms, nmt))
     return best
-
-
-# -- pure strategies on deterministic models -----------------------------------------------
-
-
-def lasso_outcome(model: Pomdp, strategy: PureStrategy, start: str) -> LassoPlay:
-    """The unique play of a pure strategy when every transition it takes is
-    deterministic; raises ValueError on a randomised transition."""
-    if start not in model.states:
-        raise UnknownState(start)
-    seq: List[str] = []
-    seen: Dict[Tuple[str, Mem], int] = {}
-    s, mem = start, strategy.skeleton.init
-    while (s, mem) not in seen:
-        seen[(s, mem)] = len(seq)
-        z = model.obs[s]
-        a = strategy.action_at(mem, z)
-        dist = model.dist(s, a)
-        if len(dist) != 1:
-            raise ValueError(f"randomised transition at ({s},{a})")
-        seq += [s, a]
-        mem = strategy.skeleton.step(mem, z, a)
-        s = next(iter(dist))
-    split = seen[(s, mem)]
-    prefix = tuple(seq[:split]) + (seq[split],)
-    cycle = tuple(seq[split:])
-    return LassoPlay.check(model, prefix, cycle)
 
 
 # -- file formats ------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from typing import List, Optional, Sequence, Tuple
 from .errors import (DimensionMismatch, InfeasibleApproximation, NotAchievable, NotDominated,
                      NotInHull, SelfCheckFailed)
 from .evaluate import Pool
-from .geometry import achievability_lp, caratheodory
+from .geometry import caratheodory, dominating_face_decomposition
 from .lp import LinearProgram
 from .rationals import ExtReal, ExtRealVector
 from .strategies import FiniteMixture, PureStrategy
@@ -110,15 +110,16 @@ def achieve(target: ExtRealVector, pool: Pool, mode: str = "equals",
     if not points:
         raise NotAchievable("pool has no finite-vector members")
     goal = target.to_fractions()
-    try:
-        if mode == "equals":
+    if mode == "equals":
+        try:
             dec = caratheodory(goal, points)
-        else:
-            dec = achievability_lp(goal, points)
-            if dec is None:
-                raise NotAchievable(f"{target} is not dominated by the pool hull")
-    except (NotInHull, NotDominated) as exc:
-        raise NotAchievable(str(exc)) from exc
+        except NotInHull as exc:
+            raise NotAchievable(str(exc)) from exc
+    else:
+        try:
+            dec = dominating_face_decomposition(goal, points, mode="dominated")
+        except NotDominated as exc:
+            raise NotAchievable(f"{target} is not dominated by the pool hull") from exc
     indices = [idx[i] for i in dec.indices]
     return _certificate(pool, indices, dec.coefficients, (mode,), target, pool_info)
 
@@ -282,18 +283,6 @@ def lex_optimize(pool: Pool) -> LexResult:
     winner = pool[best]
     certified = all(v.le_lex(winner[1]) for _s, v in pool)
     return LexResult(pool.indices[best], winner[0], winner[1], pool.size, certified)
-
-
-def check_pure_dominates_lex(vector: ExtRealVector, pool: Pool):
-    """Some pool member whose vector is lex-greater-or-equal to `vector`,
-    or None.  Since the lexicographic order is total, the pool maximum is
-    the canonical witness."""
-    if not pool:
-        return None
-    best = lex_optimize(pool)
-    if vector.le_lex(best.vector):
-        return best.winner_index, best.strategy, best.vector
-    return None
 
 
 # -- support reduction ---------------------------------------------------------------------

@@ -86,6 +86,57 @@ def enumerate_pure(model: Pomdp, skeleton: MemorySkeleton, cap: int = 1_000_000)
         yield PureStrategy(skeleton, dict(zip(keys, combo)))
 
 
+# -- reference: closed-form payoffs of ultimately periodic ("lasso") plays --------
+
+
+def lasso_steps(model: Pomdp, strategy: PureStrategy, start: str):
+    """The unique play of a pure strategy from `start` as (prefix, cycle)
+    lists of (state, action) steps: the prefix runs once, then the cycle
+    forever.  Raises ValueError on a randomised transition."""
+    steps: List[Tuple[str, str]] = []
+    seen: Dict[Tuple[str, Mem], int] = {}
+    s, mem = start, strategy.skeleton.init
+    while (s, mem) not in seen:
+        seen[(s, mem)] = len(steps)
+        z = model.obs[s]
+        a = strategy.table[(mem, z)]
+        dist = model.dist(s, a)
+        if len(dist) != 1:
+            raise ValueError(f"randomised transition at ({s},{a})")
+        steps.append((s, a))
+        mem = strategy.skeleton.step(mem, z, a)
+        s = next(iter(dist))
+    split = seen[(s, mem)]
+    return steps[:split], steps[split:]
+
+
+def lasso_payoff(spec, prefix, cycle) -> mx.ExtReal:
+    """The closed-form payoff of the play that takes the `prefix` steps once
+    and then the `cycle` steps forever."""
+    reached = any(s in getattr(spec, "target", ()) for s, _a in prefix + cycle)
+    if isinstance(spec, mx.ReachIndicator):
+        return mx.ExtReal(int(reached))
+    if isinstance(spec, mx.BuchiIndicator):  # the cycle states recur, the others do not
+        return mx.ExtReal(int(any(s in spec.target for s, _a in cycle)))
+    if isinstance(spec, mx.TotalRewardNonNeg):
+        if any(spec.weights(s, a) > 0 for s, a in cycle):
+            return mx.POS_INF
+        return mx.ExtReal(sum(spec.weights(s, a) for s, a in prefix))
+    if isinstance(spec, mx.ShortestPath):
+        cost = Fraction(0)
+        for s, a in prefix + cycle:
+            if s in spec.target:
+                return mx.ExtReal(cost)
+            cost += spec.weights(s, a)
+        return mx.POS_INF
+    if isinstance(spec, mx.ReachGatedDiscountedSum) and not reached:
+        return mx.ExtReal(0)
+    lam = spec.discount  # a discounted sum, gated or not
+    head = sum(lam ** i * spec.weights(s, a) for i, (s, a) in enumerate(prefix))
+    loop = sum(lam ** i * spec.weights(s, a) for i, (s, a) in enumerate(cycle))
+    return mx.ExtReal(head + lam ** len(prefix) * loop / (1 - lam ** len(cycle)))
+
+
 # -- reference: the product Markov chain, kept verbatim ------------------------------
 
 

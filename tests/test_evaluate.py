@@ -17,8 +17,8 @@ from momix.evaluate import IntegrabilityVerdict, _solve_on, maximal_end_componen
 
 from conftest import (commute_ltb, commute_train, distinct_vectors, split_reach_choice,
                       earn_or_exit_stay, earn_or_exit_leave, coin_exit_always, coin_exit_switch,
-                      enumerate_pure, gated_reward_leave, grid_randomized, load, product_chain,
-                      solve_column)
+                      enumerate_pure, gated_reward_leave, grid_randomized, lasso_payoff,
+                      lasso_steps, load, product_chain, solve_column)
 
 
 def test_coin_exit_spath_always_a(coin_exit):
@@ -142,8 +142,8 @@ def test_gated_discounted_chain_vs_lasso(gated_reward):
     model, dims = gated_reward
     for loops in range(5):
         sigma = gated_reward_leave(model, loops)
-        play = mx.lasso_outcome(model, sigma, "s")
-        direct = mx.ExtRealVector([mx.eval_play(spec, play) for spec in dims])
+        play = lasso_steps(model, sigma, "s")
+        direct = mx.ExtRealVector([lasso_payoff(spec, *play) for spec in dims])
         assert mx.expected_payoff(model, sigma, "s", dims) == direct
 
 
@@ -178,8 +178,8 @@ def test_brute_force_equivalence_deterministic(two_discounts, earn_or_exit, gate
     of the unique lasso outcome."""
     for model, dims in (two_discounts, earn_or_exit, gated_reward):
         for strategy in enumerate_pure(model, mx.counter(model, 2)):
-            play = mx.lasso_outcome(model, strategy, model.states[0])
-            direct = mx.ExtRealVector([mx.eval_play(spec, play) for spec in dims])
+            play = lasso_steps(model, strategy, model.states[0])
+            direct = mx.ExtRealVector([lasso_payoff(spec, *play) for spec in dims])
             assert mx.expected_payoff(model, strategy, model.states[0], dims) == direct
 
 

@@ -319,8 +319,9 @@ def test_achievability_commute_interval():
     """The two-strategy commute pool with time negated: (9/10, -27) is
     achievable exactly when 13/45 <= alpha <= 8192/10935 (hand derivation)."""
     pool = [(Fraction(14197, 16384), Fraction(-25)), (Fraction(1), Fraction(-445, 16))]
-    dec = mx.achievability_lp((Fraction(9, 10), Fraction(-27)), pool)
-    assert dec is not None and dec.support_size <= 2
+    dec = mx.dominating_face_decomposition((Fraction(9, 10), Fraction(-27)), pool,
+                                           mode="dominated")
+    assert dec.support_size <= 2
     r = dec.recombine(pool)
     assert r[0] >= Fraction(9, 10) and r[1] >= -27
     alpha = sum(c for i, c in zip(dec.indices, dec.coefficients) if i == 0)
@@ -329,12 +330,12 @@ def test_achievability_commute_interval():
 
 def test_achievability_above_max():
     pool = [(Fraction(14197, 16384), Fraction(-25)), (Fraction(1), Fraction(-445, 16))]
-    assert mx.achievability_lp((Fraction(2), Fraction(0)), pool) is None
+    with pytest.raises(NotDominated):
+        mx.dominating_face_decomposition((Fraction(2), Fraction(0)), pool, mode="dominated")
 
 
 def test_achievability_pool_point():
-    dec = mx.achievability_lp(TRIANGLE[0], TRIANGLE)
-    assert dec is not None
+    dec = mx.dominating_face_decomposition(TRIANGLE[0], TRIANGLE, mode="dominated")
     r = dec.recombine(TRIANGLE)
     assert all(r[j] >= TRIANGLE[0][j] for j in range(2))
 

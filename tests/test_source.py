@@ -140,6 +140,17 @@ def test_every_public_name_is_read():
     assert unread_public_names(sources, readers) == []
 
 
+def test_every_conftest_helper_is_read():
+    """A reference implementation or helper of `tests/conftest.py` is read by
+    a test module, or by conftest itself."""
+    readers = []
+    for path in glob.glob(os.path.join(ROOT, "tests", "test_*.py")):
+        with open(path, "r", encoding="utf-8") as fh:
+            readers.append(fh.read())
+    with open(os.path.join(ROOT, "tests", "conftest.py"), "r", encoding="utf-8") as fh:
+        assert unread_public_names({"conftest.py": fh.read()}, readers) == []
+
+
 def unread_fields(sources, readers):
     """Public fields of the public dataclasses in `sources`, {file name:
     source}, that no other module of them reads as an attribute and no word

@@ -14,8 +14,8 @@ from momix.errors import PoolTooLarge
 from momix.strategies import reachable_choice_points, strategy_from_dict, strategy_to_dict
 
 from conftest import (commute_ltb, commute_train, split_reach_choice, coin_exit_always,
-                      coin_exit_switch, enumerate_pure, grid_randomized, memoryless_table,
-                      product_chain)
+                      coin_exit_switch, enumerate_pure, grid_randomized, lasso_payoff,
+                      lasso_steps, memoryless_table, product_chain)
 from test_evaluate import small_observed_problems
 
 
@@ -72,7 +72,7 @@ def test_enumerate_pure_split_reach(split_reach):
     model, _ = split_reach
     pool = list(enumerate_pure(model, mx.memoryless(model)))
     assert len(pool) == 3
-    assert [s.action_at(0, "s0") for s in pool] == ["a", "b", "c"]
+    assert [s.table[(0, "s0")] for s in pool] == ["a", "b", "c"]
 
 
 def test_enumerate_single_action_model(split_reach):
@@ -311,15 +311,15 @@ def test_closeness_lemma(split_reach):
 def test_lasso_outcome_matches_eval(two_discounts):
     model, dims = two_discounts
     for strategy in enumerate_pure(model, mx.counter(model, 3)):
-        play = mx.lasso_outcome(model, strategy, "s0")
-        vec = mx.ExtRealVector([mx.eval_play(spec, play) for spec in dims])
+        play = lasso_steps(model, strategy, "s0")
+        vec = mx.ExtRealVector([lasso_payoff(spec, *play) for spec in dims])
         assert vec == mx.expected_payoff(model, strategy, "s0", dims)
 
 
 def test_lasso_outcome_rejects_randomized(coin_exit):
     model, _ = coin_exit
     with pytest.raises(ValueError):
-        mx.lasso_outcome(model, coin_exit_always(model, "a"), "s")
+        lasso_steps(model, coin_exit_always(model, "a"), "s")
 
 
 # -- file round trips -----------------------------------------------------------------------

@@ -34,8 +34,6 @@ def test_targets_of_the_wrong_dimension_are_refused(split_reach_pool):
     with pytest.raises(DimensionMismatch):
         mx.achieve(too_long, split_reach_pool, mode="dominates")
     with pytest.raises(DimensionMismatch):
-        mx.achievability_lp(too_long.to_fractions(), points)
-    with pytest.raises(DimensionMismatch):
         mx.dominating_face_decomposition(too_long.to_fractions(), points, mode="dominated")
     with pytest.raises(DimensionMismatch):
         mx.approximate(mx.vector(0), Fraction(1, 10), 10, split_reach_pool)
@@ -182,28 +180,27 @@ def test_lexopt_tie_breaks_to_first(split_reach, split_reach_pool):
 
 
 def test_check_pure_dominates_lex(split_reach, split_reach_pool):
+    """The pool's lexicographic maximum is a pure strategy whose vector is
+    lex-greater-or-equal to a mixture's."""
     model, dims = split_reach
     mix = mx.FiniteMixture.of([(split_reach_pool[0][0], Fraction(1, 3)),
                                (split_reach_pool[2][0], Fraction(2, 3))])
     v = mx.mixed_expected_payoff(model, mix, "s0", dims)
-    witness = mx.check_pure_dominates_lex(v, split_reach_pool)
-    assert witness is not None
-    assert v.le_lex(witness[2])
     top = mx.lex_optimize(split_reach_pool)
-    assert mx.check_pure_dominates_lex(top.vector, split_reach_pool)[0] == top.winner_index
-    assert mx.check_pure_dominates_lex(mx.vector(2, 2), split_reach_pool) is None
+    assert v.le_lex(top.vector)
+    assert not mx.vector(2, 2).le_lex(top.vector)
 
 
 def test_lex_dominance_random_behavioural(split_reach):
     """Theorem check at pool scale: a randomized strategy never lex-beats
     every pure strategy (bounded payoffs)."""
     model, dims = split_reach
-    pool = mx.pure_payoff_set(model, "s0", dims, mx.memoryless(model))
+    top = mx.lex_optimize(mx.pure_payoff_set(model, "s0", dims, mx.memoryless(model))).vector
     rng = random.Random(123)
     for _ in range(50):
         sigma = grid_randomized(model, mx.memoryless(model), rng)
         v = mx.expected_payoff(model, sigma, "s0", dims)
-        assert mx.check_pure_dominates_lex(v, pool) is not None
+        assert v.le_lex(top)
 
 
 # -- support reduction -------------------------------------------------------------------
