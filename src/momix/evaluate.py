@@ -25,10 +25,13 @@ distributions and the keys of its successor blocks, as shared subgraphs are
 in a BDD's unique table (Bryant, IEEE TC 35, 1986): blocks with equal keys
 have equal values.  A block is solved only the first time its key appears,
 for every payoff dimension in one pass: hitting probabilities first, then
-the systems that read them.  Systems of a block that share their matrix,
-such as a discounted and a gated dimension with the same lambda, share one
-elimination.  The memo lives for one call.  So a pool costs one walk per
-member plus one solve per distinct block.
+the systems that read them.  A node that plays one action reads its row and
+rewards straight from the table.  A system of one unknown, as in every
+one-node block, is solved where it is queued by one formula per slot,
+x = (c + lambda sum_j P(i, j) x_j) / (1 - lambda P(i, i)), with no division
+without a self-loop.  Larger systems that share their matrix share one
+`solve_linear`.  The memo lives for one call.  So a pool costs one walk per
+behaviour plus, per distinct block, its arithmetic.
 """
 
 from __future__ import annotations
@@ -60,7 +63,7 @@ _KINDS = (ReachIndicator, BuchiIndicator, DiscountedSum, ShortestPath, TotalRewa
 def _affine(constant: Fraction, discount, pairs) -> Fraction:
     """constant + discount * sum(p * v for (p, v) in pairs), with no
     arithmetic spent on zero terms, unit factors or a zero constant."""
-    terms = [p if v is _ONE else p * v for p, v in pairs if v]
+    terms = [v if p == 1 else p if v is _ONE else p * v for p, v in pairs if v]
     if not terms:
         return constant
     total = terms[0]
@@ -69,6 +72,18 @@ def _affine(constant: Fraction, discount, pairs) -> Fraction:
     if discount != 1:
         total *= discount
     return total + constant if constant else total
+
+
+def _one_node(values: tuple, loop, discount) -> tuple:
+    """The solution of x = values + discount * loop * x on one node whose
+    self-loop has probability `loop` (None: no self-loop, so x = values,
+    with no division).  Raises SingularSystem on a zero pivot."""
+    if loop is None:
+        return values
+    pivot = 1 - (loop if discount == 1 else discount * loop)
+    if pivot == 0:
+        raise SingularSystem("the system matrix is singular")
+    return tuple(v / pivot for v in values)
 
 
 def _solve_on(rows, nodes: Sequence[int], rhs: Sequence[tuple],
@@ -81,28 +96,19 @@ def _solve_on(rows, nodes: Sequence[int], rhs: Sequence[tuple],
 
     The system is block triangular over the SCCs of the graph on `nodes`,
     which come successors first: each block is solved with the values of
-    the blocks below it moved into its right-hand side, a singleton by one
-    division and a larger block by one `solve_linear` on its own rows.
+    the blocks below it moved into its right-hand side, a singleton by
+    `_one_node` and a larger block by one `solve_linear` on its own rows.
     Raises SingularSystem if a block is singular."""
     b = dict(zip(nodes, rhs))
     x: Dict[int, tuple] = {}
-    comps = [list(b)] if len(b) == 1 else strongly_connected_components({i: rows[i] for i in b}, b)
-    for comp in comps:
+    for comp in strongly_connected_components({i: rows[i] for i in b}, b):
         known = []
         for i in comp:
             below = [(p, x[j]) for j, p in rows[i].items() if j in x]
             known.append(tuple(_affine(v, discount, [(p, y[k]) for p, y in below])
                                for k, v in enumerate(b[i])) if below else b[i])
         if len(comp) == 1:
-            node = comp[0]
-            loop = rows[node].get(node)
-            if loop is None:
-                x[node] = known[0]
-                continue
-            pivot = 1 - (loop if discount == 1 else discount * loop)
-            if pivot == 0:
-                raise SingularSystem("the system matrix is singular")
-            x[node] = tuple(v / pivot for v in known[0])
+            x[comp[0]] = _one_node(known[0], rows[comp[0]].get(comp[0]), discount)
             continue
         pos = {node: k for k, node in enumerate(comp)}
         matrix = [[_ZERO] * len(comp) for _ in comp]
@@ -152,7 +158,10 @@ class _Evaluator:
         self.width = width
         paired = list(zip(self.dims, self.slots))
         self.buchi = [(spec, slot) for spec, slot in paired if isinstance(spec, BuchiIndicator)]
-        self.values = [(spec, slot) for spec, slot in paired
+        # the distinct discounts, 1 first: a system is keyed by its number here
+        self.discounts = list(dict.fromkeys([1] + [getattr(spec, "discount", 1) for spec in dims]))
+        self.values = [(spec, slot, self.discounts.index(getattr(spec, "discount", 1)))
+                       for spec, slot in paired
                        if not isinstance(spec, (ReachIndicator, BuchiIndicator))]
         self.memos = [_Memo(table) for table in tables]
 
@@ -199,26 +208,42 @@ class _Evaluator:
 
     def _solve_block(self, table, comp: List[int], choice, outer) -> Dict[int, list]:
         """The slots of every node of one block, given the slots of the nodes
-        outside it that its nodes move to (`outer`, empty for a bottom
-        block)."""
-        nodes = table.nodes
-        rows: Dict[int, Dict[int, Fraction]] = {}
+        outside it that its nodes move to (`outer`, empty for a bottom block)."""
+        nodes, moves = table.nodes, table.moves
+        rows: Dict[int, tuple] = {}  # node -> its (successor, probability) pairs
+        acts: Dict[int, str] = {}  # node -> its action, if it plays one at weight 1
         for i in comp:
-            row = rows[i] = {}
-            moves = table.moves[i]
-            for a, alpha in choice[i]:
-                for j, p in moves[a]:
-                    q = p if alpha == 1 else alpha * p
-                    row[j] = row[j] + q if j in row else q
+            dist = choice[i]
+            if len(dist) == 1 and dist[0][1] == 1:
+                acts[i] = dist[0][0]
+                rows[i] = moves[i][acts[i]]
+                continue
+            row = {}
+            for a, alpha in dist:
+                for j, p in moves[i][a]:
+                    row[j] = row[j] + alpha * p if j in row else alpha * p
+            rows[i] = tuple(row.items())
         state = {i: nodes[i][0] for i in comp}
         vals = {i: [None] * self.width for i in comp}
         slots = {**outer, **vals}  # every node a block node moves to -> its slots
         bottom = not outer
-        systems: Dict[tuple, list] = {}  # (discount, unknowns) -> [(slot, constant terms)]
+        systems: Dict[tuple, list] = {}  # (discount number, unknowns) -> [(slot, constants)]
+
+        def system(slot, d, unknowns, constants=None):
+            """x = constants + discounts[d] * P x for `slot` on `unknowns` (no
+            constants: 0): one unknown is solved at once, more are queued."""
+            if len(unknowns) > 1:
+                systems.setdefault((d, tuple(unknowns)), []).append((slot, constants))
+            elif unknowns:
+                i, discount = unknowns[0], self.discounts[d]
+                known = [(p, slots[j][slot]) for j, p in rows[i] if j != i]
+                loop = dict(rows[i])[i] if len(known) < len(rows[i]) else None
+                vals[i][slot], = _one_node((_affine(constants[i] if constants else _ZERO,
+                                                    discount, known),), loop, discount)
 
         def reward(weights):
-            return {i: _affine(_ZERO, 1, [(weights(state[i], a), _ONE if alpha == 1 else alpha)
-                                          for a, alpha in choice[i]]) for i in comp}
+            return {i: weights.table[(state[i], acts[i])] if i in acts else _affine(
+                _ZERO, 1, [(weights(state[i], a), alpha) for a, alpha in choice[i]]) for i in comp}
 
         # hitting probabilities: of each target, and of each Buchi target's
         # good bottom blocks, which are only ever this block if it is bottom
@@ -227,28 +252,29 @@ class _Evaluator:
             for i in comp:
                 vals[i][slot] = _ONE if state[i] in target else _ZERO
             if len(rest) < len(comp) or not bottom:
-                _system(systems, slot, 1, rest)
+                system(slot, 0, rest)
         for spec, slot in self.buchi:
             good = bottom and any(state[i] in spec.target for i in comp)
             for i in comp:
                 vals[i][slot] = _ONE if good else _ZERO
             if not bottom:
-                _system(systems, slot, 1, comp)
-        _solve_systems(systems, rows, slots, vals)
+                system(slot, 0, comp)
+        if systems:
+            _solve_systems(systems, self.discounts, rows, slots, vals)
 
-        for spec, slot in self.values:
+        for spec, slot, d in self.values:
             if isinstance(spec, DiscountedSum):
-                _system(systems, slot, spec.discount, comp, reward(spec.weights))
+                system(slot, d, comp, reward(spec.weights))
             elif isinstance(spec, ReachGatedDiscountedSum):
                 plain, avoid = slot
-                _system(systems, plain, spec.discount, comp, reward(spec.weights))
+                system(plain, d, comp, reward(spec.weights))
                 h, target, weights = self.hit[spec.target], spec.target, spec.weights
                 rest = [i for i in comp if state[i] not in target]
                 for i in comp:
                     vals[i][avoid] = _ZERO
-                _system(systems, avoid, spec.discount, rest, {i: _affine(_ZERO, 1, [
+                system(avoid, d, rest, {i: _affine(_ZERO, 1, [
                     (weights(state[i], a) if alpha == 1 else alpha * weights(state[i], a),
-                     _affine(_ZERO, 1, [(p, 1 - slots[j][h]) for j, p in table.moves[i][a]
+                     _affine(_ZERO, 1, [(p, 1 - slots[j][h]) for j, p in moves[i][a]
                                         if nodes[j][0] not in target]))
                     for a, alpha in choice[i]]) for i in rest})
             elif isinstance(spec, ShortestPath):
@@ -256,43 +282,37 @@ class _Evaluator:
                 sure = [i for i in comp if vals[i][h] == 1 and state[i] not in spec.target]
                 for i in comp:
                     vals[i][slot] = _ZERO if state[i] in spec.target else POS_INF
-                _system(systems, slot, 1, sure, reward(spec.weights))
+                system(slot, 0, sure, reward(spec.weights))
             else:  # TotalRewardNonNeg
                 weight = reward(spec.weights)
                 if bottom:
                     value = POS_INF if any(r > 0 for r in weight.values()) else _ZERO
-                elif any(v[slot] is POS_INF for v in outer.values()):
-                    value = POS_INF
                 else:
-                    value = None
-                    _system(systems, slot, 1, comp, weight)
+                    value = POS_INF if any(v[slot] is POS_INF for v in outer.values()) else None
                 for i in comp:
                     vals[i][slot] = value
-        _solve_systems(systems, rows, slots, vals)
+                if value is None:
+                    system(slot, 0, comp, weight)
+        if systems:
+            _solve_systems(systems, self.discounts, rows, slots, vals)
         return vals
 
 
-def _system(systems, slot, discount, unknowns, constants=None):
-    """Queue x = constants + discount * P x for `slot` on `unknowns` (no
-    constants: 0), unless there is no unknown."""
-    if unknowns:
-        systems.setdefault((discount, tuple(unknowns)), []).append((slot, constants))
-
-
-def _solve_systems(systems, rows, slots, vals):
-    """Solve the queued systems, the slots of the other nodes moved into the
-    right-hand side; the systems with the same matrix share one
-    elimination.  Empties the queue."""
-    for (discount, unknowns), group in systems.items():
-        inside = set(unknowns)
+def _solve_systems(systems, discounts, rows, slots, vals):
+    """Solve the queued systems of two or more unknowns by `_solve_on`, the
+    slots of the other nodes moved into the right-hand side; the systems
+    with the same matrix share one elimination.  Empties the queue."""
+    for (d, unknowns), group in systems.items():
+        discount, inside = discounts[d], set(unknowns)
         rhs = []
         for i in unknowns:
-            known = [(p, slots[j]) for j, p in rows[i].items() if j not in inside]
+            known = [(p, slots[j]) for j, p in rows[i] if j not in inside]
             rhs.append(tuple(_affine(constants[i] if constants else _ZERO, discount,
                                      [(p, v[slot]) for p, v in known])
                              for slot, constants in group))
-        for i, x in _solve_on(rows, unknowns, rhs, discount).items():
-            for (slot, _constants), v in zip(group, x):
+        x = _solve_on({i: dict(rows[i]) for i in unknowns}, unknowns, rhs, discount)
+        for i, values in x.items():
+            for (slot, _constants), v in zip(group, values):
                 vals[i][slot] = v
     systems.clear()
 

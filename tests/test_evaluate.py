@@ -13,7 +13,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 import momix as mx
 from momix import montecarlo
 from momix.errors import PoolTooLarge, SchemaError, SingularSystem, UndefinedExpectation
-from momix.evaluate import IntegrabilityVerdict, _solve_on, maximal_end_components
+from momix.evaluate import IntegrabilityVerdict, _one_node, _solve_on, maximal_end_components
 
 from conftest import (commute_ltb, commute_train, distinct_vectors, split_reach_choice,
                       earn_or_exit_stay, earn_or_exit_leave, coin_exit_always, coin_exit_switch,
@@ -677,13 +677,20 @@ def test_block_solve_on_a_layered_chain_is_exact():
 def test_singular_singleton_block_raises_singular_system():
     """An absorbing node kept in an undiscounted system has the equation
     x = b + x; it raises SingularSystem as the dense solve does, never a
-    ZeroDivisionError."""
+    ZeroDivisionError.  So does the one-node closed form that the
+    evaluator's one-unknown systems call, at any zero pivot."""
     chain = SimpleNamespace(matrix=[{1: Fraction(1)}, {1: Fraction(1)}])
     for solve in (_block_solve, _dense_solve_on):
         with pytest.raises(SingularSystem):
             solve(chain, [0, 1], [Fraction(1), Fraction(0)])
     assert _block_solve(chain, [0, 1], [Fraction(1), Fraction(0)], Fraction(1, 2)) \
         == {0: Fraction(1), 1: Fraction(0)}
+    for loop, discount in [(Fraction(1), 1), (Fraction(1), Fraction(1)), (Fraction(1, 2), 2)]:
+        with pytest.raises(SingularSystem):
+            _one_node((Fraction(1), Fraction(0)), loop, discount)
+    assert _one_node((Fraction(1), Fraction(3)), Fraction(1, 2), Fraction(1, 2)) \
+        == (Fraction(4, 3), Fraction(4))
+    assert _one_node((Fraction(1),), None, Fraction(1, 2)) == (Fraction(1),)
 
 
 # -- library entry points on invalid models --------------------------------------------

@@ -4,7 +4,8 @@ Below is the evaluator momix used before pools were evaluated with a block
 memo, copied verbatim: it builds each strategy's product chain and solves
 it from scratch.  Pools, single strategies and mixtures must
 give exactly its Fractions on generated models with all six payoff kinds,
-shared observations and counter skeletons up to counter:4.
+shared observations and counter skeletons up to counter:4; pools must also
+give them on the bundled models at the counter lengths the benchmark uses.
 """
 
 import json
@@ -12,6 +13,7 @@ import random
 from fractions import Fraction
 from typing import Dict, List, Sequence, Set, Tuple
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import momix as mx
@@ -22,7 +24,7 @@ from momix.payoffs import (BuchiIndicator, DiscountedSum, MultiPayoff, ReachGate
 from momix.rationals import ExtReal, ExtRealVector, POS_INF
 from momix.strategies import FiniteMemoryStrategy
 
-from conftest import MarkovChain, grid_randomized, product_chain, solve_column as solve_linear
+from conftest import MarkovChain, grid_randomized, load, product_chain, solve_column as solve_linear
 from test_evaluate import small_observed_problems
 
 
@@ -290,3 +292,30 @@ def test_a_pool_steps_its_product_once(coin_exit, monkeypatch):
                             lambda *args: tables.append(args) or real_table(*args))
     pool = mx.pure_payoff_set(model, "s", dims, mx.counter(model, 4))
     assert len(pool) == 2 ** 5 and len(tables) == 1
+
+
+@pytest.mark.parametrize("name,start,horizon", [
+    ("two_discounts", "s0", 8), ("gated_reward", "s", 8), ("earn_or_exit", "s", 11),
+    ("coin_exit", "s", 6)])
+def test_bundled_pools_at_long_counters_equal_the_reference(name, start, horizon):
+    """The bundled models at the benchmark's counter lengths, where every
+    block of a deterministic model is one node in a layered chain: each
+    member's vector is exactly the reference's."""
+    model, dims = load(f"{name}.json")
+    pool = mx.pure_payoff_set(model, start, dims, mx.counter(model, horizon))
+    assert len(pool) > horizon
+    for strategy, vector in pool:
+        assert vector == _expected_payoff(model, strategy, start, dims)
+
+
+def test_a_pool_solves_each_distinct_block_once(coin_exit, monkeypatch):
+    """The 512 behaviours of coin_exit at counter:8 meet 1,030 distinct
+    blocks, and each is solved exactly once: a fast path that skips the
+    unique table, or solves a block twice, changes the count."""
+    model, dims = coin_exit
+    solved = []
+    real_solve = mx.evaluate._Evaluator._solve_block
+    monkeypatch.setattr(mx.evaluate._Evaluator, "_solve_block",
+                        lambda self, *args: solved.append(args) or real_solve(self, *args))
+    pool = mx.pure_payoff_set(model, "s", dims, mx.counter(model, 8))
+    assert len(pool) == 512 and len(solved) == 1030

@@ -1,8 +1,8 @@
 """Static checks on the source of momix itself: no unused imports (in the
 tests too), no module-level private name that nothing else uses, no public function or
 class that only its definition and its re-export name, no public dataclass field
-that nothing outside its module reads, and one product walk, which
-`strategies.py` owns."""
+that nothing outside its module reads, one product walk, which
+`strategies.py` owns, and one closed form for a one-node block."""
 
 import ast
 import glob
@@ -223,3 +223,40 @@ def test_only_strategies_steps_a_skeleton(module):
     `strategies.transition_table`."""
     with open(os.path.join(SRC, module), "r", encoding="utf-8") as fh:
         assert skeleton_steps(fh.read()) == []
+
+
+def one_node_pivots(source: str):
+    """Names of the functions that compute a one-node pivot 1 - lambda * p:
+    a subtraction from the constant 1 of an expression with a product in
+    it."""
+    found = []
+    for func in ast.walk(ast.parse(source)):
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+                isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub)
+                and isinstance(node.left, ast.Constant) and node.left.value == 1
+                and any(isinstance(inner, ast.BinOp) and isinstance(inner.op, ast.Mult)
+                        for inner in ast.walk(node.right))
+                for node in ast.walk(func)):
+            found.append(func.name)
+    return found
+
+
+def test_scan_finds_a_second_pivot():
+    source = ("def one(loop, discount):\n"
+              "    return 1 - (loop if discount == 1 else discount * loop)\n"
+              "def fork(rows, node, discount):\n"
+              "    pivot = 1 - discount * rows[node][node]\n"
+              "def other(h, eta, k):\n"
+              "    return 1 - h, 1 - (1 - eta ** k) ** 2\n")
+    assert one_node_pivots(source) == ["one", "fork"]
+
+
+def test_one_function_computes_the_one_node_pivot():
+    """The closed form of a one-node block, x = (c + lambda sum P x) /
+    (1 - lambda p_ii), lives in `evaluate._one_node` alone: the evaluator's
+    one-unknown systems and the singleton blocks of `_solve_on` share it."""
+    found = []
+    for module in MODULES:
+        with open(os.path.join(SRC, module), "r", encoding="utf-8") as fh:
+            found += [f"{module}:{name}" for name in one_node_pivots(fh.read())]
+    assert found == ["evaluate.py:_one_node"]
