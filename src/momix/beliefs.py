@@ -18,14 +18,13 @@ probability), which yields the bound P(reach within l*k) >= 1 - (1 - eta^k)^l.
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 from .errors import PreconditionViolated, UnknownState
 from .model import Pomdp, closure
-from .strategies import FiniteMemoryStrategy, MemorySkeleton, PureStrategy, transition_table
+from .strategies import FiniteMemoryStrategy, PureStrategy, _act_table, machine, transition_table
 
 BeliefSupport = FrozenSet[str]
 BeliefEdge = Tuple[BeliefSupport, str, str, BeliefSupport]  # (B, a, z, B')
@@ -129,43 +128,25 @@ def _avoider_strategy(model: Pomdp, start: str, choice: Mapping[BeliefSupport, s
 
     Memory carries the pre-observation belief (the set of states possible
     before seeing the current observation); the acting belief is its
-    intersection with the current observation class.
+    intersection with the current observation class.  The memory moves
+    only along the action the strategy plays at an observation its belief
+    can produce, and stays put otherwise, so every memory state is reached
+    by the strategy's own plays from `start`.
     """
-    init: FrozenSet[str] = frozenset({start})
-
     def acting(pre: FrozenSet[str], z: str) -> FrozenSet[str]:
         return frozenset(s for s in pre if model.obs[s] == z)
 
     def pick(pre, z):
-        belief = acting(pre, z)
-        if belief in choice:
-            return choice[belief]
-        enabled = model.enabled_for_observation(z)
-        return enabled[0] if enabled else None
+        return choice.get(acting(pre, z)) or model.enabled_for_observation(z)[0]
 
-    memory = [init]
-    seen = {init}
-    table = {}
-    update = {}
-    queue = deque([init])
-    while queue:
-        pre = queue.popleft()
-        for z in model.observations:
-            enabled = model.enabled_for_observation(z)
-            if not enabled:
-                continue
-            action = pick(pre, z)
-            table[(pre, z)] = action
-            for a in enabled:
-                belief = acting(pre, z)
-                nxt = frozenset(t for s in belief for t, p in model.dist(s, a).items() if p > 0)
-                update[(pre, z, a)] = nxt
-                if nxt not in seen:
-                    seen.add(nxt)
-                    memory.append(nxt)
-                    queue.append(nxt)
-    skeleton = MemorySkeleton(tuple(memory), init, update)
-    return PureStrategy(skeleton, table)
+    def step(pre, z, a):
+        belief = acting(pre, z)
+        if not belief or a != pick(pre, z):
+            return pre
+        return frozenset(t for s in belief for t, p in model.dist(s, a).items() if p > 0)
+
+    skeleton = machine(model, frozenset({start}), step)
+    return PureStrategy(skeleton, _act_table(model, skeleton, pick))
 
 
 @dataclass(frozen=True)

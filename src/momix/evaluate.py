@@ -40,9 +40,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Set
 
+from .beliefs import universal_as_reach
 from .errors import SingularSystem, UnknownState, UnsupportedKind
 from .linalg import solve_linear
-from .model import Pomdp, iter_sccs, require_valid, strongly_connected_components
+from .model import (Pomdp, iter_sccs, reachable_states, require_valid,
+                    strongly_connected_components)
 from .payoffs import (BuchiIndicator, DiscountedSum, MultiPayoff,
                       ReachGatedDiscountedSum, ReachIndicator, ShortestPath,
                       TotalRewardNonNeg)
@@ -471,8 +473,6 @@ def classify_integrability(model: Pomdp, dims: MultiPayoff, start: str) -> List[
     models the positive-cycle direction is not decided by this library and
     the verdict is "unknown".
     """
-    from .beliefs import universal_as_reach  # local import avoids a cycle
-
     if start not in model.states:
         raise UnknownState(start)
     verdicts = []
@@ -496,8 +496,6 @@ def classify_integrability(model: Pomdp, dims: MultiPayoff, start: str) -> List[
 
 
 def _classify_total_reward(model: Pomdp, spec: TotalRewardNonNeg, start: str) -> IntegrabilityVerdict:
-    from .model import reachable_states
-
     reachable = reachable_states(model, start)
     positive_mec = None
     for states, pairs in maximal_end_components(model):

@@ -39,6 +39,7 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import UnsupportedKind
+from .evaluate import expected_payoff
 from .model import Pomdp, closure
 from .payoffs import (BuchiIndicator, DiscountedSum, MultiPayoff, ReachGatedDiscountedSum,
                       ReachIndicator, ShortestPath, TotalRewardNonNeg)
@@ -92,9 +93,11 @@ def sample_play(model: Pomdp, strategy, start: str, horizon: int, seed: int,
     `strategy` may be a finite-memory strategy or a finite mixture; a mixture
     draws its pure member once, from the first draw of the sample's row.
     """
+    import numpy as np
+
     u = _uniform_row(seed, index, horizon)
     if isinstance(strategy, FiniteMixture):
-        strategy = _pick_member(strategy, u[0])
+        strategy = strategy.support[np.searchsorted(_cuts(strategy.weights), u[0], side="right")]
     walker = _Walker(model, strategy, start, ())
     node = 0
     out: List[str] = [walker.nodes[node][0]]
@@ -106,7 +109,8 @@ def sample_play(model: Pomdp, strategy, start: str, horizon: int, seed: int,
 
 def _cuts(weights) -> List[float]:
     """Cumulative float weights, the last forced to 1.0: member i owns the
-    first draws in [cuts[i-1], cuts[i])."""
+    first draws in [cuts[i-1], cuts[i]), so a draw's member is
+    `np.searchsorted(cuts, draw, side="right")`."""
     acc = 0.0
     cuts = []
     for w in weights:
@@ -114,13 +118,6 @@ def _cuts(weights) -> List[float]:
         cuts.append(acc)
     cuts[-1] = 1.0
     return cuts
-
-
-def _pick_member(mixture: FiniteMixture, draw: float):
-    for member, cut in zip(mixture.support, _cuts(mixture.weights)):
-        if draw < cut:
-            return member
-    return mixture.support[-1]
 
 
 def estimate_expectation(model: Pomdp, strategy, start: str, dims: MultiPayoff,
@@ -151,11 +148,9 @@ def estimate_expectation(model: Pomdp, strategy, start: str, dims: MultiPayoff,
     chunk = np.empty((min(_CHUNK, n), horizon + 1), dtype=np.float64)
     for lo in range(0, n, _CHUNK):
         u = gen.random(out=chunk[:min(_CHUNK, n - lo)])
-        draws = u[:, 0]
-        prev = 0.0
-        for i, cut in enumerate(cuts):
-            rows = np.flatnonzero((draws >= prev) & (draws < cut))
-            prev = cut
+        owner = np.searchsorted(cuts, u[:, 0], side="right")
+        for i in range(len(members)):
+            rows = np.flatnonzero(owner == i)
             if len(rows) == 0:
                 continue
             if i not in walkers:
@@ -371,8 +366,6 @@ def convergence_probe(model: Pomdp, family: Sequence[Tuple[int, FiniteMemoryStra
     """Exact payoff vectors along a strategy family, with the squared
     premetric to the limit strategy, for convergence (or divergence)
     assertions."""
-    from .evaluate import expected_payoff
-
     rows = []
     for index, member in family:
         vec = expected_payoff(model, member, start, dims)

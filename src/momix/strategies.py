@@ -6,6 +6,11 @@ rule `act(memory, observation) -> distribution over enabled actions`.  Pure
 strategies are the deterministic special case.  Finite mixtures draw one
 pure strategy at the start of a play and commit to it.
 
+`machine` is the one place a skeleton is built from a rule: `memoryless`,
+`counter`, the Kuhn conversion below and the belief avoider of `beliefs`
+are each one step rule `step(mem, obs, action)` for it.  `choice` is the
+one reader of a strategy's action rule.
+
 The module also provides:
 
 * the transition table of a model and a memory skeleton from its start
@@ -23,7 +28,6 @@ from __future__ import annotations
 
 import json
 import math
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
@@ -59,25 +63,40 @@ class MemorySkeleton:
                         raise SchemaError(f"skeleton update missing ({mem},{z},{a})")
 
 
+def machine(model: Pomdp, init: Mem, step) -> MemorySkeleton:
+    """The skeleton of the memory states reached from `init` by
+    `step(mem, z, a)` for every observation z and enabled action a:
+    memory states in breadth-first order, each one's updates in
+    observation and then action order."""
+    memory = [init]
+    seen = {init}
+    update: Dict[Tuple[Mem, str, str], Mem] = {}
+    for mem in memory:  # grows while it is read: breadth-first
+        for z in model.observations:
+            for a in model.enabled_for_observation(z):
+                nxt = update[(mem, z, a)] = step(mem, z, a)
+                if nxt not in seen:
+                    seen.add(nxt)
+                    memory.append(nxt)
+    return MemorySkeleton(tuple(memory), init, update)
+
+
+def _act_table(model: Pomdp, skeleton: MemorySkeleton, rule) -> Dict[Tuple[Mem, str], object]:
+    """`rule(mem, z)` at every memory state of `skeleton` and observation
+    with an enabled action, in the order `machine` built them."""
+    return {(mem, z): rule(mem, z) for mem in skeleton.memory
+            for z in model.observations if model.enabled_for_observation(z)}
+
+
 def memoryless(model: Pomdp) -> MemorySkeleton:
-    update = {}
-    for z in model.observations:
-        for a in model.enabled_for_observation(z):
-            update[(0, z, a)] = 0
-    return MemorySkeleton(memory=(0,), init=0, update=update)
+    return machine(model, 0, lambda mem, z, a: 0)
 
 
 def counter(model: Pomdp, horizon: int) -> MemorySkeleton:
     """Count steps, saturating at `horizon`; memory states 0..horizon."""
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
-    update = {}
-    for mem in range(horizon + 1):
-        nxt = min(mem + 1, horizon)
-        for z in model.observations:
-            for a in model.enabled_for_observation(z):
-                update[(mem, z, a)] = nxt
-    return MemorySkeleton(memory=tuple(range(horizon + 1)), init=0, update=update)
+    return machine(model, 0, lambda mem, z, a: min(mem + 1, horizon))
 
 
 class FiniteMemoryStrategy:
@@ -92,9 +111,6 @@ class FiniteMemoryStrategy:
     def __init__(self, skeleton: MemorySkeleton, act: Mapping[Tuple[Mem, str], Mapping[str, Fraction]]):
         self.skeleton = skeleton
         self.act = {k: dict(v) for k, v in act.items()}
-
-    def action_distribution(self, mem: Mem, observation: str) -> Mapping[str, Fraction]:
-        return self.act[(mem, observation)]
 
     def choice(self, mem: Mem, observation: str) -> Tuple[Tuple[str, Fraction], ...]:
         """The action distribution at (mem, observation) as a hashable tuple
@@ -119,9 +135,6 @@ class PureStrategy(FiniteMemoryStrategy):
     @property
     def act(self) -> Dict[Tuple[Mem, str], Dict[str, Fraction]]:
         return {k: {a: _ONE} for k, a in self.table.items()}
-
-    def action_distribution(self, mem: Mem, observation: str) -> Mapping[str, Fraction]:
-        return {self.table[(mem, observation)]: _ONE}
 
     def choice(self, mem: Mem, observation: str) -> Tuple[Tuple[str, int], ...]:
         return ((self.table[(mem, observation)], 1),)
@@ -342,8 +355,7 @@ def cylinder_prob(model: Pomdp, strategy: FiniteMemoryStrategy, start: str,
     for i in range(0, len(history) - 2, 2):
         s, a, t = history[i], history[i + 1], history[i + 2]
         z = model.obs[s]
-        dist = strategy.action_distribution(mem, z)
-        prob *= dist.get(a, Fraction(0)) * model.dist(s, a)[t]
+        prob *= dict(strategy.choice(mem, z)).get(a, 0) * model.dist(s, a)[t]
         if prob == 0:
             return prob
         mem = strategy.skeleton.step(mem, z, a)
@@ -365,13 +377,13 @@ def mixed_to_behavioural(mixture: FiniteMixture, model: Pomdp) -> FiniteMemorySt
     if not mixture.support:
         raise EmptySupport("mixture support is empty")
     members = mixture.support
-    k = len(members)
-    init = (tuple(m.skeleton.init for m in members), frozenset(range(k)))
+    init = (tuple(m.skeleton.init for m in members), frozenset(range(len(members))))
 
     def choice(i, mem_i, z):
         return members[i].table.get((mem_i, z))
 
-    def act_for(mems, consistent, z):
+    def act_for(node, z):
+        mems, consistent = node
         weighted: Dict[str, Fraction] = {}
         total = Fraction(0)
         for i in consistent:
@@ -382,41 +394,17 @@ def mixed_to_behavioural(mixture: FiniteMixture, model: Pomdp) -> FiniteMemorySt
             total += mixture.weights[i]
         if total == 0:
             enabled = model.enabled_for_observation(z)
-            if not enabled:
-                return {}
-            share = Fraction(1, len(enabled))
-            return {a: share for a in enabled}
+            return dict.fromkeys(enabled, Fraction(1, len(enabled)))
         return {a: w / total for a, w in weighted.items()}
 
-    memory_states = [init]
-    seen = {init}
-    update: Dict[Tuple[object, str, str], object] = {}
-    act: Dict[Tuple[object, str], Mapping[str, Fraction]] = {}
-    queue = deque([init])
-    while queue:
-        node = queue.popleft()
+    def step(node, z, a):
         mems, consistent = node
-        for z in model.observations:
-            enabled = model.enabled_for_observation(z)
-            if not enabled:
-                continue
-            act[(node, z)] = act_for(mems, consistent, z)
-            for a in enabled:
-                new_mems = tuple(
-                    m.skeleton.update.get((mems[i], z, a), mems[i])
-                    for i, m in enumerate(members)
-                )
-                new_consistent = frozenset(
-                    i for i in consistent if choice(i, mems[i], z) == a
-                )
-                nxt = (new_mems, new_consistent)
-                update[(node, z, a)] = nxt
-                if nxt not in seen:
-                    seen.add(nxt)
-                    memory_states.append(nxt)
-                    queue.append(nxt)
-    skeleton = MemorySkeleton(tuple(memory_states), init, update)
-    return FiniteMemoryStrategy(skeleton, act)
+        return (tuple(m.skeleton.update.get((mems[i], z, a), mems[i])
+                      for i, m in enumerate(members)),
+                frozenset(i for i in consistent if choice(i, mems[i], z) == a))
+
+    skeleton = machine(model, init, step)
+    return FiniteMemoryStrategy(skeleton, _act_table(model, skeleton, act_for))
 
 
 # -- premetric ---------------------------------------------------------------------------
@@ -443,9 +431,9 @@ def strategy_premetric(model: Pomdp, sigma: FiniteMemoryStrategy, tau: FiniteMem
         frontier, layer = layer, []
         for s, ms, mt in frontier:
             z = model.obs[s]
-            ds = sigma.action_distribution(ms, z)
-            dt = tau.action_distribution(mt, z)
-            d2 = sum(((ds.get(a, Fraction(0)) - dt.get(a, Fraction(0))) ** 2
+            ds = dict(sigma.choice(ms, z))
+            dt = dict(tau.choice(mt, z))
+            d2 = sum(((ds.get(a, 0) - dt.get(a, 0)) ** 2
                       for a in set(ds) | set(dt)), Fraction(0))
             best = max(best, d2)
             for a in model.enabled(s):

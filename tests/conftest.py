@@ -182,12 +182,10 @@ def product_chain(model: Pomdp, strategy: FiniteMemoryStrategy, start: str) -> M
     state_rank = {t: k for k, t in enumerate(model.states)}
     for node in order:  # grows while it is read: breadth-first
         s, mem = table.nodes[node]
-        dist = strategy.action_distribution(mem, model.obs[s])
+        dist = dict(strategy.choice(mem, model.obs[s]))
         row: Dict[int, Fraction] = {}
         moves = []
         for a, alpha in dist.items():
-            if alpha == 0:
-                continue
             for nxt, p in table.moves[node][a]:
                 if nxt not in position:
                     position[nxt] = len(order)
@@ -198,7 +196,7 @@ def product_chain(model: Pomdp, strategy: FiniteMemoryStrategy, start: str) -> M
         moves.sort(key=lambda move: (action_rank[move[0]],
                                      state_rank[table.nodes[order[move[2]]][0]]))
         rows.append(row)
-        dists.append(dict(dist))
+        dists.append(dist)
         edges.append(tuple(moves))
     nodes = tuple(table.nodes[node] for node in order)
     return MarkovChain(nodes, {node: j for j, node in enumerate(nodes)}, tuple(rows),

@@ -12,6 +12,8 @@ from momix.beliefs import (_avoidance_winning_supports, _belief_update, _reachab
                            _support_closure, bounded_reach_probability,
                            min_transition_probability)
 from momix.errors import PreconditionViolated
+from momix.model import closure
+from momix.strategies import transition_table
 
 from conftest import (coin_exit_always, commute_bike, commute_ltb, commute_train,
                       enumerate_pure, memoryless_table, subset_avoidance_winning_supports,
@@ -193,6 +195,29 @@ def test_reachable_game_matches_the_subset_game(problem):
     assert set(choice) <= set(nodes)
     for support in nodes:
         assert choice.get(support) == reference.get(support), support
+
+
+@given(observed_models())
+@settings(max_examples=300, deadline=None)
+def test_witness_avoids_the_target_with_only_the_memory_it_uses(problem):
+    """A witness reaches its target with probability 0 from its state, and
+    its own plays from there reach every one of its memory states."""
+    model, target = problem
+    result = mx.universal_as_reach(model, "s0", target)
+    if result.holds:
+        return
+    witness, start = result.witness, result.witness_state
+    assert mx.expected_payoff(model, witness, start, (mx.ReachIndicator(target),)) \
+        == mx.vector(0)
+    table = transition_table(model, witness.skeleton, [start])
+
+    def played(node):
+        s, mem = table.nodes[node]
+        return [nxt for a, _alpha in witness.choice(mem, model.obs[s])
+                for nxt, _p in table.moves[node][a]]
+
+    reached = closure([0], played)
+    assert {table.nodes[node][1] for node in reached} == set(witness.skeleton.memory)
 
 
 def test_classify_shortest_path(coin_exit, commute):

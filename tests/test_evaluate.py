@@ -240,7 +240,7 @@ def test_behavioural_evaluation_randomized(split_reach):
     sk = mx.memoryless(model)
     for _ in range(10):
         sigma = grid_randomized(model, sk, rng)
-        dist = sigma.action_distribution(0, "s0")
+        dist = dict(sigma.choice(0, "s0"))
         pa = dist.get("a", Fraction(0))
         pb = dist.get("b", Fraction(0))
         pc = dist.get("c", Fraction(0))

@@ -2,7 +2,8 @@
 tests too), no module-level private name that nothing else uses, no public function or
 class that only its definition and its re-export name, no public dataclass field
 that nothing outside its module reads, one product walk, which
-`strategies.py` owns, and one closed form for a one-node block."""
+`strategies.py` owns, one closed form for a one-node block, one builder of
+memory skeletons, and no function-local import of a sibling module."""
 
 import ast
 import glob
@@ -260,3 +261,68 @@ def test_one_function_computes_the_one_node_pivot():
         with open(os.path.join(SRC, module), "r", encoding="utf-8") as fh:
             found += [f"{module}:{name}" for name in one_node_pivots(fh.read())]
     assert found == ["evaluate.py:_one_node"]
+
+
+def functions_calling(source: str, callee: str):
+    """Names of the functions, nested ones included, whose bodies call
+    `callee` by name."""
+    found = []
+    for func in ast.walk(ast.parse(source)):
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+                isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == callee
+                for node in ast.walk(func)):
+            found.append(func.name)
+    return found
+
+
+def test_scan_finds_skeleton_constructions():
+    source = ("def machine(model, init, step):\n"
+              "    return MemorySkeleton((init,), init, {})\n"
+              "def counter(model, horizon):\n"
+              "    def inner():\n"
+              "        return MemorySkeleton(memory, 0, update)\n"
+              "    return inner()\n"
+              "def reader(skeleton):\n"
+              "    return isinstance(skeleton, MemorySkeleton)\n")
+    assert functions_calling(source, "MemorySkeleton") == ["machine", "counter", "inner"]
+
+
+def test_one_builder_makes_skeletons():
+    """A memory skeleton is built from a step rule by `strategies.machine`
+    and read from a file by `strategies.strategy_from_dict`; nothing else
+    assembles one."""
+    found = []
+    for module in MODULES:
+        with open(os.path.join(SRC, module), "r", encoding="utf-8") as fh:
+            found += [f"{module}:{name}" for name in functions_calling(fh.read(), "MemorySkeleton")]
+    assert found == ["strategies.py:machine", "strategies.py:strategy_from_dict"]
+
+
+def local_sibling_imports(source: str):
+    """Lines of `from .x import y` statements inside a function body."""
+    return sorted({node.lineno for func in ast.walk(ast.parse(source))
+                   if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+                   for node in ast.walk(func)
+                   if isinstance(node, ast.ImportFrom) and node.level > 0})
+
+
+def test_scan_finds_a_local_sibling_import():
+    source = ("from .model import Pomdp\n"
+              "def classify(model):\n"
+              "    from .beliefs import universal_as_reach\n"
+              "    import numpy as np\n"
+              "    return universal_as_reach\n"
+              "class Walker:\n"
+              "    def walk(self):\n"
+              "        from . import evaluate\n")
+    assert local_sibling_imports(source) == [3, 8]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_local_sibling_imports(module):
+    """Sibling modules are imported at the top: no module of `src/momix`
+    imports another inside a function, as no import cycle needs it.
+    numpy stays a function-local import of `montecarlo`."""
+    with open(os.path.join(SRC, module), "r", encoding="utf-8") as fh:
+        assert local_sibling_imports(fh.read()) == []

@@ -123,7 +123,7 @@ def test_kuhn_two_point_mixture(split_reach):
     mix = mx.FiniteMixture.of([(split_reach_choice(model, "a"), Fraction(1, 2)),
                                (split_reach_choice(model, "b"), Fraction(1, 2))])
     beh = mx.mixed_to_behavioural(mix, model)
-    dist = beh.action_distribution(beh.skeleton.init, "s0")
+    dist = dict(beh.choice(beh.skeleton.init, "s0"))
     assert dist == {"a": Fraction(1, 2), "b": Fraction(1, 2)}
     # after the first action the continuation is deterministic
     assert mx.cylinder_prob(model, beh, "s0", ("s0", "a", "s1", "a", "s1")) == Fraction(1, 2)
@@ -137,7 +137,7 @@ def test_kuhn_commute_divergence(commute):
     mix = mx.FiniteMixture.of([(commute_train(model), alpha),
                                (commute_ltb(model, 2), 1 - alpha)])
     beh = mx.mixed_to_behavioural(mix, model)
-    first = beh.action_distribution(beh.skeleton.init, "home")
+    first = dict(beh.choice(beh.skeleton.init, "home"))
     assert first == {"train": Fraction(1)}
     h = ("home", "train", "home", "train", "home")
     for target in (("bike", (1 - alpha)), ("train", alpha)):
@@ -215,8 +215,8 @@ def history_premetric(model, sigma, tau, horizon):
         while stack:
             s, ms, mt, states_so_far = stack.pop()
             z = model.obs[s]
-            ds = sigma.action_distribution(ms, z)
-            dt = tau.action_distribution(mt, z)
+            ds = dict(sigma.choice(ms, z))
+            dt = dict(tau.choice(mt, z))
             actions = set(ds) | set(dt)
             d2 = sum(((ds.get(a, Fraction(0)) - dt.get(a, Fraction(0))) ** 2 for a in actions),
                      Fraction(0))
@@ -253,8 +253,8 @@ def test_premetric_visits_each_memory_triple_once(coin_exit):
     sigma, tau = coin_exit_switch(model, 5), coin_exit_switch(model, 3)
     calls = []
     for strategy in (sigma, tau):
-        real = strategy.action_distribution
-        strategy.action_distribution = \
+        real = strategy.choice
+        strategy.choice = \
             lambda mem, z, real=real: calls.append((mem, z)) or real(mem, z)
     assert mx.strategy_premetric(model, sigma, tau, 200) == 2
     assert len(calls) <= 2 * len(model.states) * 6 * 4
