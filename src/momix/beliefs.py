@@ -8,8 +8,9 @@ state, reachable from the start without touching the target, admits a pure
 belief-based strategy whose reachable supports stay disjoint from the target
 forever.  The game is played on the supports reachable by belief updates
 from the singletons of those states (Chatterjee, Chmelik and Tracol, JCSS
-82, 2016), the same closure that `belief_graph` draws from one start state;
-like that graph, it can be exponential in the size of an observation class.
+82, 2016), numbered breadth-first by the same `model.closure` that
+`belief_graph` draws from one start state; like that graph, it can be
+exponential in the size of an observation class.
 When the answer is "yes", every strategy reaches the target within
 k = 2^|S| steps with probability at least eta^k (eta the minimum transition
 probability), which yields the bound P(reach within l*k) >= 1 - (1 - eta^k)^l.
@@ -46,23 +47,20 @@ def _belief_update(model: Pomdp, support: BeliefSupport, action: str,
 def _support_closure(model: Pomdp, roots: Iterable[BeliefSupport]
                      ) -> Tuple[List[BeliefSupport], List[BeliefEdge]]:
     """Every belief support reachable from `roots` by belief updates, in
-    breadth-first order from the roots in their order, and the edges
-    (B, a, z, B') between them, per support in enabled-action and then
-    observation order.  The only place belief supports are generated."""
-    nodes = list(roots)
-    seen = set(nodes)
+    `closure` order, and the edges (B, a, z, B') between them, per support
+    in enabled-action and then observation order.  The only place belief
+    supports are generated."""
     edges = []
-    for support in nodes:  # grows while it is read: breadth-first
+
+    def expand(support, number):
         for a in model.enabled(next(iter(support))):
             for z in model.observations:
                 nxt = _belief_update(model, support, a, z)
-                if nxt is None:
-                    continue
-                edges.append((support, a, z, nxt))
-                if nxt not in seen:
-                    seen.add(nxt)
-                    nodes.append(nxt)
-    return nodes, edges
+                if nxt is not None:
+                    edges.append((support, a, z, nxt))
+                    number(nxt)
+
+    return closure(roots, expand), edges
 
 
 @dataclass(frozen=True)
@@ -203,7 +201,8 @@ def universal_as_reach(model: Pomdp, start: str, target: frozenset) -> Universal
 def _reachable_avoiding(model: Pomdp, start: str, target: frozenset) -> frozenset:
     """States reachable from `start` without entering `target`, which they exclude."""
     graph = model.successor_graph()
-    return frozenset(closure([start], lambda s: () if s in target else graph[s]) - target)
+    return frozenset(closure([start], lambda s, number: [] if s in target else
+                             [number(t) for t in graph[s]])) - target
 
 
 # -- the integrability dichotomy ----------------------------------------------------

@@ -32,7 +32,7 @@ def _fmt(value) -> str:
     try:
         dec = float(Fraction(text))
         return f"{text} ({dec:.6g})"
-    except (ValueError, ZeroDivisionError):
+    except (ValueError, ZeroDivisionError, OverflowError):
         return text
 
 
@@ -49,16 +49,27 @@ def _load_problem(path, checked=True):
     return mdl, dims
 
 
-def _skeleton(arg: str, mdl):
+def _load_payoffs(path):
+    """The valid model of a file and its payoffs, which it must declare."""
+    mdl, dims = _load_problem(path)
+    if not dims:
+        raise SchemaError("the model file declares no payoffs")
+    return mdl, dims
+
+
+def _load_pool_problem(args):
+    """The model, payoffs and `--skeleton` skeleton of a pool command."""
+    mdl, dims = _load_payoffs(args.model)
+    arg = args.skeleton
     if arg == "memoryless":
-        return strategies.memoryless(mdl)
+        return mdl, dims, strategies.memoryless(mdl)
     if arg.startswith("counter:") and arg.split(":", 1)[1].isdigit():
-        return strategies.counter(mdl, int(arg.split(":", 1)[1]))
+        return mdl, dims, strategies.counter(mdl, int(arg.split(":", 1)[1]))
     if arg.startswith("file:"):
         loaded = strategies.load_strategy_file(arg.split(":", 1)[1], mdl)
         if isinstance(loaded, strategies.FiniteMixture):
             raise SchemaError("a mixture file cannot serve as a skeleton")
-        return loaded.skeleton
+        return mdl, dims, loaded.skeleton
     raise SchemaError(f"bad skeleton spec {arg!r} (memoryless|counter:<H>, H >= 0|file:<path>)")
 
 
@@ -96,15 +107,8 @@ def _cmd_validate(args):
     return EXIT_OK if report.ok else EXIT_NEGATIVE
 
 
-def _need_payoffs(dims):
-    if not dims:
-        raise SchemaError("the model file declares no payoffs")
-    return dims
-
-
 def _cmd_evaluate(args):
-    mdl, dims = _load_problem(args.model)
-    dims = _need_payoffs(dims)
+    mdl, dims = _load_payoffs(args.model)
     loaded = strategies.load_strategy_file(args.strategy, mdl)
     if isinstance(loaded, strategies.FiniteMixture):
         vec = evaluate.mixed_expected_payoff(mdl, loaded, args.state, dims)
@@ -116,9 +120,7 @@ def _cmd_evaluate(args):
 
 
 def _cmd_frontier(args):
-    mdl, dims = _load_problem(args.model)
-    dims = _need_payoffs(dims)
-    skeleton = _skeleton(args.skeleton, mdl)
+    mdl, dims, skeleton = _load_pool_problem(args)
     pool = evaluate.pure_payoff_set(mdl, args.state, dims, skeleton)
     distinct = [pool[i][1] for i in synthesis.distinct_members(pool)]
     pareto = set(geometry.pareto_frontier(distinct))
@@ -149,8 +151,9 @@ def _cmd_frontier(args):
     return EXIT_OK
 
 
-def _certificate_payload(cert: synthesis.MixtureCertificate) -> dict:
-    return {
+def _emit_certificate(args, cert: synthesis.MixtureCertificate, human_lines):
+    """Print a certificate, and write it to `--out` when asked."""
+    certificate = {
         "relation": [str(x) for x in cert.relation],
         "target": cert.target.serialize(),
         "realized": cert.realized.serialize(),
@@ -159,12 +162,14 @@ def _certificate_payload(cert: synthesis.MixtureCertificate) -> dict:
         "mixture": strategies.mixture_to_dict(cert.mixture),
         "pool": cert.pool_info,
     }
+    _emit(args, {"ok": True, "certificate": certificate}, human_lines)
+    if args.out:
+        _write_out(args.out, json.dumps(certificate, indent=2))
+    return EXIT_OK
 
 
 def _cmd_achieve(args):
-    mdl, dims = _load_problem(args.model)
-    dims = _need_payoffs(dims)
-    skeleton = _skeleton(args.skeleton, mdl)
+    mdl, dims, skeleton = _load_pool_problem(args)
     target = _target_vector(args.target, dims)
     if not target.is_finite:
         raise SchemaError("achieve needs a finite target; use approx")
@@ -174,20 +179,14 @@ def _cmd_achieve(args):
     except NotAchievable as exc:
         _emit(args, {"ok": False, "reason": str(exc)}, [f"not achievable: {exc}"])
         return EXIT_NEGATIVE
-    payload = {"ok": True, "certificate": _certificate_payload(cert)}
-    lines = [f"achievable ({args.mode}), support {len(cert.mixture.support)}",
-             "realized: " + "  ".join(_fmt(c) for c in cert.realized),
-             "weights:  " + "  ".join(format_rational(w) for w in cert.mixture.weights)]
-    _emit(args, payload, lines)
-    if args.out:
-        _write_out(args.out, json.dumps(_certificate_payload(cert), indent=2))
-    return EXIT_OK
+    return _emit_certificate(args, cert, [
+        f"achievable ({args.mode}), support {len(cert.mixture.support)}",
+        "realized: " + "  ".join(_fmt(c) for c in cert.realized),
+        "weights:  " + "  ".join(format_rational(w) for w in cert.mixture.weights)])
 
 
 def _cmd_approx(args):
-    mdl, dims = _load_problem(args.model)
-    dims = _need_payoffs(dims)
-    skeleton = _skeleton(args.skeleton, mdl)
+    mdl, dims, skeleton = _load_pool_problem(args)
     target = _target_vector(args.target, dims)
     eps = parse_rational(args.eps)
     if eps <= 0:
@@ -201,19 +200,13 @@ def _cmd_approx(args):
     except InfeasibleApproximation as exc:
         _emit(args, {"ok": False, "reason": str(exc)}, [f"infeasible: {exc}"])
         return EXIT_NEGATIVE
-    payload = {"ok": True, "certificate": _certificate_payload(cert)}
-    lines = [f"approximation found, support {len(cert.mixture.support)}",
-             "realized: " + "  ".join(_fmt(c) for c in cert.realized)]
-    _emit(args, payload, lines)
-    if args.out:
-        _write_out(args.out, json.dumps(_certificate_payload(cert), indent=2))
-    return EXIT_OK
+    return _emit_certificate(args, cert, [
+        f"approximation found, support {len(cert.mixture.support)}",
+        "realized: " + "  ".join(_fmt(c) for c in cert.realized)])
 
 
 def _cmd_lexopt(args):
-    mdl, dims = _load_problem(args.model)
-    dims = _need_payoffs(dims)
-    skeleton = _skeleton(args.skeleton, mdl)
+    mdl, dims, skeleton = _load_pool_problem(args)
     pool = evaluate.pure_payoff_set(mdl, args.state, dims, skeleton)
     result = synthesis.lex_optimize(pool)
     payload = {"ok": True, "winner_index": result.winner_index,
@@ -227,8 +220,7 @@ def _cmd_lexopt(args):
 
 
 def _cmd_classify(args):
-    mdl, dims = _load_problem(args.model)
-    dims = _need_payoffs(dims)
+    mdl, dims = _load_payoffs(args.model)
     verdicts = evaluate.classify_integrability(mdl, dims, args.state)
     payload = {"ok": True, "verdicts": [v.verdict for v in verdicts]}
     lines = [f"dim {j}: {v.verdict}" for j, v in enumerate(verdicts)]
@@ -256,8 +248,7 @@ def _require_at_least(args, bounds):
 
 
 def _cmd_simulate(args):
-    mdl, dims = _load_problem(args.model)
-    dims = _need_payoffs(dims)
+    mdl, dims = _load_payoffs(args.model)
     loaded = strategies.load_strategy_file(args.strategy, mdl)
     _require_at_least(args, (("samples", 1), ("horizon", 1), ("seed", 0)))
     cfg = montecarlo.SampleConfig(samples=args.samples, horizon=args.horizon, seed=args.seed)
@@ -283,8 +274,7 @@ def _cmd_simulate(args):
 
 
 def _cmd_probe(args):
-    mdl, dims = _load_problem(args.model)
-    dims = _need_payoffs(dims)
+    mdl, dims = _load_payoffs(args.model)
     with open(args.family, "r", encoding="utf-8") as handle:
         doc = json.load(handle)
     if not isinstance(doc, dict):

@@ -43,8 +43,7 @@ from typing import Dict, List, Optional, Sequence, Set
 from .beliefs import universal_as_reach
 from .errors import SingularSystem, UnknownState, UnsupportedKind
 from .linalg import solve_linear
-from .model import (Pomdp, iter_sccs, reachable_states, require_valid,
-                    strongly_connected_components)
+from .model import Pomdp, iter_sccs, reachable_states, require_valid
 from .payoffs import (BuchiIndicator, DiscountedSum, MultiPayoff,
                       ReachGatedDiscountedSum, ReachIndicator, ShortestPath,
                       TotalRewardNonNeg)
@@ -103,7 +102,7 @@ def _solve_on(rows, nodes: Sequence[int], rhs: Sequence[tuple],
     Raises SingularSystem if a block is singular."""
     b = dict(zip(nodes, rhs))
     x: Dict[int, tuple] = {}
-    for comp in strongly_connected_components({i: rows[i] for i in b}, b):
+    for comp in iter_sccs(b, lambda i: [j for j in rows[i] if j in b]):
         known = []
         for i in comp:
             below = [(p, x[j]) for j, p in rows[i].items() if j in x]
@@ -426,9 +425,8 @@ def maximal_end_components(model: Pomdp):
     alive = set(model.states)
 
     def sccs():
-        graph = {s: sorted({t for a in allowed[s] for t, p in model.dist(s, a).items() if p > 0})
-                 for s in alive}
-        return strongly_connected_components(graph, sorted(alive, key=model.states.index))
+        return list(iter_sccs(sorted(alive, key=model.states.index), lambda s: sorted(
+            {t for a in allowed[s] for t, p in model.dist(s, a).items() if p > 0 and t in alive})))
 
     while True:
         comps = sccs()

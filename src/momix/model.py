@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Iterator, List, Mapping, Tuple
+from typing import Dict, Iterator, Mapping, Tuple
 
 from .errors import ParseError, SchemaError, UnknownState
 from .rationals import format_rational, parse_rational
@@ -295,27 +295,32 @@ def reachable_states(model: Pomdp, start: str) -> frozenset:
     """States reachable from `start` via positive-probability histories."""
     if start not in model.states:
         raise UnknownState(start)
-    return frozenset(closure([start], model.successor_graph().__getitem__))
+    graph = model.successor_graph()
+    return frozenset(closure([start], lambda s, number: [number(t) for t in graph[s]]))
 
 
-def closure(roots, successors) -> set:
-    """Every node reachable from `roots` (included) by following
-    `successors`, a callable from a node to its successors."""
-    seen = set(roots)
-    stack = list(seen)
-    while stack:
-        for nxt in successors(stack.pop()):
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    return seen
+def closure(roots, expand) -> list:
+    """The nodes reachable from `roots`, numbered in discovery order: the
+    roots first, in order and without repeats, then breadth-first; node i of
+    the returned list is numbered i.  `expand(node, number)` is called once
+    per node, in that order, and calls `number(nxt)` on each of the node's
+    successors in turn, which returns the successor's number and numbers a
+    new node next, so a caller records a node's moves by successor number
+    in the same pass."""
+    index: Dict[object, int] = {}
+    nodes: list = []
 
+    def number(node) -> int:
+        if node not in index:
+            index[node] = len(nodes)
+            nodes.append(node)
+        return index[node]
 
-def strongly_connected_components(graph: Mapping, order) -> List[list]:
-    """Tarjan's SCCs of `graph`, node -> successors taken in the given
-    order, with DFS roots in `order`; successors outside `graph` are
-    ignored.  Components come in reverse topological order."""
-    return list(iter_sccs(order, lambda node: [nxt for nxt in graph[node] if nxt in graph]))
+    for root in roots:
+        number(root)
+    for node in nodes:  # grows while it is read: breadth-first
+        expand(node, number)
+    return nodes
 
 
 _DONE = float("inf")
@@ -371,14 +376,15 @@ def unroll_cost_counter(model: Pomdp, weight: WeightFunction, budget: Fraction,
                         target: frozenset):
     """Track accumulated cost up to `budget` inside the state space.
 
-    Returns (unrolled model, unrolled target states).  The new states are
-    (s, cost-so-far) pairs named "s@c", plus saturation states "s@over" once
-    the budget is exceeded.  Observations are inherited from the base state,
+    Returns (unrolled model, unrolled target states, unrolled entry state of
+    each base state).  The new states are (s, cost-so-far) pairs named
+    "s@c", plus saturation states "s@over" once the budget is exceeded.  Observations are inherited from the base state,
     so any strategy for the base model runs unchanged on the unrolled model.
     Target states are absorbing (cost accumulation stops at the first visit,
     matching the shortest-path payoff).  The unrolled target is
     {(t, c) : t in target, c <= budget}, so the probability of the
-    reachability indicator on it equals P(spath <= budget).
+    reachability indicator on it equals P(spath <= budget).  The model's
+    `transitions` come in the breadth-first order `closure` finds them.
     """
     budget = Fraction(budget)
     if any(v < 0 for v in weight.table.values()):
@@ -387,28 +393,22 @@ def unroll_cost_counter(model: Pomdp, weight: WeightFunction, budget: Fraction,
     def name(state, cost):
         return f"{state}@{'over' if cost is None else format_rational(cost)}"
 
-    start_nodes = [(s, Fraction(0)) for s in model.states]
     transitions: Dict[Tuple[str, str], DistMap] = {}
     obs_map = {}
-    nodes = set()
-    frontier = list(start_nodes)
     target_nodes = []
-    while frontier:
-        node = frontier.pop()
-        if node in nodes:
-            continue
-        nodes.add(node)
-        if len(nodes) > MAX_UNROLLED_STATES:
+
+    def expand(node, number):
+        if number(node) >= MAX_UNROLLED_STATES:  # its own number: the nodes before it
             raise ValueError(f"unrolled model exceeds {MAX_UNROLLED_STATES} states")
         s, cost = node
-        obs_map[name(s, cost)] = model.obs[s]
-        is_target = s in target and cost is not None
-        if is_target:
-            target_nodes.append(name(s, cost))
+        here = name(s, cost)
+        obs_map[here] = model.obs[s]
+        if s in target and cost is not None:
+            target_nodes.append(here)
+            for a in model.enabled(s):
+                transitions[(here, a)] = {here: Fraction(1)}
+            return
         for a in model.enabled(s):
-            if is_target:
-                transitions[(name(s, cost), a)] = {name(s, cost): Fraction(1)}
-                continue
             if cost is None:
                 new_cost = None
             else:
@@ -416,12 +416,11 @@ def unroll_cost_counter(model: Pomdp, weight: WeightFunction, budget: Fraction,
                 new_cost = acc if acc <= budget else None
             dist = {}
             for t, p in model.dist(s, a).items():
-                succ = (t, new_cost)
+                number((t, new_cost))
                 dist[name(t, new_cost)] = dist.get(name(t, new_cost), Fraction(0)) + p
-                if succ not in nodes:
-                    frontier.append(succ)
-            transitions[(name(s, cost), a)] = dist
+            transitions[(here, a)] = dist
 
+    nodes = closure([(s, Fraction(0)) for s in model.states], expand)
     ordered = sorted(nodes, key=lambda n: (model.states.index(n[0]), n[1] is None,
                                            n[1] if n[1] is not None else Fraction(0)))
     state_names = tuple(name(s, c) for s, c in ordered)

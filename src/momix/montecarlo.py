@@ -15,7 +15,9 @@ buffer, which yields exactly the rows of the full matrix.  Each chunk is
 walked step by step, all its samples at once: step t takes the live samples'
 draws from column t+1 and moves them along flat edge indices (node*deg + k),
 k counting the node's joint (action, successor) moves in the order of
-`_Walker.edges`: action order, then successor *state* order.  Memory is
+`_Walker.edges`: action order, then successor *state* order.  The walker's
+nodes are the one `model.closure` of the member's moves over its transition
+table, numbered breadth-first from (start, init).  Memory is
 O(chunk x horizon) plus one value per sample and dimension.  A
 sample is *settled* once it stands on a node from which no reachable edge
 carries weight in any discounted or total-reward dimension and every
@@ -185,8 +187,9 @@ class _Walker:
     """One member's moves over the transition table, flattened for the walk.
 
     `nodes` are the (state, memory) pairs the member reaches from (start,
-    init), node 0, numbered breadth-first: the member's distribution order,
-    then the table's.  `edges[i]` lists node i's joint moves (action a,
+    init), node 0, numbered by `closure` over the member's moves in the
+    table: breadth-first, in the member's distribution order and then the
+    table's.  `edges[i]` lists node i's joint moves (action a,
     probability alpha(a) * p(t), successor node of state t), one per action
     played and successor state, in model action order and then model state
     order.  Each step consumes one uniform draw r and picks one edge; the
@@ -205,26 +208,21 @@ class _Walker:
         import numpy as np
 
         table = transition_table(model, strategy.skeleton, [start])
-        order = [0]  # table node of each walker node
-        position = {0: 0}
         edges: List[Tuple[Tuple[str, Fraction, int], ...]] = []
         action_rank = {a: k for k, a in enumerate(model.actions)}
         state_rank = {t: k for k, t in enumerate(model.states)}
-        for node in order:  # grows while it is read: breadth-first
+
+        def expand(node, number):
             s, mem = table.nodes[node]
-            moves = []
-            for a, alpha in strategy.choice(mem, model.obs[s]):
-                for nxt, p in table.moves[node][a]:
-                    if nxt not in position:
-                        position[nxt] = len(order)
-                        order.append(nxt)
-                    moves.append((a, alpha * p, position[nxt]))
-            moves.sort(key=lambda move: (action_rank[move[0]],
-                                         state_rank[table.nodes[order[move[2]]][0]]))
-            edges.append(tuple(moves))
-        self.nodes = [table.nodes[node] for node in order]
+            moves = sorted((action_rank[a], state_rank[table.nodes[nxt][0]], a, alpha * p,
+                            number(nxt))
+                           for a, alpha in strategy.choice(mem, model.obs[s])
+                           for nxt, p in table.moves[node][a])
+            edges.append(tuple(move[2:] for move in moves))
+
+        self.nodes = [table.nodes[node] for node in closure([0], expand)]
         self.edges = edges
-        n = len(order)
+        n = len(edges)
         self.dims = len(dims)
         self.deg = deg = max(len(moves) for moves in edges)
         cum = np.ones((deg, n), dtype=np.float64)
@@ -276,7 +274,8 @@ class _Walker:
                 preds[j].append(i)
                 if any(f[i] != f[j] for f in self.flags.values()):
                     unsettled[i] = True
-        unsettled[list(closure(np.flatnonzero(unsettled).tolist(), preds.__getitem__))] = True
+        unsettled[closure(np.flatnonzero(unsettled).tolist(),
+                          lambda j, number: [number(i) for i in preds[j]])] = True
         return ~unsettled
 
     def walk(self, u, rows):

@@ -9,7 +9,8 @@ pure strategy at the start of a play and commit to it.
 `machine` is the one place a skeleton is built from a rule: `memoryless`,
 `counter`, the Kuhn conversion below and the belief avoider of `beliefs`
 are each one step rule `step(mem, obs, action)` for it.  `choice` is the
-one reader of a strategy's action rule.
+one reader of a strategy's action rule.  Skeletons and the transition
+table below number their nodes breadth-first by one `model.closure` each.
 
 The module also provides:
 
@@ -34,7 +35,7 @@ from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 from .errors import (DisabledAction, EmptySupport, MalformedHistory, ParseError, PoolTooLarge,
                      SchemaError, UnknownState)
-from .model import Pomdp, require_field
+from .model import Pomdp, closure, require_field
 from .rationals import format_rational, parse_rational
 
 Mem = object  # memory states are any hashable identifiers (ints, strings)
@@ -66,19 +67,17 @@ class MemorySkeleton:
 def machine(model: Pomdp, init: Mem, step) -> MemorySkeleton:
     """The skeleton of the memory states reached from `init` by
     `step(mem, z, a)` for every observation z and enabled action a:
-    memory states in breadth-first order, each one's updates in
-    observation and then action order."""
-    memory = [init]
-    seen = {init}
+    memory states in `closure` order, each one's updates in observation and
+    then action order."""
     update: Dict[Tuple[Mem, str, str], Mem] = {}
-    for mem in memory:  # grows while it is read: breadth-first
+
+    def expand(mem, number):
         for z in model.observations:
             for a in model.enabled_for_observation(z):
                 nxt = update[(mem, z, a)] = step(mem, z, a)
-                if nxt not in seen:
-                    seen.add(nxt)
-                    memory.append(nxt)
-    return MemorySkeleton(tuple(memory), init, update)
+                number(nxt)
+
+    return MemorySkeleton(tuple(closure([init], expand)), init, update)
 
 
 def _act_table(model: Pomdp, skeleton: MemorySkeleton, rule) -> Dict[Tuple[Mem, str], object]:
@@ -281,8 +280,9 @@ class TransitionTable:
 
     `nodes` are the (state, memory) pairs reachable under any enabled
     actions from the roots (s, init), s in the start states the table was
-    built from: the roots first, in that order, then the other pairs in
-    breadth-first order, so node 0 is the first start state's.  `moves[i][a]`
+    built from, numbered by `model.closure`: the roots first, in that order
+    and without repeats, then the other pairs breadth-first, so node 0 is
+    the first start state's.  `moves[i][a]`
     lists the moves of node i under action a as (successor node,
     probability) pairs, one per successor state of positive probability in
     the order of the model's distribution.  The exact evaluator,
@@ -300,29 +300,25 @@ def transition_table(model: Pomdp, skeleton: MemorySkeleton,
                      starts: Sequence[str]) -> TransitionTable:
     """The :class:`TransitionTable` of `model` and `skeleton` from the
     states `starts`.  Raises UnknownState for an unknown start state."""
-    index = {}
     for start in starts:
         if start not in model.states:
             raise UnknownState(start)
-        index.setdefault((start, skeleton.init), len(index))
-    nodes = list(index)
     moves: List[Dict[str, Tuple[Tuple[int, Fraction], ...]]] = []
-    for s, mem in nodes:  # grows while it is read: breadth-first
+
+    def expand(node, number):
+        s, mem = node
         z = model.obs[s]
         out = {}
         for a in model.enabled(s):
             nxt_mem = skeleton.step(mem, z, a)
             row = []
             for t, p in model.dist(s, a).items():
-                if p == 0:
-                    continue
-                node = (t, nxt_mem)
-                if node not in index:
-                    index[node] = len(nodes)
-                    nodes.append(node)
-                row.append((index[node], p))
+                if p != 0:
+                    row.append((number((t, nxt_mem)), p))
             out[a] = tuple(row)
         moves.append(out)
+
+    nodes = closure([(start, skeleton.init) for start in starts], expand)
     return TransitionTable(skeleton, tuple(nodes), tuple(moves))
 
 

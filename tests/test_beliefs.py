@@ -211,10 +211,11 @@ def test_witness_avoids_the_target_with_only_the_memory_it_uses(problem):
         == mx.vector(0)
     table = transition_table(model, witness.skeleton, [start])
 
-    def played(node):
+    def played(node, number):
         s, mem = table.nodes[node]
-        return [nxt for a, _alpha in witness.choice(mem, model.obs[s])
-                for nxt, _p in table.moves[node][a]]
+        for a, _alpha in witness.choice(mem, model.obs[s]):
+            for nxt, _p in table.moves[node][a]:
+                number(nxt)
 
     reached = closure([0], played)
     assert {table.nodes[node][1] for node in reached} == set(witness.skeleton.memory)

@@ -362,6 +362,24 @@ def test_meaningless_targets_and_bounds_are_input_errors(argv, message, capsys):
     assert capsys.readouterr().err == f"input error: {message}\n"
 
 
+def test_rational_too_large_for_a_float_prints_alone(tmp_path, capsys):
+    """A valid weight past the float range prints as its rational alone,
+    without a decimal rendering, and the commands that print it succeed."""
+    huge = 10 ** 1000
+    assert mx.cli._fmt(Fraction(huge)) == str(huge)
+    assert mx.cli._fmt(Fraction(3, 2)) == "3/2 (1.5)"
+    doc = _document(RUNNING)
+    doc["weights"]["w"]["s0,a"] = ["1e1000", "1"]
+    path = str(tmp_path / "huge.json")
+    (tmp_path / "huge.json").write_text(json.dumps(doc))
+    for argv in (["frontier", path, "--state", "s0"], ["frontier", path, "--state", "s0", "--json"],
+                 ["achieve", path, "--state", "s0", "--target", "1,1"],
+                 ["lexopt", path, "--state", "s0"]):
+        assert run(argv) == 0, argv
+    first, second = capsys.readouterr().out.splitlines()[-1].split(": ")[1].split("  ")
+    assert len(first) > 1000 and "(" not in first and second == "1 (1)"
+
+
 def test_jobs_is_a_usage_error():
     assert run(["frontier", RUNNING, "--state", "s0", "--jobs", "2"]) == 2
 

@@ -124,7 +124,21 @@ def test_closure_is_the_transitive_closure(problem):
             if reach[i][k]:
                 reach[i] = [a or b for a, b in zip(reach[i], reach[k])]
     expected = {j for r in roots for j in range(n) if reach[r][j]}
-    assert mx.model.closure(roots, succ.__getitem__) == expected
+    order = list(dict.fromkeys(roots))  # breadth-first reference numbering
+    k = 0
+    while k < len(order):
+        order += [j for j in dict.fromkeys(succ[order[k]]) if j not in order]
+        k += 1
+    calls = []
+
+    def expand(node, number):
+        calls.append(node)
+        assert [number(j) for j in succ[node]] == [order.index(j) for j in succ[node]]
+
+    nodes = mx.model.closure(roots, expand)
+    assert set(nodes) == expected
+    assert nodes == order
+    assert calls == order
 
 
 # -- round trip ------------------------------------------------------------------
@@ -192,6 +206,23 @@ def test_unroll_cost_counter(commute):
     assert set(unrolled.observations) == set(model.observations)
 
 
+def test_unroll_cost_counter_cap(commute, monkeypatch):
+    """MAX_UNROLLED_STATES bounds the states of the unrolled model: a model
+    of n states is built under a cap of n and refused under n - 1."""
+    model, _ = commute
+    w = model.weight_function("time")
+
+    def unroll():
+        return mx.unroll_cost_counter(model, w, Fraction(40), frozenset({"work"}))[0]
+
+    n = len(unroll().states)
+    monkeypatch.setattr(mx.model, "MAX_UNROLLED_STATES", n - 1)
+    with pytest.raises(ValueError, match="exceeds"):
+        unroll()
+    monkeypatch.setattr(mx.model, "MAX_UNROLLED_STATES", n)
+    assert len(unroll().states) == n
+
+
 def _recursive_tarjan(graph, order):
     """Textbook recursive Tarjan: roots in `order`, successors in list order,
     successors outside the graph ignored."""
@@ -231,10 +262,12 @@ def digraphs(draw):
 @given(digraphs())
 @settings(max_examples=300, deadline=None)
 def test_strongly_connected_components_match_recursive_tarjan(problem):
-    """Same components, node order and component order as the recursive
+    """`iter_sccs`, with successors outside the graph left out, gives the
+    same components, node order and component order as the recursive
     algorithm, so callers keep the orders they had with their own loops."""
     graph, order = problem
-    assert mx.model.strongly_connected_components(graph, order) == \
+    assert list(mx.model.iter_sccs(order, lambda node: [nxt for nxt in graph[node]
+                                                        if nxt in graph])) == \
         _recursive_tarjan(graph, order)
 
 
@@ -249,7 +282,8 @@ def test_scc_against_reachability_oracle(n, data):
            "transitions": {s: {"a": {t: f"1/{len(ts)}" for t in ts}}
                            for s, ts in edges.items()}}
     model = mx.load_model(json.dumps(doc))
-    components = mx.model.strongly_connected_components(model.successor_graph(), model.states)
+    graph = model.successor_graph()
+    components = list(mx.model.iter_sccs(model.states, graph.__getitem__))
     component_of = {s: i for i, comp in enumerate(components) for s in comp}
 
     def reaches(a, b):
@@ -288,7 +322,8 @@ BUNDLED_SCC_ORDERS = {
 def test_component_orders_on_bundled_models(name):
     model, _dims = load(name)
     sccs, mecs = BUNDLED_SCC_ORDERS[name]
-    components = mx.model.strongly_connected_components(model.successor_graph(), model.states)
+    graph = model.successor_graph()
+    components = list(mx.model.iter_sccs(model.states, graph.__getitem__))
     assert [sorted(c) for c in reversed(components)] == sccs
     assert [sorted(states) for states, _pairs in
             mx.evaluate.maximal_end_components(model)] == mecs

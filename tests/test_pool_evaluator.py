@@ -18,7 +18,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import momix as mx
 from momix.errors import PoolTooLarge, SingularSystem, UnsupportedKind
-from momix.model import Pomdp, WeightFunction, closure, strongly_connected_components
+from momix.model import Pomdp, WeightFunction, closure, iter_sccs
 from momix.payoffs import (BuchiIndicator, DiscountedSum, MultiPayoff, ReachGatedDiscountedSum,
                            ReachIndicator, ShortestPath, TotalRewardNonNeg)
 from momix.rationals import ExtReal, ExtRealVector, POS_INF
@@ -40,7 +40,7 @@ def _edges(chain: MarkovChain) -> List[Tuple[int, ...]]:
 def _chain_sccs(chain: MarkovChain):
     """SCCs of the chain graph, plus a bottom flag each."""
     succ = _edges(chain)
-    comps = strongly_connected_components(dict(enumerate(succ)), range(len(succ)))
+    comps = list(iter_sccs(range(len(succ)), succ.__getitem__))
     bottom = []
     for comp in comps:
         members = set(comp)
@@ -61,7 +61,7 @@ def _solve_on(chain: MarkovChain, nodes: Sequence[int], rhs: Sequence[Fraction],
     own rows.  Raises SingularSystem if a block is singular."""
     b = dict(zip(nodes, rhs))
     x: Dict[int, Fraction] = {}
-    for comp in strongly_connected_components({i: chain.matrix[i] for i in b}, b):
+    for comp in iter_sccs(b, lambda i: [j for j in chain.matrix[i] if j in b]):
         known = [b[i] + discount * sum((p * x[j] for j, p in chain.matrix[i].items() if j in x),
                                        Fraction(0))
                  for i in comp]
@@ -94,13 +94,14 @@ def _pre_target(chain: MarkovChain, targets: Set[int]) -> Tuple[List[int], Dict[
     probability of eventually hitting `targets` from each of its nodes.
     Every successor of a region node lies in the region or in `targets`, so
     a system restricted to the region loses no term."""
-    region = sorted(closure([chain.init], lambda i: () if i in targets else chain.matrix[i])
-                    - targets)
+    region = sorted(set(closure([chain.init], lambda i, number: [] if i in targets else
+                                [number(j) for j in chain.matrix[i]])) - targets)
     incoming: Dict[int, List[int]] = {}
     for i in region:
         for j in chain.matrix[i]:
             incoming.setdefault(j, []).append(i)
-    live = sorted(closure(targets, lambda j: incoming.get(j, ())) - targets)
+    live = sorted(set(closure(targets, lambda j, number: [number(i) for i in incoming.get(j, ())]))
+                  - targets)
     probs = dict.fromkeys(region, Fraction(0))
     if live:
         rhs = [sum((p for j, p in chain.matrix[i].items() if j in targets), Fraction(0))

@@ -3,7 +3,8 @@ tests too), no module-level private name that nothing else uses, no public funct
 class that only its definition and its re-export name, no public dataclass field
 that nothing outside its module reads, one product walk, which
 `strategies.py` owns, one closed form for a one-node block, one builder of
-memory skeletons, and no function-local import of a sibling module."""
+memory skeletons, no function-local import of a sibling module, and one
+breadth-first search, `model.closure`."""
 
 import ast
 import glob
@@ -326,3 +327,57 @@ def test_no_local_sibling_imports(module):
     numpy stays a function-local import of `montecarlo`."""
     with open(os.path.join(SRC, module), "r", encoding="utf-8") as fh:
         assert local_sibling_imports(fh.read()) == []
+
+
+def growing_loops(source: str):
+    """Names of the functions, nested ones included, with a `for` loop over
+    a list that the loop's own body appends to or extends (by `.append`,
+    `.extend` or `+=`): a breadth-first search written out by hand."""
+    def grows(loop, node):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                and node.func.attr in ("append", "extend"):
+            grown = node.func.value
+        elif isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Add):
+            grown = node.target
+        else:
+            return False
+        return ast.dump(grown, annotate_fields=False).replace("Store()", "Load()") \
+            == ast.dump(loop.iter, annotate_fields=False)
+
+    return [func.name for func in ast.walk(ast.parse(source))
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and any(isinstance(loop, ast.For) and any(grows(loop, node) for node in ast.walk(loop))
+                    for loop in ast.walk(func))]
+
+
+def test_scan_finds_growing_loops():
+    source = ("def machine(init):\n"
+              "    memory = [init]\n"
+              "    for mem in memory:\n"
+              "        memory.append(mem + 1)\n"
+              "class Walker:\n"
+              "    def __init__(self):\n"
+              "        for node in self.order:\n"
+              "            if node:\n"
+              "                self.order.extend([node])\n"
+              "def layers(order):\n"
+              "    for node in order:\n"
+              "        order += [node]\n"
+              "def copy(rows, out, todo):\n"
+              "    for row in rows:\n"
+              "        out.append(row)\n"
+              "    while todo:\n"
+              "        todo.append(todo.pop())\n")
+    assert growing_loops(source) == ["machine", "layers", "__init__"]
+
+
+def test_one_breadth_first_search():
+    """Skeletons, transition tables, belief supports, walker graphs and
+    unrolled models are numbered by `model.closure`, which calls back once
+    per node: no function reads a list in a `for` loop while the loop's body
+    grows it.  (`closure` grows its node list from its `number` callback.)"""
+    found = []
+    for module in MODULES:
+        with open(os.path.join(SRC, module), "r", encoding="utf-8") as fh:
+            found += [f"{module}:{name}" for name in growing_loops(fh.read())]
+    assert found == []
