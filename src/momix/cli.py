@@ -160,7 +160,7 @@ def _emit_certificate(args, cert: synthesis.MixtureCertificate, human_lines):
         "support": len(cert.mixture.support),
         "weights": [format_rational(w) for w in cert.mixture.weights],
         "mixture": strategies.mixture_to_dict(cert.mixture),
-        "pool": cert.pool_info,
+        "pool": args.skeleton,
     }
     _emit(args, {"ok": True, "certificate": certificate}, human_lines)
     if args.out:
@@ -175,7 +175,7 @@ def _cmd_achieve(args):
         raise SchemaError("achieve needs a finite target; use approx")
     pool = evaluate.pure_payoff_set(mdl, args.state, dims, skeleton)
     try:
-        cert = synthesis.achieve(target, pool, mode=args.mode, pool_info=args.skeleton)
+        cert = synthesis.achieve(target, pool, mode=args.mode)
     except NotAchievable as exc:
         _emit(args, {"ok": False, "reason": str(exc)}, [f"not achievable: {exc}"])
         return EXIT_NEGATIVE
@@ -196,7 +196,7 @@ def _cmd_approx(args):
         raise SchemaError(f"--bigM must be positive, not {args.bigM}")
     pool = evaluate.pure_payoff_set(mdl, args.state, dims, skeleton)
     try:
-        cert = synthesis.approximate(target, eps, big_m, pool, pool_info=args.skeleton)
+        cert = synthesis.approximate(target, eps, big_m, pool)
     except InfeasibleApproximation as exc:
         _emit(args, {"ok": False, "reason": str(exc)}, [f"infeasible: {exc}"])
         return EXIT_NEGATIVE

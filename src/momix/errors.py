@@ -97,10 +97,6 @@ class InfeasibleApproximation(MomixError):
     With a finite pool this cannot distinguish an infeasible target from a
     pool that simply misses the witnesses."""
 
-    def __init__(self, message, pool_info=None):
-        super().__init__(message)
-        self.pool_info = pool_info
-
 
 # -- belief analyses --------------------------------------------------------
 

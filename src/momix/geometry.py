@@ -7,9 +7,11 @@ which also decide achievability.
 Every question is decided by the exact simplex in :mod:`momix.lp` (extreme
 points from the Farkas certificates of membership LPs over the vertices
 found so far, supporting normals from LPs over the points that cut off
-their earlier solutions); the one other computation is the rank of a point
-set's directions.  Degeneracies (collinear point families and the like) are
-resolved exactly, never by tolerance.
+their earlier solutions, the relative interior and the diagonal push from
+one mixture LP that moves q along a direction inside the hull); the one
+other computation is the rank of a point set's directions.  Degeneracies
+(collinear point families and the like) are resolved exactly, never by
+tolerance.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .errors import DimensionMismatch, NotDominated, NotInHull, SelfCheckFailed
 from .linalg import dot, rank
-from .lp import LinearProgram
+from .lp import INFEASIBLE, LinearProgram
 from .rationals import ExtRealVector, format_rational, integer_row
 
 Point = Tuple[Fraction, ...]
@@ -79,11 +81,20 @@ class LinearMap:
 # -- membership and combinations ---------------------------------------------------
 
 
-def _combination_lp(q: Point, points: Sequence[Point], sense: str = "=="):
+def _combination_lp(q: Point, points: Sequence[Point], sense: str = "==",
+                    push: Optional[Point] = None):
+    """The mixture rows: weights a_i >= 0 with sum a_i p_i (sense) q, one row
+    per coordinate, then sum a_i = 1.  With a direction `push`, one more
+    column g >= 0, named "g", moves the target: sum a_i p_i = q + g push."""
     lp = LinearProgram()
     names = [lp.var(f"a{i}") for i in range(len(points))]
+    if push is not None:
+        lp.var("g")
     for j in range(len(q)):
-        lp.constrain({names[i]: points[i][j] for i in range(len(points))}, sense, q[j])
+        coeffs = {names[i]: points[i][j] for i in range(len(points))}
+        if push is not None:
+            coeffs["g"] = -push[j]
+        lp.constrain(coeffs, sense, q[j])
     lp.constrain({n: Fraction(1) for n in names}, "==", Fraction(1))
     return lp, names
 
@@ -171,20 +182,19 @@ def pareto_frontier(vectors: Sequence[ExtRealVector]) -> Tuple[int, ...]:
 
 
 def _in_relative_interior(q: Point, points: Sequence[Point]) -> bool:
-    """q in relint(conv(points)): some representation uses every point with a
-    strictly positive coefficient.  Raises NotInHull if q has none."""
-    lp = LinearProgram()
-    names = [lp.var(f"a{i}") for i in range(len(points))]
-    m = lp.var("m", lo=None)
-    for j in range(len(q)):
-        lp.constrain({names[i]: points[i][j] for i in range(len(points))}, "==", q[j])
-    lp.constrain({n: Fraction(1) for n in names}, "==", Fraction(1))
-    for n in names:
-        lp.constrain({n: Fraction(1), m: Fraction(-1)}, ">=", Fraction(0))
-    result = lp.solve({m: Fraction(1)}, maximize=True)
-    if not result.ok:  # m <= a_i <= 1 bounds the LP, so it is infeasible
+    """q in relint(conv(points)), by one LP of d + 1 rows that pushes q away
+    from the barycenter c: the largest g with q + g (q - c) in the hull is
+    positive, or unbounded when q = c.  c weighs every point positively, so
+    it is relatively interior, and then so is q when the segment from c
+    through q runs on inside the hull (Rockafellar, Convex Analysis, Thm
+    6.1); an interior q != c moves a little further, as the relative
+    interior is open in the affine hull.  Raises NotInHull if the LP is
+    infeasible: a hull point q + g (q - c) would make q a mix of it and c."""
+    push = tuple(x - sum(p[j] for p in points) / len(points) for j, x in enumerate(q))
+    result = _combination_lp(q, points, push=push)[0].solve({"g": 1}, maximize=True)
+    if result.status == INFEASIBLE:
         raise NotInHull(f"{_format_point(q)} is not in the convex hull")
-    return result.objective > 0
+    return not result.ok or result.objective > 0  # unbounded exactly when q = c
 
 
 def _lexmin_supporting_normal(q: Point, points: Sequence[Point],
@@ -293,18 +303,10 @@ def dominating_face_decomposition(q, points, mode: str = "in_hull") -> Decomposi
         base = Decomposition(tuple(range(len(pts))), tuple(result[n] for n in names)).recombine(pts)
 
     # Push along the diagonal onto the boundary.
-    lp = LinearProgram()
-    names = [lp.var(f"a{i}") for i in range(len(pts))]
-    gamma = lp.var("g")
-    for j in range(d):
-        coeffs = {names[i]: pts[i][j] for i in range(len(pts))}
-        coeffs[gamma] = Fraction(-1)
-        lp.constrain(coeffs, "==", base[j])
-    lp.constrain({n: Fraction(1) for n in names}, "==", Fraction(1))
-    result = lp.solve({gamma: Fraction(1)}, maximize=True)
+    result = _combination_lp(base, pts, push=(Fraction(1),) * d)[0].solve({"g": 1}, maximize=True)
     if not result.ok:
         raise SelfCheckFailed("the diagonal LP is infeasible, yet gamma = 0 is feasible")
-    peak = tuple(base[j] + result[gamma] for j in range(d))
+    peak = tuple(x + result["g"] for x in base)
 
     if rank([[x - y for x, y in zip(p, pts[0])] for p in pts[1:]]) < d:
         dec = caratheodory(peak, pts)

@@ -416,6 +416,8 @@ def unroll_cost_counter(model: Pomdp, weight: WeightFunction, budget: Fraction,
                 new_cost = acc if acc <= budget else None
             dist = {}
             for t, p in model.dist(s, a).items():
+                if p == 0:
+                    continue
                 number((t, new_cost))
                 dist[name(t, new_cost)] = dist.get(name(t, new_cost), Fraction(0)) + p
             transitions[(here, a)] = dist

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .errors import (DimensionMismatch, InfeasibleApproximation, NotAchievable, NotDominated,
                      NotInHull, SelfCheckFailed)
@@ -29,7 +29,6 @@ class MixtureCertificate:
     realized: ExtRealVector
     relation: Tuple  # ("equals",), ("dominates",) or ("approximates", eps, M)
     target: ExtRealVector
-    pool_info: Optional[str] = None
 
     def verify(self) -> bool:
         if len(self.realized) != len(self.target):
@@ -77,22 +76,21 @@ def distinct_members(pool: Pool, finite: bool = False) -> List[int]:
     return out
 
 
-def _certificate(pool: Pool, indices, coefficients, relation: Tuple, target: ExtRealVector,
-                 pool_info: Optional[str]) -> MixtureCertificate:
+def _certificate(pool: Pool, indices, coefficients, relation: Tuple,
+                 target: ExtRealVector) -> MixtureCertificate:
     """The certificate of a mixture over pool members, re-checked by exact
     recombination before it is returned."""
     certificate = MixtureCertificate(
         mixture=FiniteMixture.of((pool[i][0], c) for i, c in zip(indices, coefficients)),
         realized=ExtRealVector.combine(list(coefficients), [pool[i][1] for i in indices]),
-        relation=relation, target=target, pool_info=pool_info,
+        relation=relation, target=target,
     )
     if not certificate.verify():
         raise SelfCheckFailed("exact recombination check failed")
     return certificate
 
 
-def achieve(target: ExtRealVector, pool: Pool, mode: str = "equals",
-            pool_info: Optional[str] = None) -> MixtureCertificate:
+def achieve(target: ExtRealVector, pool: Pool, mode: str = "equals") -> MixtureCertificate:
     """An exact mixture realizing (mode "equals", support <= d+1) or
     dominating (mode "dominates", support <= d) a finite target vector.
 
@@ -121,14 +119,14 @@ def achieve(target: ExtRealVector, pool: Pool, mode: str = "equals",
         except NotDominated as exc:
             raise NotAchievable(f"{target} is not dominated by the pool hull") from exc
     indices = [idx[i] for i in dec.indices]
-    return _certificate(pool, indices, dec.coefficients, (mode,), target, pool_info)
+    return _certificate(pool, indices, dec.coefficients, (mode,), target)
 
 
 # -- (eps, M)-approximation ----------------------------------------------------------
 
 
-def approximate(target: ExtRealVector, eps: Fraction, big_m: Fraction, pool: Pool,
-                pool_info: Optional[str] = None) -> MixtureCertificate:
+def approximate(target: ExtRealVector, eps: Fraction, big_m: Fraction,
+                pool: Pool) -> MixtureCertificate:
     """A mixture meeting the three approximation requirements: dimensions
     with target +inf reach at least M, -inf at most -M, finite dimensions
     land within eps.
@@ -150,49 +148,45 @@ def approximate(target: ExtRealVector, eps: Fraction, big_m: Fraction, pool: Poo
     fin_dims = [j for j in range(d) if target[j].is_finite]
     inf_dims = [j for j in range(d) if not target[j].is_finite]
 
-    attempt = _approx_over_finite(pool, target, fin_dims, inf_dims, eps, big_m)
-    if attempt is None:
-        attempt = _approx_with_witnesses(pool, target, fin_dims, inf_dims, eps, big_m)
-    if attempt is None:
+    weights = _band_mixture(pool, distinct_members(pool, finite=True), target, fin_dims, eps,
+                            inf_dims, big_m)
+    if weights is None:
+        weights = _approx_with_witnesses(pool, target, fin_dims, inf_dims, eps)
+    if weights is None:
         raise InfeasibleApproximation(
-            f"no mixture over this pool approximates {target} at eps={eps}, M={big_m}",
-            pool_info=pool_info,
-        )
-    indices, coeffs = attempt
-    return _certificate(pool, indices, coeffs, ("approximates", eps, big_m), target, pool_info)
+            f"no mixture over this pool approximates {target} at eps={eps}, M={big_m}")
+    return _certificate(pool, list(weights), list(weights.values()),
+                        ("approximates", eps, big_m), target)
 
 
-def _approx_over_finite(pool, target, fin_dims, inf_dims, eps, big_m):
-    """Feasibility over all-finite pool members only."""
-    idx = distinct_members(pool, finite=True)
-    points = [pool[i][1].to_fractions() for i in idx]
-    if not points:
-        return None
+def _band_mixture(pool, members, target, fin_dims, eps, inf_dims=(), big_m=None):
+    """Weights over the pool `members` summing to 1 whose mix lands within
+    eps of the target on `fin_dims`, at least M on the +inf and at most -M
+    on the -inf `inf_dims`: the positive weights by pool index, in member
+    order, or None.  One column per member; the sum row first, then >= and
+    <= per finite dimension, then the infinite dimensions."""
     lp = LinearProgram()
-    names = [lp.var(f"n{i}") for i in range(len(points))]
-    lp.constrain({n: Fraction(1) for n in names}, "==", Fraction(1))
-    for j in fin_dims:
-        coeffs = {names[i]: points[i][j] for i in range(len(points))}
-        t = target[j].finite
-        lp.constrain(coeffs, ">=", t - eps)
-        lp.constrain(coeffs, "<=", t + eps)
-    for j in inf_dims:
-        coeffs = {names[i]: points[i][j] for i in range(len(points))}
-        if target[j].inf > 0:
+    names = [lp.var(f"n{i}") for i in members]
+    lp.constrain({n: 1 for n in names}, "==", 1)
+    for j in (*fin_dims, *inf_dims):
+        coeffs = {n: pool[i][1][j].finite for n, i in zip(names, members)}
+        if target[j].is_finite:
+            lp.constrain(coeffs, ">=", target[j].finite - eps)
+            lp.constrain(coeffs, "<=", target[j].finite + eps)
+        elif target[j].inf > 0:
             lp.constrain(coeffs, ">=", big_m)
         else:
             lp.constrain(coeffs, "<=", -big_m)
-    result = lp.solve({}, maximize=False)
+    result = lp.solve({})
     if not result.ok:
         return None
-    kept = [(idx[i], result[names[i]]) for i in range(len(points)) if result[names[i]] > 0]
-    return [i for i, _ in kept], [c for _, c in kept]
+    return {i: result[n] for n, i in zip(names, members) if result[n] > 0}
 
 
-def _approx_with_witnesses(pool, target, fin_dims, inf_dims, eps, big_m):
+def _approx_with_witnesses(pool, target, fin_dims, inf_dims, eps):
     """The general construction: dedicated infinite-component witnesses with
     total weight eta, a finite sub-mixture at precision eps/3 for the rest.
-    Returns the pool indices and weights of the mixture, or None."""
+    Returns the mixture's weights by pool index, ascending, or None."""
     if not inf_dims:
         return None
     distinct = distinct_members(pool)
@@ -226,21 +220,9 @@ def _approx_with_witnesses(pool, target, fin_dims, inf_dims, eps, big_m):
         if any(v[j].inf != 0 and v[j].inf != target[j].inf for j in inf_dims):
             continue
         sub_idx.append(i)
-    if not sub_idx:
+    nu = _band_mixture(pool, sub_idx, target, fin_dims, eps / 3)
+    if nu is None:
         return None
-
-    lp = LinearProgram()
-    names = {i: lp.var(f"n{i}") for i in sub_idx}
-    lp.constrain({n: Fraction(1) for n in names.values()}, "==", Fraction(1))
-    for j in fin_dims:
-        coeffs = {names[i]: pool[i][1][j].finite for i in sub_idx}
-        t = target[j].finite
-        lp.constrain(coeffs, ">=", t - eps / 3)
-        lp.constrain(coeffs, "<=", t + eps / 3)
-    result = lp.solve({}, maximize=False)
-    if not result.ok:
-        return None
-    nu = {i: result[names[i]] for i in sub_idx if result[names[i]] > 0}
 
     share = Fraction(1, len(witnesses))
     eta = Fraction(1, 2)
@@ -261,8 +243,7 @@ def _approx_with_witnesses(pool, target, fin_dims, inf_dims, eps, big_m):
         weights[i] = weights.get(i, Fraction(0)) + eta * share
     for i, c in nu.items():
         weights[i] = weights.get(i, Fraction(0)) + (1 - eta) * c
-    indices = sorted(weights)
-    return indices, [weights[i] for i in indices]
+    return {i: weights[i] for i in sorted(weights)}
 
 
 # -- lexicographic optimization -----------------------------------------------------------

@@ -11,8 +11,8 @@ import pytest
 
 import momix as mx
 from momix.beliefs import BeliefSupport, _avoider_strategy, _belief_update, _reachable_avoiding
-from momix.errors import PoolTooLarge
-from momix.geometry import Point, _check_points, membership_combination
+from momix.errors import NotInHull, PoolTooLarge
+from momix.geometry import Point, _check_points, _format_point, membership_combination
 from momix.linalg import solve_linear
 from momix.lp import LinearProgram
 from momix.model import Pomdp
@@ -204,7 +204,8 @@ def product_chain(model: Pomdp, strategy: FiniteMemoryStrategy, start: str) -> M
 
 
 # -- reference: the row-fixing lexicographic cascade, the one-LP-per-piece normal over
-# every point and the n-LP extreme points; kept verbatim, but for their names
+# every point, the n-LP extreme points and the positive-combination relative-interior
+# test; kept verbatim, but for their names
 
 
 def cascade_lexmin_supporting_normal(q: Point, points: Sequence[Point],
@@ -284,6 +285,23 @@ def n_lp_extreme_points(points) -> Tuple[int, ...]:
         if membership_combination(pts[i], others) is None:
             out.append(i)
     return tuple(out)
+
+
+def positive_combination_relint(q: Point, points: Sequence[Point]) -> bool:
+    """q in relint(conv(points)): some representation uses every point with a
+    strictly positive coefficient.  Raises NotInHull if q has none."""
+    lp = LinearProgram()
+    names = [lp.var(f"a{i}") for i in range(len(points))]
+    m = lp.var("m", lo=None)
+    for j in range(len(q)):
+        lp.constrain({names[i]: points[i][j] for i in range(len(points))}, "==", q[j])
+    lp.constrain({n: Fraction(1) for n in names}, "==", Fraction(1))
+    for n in names:
+        lp.constrain({n: Fraction(1), m: Fraction(-1)}, ">=", Fraction(0))
+    result = lp.solve({m: Fraction(1)}, maximize=True)
+    if not result.ok:  # m <= a_i <= 1 bounds the LP, so it is infeasible
+        raise NotInHull(f"{_format_point(q)} is not in the convex hull")
+    return result.objective > 0
 
 
 # -- reference: the avoidance game on every subset of each observation class ------

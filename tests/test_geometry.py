@@ -21,7 +21,7 @@ from momix.lp import INFEASIBLE, LinearProgram
 
 from conftest import (cascade_lexmin_supporting_normal, certifies_program,
                       dense_lexmin_supporting_normal, fraction_nullspace, fraction_rref,
-                      n_lp_extreme_points)
+                      n_lp_extreme_points, positive_combination_relint)
 from test_golden import POINT_MODELS, _point_pool
 
 
@@ -528,9 +528,10 @@ SQUARE_EDGES = _fractions([(1, 0), (0, 1), (2, 1), (1, 2), (0, 0), (2, 0), (0, 2
 @settings(max_examples=150, deadline=None)
 def test_geometry_matches_the_row_fixing_and_n_lp_references(case):
     """Repeated, collinear, lower-dimensional and single-point sets in d <= 4:
-    the one-tableau normals, the maps and decompositions built on them and
-    the extreme points equal those of the old code, and every infeasible
-    LP on the way returns a certificate of it."""
+    the one-tableau normals, the relative-interior test, the maps and
+    decompositions built on them and the extreme points equal those of the
+    old code, every infeasible LP on the way returns a certificate of it,
+    and every relative-interior LP poses d + 1 rows."""
     points, q = case
     below = tuple(x - 1 for x in q)
     with mock.patch.object(LinearProgram, "solve", checked_solve(LinearProgram.solve)):
@@ -548,6 +549,32 @@ def test_geometry_matches_the_row_fixing_and_n_lp_references(case):
         assert mx.supporting_map(q, points).rows == rows
         assert [mx.dominating_face_decomposition(q, points),
                 mx.dominating_face_decomposition(below, points, mode="dominated")] == decs
+    with mock.patch.object(geometry, "_in_relative_interior", positive_combination_relint):
+        assert mx.supporting_map(q, points).rows == rows
+        assert [mx.dominating_face_decomposition(q, points),
+                mx.dominating_face_decomposition(below, points, mode="dominated")] == decs
+    queries = [(below, points)] + [
+        (q, [p for p in points if all(dot(r, p) == dot(r, q) for r in rows[:k])])
+        for k in range(len(rows) + 1)]
+    posed = []
+    solve = checked_solve(LinearProgram.solve)
+
+    def counted(program, *objectives, **kwargs):
+        posed.append(len(program._constraints))
+        return solve(program, *objectives, **kwargs)
+
+    with mock.patch.object(LinearProgram, "solve", counted):
+        relint = [_outcome(geometry._in_relative_interior, *query) for query in queries]
+    assert posed == [len(q) + 1] * len(queries)
+    assert relint == [_outcome(positive_combination_relint, *query) for query in queries]
+
+
+def _outcome(test, q, points):
+    """The answer of a relative-interior test, or the type of its error."""
+    try:
+        return test(q, points)
+    except NotInHull:
+        return NotInHull
 
 
 # -- lazy point rows against the normal over every point --------------------------------

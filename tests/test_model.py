@@ -206,6 +206,22 @@ def test_unroll_cost_counter(commute):
     assert set(unrolled.observations) == set(model.observations)
 
 
+def test_unroll_cost_counter_skips_zero_probabilities():
+    """A successor of probability 0 is neither numbered nor kept in the
+    unrolled distribution, as in the strategies' transition tables."""
+    doc = {"states": ["s", "t", "u"], "actions": ["a"],
+           "transitions": {"s": {"a": {"t": "1", "u": "0"}}, "t": {"a": {"t": "1"}},
+                           "u": {"a": {"u": "1"}}}}
+    model = mx.load_model(json.dumps(doc))
+    w = mx.model.WeightFunction({("s", "a"): Fraction(1), ("t", "a"): Fraction(0),
+                                 ("u", "a"): Fraction(0)})
+    unrolled, targets, _entry = mx.unroll_cost_counter(model, w, Fraction(5), frozenset({"t"}))
+    assert unrolled.states == ("s@0", "t@0", "t@1", "u@0")
+    assert unrolled.dist("s@0", "a") == {"t@1": Fraction(1)}
+    assert targets == frozenset({"t@0", "t@1"})
+    assert mx.validate(unrolled).ok
+
+
 def test_unroll_cost_counter_cap(commute, monkeypatch):
     """MAX_UNROLLED_STATES bounds the states of the unrolled model: a model
     of n states is built under a cap of n and refused under n - 1."""

@@ -3,8 +3,9 @@ tests too), no module-level private name that nothing else uses, no public funct
 class that only its definition and its re-export name, no public dataclass field
 that nothing outside its module reads, one product walk, which
 `strategies.py` owns, one closed form for a one-node block, one builder of
-memory skeletons, no function-local import of a sibling module, and one
-breadth-first search, `model.closure`."""
+memory skeletons, no function-local import of a sibling module, one
+breadth-first search, `model.closure`, and three builders of linear
+programs, none of them with a free variable."""
 
 import ast
 import glob
@@ -381,3 +382,42 @@ def test_one_breadth_first_search():
         with open(os.path.join(SRC, module), "r", encoding="utf-8") as fh:
             found += [f"{module}:{name}" for name in growing_loops(fh.read())]
     assert found == []
+
+
+def free_variables(source: str):
+    """Lines of `var(...)` calls that declare a free variable (`lo=None`)."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Call)
+                  and getattr(node.func, "attr", getattr(node.func, "id", None)) == "var"
+                  and any(kw.arg == "lo" and isinstance(kw.value, ast.Constant)
+                          and kw.value.value is None for kw in node.keywords))
+
+
+def test_scan_finds_lp_builders_and_free_variables():
+    source = ("def relint(q, points):\n"
+              "    lp = LinearProgram()\n"
+              "    m = lp.var('m', lo=None)\n"
+              "    return lp.var('a', lo=0), var('x', lo=None, hi=1)\n"
+              "def push(q):\n"
+              "    def piece():\n"
+              "        return LinearProgram()\n"
+              "    return piece, lp.var('w', lo=-1, hi=1)\n")
+    assert functions_calling(source, "LinearProgram") == ["relint", "push", "piece"]
+    assert free_variables(source) == [3, 4]
+
+
+def test_three_builders_pose_every_lp():
+    """Mixture rows come from `geometry._combination_lp` (membership,
+    Caratheodory, extreme points, the relative interior and the diagonal
+    push) and the approximation bands from `synthesis._band_mixture`; the
+    only other LP is the supporting normal's.  No LP has a free variable."""
+    found = []
+    free = []
+    for module in MODULES:
+        with open(os.path.join(SRC, module), "r", encoding="utf-8") as fh:
+            source = fh.read()
+        found += [f"{module}:{name}" for name in functions_calling(source, "LinearProgram")]
+        free += [f"{module}:{line}" for line in free_variables(source)]
+    assert found == ["geometry.py:_combination_lp", "geometry.py:_lexmin_supporting_normal",
+                     "geometry.py:piece_lexmin", "synthesis.py:_band_mixture"]
+    assert free == []
