@@ -251,7 +251,10 @@ def _cmd_simulate(args):
     mdl, dims = _load_payoffs(args.model)
     loaded = strategies.load_strategy_file(args.strategy, mdl)
     _require_at_least(args, (("samples", 1), ("horizon", 1), ("seed", 0)))
-    cfg = montecarlo.SampleConfig(samples=args.samples, horizon=args.horizon, seed=args.seed)
+    try:
+        cfg = montecarlo.SampleConfig(samples=args.samples, horizon=args.horizon, seed=args.seed)
+    except ValueError as exc:
+        raise SchemaError(str(exc)) from None
     est = montecarlo.estimate_expectation(mdl, loaded, args.state, dims, cfg)
     payload = {"ok": True, "mean": list(est.mean), "stderr": list(est.stderr),
                "censored": list(est.censored),

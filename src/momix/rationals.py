@@ -9,6 +9,7 @@ one of the two infinities.  Convex combinations use the convention
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from math import lcm
 from typing import Iterable, Sequence, Union
@@ -41,10 +42,22 @@ def parse_rational(text) -> Fraction:
 
 
 def format_rational(value: Fraction) -> str:
-    """Render a Fraction in lowest terms as "p/q" (or "p" if integral)."""
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    """Render a Fraction in lowest terms as "p/q" (or "p" if integral),
+    exactly at any size."""
+    text = ("-" if value < 0 else "") + _digits(abs(value.numerator))
+    return text if value.denominator == 1 else f"{text}/{_digits(value.denominator)}"
+
+
+def _digits(n: int) -> str:
+    """The decimal digits of n >= 0.  Past the interpreter's limit on
+    int-to-str conversion (4,300 digits by default), n is split by a power
+    of ten into halves that convert alone; the limit is left as it is."""
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # 0: no limit
+    if not limit or n.bit_length() < 3 * limit:  # fewer than limit digits
+        return str(n)
+    k = n.bit_length() * 3 // 20  # about half of its digits
+    high, low = divmod(n, 10 ** k)
+    return _digits(high) + _digits(low).zfill(k)
 
 
 def integer_row(values: Sequence[Fraction]):

@@ -11,6 +11,7 @@ import pytest
 
 import momix as mx
 from momix.cli import run
+from momix.rationals import format_rational
 
 from conftest import MODELS, commute_train, load
 
@@ -269,6 +270,9 @@ EVALUATE = ["evaluate", COMMUTE, "--state", "home", "--strategy", "STRATEGY"]
 SIMULATE = ["simulate", COMMUTE, "--state", "home", "--strategy", TRAIN_FILE]
 PROBE = ["probe", COMMUTE, "--state", "home", "--family", "STRATEGY"]
 
+HUGE_BIKE = _document(COMMUTE)
+HUGE_BIKE["weights"]["time"]["home,bike"] = ["1e400"]
+
 # id: (argv, model document, strategy document); the words MODEL and
 # STRATEGY in argv stand for files holding the two documents (a probe's
 # family document takes the place of the strategy).
@@ -322,6 +326,9 @@ BAD_INPUTS = {
     "samples-zero": (SIMULATE + ["--samples", "0"], None, None),
     "horizon-negative": (SIMULATE + ["--horizon", "-3"], None, None),
     "seed-negative": (SIMULATE + ["--seed", "-1"], None, None),
+    "seed-too-large": (SIMULATE + ["--seed", str(2 ** 128)], None, None),
+    "weight-beyond-float": (["simulate", "MODEL", "--state", "home", "--strategy", "STRATEGY"],
+                            HUGE_BIKE, {**TRAIN, "act": {**TRAIN["act"], "0,home": "bike"}}),
 }
 
 
@@ -378,6 +385,33 @@ def test_rational_too_large_for_a_float_prints_alone(tmp_path, capsys):
         assert run(argv) == 0, argv
     first, second = capsys.readouterr().out.splitlines()[-1].split(": ")[1].split("  ")
     assert len(first) > 1000 and "(" not in first and second == "1 (1)"
+
+
+def test_rationals_print_exactly_past_the_conversion_limit(tmp_path, capsys):
+    """The bias bound 2 (3/4)^8000 / (1 - 3/4) of two_discounts' first
+    payoff has more digits than int-to-str conversion allows by default: it
+    prints exactly, and the limit stays."""
+    bound = 2 * Fraction(3, 4) ** 8000 * 4
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        expected = f"{bound.numerator}/{bound.denominator}"
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert len(expected) > 2 * limit
+    assert format_rational(bound) == expected and format_rational(-bound) == "-" + expected
+    doc = _document(RUNNING)
+    always_a = {"memory": ["0"], "init": "0",
+                "update": {f"0,{s},{a}": "0" for s, acts in doc["transitions"].items()
+                           for a in acts},
+                "act": {f"0,{s}": "a" for s in doc["states"]}}
+    strategy = tmp_path / "always_a.json"
+    strategy.write_text(json.dumps(always_a))
+    argv = ["simulate", RUNNING, "--state", "s0", "--strategy", str(strategy),
+            "--horizon", "8000", "--samples", "20"]
+    assert run(argv + ["--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["bias_bound"][0] == expected
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_jobs_is_a_usage_error():

@@ -378,8 +378,10 @@ def test_probe_constant_family(split_reach):
 # -- the streamed walk against the reference ------------------------------------------------
 
 CHUNK = montecarlo._CHUNK
-# (samples, horizon): every sample count around the chunk boundaries
-SIZES = [(1, 64), (CHUNK - 1, 7), (CHUNK, 1), (CHUNK + 1, 33), (2 * CHUNK + 3, 64)]
+# (samples, horizon): every sample count around the chunk boundaries, and
+# one past the first chunk of the lazy draw
+SIZES = [(1, 64), (CHUNK - 1, 7), (CHUNK, 1), (CHUNK + 1, 33), (2 * CHUNK + 3, 64),
+         (montecarlo._LAZY_CHUNK + 1, 9)]
 BUNDLED = {
     "coin_exit.json": "s", "commute.json": "home", "delayed_exit.json": "s",
     "earn_or_exit.json": "s", "gated_reward.json": "s", "split_reach.json": "s0",
@@ -388,9 +390,15 @@ BUNDLED = {
 
 
 def _assert_same(model, strategy, start, dims, samples, horizon, seed):
+    """The estimate equals the reference on both draw paths, the dense fill
+    and the lazy windows, each forced whatever the estimate would pick."""
     cfg = SampleConfig(samples=samples, horizon=horizon, seed=seed)
-    got = mx.estimate_expectation(model, strategy, start, dims, cfg)
-    assert got == estimate_expectation(model, strategy, start, dims, cfg)
+    want = estimate_expectation(model, strategy, start, dims, cfg)
+    for lazy in (False, True):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(montecarlo, "_draws_lazily", lambda *args: lazy)
+            got = mx.estimate_expectation(model, strategy, start, dims, cfg)
+        assert got == want, "lazy" if lazy else "dense"
     return got
 
 
@@ -605,7 +613,44 @@ def test_streamed_walk_memory(two_discounts):
 def test_uniform_row_is_matrix_row(horizon):
     full = _uniform_matrix(21, 10, horizon)
     for index in range(10):
-        assert np.array_equal(montecarlo._uniform_row(21, index, horizon), full[index])
+        assert np.array_equal(montecarlo._uniforms(21, horizon, [index], 0, horizon + 1)[0],
+                              full[index])
+
+
+@pytest.mark.parametrize("seed", [0, 21, 2 ** 64 - 1, 2 ** 64 + 3, 2 ** 128 - 1])
+def test_uniform_windows_are_matrix_windows(seed):
+    """Windows of width 1 to 9 starting at every offset mod 4 of the stream,
+    for keys at the edges of both 64-bit key words, match the filled
+    matrix."""
+    horizon = 10
+    full = _uniform_matrix(seed, 12, horizon)
+    rows = np.arange(12)
+    for width in range(1, 10):
+        for col in range(horizon + 2 - width):
+            assert np.array_equal(montecarlo._uniforms(seed, horizon, rows, col, width),
+                                  full[:, col:col + width])
+
+
+def test_lazy_walk_draws_a_tenth_of_the_blocks(coin_exit, monkeypatch):
+    """Always-a leaves coin_exit's start with probability 1/2 per step: the
+    walk draws its windows lazily, never fills the matrix, and computes
+    fewer than a tenth of the blocks that hold the whole matrix."""
+    model, dims = coin_exit
+    n, horizon = 10_000, 256
+    blocks = []
+    philox = montecarlo._philox
+    monkeypatch.setattr(montecarlo, "_philox",
+                        lambda seed, counters: blocks.append(len(counters)) or philox(seed, counters))
+
+    def no_fill(*args, **kwargs):
+        raise AssertionError("the dense fill was used")
+
+    monkeypatch.setattr(np.random, "Generator", no_fill)
+    cfg = SampleConfig(samples=n, horizon=horizon, seed=5)
+    got = mx.estimate_expectation(model, coin_exit_always(model, "a"), "s", dims, cfg)
+    assert sum(blocks) < n * (horizon + 1) / 4 / 10
+    monkeypatch.undo()
+    assert got == estimate_expectation(model, coin_exit_always(model, "a"), "s", dims, cfg)
 
 
 def test_sample_play_follows_its_row(coin_exit):
