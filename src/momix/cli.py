@@ -154,7 +154,7 @@ def _cmd_frontier(args):
 def _emit_certificate(args, cert: synthesis.MixtureCertificate, human_lines):
     """Print a certificate, and write it to `--out` when asked."""
     certificate = {
-        "relation": [str(x) for x in cert.relation],
+        "relation": [x if isinstance(x, str) else format_rational(x) for x in cert.relation],
         "target": cert.target.serialize(),
         "realized": cert.realized.serialize(),
         "support": len(cert.mixture.support),

@@ -4,14 +4,14 @@ Membership, extreme points, Pareto filtering, supporting linear maps (the
 lexicographic-maximum construction used to reach points on faces of payoff
 sets), Caratheodory decompositions and dominating decompositions on faces,
 which also decide achievability.
-Every question is decided by the exact simplex in :mod:`momix.lp` (extreme
-points from the Farkas certificates of membership LPs over the vertices
-found so far, supporting normals from LPs over the points that cut off
-their earlier solutions, the relative interior and the diagonal push from
-one mixture LP that moves q along a direction inside the hull); the one
-other computation is the rank of a point set's directions.  Degeneracies
-(collinear point families and the like) are resolved exactly, never by
-tolerance.
+Every question is decided by LPs on the exact simplex in :mod:`momix.lp`:
+extreme points from the Farkas certificates of membership LPs over the
+vertices found so far, supporting normals from LPs over the points that cut
+off their earlier solutions, the relative interior and the diagonal push
+from one mixture LP that moves q along a direction inside the hull, and
+every decomposition from the basic solution of one membership LP.
+Degeneracies (collinear point families and the like) are resolved exactly,
+never by tolerance.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import DimensionMismatch, NotDominated, NotInHull, SelfCheckFailed
-from .linalg import dot, rank
+from .linalg import dot
 from .lp import INFEASIBLE, LinearProgram
 from .rationals import ExtRealVector, format_rational, integer_row
 
@@ -280,8 +280,13 @@ def dominating_face_decomposition(q, points, mode: str = "in_hull") -> Decomposi
 
     mode "in_hull" requires q in conv(points); mode "dominated" only requires
     that some convex combination dominates q.  The construction pushes q (or
-    a dominating hull point) along the all-ones direction onto a proper face
-    and applies Caratheodory inside that face.
+    a dominating hull point) along the all-ones direction as far as the hull
+    allows, to a point on a proper face, and decomposes that point with one
+    :func:`caratheodory` LP over all points.  Every hyperplane supporting
+    the hull there passes through each point of positive weight, so the
+    basic solution's nonzero columns [p; 1] lie in a d-dimensional subspace
+    and there are at most d of them.  Ties follow the simplex's Bland's rule
+    over the points in index order.
     """
     pts = _check_points(points)
     q = as_point(q)
@@ -308,17 +313,8 @@ def dominating_face_decomposition(q, points, mode: str = "in_hull") -> Decomposi
         raise SelfCheckFailed("the diagonal LP is infeasible, yet gamma = 0 is feasible")
     peak = tuple(x + result["g"] for x in base)
 
-    if rank([[x - y for x, y in zip(p, pts[0])] for p in pts[1:]]) < d:
-        dec = caratheodory(peak, pts)
-    else:
-        w = _lexmin_supporting_normal(peak, pts, [])
-        if w is None:
-            raise SelfCheckFailed("no supporting normal at the peak of a full-dimensional hull")
-        level = dot(w, peak)
-        face = [i for i in range(len(pts)) if dot(w, pts[i]) == level]
-        inner = caratheodory(peak, [pts[i] for i in face])
-        dec = Decomposition(tuple(face[i] for i in inner.indices), inner.coefficients)
-    if dec.support_size > d:  # the face, or the hull itself, spans at most d-1 dimensions
+    dec = caratheodory(peak, pts)
+    if dec.support_size > d:
         raise SelfCheckFailed(f"a face decomposition with {dec.support_size} > d points")
     recombined = dec.recombine(pts)
     if any(recombined[j] < q[j] for j in range(d)):

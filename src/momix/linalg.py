@@ -1,9 +1,8 @@
 """Exact rational linear algebra.
 
-Matrices are lists of lists of Fractions.  One elimination kernel,
+Matrices are lists of lists of Fractions.  :func:`solve_linear` runs
 fraction-free (Bareiss) elimination on integer rows (scaled by
-:func:`momix.rationals.integer_row`), serves :func:`solve_linear` and
-:func:`rank`.  :func:`solve_linear` puts each right-hand side over one
+:func:`momix.rationals.integer_row`).  It puts each right-hand side over one
 common denominator apart from the matrix, so its denominators never enter
 the matrix minors, and solves several right-hand sides with one
 elimination.  All pivots are exact, so there is no tolerance policy
@@ -13,39 +12,36 @@ anywhere; a singular system raises :class:`SingularSystem`.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, Sequence, Tuple
+from typing import List, Sequence
 
 from .errors import SingularSystem
 from .rationals import integer_row
 
 
-def _bareiss(a: List[List[int]], ncols: int) -> Tuple[List[int], int]:
+def _bareiss(a: List[List[int]], ncols: int) -> int:
     """Fraction-free elimination (Bareiss, Math. Comp. 22, 1968) of the
     first ncols columns of the integer rows a to row echelon form, in place:
-    every entry below the pivot rows after step k is a (k+1)-minor, so
+    every entry below the pivot row after step k is a (k+1)-minor, so
     dividing by the previous pivot is exact.  The pivot is the first nonzero
-    entry of its column at or below the current row; a column without one is
-    skipped.  Returns the pivot columns and, when every column is a pivot
-    column, the signed last pivot (0 otherwise): det(a) for a square a."""
+    entry of its column at or below the diagonal.  Returns the signed last
+    pivot, det(a) for a square a, or 0 at the first column without a
+    pivot."""
     sign = 1
     prev = 1
-    pivots: List[int] = []
     for col in range(ncols):
-        r = len(pivots)
-        pivot = next((i for i in range(r, len(a)) if a[i][col] != 0), None)
+        pivot = next((i for i in range(col, len(a)) if a[i][col] != 0), None)
         if pivot is None:
-            continue
-        if pivot != r:
-            a[r], a[pivot] = a[pivot], a[r]
+            return 0
+        if pivot != col:
+            a[col], a[pivot] = a[pivot], a[col]
             sign = -sign
-        top = a[r]
+        top = a[col]
         akk = top[col]
-        for i in range(r + 1, len(a)):
+        for i in range(col + 1, len(a)):
             aik = a[i][col]
             a[i] = [(akk * v - aik * p) // prev for v, p in zip(a[i], top)]
         prev = akk
-        pivots.append(col)
-    return pivots, (sign * prev if len(pivots) == ncols else 0)
+    return sign * prev
 
 
 def solve_linear(matrix: Sequence[Sequence[Fraction]], rhs: Sequence[tuple]) -> List[tuple]:
@@ -66,7 +62,7 @@ def solve_linear(matrix: Sequence[Sequence[Fraction]], rhs: Sequence[tuple]) -> 
     columns = [integer_row([b * scale for (_ints, scale), b in zip(rows, column)])
                for column in zip(*rhs)]
     a = [[*ints, *(c[i] for c, _common in columns)] for i, (ints, _scale) in enumerate(rows)]
-    _pivots, det = _bareiss(a, n)
+    det = _bareiss(a, n)
     if det == 0:
         raise SingularSystem("the system matrix is singular")
     # Cramer: det * D * x is an integer vector, so back-substitution stays exact.
@@ -78,13 +74,6 @@ def solve_linear(matrix: Sequence[Sequence[Fraction]], rhs: Sequence[tuple]) -> 
             num[i] = (det * row[col] - sum(row[j] * num[j] for j in range(i + 1, n))) // row[i]
         solutions.append([Fraction(v, det * common) for v in num])
     return list(zip(*solutions))
-
-
-def rank(matrix: Sequence[Sequence[Fraction]]) -> int:
-    """The number of pivot columns :func:`_bareiss` finds in the rows
-    scaled to integers."""
-    ncols = len(matrix[0]) if matrix else 0
-    return len(_bareiss([integer_row(row)[0] for row in matrix], ncols)[0])
 
 
 def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:

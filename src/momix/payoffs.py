@@ -20,7 +20,7 @@ from typing import Mapping, Tuple, Union
 
 from .errors import ParseError, SchemaError
 from .model import Pomdp, WeightFunction, model_from_dict, require_field
-from .rationals import parse_rational
+from .rationals import format_rational, parse_rational
 
 
 # -- payoff kinds ---------------------------------------------------------------
@@ -97,7 +97,7 @@ def _check_target(model, target):
 
 def _check_discount(discount):
     if not (0 <= discount < 1):
-        raise SchemaError(f"discount factor {discount} outside [0, 1)")
+        raise SchemaError(f"discount factor {format_rational(discount)} outside [0, 1)")
 
 
 def _check_weights(model, weights: WeightFunction, nonneg=False):
@@ -124,7 +124,7 @@ def payoff_from_dict(model: Pomdp, entry: Mapping) -> PayoffSpec:
     if not isinstance(entry, dict):
         raise SchemaError(f"a payoff must be an object, got {entry!r}")
     kind = entry.get("kind")
-    if kind not in _KIND_NAMES:
+    if not isinstance(kind, str) or kind not in _KIND_NAMES:
         raise SchemaError(f"unknown payoff kind {kind!r}")
 
     def target():

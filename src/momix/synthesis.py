@@ -19,7 +19,7 @@ from .errors import (DimensionMismatch, InfeasibleApproximation, NotAchievable, 
 from .evaluate import Pool
 from .geometry import caratheodory, dominating_face_decomposition
 from .lp import LinearProgram
-from .rationals import ExtReal, ExtRealVector
+from .rationals import ExtReal, ExtRealVector, format_rational
 from .strategies import FiniteMixture, PureStrategy
 
 
@@ -154,7 +154,8 @@ def approximate(target: ExtRealVector, eps: Fraction, big_m: Fraction,
         weights = _approx_with_witnesses(pool, target, fin_dims, inf_dims, eps)
     if weights is None:
         raise InfeasibleApproximation(
-            f"no mixture over this pool approximates {target} at eps={eps}, M={big_m}")
+            f"no mixture over this pool approximates {target} at "
+            f"eps={format_rational(eps)}, M={format_rational(big_m)}")
     return _certificate(pool, list(weights), list(weights.values()),
                         ("approximates", eps, big_m), target)
 

@@ -29,8 +29,7 @@ def solve_column(matrix, rhs):
 
 def fraction_rref(matrix):
     """Reduced row echelon form by Gauss-Jordan elimination over Fraction;
-    returns (rows, pivot_columns).  The rank is len(pivot_columns), the
-    reference for `linalg.rank`, which eliminates fraction-free."""
+    returns (rows, pivot_columns).  The rank is len(pivot_columns)."""
     rows = [[Fraction(x) for x in row] for row in matrix]
     nrows = len(rows)
     ncols = len(rows[0]) if rows else 0

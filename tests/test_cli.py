@@ -1,10 +1,13 @@
 """CLI: every subcommand is a thin adapter; results equal direct library
 calls, and exit codes follow the contract."""
 
+import copy
 import json
 import os
+import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -188,6 +191,48 @@ def test_closed_stdout_exits_1_quietly():
     assert done.stderr == b""
 
 
+def test_strategy_file_as_skeleton(capsys):
+    """`--skeleton file:<strategy>` builds the pool over that strategy's
+    memory; a mixture file there is an input error."""
+    code, payload = run_json(capsys, ["frontier", COMMUTE, "--state", "home",
+                                      "--skeleton", f"file:{TRAIN_FILE}"])
+    assert code == 0
+    model, dims = load("commute.json")
+    skeleton = mx.strategies.load_strategy_file(TRAIN_FILE, model).skeleton
+    assert payload["pool_size"] == mx.pure_payoff_set(model, "home", dims, skeleton).size
+    assert run(["frontier", COIN_EXIT, "--state", "s", "--skeleton", f"file:{MIXTURE_FILE}"]) == 3
+    assert capsys.readouterr().err == "input error: a mixture file cannot serve as a skeleton\n"
+
+
+def test_evaluate_mixture_file(capsys):
+    code, payload = run_json(capsys, ["evaluate", COIN_EXIT, "--state", "s",
+                                      "--strategy", MIXTURE_FILE])
+    assert code == 0
+    model, dims = load("coin_exit.json")
+    mixture = mx.strategies.load_strategy_file(MIXTURE_FILE, model)
+    assert payload["vector"] == mx.mixed_expected_payoff(model, mixture, "s", dims).serialize()
+
+
+def test_simulate_writes_csv(capsys, tmp_path):
+    out = tmp_path / "estimate.csv"
+    code, payload = run_json(capsys, ["simulate", COMMUTE, "--state", "home",
+                                      "--strategy", TRAIN_FILE, "--samples", "200",
+                                      "--horizon", "16", "--seed", "4", "--out", str(out)])
+    assert code == 0
+    assert out.read_text() == (
+        "dim,mean,stderr,bias_bound,censored,seed\n"
+        f"0,{payload['mean'][0]},{payload['stderr'][0]},{payload['bias_bound'][0]},"
+        f"{payload['censored'][0]},4\n")
+
+
+def test_belief_graph_prints_dot_without_out(capsys, tmp_path):
+    out = tmp_path / "beliefs.dot"
+    assert run(["belief-graph", COMMUTE, "--state", "home", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert run(["belief-graph", COMMUTE, "--state", "home"]) == 0
+    assert capsys.readouterr().out == out.read_text()
+
+
 def test_belief_graph_dot(capsys, tmp_path):
     out = tmp_path / "beliefs.dot"
     code, _payload = run_json(capsys, ["belief-graph", COMMUTE, "--state", "home",
@@ -239,6 +284,8 @@ def test_input_error():
 
 TRAIN_FILE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden",
                           "commute_train.json")
+MIXTURE_FILE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden",
+                            "coin_exit_mixture.json")
 
 
 def _document(path, **fields):
@@ -301,6 +348,13 @@ BAD_INPUTS = {
         {"kind": "reach", "target": [["s1"]]}]), None),
     "weights-name-list": (FRONTIER, _document(RUNNING, payoffs=[
         {"kind": "discounted_sum", "lambda": "1/2", "weights": ["w"]}]), None),
+    "no-payoffs": (FRONTIER, {k: v for k, v in _document(RUNNING).items() if k != "payoffs"},
+                   None),
+    "kind-object": (FRONTIER, _document(RUNNING, payoffs=[{"kind": {}}]), None),
+    "kind-list": (FRONTIER, _document(RUNNING, payoffs=[{"kind": ["reach"], "target": ["s1"]}]),
+                  None),
+    "lambda-huge": (FRONTIER, _document(RUNNING, payoffs=[
+        {"kind": "discounted_sum", "lambda": "1e5000", "weights": "w"}]), None),
     "strategy-not-object": (EVALUATE, None, [1]),
     "update-list": (EVALUATE, None, {**TRAIN, "update": []}),
     "mixture-member-not-object": (EVALUATE, None, {"support": [1], "weights": ["1"]}),
@@ -414,6 +468,30 @@ def test_rationals_print_exactly_past_the_conversion_limit(tmp_path, capsys):
     assert sys.get_int_max_str_digits() == limit
 
 
+@pytest.mark.parametrize("bounds", [["--eps", "1/10", "--bigM", "10"],
+                                    ["--eps", "1/10", "--bigM", "1e5000"],
+                                    ["--eps", "1e-5000", "--bigM", "10"]],
+                         ids=["plain", "bigM-huge", "eps-tiny"])
+def test_infeasible_approximation_prints_huge_bounds_exactly(bounds, capsys):
+    """No mixture reaches 5 on the first payoff, and the refusal names eps
+    and M exactly, however many digits they have."""
+    code, payload = run_json(capsys, ["approx", EARN_OR_EXIT, "--state", "s", "--target", "5,+inf",
+                                      "--skeleton", "counter:2"] + bounds)
+    assert code == 1 and not payload["ok"]
+    eps, big_m = (format_rational(mx.parse_rational(v)) for v in bounds[1::2])
+    assert payload["reason"].endswith(f"at eps={eps}, M={big_m}")
+
+
+def test_certificate_prints_huge_bounds_exactly(capsys):
+    """An eps past the int-to-str limit is met by any mixture, and the
+    certificate's relation names it exactly."""
+    code, payload = run_json(capsys, ["approx", EARN_OR_EXIT, "--state", "s",
+                                      "--target", "1/2,1/2", "--eps", "1e5000", "--bigM", "10"])
+    assert code == 0
+    huge = format_rational(Fraction(10) ** 5000)
+    assert payload["certificate"]["relation"] == ["approximates", huge, "10"]
+
+
 def test_jobs_is_a_usage_error():
     assert run(["frontier", RUNNING, "--state", "s0", "--jobs", "2"]) == 2
 
@@ -434,3 +512,111 @@ def test_malformed_model(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
     assert run(["validate", str(path)]) == 3
+
+
+# -- seeded mutations of the bundled files ------------------------------------------
+
+# values a mutation puts in place of a field: wrong JSON types, floats, huge
+# and tiny exponents, probabilities outside [0, 1] and an unknown id
+MUTANT_VALUES = ({}, [], 5, 1.5, None, True, "x", "1e5000", "-1e5000", "1e-5000", "-1/2", "3/2",
+                 "nosuch", "1e400", -1, 2 ** 70)
+# values a mutation puts in place of an option's argument
+MUTANT_ARGUMENTS = ("1e5000", "-1e5000", "1e-5000", "0.5", "x", "", "-1", "0", "+inf", "-inf",
+                    "nosuch", "s,x", "1/0", "1/2,1/2,1/2", "counter:x", "memoryless",
+                    "file:STRATEGY")
+MUTATED_MODELS = {"commute.json": "home", "two_discounts.json": "s0", "earn_or_exit.json": "s",
+                  "coin_exit.json": "s", "split_reach.json": "s0", "gated_reward.json": "s"}
+SUBCOMMANDS = (["validate", "MODEL"],
+               ["evaluate", "MODEL", "--strategy", "STRATEGY"],
+               ["frontier", "MODEL", "--skeleton", "counter:2"],
+               ["achieve", "MODEL", "--target", "TARGET", "--skeleton", "counter:1"],
+               ["approx", "MODEL", "--target", "TARGET", "--eps", "1/10", "--bigM", "10"],
+               ["lexopt", "MODEL"],
+               ["classify", "MODEL"],
+               ["belief-graph", "MODEL"],
+               ["simulate", "MODEL", "--strategy", "STRATEGY", "--samples", "50",
+                "--horizon", "16"],
+               ["probe", "MODEL", "--family", "FAMILY", "--horizon", "2"])
+MUTATION_CASES = 2000
+CASE_SECONDS = 5
+
+
+def _mutate(doc, rng):
+    """A copy of the JSON value `doc` with one or two random edits: a field
+    replaced by one of MUTANT_VALUES, deleted, or renamed to an unknown id."""
+    doc = copy.deepcopy(doc)
+    for _ in range(rng.choice([1, 1, 2])):
+        paths, todo = [], [()]
+        while todo:
+            path = todo.pop()
+            paths.append(path)
+            node = doc
+            for key in path:
+                node = node[key]
+            keys = node if isinstance(node, dict) else range(len(node)) \
+                if isinstance(node, list) else ()
+            todo += [path + (key,) for key in keys]
+        path = rng.choice(paths[1:])
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        edit = rng.random()
+        if edit < 0.2:
+            del parent[path[-1]]
+        elif edit < 0.3 and isinstance(parent, dict):
+            parent[rng.choice(["nosuch", f"{path[-1]},x"])] = parent.pop(path[-1])
+        else:
+            parent[path[-1]] = rng.choice(MUTANT_VALUES)
+    return doc
+
+
+def _mutation_case(seed):
+    """Subcommand `seed % len(SUBCOMMANDS)` on a bundled model and one of its pure
+    strategies, with the model, the strategy or one option's argument
+    mutated: (argv, {file word: document})."""
+    rng = random.Random(seed)
+    name = rng.choice(sorted(MUTATED_MODELS))
+    state = MUTATED_MODELS[name]
+    model_doc = _document(os.path.join(MODELS, name))
+    model, dims = load(name)
+    strategy = mx.pure_payoff_set(model, state, dims, mx.memoryless(model))[0][0]
+    strategy_doc = mx.strategies.strategy_to_dict(strategy)
+    argv = list(SUBCOMMANDS[seed % len(SUBCOMMANDS)])
+    argv[2:2] = ["--state", state] if argv[0] != "validate" else []
+    argv = [",".join(["1/2"] * len(dims)) if arg == "TARGET" else arg for arg in argv]
+    edit = rng.random()
+    if edit < 0.5:
+        model_doc = _mutate(model_doc, rng)
+    elif edit < 0.7:
+        strategy_doc = _mutate(strategy_doc, rng)
+    else:
+        options = [i for i in range(1, len(argv)) if argv[i - 1].startswith("--")]
+        if options:
+            argv[rng.choice(options)] = rng.choice(MUTANT_ARGUMENTS)
+    family = {"family": [{"index": 1, "strategy": strategy_doc}], "limit": strategy_doc}
+    files = {"MODEL": model_doc, "STRATEGY": strategy_doc, "FAMILY": family}
+    return argv + ["--json"] * rng.randrange(2), files
+
+
+def test_mutated_inputs_end_in_an_exit_code(tmp_path, capsys):
+    """Seeded mutations of the bundled models, of a pure strategy of each and
+    of the options, through every subcommand in process: each run returns
+    0-3 within CASE_SECONDS and raises nothing."""
+    failures = []
+    for seed in range(MUTATION_CASES):
+        argv, files = _mutation_case(seed)
+        for word, doc in files.items():
+            (tmp_path / f"{word}.json").write_text(json.dumps(doc))
+        argv = [str(tmp_path / f"{arg}.json") if arg in files
+                else f"file:{tmp_path / 'STRATEGY.json'}" if arg == "file:STRATEGY" else arg
+                for arg in argv]
+        start = time.perf_counter()
+        try:
+            code = run(argv)
+        except Exception as exc:  # a traceback is the failure this test looks for
+            code = f"{type(exc).__name__}: {exc}"[:200]
+        seconds = time.perf_counter() - start
+        capsys.readouterr()
+        if code not in (0, 1, 2, 3) or seconds > CASE_SECONDS:
+            failures.append((seed, argv[0], code, round(seconds, 2)))
+    assert failures == []

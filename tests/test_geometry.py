@@ -1,7 +1,8 @@
 """Exact geometry against brute-force oracles (simplex-free where possible),
 the supporting normals against the kernel-basis construction and the
-row-fixing cascade they replaced, and the extreme points against one LP
-per point."""
+row-fixing cascade they replaced, the extreme points against one LP per
+point, and the dominating decompositions' support, recombination and
+domination on generated point sets."""
 
 import itertools
 import random
@@ -16,7 +17,7 @@ import momix as mx
 from momix import geometry
 from momix.errors import NotDominated, NotInHull
 from momix.geometry import Point, extreme_points, membership_combination
-from momix.linalg import dot, rank
+from momix.linalg import dot
 from momix.lp import INFEASIBLE, LinearProgram
 
 from conftest import (cascade_lexmin_supporting_normal, certifies_program,
@@ -69,6 +70,10 @@ def brute_force_in_hull(q, points):
 def rational_cloud(rng, n, d, denom=8, span=5):
     return [tuple(Fraction(rng.randint(-span * denom, span * denom), denom)
                   for _ in range(d)) for _ in range(n)]
+
+
+def _fractions(points):
+    return [tuple(Fraction(x) for x in p) for p in points]
 
 
 # -- membership / caratheodory ---------------------------------------------------------------
@@ -358,6 +363,75 @@ def test_decomposition_properties_random():
         assert all(x >= y for x, y in zip(dom.recombine(points), q))
 
 
+mixed_rationals = st.builds(Fraction, st.integers(min_value=-8, max_value=8),
+                            st.sampled_from([1, 2, 3, 5, 7]))
+
+
+@st.composite
+def point_sets(draw):
+    """Rational point sets in d <= 4 with mixed denominators: a single point,
+    a full-dimensional set, or a collinear, coplanar or other
+    lower-dimensional set mapped in by a rational affine map; some points
+    repeated.  Points drawn from a small grid put more than d points on one
+    hyperplane."""
+    d = draw(st.integers(min_value=1, max_value=4))
+    k = draw(st.integers(min_value=0, max_value=d))
+    n = draw(st.integers(min_value=1, max_value=9))
+    coordinate = st.builds(Fraction, st.integers(0, 2)) if draw(st.booleans()) \
+        else mixed_rationals
+    low = [tuple(draw(coordinate) for _ in range(k)) for _ in range(n)]
+    if k == d and draw(st.booleans()):
+        points = low
+    else:
+        matrix = [[draw(mixed_rationals) for _ in range(k)] for _ in range(d)]
+        shift = [draw(mixed_rationals) for _ in range(d)]
+        points = [tuple(shift[j] + sum((a * x for a, x in zip(matrix[j], p)), Fraction(0))
+                        for j in range(d)) for p in low]
+    points += [draw(st.sampled_from(points)) for _ in range(draw(st.integers(0, 3)))]
+    return points
+
+
+# a pyramid over a trapezoid: four coplanar base points
+TRAPEZOID_PYRAMID = _fractions([(0, 0, 0), (3, 0, 0), (1, 1, 0), (2, 1, 0),
+                                (Fraction(3, 2), Fraction(1, 2), 2)])
+
+
+@given(point_sets())
+@example(TRAPEZOID_PYRAMID)
+@settings(max_examples=200, deadline=None)
+def test_dominating_decomposition_of_the_centroid_and_a_point_below(points):
+    """At the centroid (mode "in_hull") and at the centroid minus the
+    all-ones vector (mode "dominated"), the decomposition has at most d
+    points of positive weight summing to 1, and it recombines exactly to a
+    point that dominates the query; in the hull, that point is the query
+    pushed along the diagonal."""
+    d = len(points[0])
+    centroid = tuple(sum(p[j] for p in points) / len(points) for j in range(d))
+    below = tuple(x - 1 for x in centroid)
+    for q, mode in ((centroid, "in_hull"), (below, "dominated")):
+        dec = mx.dominating_face_decomposition(q, points, mode=mode)
+        assert 1 <= dec.support_size <= d
+        assert sum(dec.coefficients) == 1 and all(c > 0 for c in dec.coefficients)
+        recombined = tuple(sum((c * points[i][j] for i, c in zip(dec.indices, dec.coefficients)),
+                               Fraction(0)) for j in range(d))
+        assert dec.recombine(points) == recombined
+        assert all(x >= y for x, y in zip(recombined, q))
+        if mode == "in_hull":
+            assert len({x - y for x, y in zip(recombined, q)}) == 1
+
+
+def test_dominating_decomposition_breaks_ties_by_index_order():
+    """(2, 1) is the pushed point, and both (2, 2)/(2, 0) and (2, 3)/(2, 0)
+    realize it on the face x = 2: Bland's rule over the points in index order
+    takes the first point, as `caratheodory` does on the same query."""
+    points = _fractions([(2, 3), (2, 2), (1, 3), (1, 1), (2, 0)])
+    dec = mx.dominating_face_decomposition((Fraction(1, 2), Fraction(1, 2)), points,
+                                           mode="dominated")
+    assert dec.indices == (0, 4) and dec.coefficients == (Fraction(1, 3), Fraction(2, 3))
+    assert dec.recombine(points) == (2, 1)
+    assert dec == mx.caratheodory((2, 1), points)
+
+
 # -- reference: the kernel-basis supporting normal, kept verbatim -------------------------
 
 
@@ -450,27 +524,12 @@ def reference_normal(q, points, rows):
 
 # -- supporting normals against the reference ---------------------------------------------
 
-small_rationals = st.builds(Fraction, st.integers(min_value=-6, max_value=6),
-                            st.sampled_from([1, 2, 3, 4]))
-
-
 @st.composite
 def point_sets_and_queries(draw):
-    """Rational point sets in d <= 4, full-dimensional or mapped from a
-    lower-dimensional set by a rational affine map, with repeated points;
-    q is one of the points or a convex combination of them."""
-    d = draw(st.integers(min_value=1, max_value=4))
-    k = draw(st.integers(min_value=0, max_value=d))
-    n = draw(st.integers(min_value=1, max_value=7))
-    low = [tuple(draw(small_rationals) for _ in range(k)) for _ in range(n)]
-    if k == d and draw(st.booleans()):
-        points = low
-    else:
-        matrix = [[draw(small_rationals) for _ in range(k)] for _ in range(d)]
-        shift = [draw(small_rationals) for _ in range(d)]
-        points = [tuple(shift[j] + sum((a * x for a, x in zip(matrix[j], p)), Fraction(0))
-                        for j in range(d)) for p in low]
-    points += [draw(st.sampled_from(points)) for _ in range(draw(st.integers(0, 2)))]
+    """A point set of `point_sets`; q is one of the points or a convex
+    combination of them."""
+    points = draw(point_sets())
+    d = len(points[0])
     if draw(st.booleans()):
         q = draw(st.sampled_from(points))
     else:
@@ -488,10 +547,8 @@ def point_sets_and_queries(draw):
 def test_supporting_normals_match_kernel_basis_reference(case):
     points, q = case
     rows = mx.supporting_map(q, points).rows
-    dec = mx.dominating_face_decomposition(q, points)
     with mock.patch.object(geometry, "_lexmin_supporting_normal", reference_normal):
         assert mx.supporting_map(q, points).rows == rows
-        assert mx.dominating_face_decomposition(q, points) == dec
 
 
 # -- one-tableau lexicographic pieces and certificate-driven extreme points --------------
@@ -506,10 +563,6 @@ def checked_solve(solve):
         assert result.farkas is None or certifies_program(program, result.farkas)
         return result
     return run
-
-
-def _fractions(points):
-    return [tuple(Fraction(x) for x in p) for p in points]
 
 
 # a square's corners with points on its edges listed first, so that a
@@ -528,10 +581,10 @@ SQUARE_EDGES = _fractions([(1, 0), (0, 1), (2, 1), (1, 2), (0, 0), (2, 0), (0, 2
 @settings(max_examples=150, deadline=None)
 def test_geometry_matches_the_row_fixing_and_n_lp_references(case):
     """Repeated, collinear, lower-dimensional and single-point sets in d <= 4:
-    the one-tableau normals, the relative-interior test, the maps and
-    decompositions built on them and the extreme points equal those of the
-    old code, every infeasible LP on the way returns a certificate of it,
-    and every relative-interior LP poses d + 1 rows."""
+    the one-tableau normals, the relative-interior test, the maps built on
+    them and the extreme points equal those of the old code, every
+    infeasible LP on the way (the dominating decompositions' too) returns a
+    certificate of it, and every relative-interior LP poses d + 1 rows."""
     points, q = case
     below = tuple(x - 1 for x in q)
     with mock.patch.object(LinearProgram, "solve", checked_solve(LinearProgram.solve)):
@@ -539,20 +592,16 @@ def test_geometry_matches_the_row_fixing_and_n_lp_references(case):
         rows = mx.supporting_map(q, points).rows
         normals = [geometry._lexmin_supporting_normal(q, points, rows[:k])
                    for k in range(len(rows) + 1)]
-        decs = [mx.dominating_face_decomposition(q, points),
-                mx.dominating_face_decomposition(below, points, mode="dominated")]
+        mx.dominating_face_decomposition(q, points)
+        mx.dominating_face_decomposition(below, points, mode="dominated")
     assert vertices == n_lp_extreme_points(points)
     assert normals == [cascade_lexmin_supporting_normal(q, points, rows[:k])
                        for k in range(len(rows) + 1)]
     with mock.patch.object(geometry, "_lexmin_supporting_normal",
                            cascade_lexmin_supporting_normal):
         assert mx.supporting_map(q, points).rows == rows
-        assert [mx.dominating_face_decomposition(q, points),
-                mx.dominating_face_decomposition(below, points, mode="dominated")] == decs
     with mock.patch.object(geometry, "_in_relative_interior", positive_combination_relint):
         assert mx.supporting_map(q, points).rows == rows
-        assert [mx.dominating_face_decomposition(q, points),
-                mx.dominating_face_decomposition(below, points, mode="dominated")] == decs
     queries = [(below, points)] + [
         (q, [p for p in points if all(dot(r, p) == dot(r, q) for r in rows[:k])])
         for k in range(len(rows) + 1)]
@@ -606,7 +655,7 @@ def _edge_midpoint(points, vertices):
         mid = tuple((x + y) / 2 for x, y in zip(top, points[i]))
         smap = mx.supporting_map(mid, points)
         face = [p for p in points if smap.apply(p) == smap.apply(mid)]
-        if rank([[x - y for x, y in zip(p, mid)] for p in face]) == 1:
+        if len(fraction_rref([[x - y for x, y in zip(p, mid)] for p in face])[1]) == 1:
             return mid, smap.rows
     raise AssertionError("no edge at the lexmax vertex")
 

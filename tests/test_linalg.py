@@ -1,17 +1,15 @@
 """Exact linear solves: solutions satisfy the system exactly, pivoting
 handles zero leading entries, bad systems raise the documented errors, and
 scaling the right-hand side apart from the matrix returns the same
-Fractions as scaling whole [A | b] rows.  The fraction-free `rank` counts
-the pivots of Gauss-Jordan elimination over Fraction, on rectangular
-matrices and on the direction rows of degenerate point sets."""
+Fractions as scaling whole [A | b] rows."""
 
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from momix.errors import SingularSystem
-from momix.linalg import _bareiss, rank, solve_linear
+from momix.linalg import _bareiss, solve_linear
 from momix.rationals import integer_row
 
 from conftest import fraction_rref, solve_column
@@ -44,7 +42,7 @@ def _row_scaled_solve(matrix, rhs):
     denominators, kept as the reference."""
     n = len(matrix)
     a = [integer_row([*row, b])[0] for row, b in zip(matrix, rhs)]
-    _pivots, det = _bareiss(a, n)
+    det = _bareiss(a, n)
     if det == 0:
         raise SingularSystem("the system matrix is singular")
     num = [0] * n
@@ -135,76 +133,3 @@ def test_dependent_rows_are_singular(system, data):
 def test_non_square_system_is_rejected(matrix, rhs):
     with pytest.raises(ValueError, match="square"):
         solve_column(matrix, rhs)
-
-
-@st.composite
-def rectangular_matrices(draw):
-    """Matrices of 0 to 6 rows and 0 to 5 columns with mixed denominators:
-    some all zero, some rank-deficient through repeated rows, multiples of
-    other rows or zero columns."""
-    m = draw(st.integers(min_value=0, max_value=6))
-    n = draw(st.integers(min_value=0, max_value=5))
-    entry = st.just(Fraction(0)) if draw(st.integers(0, 5)) == 0 else rationals
-    matrix = [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(m)]
-    if m >= 2 and draw(st.booleans()):
-        i, j = draw(st.permutations(range(m)))[:2]
-        matrix[i] = [draw(rationals) * v for v in matrix[j]] if draw(st.booleans()) \
-            else list(matrix[j])
-    if n and draw(st.booleans()):
-        col = draw(st.integers(0, n - 1))
-        for row in matrix:
-            row[col] = Fraction(0)
-    return matrix
-
-
-@given(rectangular_matrices())
-@example([])
-@example([[]])
-@example([[0, 0], [0, 0]])
-@example([[Fraction(1, 3), 0, 2]] * 3)
-@example([[0, Fraction(2, 5)], [Fraction(1, 7), 1], [3, 0]])
-@settings(max_examples=300, deadline=None)
-def test_rank_is_the_fraction_gauss_jordan_pivot_count(matrix):
-    assert rank(matrix) == len(fraction_rref(matrix)[1])
-
-
-mixed_rationals = st.builds(Fraction, st.integers(min_value=-8, max_value=8),
-                            st.sampled_from([1, 2, 3, 5, 7]))
-
-
-@st.composite
-def point_sets(draw):
-    """Rational point sets in d <= 4 with mixed denominators: a single point,
-    a full-dimensional set, or a collinear, coplanar or other
-    lower-dimensional set mapped in by a rational affine map; some points
-    repeated.  Points drawn from a small grid put more than d points on one
-    hyperplane."""
-    d = draw(st.integers(min_value=1, max_value=4))
-    k = draw(st.integers(min_value=0, max_value=d))
-    n = draw(st.integers(min_value=1, max_value=9))
-    coordinate = st.builds(Fraction, st.integers(0, 2)) if draw(st.booleans()) \
-        else mixed_rationals
-    low = [tuple(draw(coordinate) for _ in range(k)) for _ in range(n)]
-    if k == d and draw(st.booleans()):
-        points = low
-    else:
-        matrix = [[draw(mixed_rationals) for _ in range(k)] for _ in range(d)]
-        shift = [draw(mixed_rationals) for _ in range(d)]
-        points = [tuple(shift[j] + sum((a * x for a, x in zip(matrix[j], p)), Fraction(0))
-                        for j in range(d)) for p in low]
-    points += [draw(st.sampled_from(points)) for _ in range(draw(st.integers(0, 3)))]
-    return points
-
-
-# a pyramid over a trapezoid: four coplanar base points
-TRAPEZOID_PYRAMID = [(0, 0, 0), (3, 0, 0), (1, 1, 0), (2, 1, 0), (Fraction(3, 2), Fraction(1, 2), 2)]
-
-
-@given(point_sets())
-@example([tuple(Fraction(x) for x in p) for p in TRAPEZOID_PYRAMID])
-@settings(max_examples=200, deadline=None)
-def test_rank_of_point_set_directions(points):
-    """The rank `dominating_face_decomposition` reads to tell a
-    full-dimensional point set from a lower-dimensional one."""
-    dirs = [[x - y for x, y in zip(p, points[0])] for p in points[1:]]
-    assert rank(dirs) == len(fraction_rref(dirs)[1])

@@ -60,6 +60,15 @@ def test_validate_bad_sum():
     assert any(rule == "distribution-sum" for rule, _loc, _msg in report.violations)
 
 
+def test_validate_probability_range():
+    """Probabilities -1/2 and 3/2 sum to 1, so only their range is wrong."""
+    doc = {"states": ["x", "y"], "actions": ["a"],
+           "transitions": {"x": {"a": {"x": "3/2", "y": "-1/2"}}, "y": {"a": {"y": "1"}}}}
+    report = mx.validate(mx.load_model(json.dumps(doc)))
+    assert report.violations == (("probability-range", "(x,a)->x", "3/2 outside [0,1]"),
+                                 ("probability-range", "(x,a)->y", "-1/2 outside [0,1]"))
+
+
 def test_validate_obs_action_consistency():
     doc = {
         "states": ["x", "y"],

@@ -667,6 +667,20 @@ def test_sample_play_follows_its_row(coin_exit):
         assert mx.sample_play(model, sigma, "s", 8, seed=3, index=index) == tuple(expected)
 
 
+def test_sample_play_of_a_mixture_replays_the_member_its_first_draw_picks(coin_exit):
+    """Member 0 owns first draws below 1/4, member 1 the rest; the play is
+    that member's own play of the same row."""
+    model, _ = coin_exit
+    members = [coin_exit_always(model, "a"), coin_exit_switch(model, 2)]
+    mixture = FiniteMixture.of(zip(members, (Fraction(1, 4), Fraction(3, 4))))
+    u = _uniform_matrix(3, 12, 8)
+    picked = [int(u[index, 0] >= 0.25) for index in range(12)]
+    assert set(picked) == {0, 1}
+    for index, member in enumerate(picked):
+        assert mx.sample_play(model, mixture, "s", 8, seed=3, index=index) \
+            == mx.sample_play(model, members[member], "s", 8, seed=3, index=index)
+
+
 def test_sample_play_far_index_small_memory(coin_exit):
     model, _ = coin_exit
     sigma = coin_exit_always(model, "a")

@@ -4,8 +4,9 @@ class that only its definition and its re-export name, no public dataclass field
 that nothing outside its module reads, one product walk, which
 `strategies.py` owns, one closed form for a one-node block, one builder of
 memory skeletons, no function-local import of a sibling module, one
-breadth-first search, `model.closure`, and three builders of linear
-programs, none of them with a free variable."""
+breadth-first search, `model.closure`, three builders of linear
+programs, none of them with a free variable, supporting normals for
+`supporting_map` alone, and no `rank` anywhere."""
 
 import ast
 import glob
@@ -421,3 +422,66 @@ def test_three_builders_pose_every_lp():
     assert found == ["geometry.py:_combination_lp", "geometry.py:_lexmin_supporting_normal",
                      "geometry.py:piece_lexmin", "synthesis.py:_band_mixture"]
     assert free == []
+
+
+def test_scan_finds_normal_calls():
+    source = ("def supporting_map(q, points):\n"
+              "    return _lexmin_supporting_normal(q, points, [])\n"
+              "def dominating(q, points):\n"
+              "    def face():\n"
+              "        return _lexmin_supporting_normal(q, points, [])\n"
+              "    return caratheodory(q, points)\n")
+    assert functions_calling(source, "_lexmin_supporting_normal") \
+        == ["supporting_map", "dominating", "face"]
+
+
+def test_only_supporting_map_poses_normal_lps():
+    """The dominating decomposition takes its face from the basic solution
+    of one Caratheodory LP; supporting normals serve `supporting_map` alone."""
+    found = []
+    for module in MODULES:
+        with open(os.path.join(SRC, module), "r", encoding="utf-8") as fh:
+            found += [f"{module}:{name}"
+                      for name in functions_calling(fh.read(), "_lexmin_supporting_normal")]
+    assert found == ["geometry.py:supporting_map"]
+
+
+def defines_or_imports(source: str, name: str):
+    """Lines that assign `name` at module level, define a function or class
+    of that name at any depth, or import it under its own name or another."""
+    tree = ast.parse(source)
+    lines = {stmt.lineno for stmt in tree.body if isinstance(stmt, (ast.Assign, ast.AnnAssign))
+             and any(isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+                     and node.id == name for node in ast.walk(stmt))}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) \
+                and node.name == name:
+            lines.add(node.lineno)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)) and any(
+                name in (alias.name.split(".")[-1], alias.asname) for alias in node.names):
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_scan_finds_rank_definitions_and_imports():
+    source = ("from .linalg import dot, rank\n"
+              "from numpy.linalg import matrix_rank as rank\n"
+              "from numpy.linalg import matrix_rank\n"
+              "rank = len\n"
+              "class Table:\n"
+              "    def rank(self):\n"
+              "        return 0\n"
+              "def order(rows):\n"
+              "    rank = len(rows)\n"
+              "    return rank, action_rank\n")
+    assert defines_or_imports(source, "rank") == [1, 2, 4, 6]
+
+
+def test_no_module_defines_or_imports_rank():
+    """Geometry decides everything by LPs and linear algebra only solves
+    square systems: no module of `src/momix` defines or imports `rank`."""
+    found = []
+    for module in MODULES + ["__init__.py"]:
+        with open(os.path.join(SRC, module), "r", encoding="utf-8") as fh:
+            found += [f"{module}:{line}" for line in defines_or_imports(fh.read(), "rank")]
+    assert found == []

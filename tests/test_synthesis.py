@@ -238,6 +238,21 @@ def test_reduce_support_dirac_unchanged(earn_or_exit):
     assert mx.reduce_support(mix, [vec]) is mix
 
 
+def test_reduce_support_with_every_coordinate_infinite(earn_or_exit):
+    """Five members realize (-inf, +inf): the first witness of each infinite
+    coordinate keeps its weight, renormalized, and the rest is dropped."""
+    members = [earn_or_exit_leave(earn_or_exit[0], r) for r in range(5)]
+    vectors = [mx.ExtRealVector(v) for v in ([mx.NEG_INF, 0], [3, mx.POS_INF], [1, 1], [2, 2],
+                                             [0, 5])]
+    mix = mx.FiniteMixture.of([(s, Fraction(1, 5)) for s in members])
+    realized = mx.ExtRealVector.combine(mix.weights, vectors)
+    assert realized == mx.ExtRealVector([mx.NEG_INF, mx.POS_INF])
+    reduced = mx.reduce_support(mix, vectors)
+    assert reduced.support == tuple(members[:2])
+    assert reduced.weights == (Fraction(1, 2), Fraction(1, 2))
+    assert mx.ExtRealVector.combine(reduced.weights, vectors[:2]) == realized
+
+
 def test_reduce_support_with_infinite_component(earn_or_exit):
     model, dims = earn_or_exit
     members = [earn_or_exit_leave(model, r) for r in range(4)] + [earn_or_exit_stay(model)]
@@ -252,3 +267,24 @@ def test_reduce_support_with_infinite_component(earn_or_exit):
     assert mx.ExtRealVector.combine(reduced.weights, kept) == realized
     # the infinite witness must keep positive weight
     assert any(vectors[members.index(m)][1] == mx.POS_INF for m in reduced.support)
+
+
+def test_verify_refuses_every_relation_that_fails(split_reach_pool):
+    """`verify` holds exactly when the relation does, for each kind, and a
+    target of another length fails every kind."""
+    mixture = mx.FiniteMixture.dirac(split_reach_pool[0][0])
+
+    def holds(realized, relation, target):
+        return mx.MixtureCertificate(mixture, mx.ExtRealVector(realized), relation,
+                                     mx.ExtRealVector(target)).verify()
+
+    tenth = ("approximates", Fraction(1, 10), Fraction(10))
+    assert holds([1, 2], ("equals",), [1, 2]) and not holds([1, 2], ("equals",), [1, 3])
+    assert holds([1, 2], ("dominates",), [1, 1]) and not holds([1, 2], ("dominates",), [1, 3])
+    assert holds([1, 10, -10], tenth, [Fraction(11, 10), mx.POS_INF, mx.NEG_INF])
+    for realized, target in (([1], [Fraction(6, 5)]), ([mx.POS_INF], [1]),
+                             ([9], [mx.POS_INF]), ([-9], [mx.NEG_INF])):
+        assert not holds(realized, tenth, target)
+    for relation in (("equals",), ("dominates",), tenth):
+        assert not holds([1, 2], relation, [1, 2, 3])
+        assert not holds([1, 2, 3], relation, [1, 2])
