@@ -30,8 +30,18 @@ rewards straight from the table.  A system of one unknown, as in every
 one-node block, is solved where it is queued by one formula per slot,
 x = (c + lambda sum_j P(i, j) x_j) / (1 - lambda P(i, i)), with no division
 without a self-loop.  Larger systems that share their matrix share one
-`solve_linear`.  The memo lives for one call.  So a pool costs one walk per
-behaviour plus, per distinct block, its arithmetic.
+`solve_linear`.  The memo lives for one call.
+
+Pool members also share the walk.  A member is an act table index, a
+mixed-radix number with the first choice point most significant
+(`strategies.pure_behaviours`), and the walk below a node reads only the
+choice points the node can reach, all at or after the first of them.  So
+the index modulo the product of the radices from that point on fixes the
+walk below the node and the node's block.  A pool's memo keeps each
+finished node's block under (node, that key), and a member takes the block
+of every node known under its key without expanding it.  So a pool costs,
+per distinct (node, key), one step of the walk, and per distinct block its
+arithmetic.
 """
 
 from __future__ import annotations
@@ -49,7 +59,7 @@ from .payoffs import (BuchiIndicator, DiscountedSum, MultiPayoff,
                       TotalRewardNonNeg)
 from .rationals import ExtReal, ExtRealVector, POS_INF
 from .strategies import (FiniteMemoryStrategy, FiniteMixture, MemorySkeleton, POOL_CAP,
-                         TransitionTable, pure_behaviours, transition_table)
+                         TransitionTable, _numbering, pure_behaviours, transition_table)
 
 __all__ = [
     "expected_payoff", "pure_payoff_set", "Pool", "mixed_expected_payoff",
@@ -130,11 +140,11 @@ class _Evaluator:
     A node's values are a list of slots: the hitting probability of each
     target of a reach, shortest-path or gated dimension, then per other
     dimension its value (a gated one: E[DS] and y).  A slot holds a
-    Fraction or POS_INF.  `tables` are transition tables already built
-    for skeletons, each with (start, init) as node 0."""
+    Fraction or POS_INF.  `memos` are memos of transition tables already
+    built for skeletons, each with (start, init) as node 0."""
 
     def __init__(self, model: Pomdp, start: str, dims: MultiPayoff,
-                 tables: Sequence[TransitionTable] = ()):
+                 memos: Sequence["_Memo"] = ()):
         if start not in model.states:
             raise UnknownState(start)
         for spec in dims:
@@ -164,7 +174,7 @@ class _Evaluator:
         self.values = [(spec, slot, self.discounts.index(getattr(spec, "discount", 1)))
                        for spec, slot in paired
                        if not isinstance(spec, (ReachIndicator, BuchiIndicator))]
-        self.memos = [_Memo(table) for table in tables]
+        self.memos = list(memos)
 
     def _memo(self, skeleton: MemorySkeleton) -> "_Memo":
         for memo in self.memos:
@@ -173,18 +183,34 @@ class _Evaluator:
         self.memos.append(_Memo(transition_table(self.model, skeleton, [self.start])))
         return self.memos[-1]
 
-    def __call__(self, strategy: FiniteMemoryStrategy) -> ExtRealVector:
+    def __call__(self, strategy: FiniteMemoryStrategy,
+                 index: Optional[int] = None) -> ExtRealVector:
+        """The payoff vector of `strategy`.  `index` is a pool member's act
+        table index over the memo's `moduli`: a node whose block is known by
+        (node, index modulo its modulus) takes that block unexpanded."""
         memo = self._memo(strategy.skeleton)
         table, unique, blocks = memo.table, memo.unique, memo.blocks
         nodes, moves, obs = table.nodes, table.moves, self.model.obs
+        known, moduli = memo.known, memo.moduli
         choice, graph, block_of = {}, {}, {}
 
         def successors(i):
-            """Node i's action distribution and successors, read once."""
+            """Node i's action distribution and successors, read once; with
+            an index, the successors whose blocks are not yet known."""
             s, mem = nodes[i]
             choice[i] = dist = strategy.choice(mem, obs[s])
             graph[i] = out = [j for a, _alpha in dist for j, _p in moves[i][a]]
-            return out
+            if index is None:
+                return out
+            fresh = []
+            for j in out:
+                if j not in block_of:
+                    block = known[j].get(index % moduli[j])
+                    if block is None:
+                        fresh.append(j)
+                    else:
+                        block_of[j] = block
+            return fresh
 
         for comp in iter_sccs([0], successors):
             comp.sort()
@@ -197,6 +223,9 @@ class _Evaluator:
                 blocks.append(self._solve_block(table, comp, choice, outer))
             for i in comp:
                 block_of[i] = block
+            if index is not None:
+                for i in comp:
+                    known[i][index % moduli[i]] = block
         values = blocks[block_of[0]][0]
         out = []
         for slot in self.slots:
@@ -320,12 +349,37 @@ def _solve_systems(systems, discounts, rows, slots, vals):
 
 class _Memo:
     """One skeleton's transition table, its unique table of blocks (key ->
-    block number) and the blocks' slots (block number -> node -> slots)."""
+    block number) and the blocks' slots (block number -> node -> slots).
 
-    def __init__(self, table: TransitionTable):
+    A pool's memo also holds each node's modulus (`_moduli`) and `known`,
+    node -> member index modulo the node's modulus -> the node's block: the
+    index fixes the member's actions at every choice point the node can
+    reach, so it fixes the walk below the node and with it the node's
+    block."""
+
+    def __init__(self, table: TransitionTable, moduli: Optional[Dict[int, int]] = None):
         self.table = table
         self.unique: Dict[tuple, int] = {}
         self.blocks: List[Dict[int, list]] = []
+        self.moduli = moduli
+        self.known: Dict[int, Dict[int, int]] = {i: {} for i in moduli or ()}
+
+
+def _moduli(model: Pomdp, table: TransitionTable) -> Dict[int, int]:
+    """Per node reachable from node 0 of a pool's `table`, the product of
+    the radices (`strategies._numbering`) of the choice points from the
+    first one the node can reach, under any actions, to the last.  Every
+    point the node reaches sits at or after that first one, so an act
+    table's index modulo this product fixes the table's action at each of
+    them.  One SCC pass, successors first, carries the first position up."""
+    points, place, node_slot = _numbering(model, table)
+    moves, first = table.moves, {}
+    for comp in iter_sccs([0], lambda i: [j for row in moves[i].values() for j, _p in row]):
+        low = min([node_slot[i] for i in comp] + [first[j] for i in comp for row in
+                                                  moves[i].values() for j, _p in row if j in first])
+        for i in comp:
+            first[i] = low
+    return {i: place[p] * len(points[p][1]) for i, p in first.items()}
 
 
 def expected_payoff(model: Pomdp, strategy: FiniteMemoryStrategy, start: str,
@@ -352,10 +406,11 @@ class Pool(list):
     act tables, while the cap and the cost of building the pool count
     behaviours.  So `approx` on earn_or_exit.json at counter:30 (2^31
     tables, 32 behaviours) succeeds.  Members are evaluated together:
-    the cost is one walk per behaviour plus one solve per distinct SCC
-    block of their products (see the module docstring), so a counter pool
-    pays for its shared suffixes once.  A plain list of pairs is the pool
-    whose every member is its own table.
+    they share the walk below every node whose reachable choices they play
+    alike, and each distinct SCC block of their products is solved once
+    (see the module docstring), so a counter pool pays for its shared
+    suffixes once.  A plain list of pairs is the pool whose every member
+    is its own table.
     """
 
     def __init__(self, members=(), size: Optional[int] = None,
@@ -373,15 +428,17 @@ def pure_payoff_set(model: Pomdp, start: str, dims: MultiPayoff, skeleton: Memor
     the cap behaviours, so counter:30 on earn_or_exit.json (2^31 tables, 32
     behaviours) is a small pool.  One transition table serves the choice
     points, the behaviour walk and the evaluation.  All members share one
-    evaluation: each is walked without arithmetic, and only its SCC blocks
-    not met before in this call are solved, so the exact work counts
-    distinct blocks, not behaviours.  PoolTooLarge comes from the walk, before any block is
-    solved.  Raises SchemaError if `validate` rejects the model."""
+    evaluation, keyed by their table indices: a member expands only the
+    nodes not finished before under its index modulo the node's modulus
+    (`_moduli`), and only its SCC blocks not met before in this call are
+    solved, so the exact work counts distinct blocks, not behaviours.
+    PoolTooLarge comes from the walk, before any block is solved.  Raises
+    SchemaError if `validate` rejects the model."""
     require_valid(model)
     table = transition_table(model, skeleton, [start, *model.states])
     size, members = pure_behaviours(model, table, cap)
-    evaluate = _Evaluator(model, start, dims, [table])
-    return Pool(((strategy, evaluate(strategy)) for _index, strategy in members),
+    evaluate = _Evaluator(model, start, dims, [_Memo(table, _moduli(model, table))])
+    return Pool(((strategy, evaluate(strategy, index)) for index, strategy in members),
                 size, [index for index, _strategy in members])
 
 

@@ -297,6 +297,8 @@ def dominating_face_decomposition(q, points, mode: str = "in_hull") -> Decomposi
         raise ValueError("mode must be 'in_hull' or 'dominated'")
 
     if mode == "in_hull":
+        # The diagonal LP below cannot stand in for this one: it is feasible
+        # for a point below the hull too, such as (0, 0) under (1, 1).
         if membership_combination(q, pts) is None:
             raise NotDominated(f"{_format_point(q)} is not in the convex hull")
         base = q

@@ -31,8 +31,8 @@ walk of a chunk ends when no sample is left.
 The walk reads its draws in windows of `_WINDOW` columns, and a chunk is
 drawn one of two ways, decided once per estimate by `_draws_lazily` from
 the members' float chains, whichever is expected to cost less: filled
-whole, `_CHUNK` rows at a time from one generator into one reused buffer
-(memory O(chunk x horizon)), or lazily, each window computed by `_philox`
+whole, up to `_CHUNK` rows and `_CHUNK_BYTES` at a time from one generator
+into one reused buffer, or lazily, each window computed by `_philox`
 only for the samples still live, `_LAZY_CHUNK` rows at a time.  Both read
 the same matrix, so they give the same estimate to the last bit; the lazy
 draw wins when samples settle long before the horizon.
@@ -87,8 +87,12 @@ class Estimate:
 
 # Rows of the uniform matrix filled and walked at a time when every draw is
 # made, and when only the windows of live samples are drawn: a kernel call
-# costs as much as a few thousand blocks, so the lazy chunk is larger.
+# costs as much as a few thousand blocks, so the lazy chunk is larger.  A
+# filled chunk also holds at most `_CHUNK_BYTES` of doubles (and at least
+# one row), so its buffer stays bounded at any horizon; up to horizon 1,023
+# that is all `_CHUNK` rows.
 _CHUNK = 4096
+_CHUNK_BYTES = 32 * 2 ** 20
 _LAZY_CHUNK = 16384
 # Steps walked between two draws of the live samples' next columns.
 _WINDOW = 8
@@ -248,9 +252,9 @@ def estimate_expectation(model: Pomdp, strategy, start: str, dims: MultiPayoff,
     if lazy:
         size, draw = _LAZY_CHUNK, partial(_lazy_draw, seed, horizon)
     else:
-        size = _CHUNK
+        size = max(1, min(_CHUNK, _CHUNK_BYTES // (8 * (horizon + 1))))
         gen = np.random.Generator(np.random.Philox(key=seed))
-        chunk = np.empty((min(_CHUNK, n), horizon + 1), dtype=np.float64)
+        chunk = np.empty((min(size, n), horizon + 1), dtype=np.float64)
     for lo in range(0, n, size):
         m = min(size, n - lo)
         if not lazy:

@@ -9,6 +9,7 @@ one of the two infinities.  Convex combinations use the convention
 
 from __future__ import annotations
 
+import re
 import sys
 from fractions import Fraction
 from math import lcm
@@ -18,12 +19,21 @@ from .errors import SchemaError, UndefinedExpectation
 
 _INF_TOKENS = {"+inf": 1, "inf": 1, "+oo": 1, "-inf": -1, "-oo": -1}
 
+# Largest magnitude of a decimal string's exponent that `parse_rational`
+# accepts.  Fraction expands 10**exponent exactly, in time that grows faster
+# than the exponent: 0.009 s at 1e100000, 0.32 s at 1e1000000, 2.0 s at
+# 1e3000000.
+MAX_DECIMAL_EXPONENT = 100_000
+_EXPONENT = re.compile(r"[eE][-+]?([\d_]+)$")
+
 
 def parse_rational(text) -> Fraction:
     """Parse "p/q", "p" or a decimal string into an exact Fraction.
 
     Plain ints are accepted for convenience; floats are rejected so that no
-    binary rounding can sneak into a model file.
+    binary rounding can sneak into a model file.  A decimal string whose
+    exponent exceeds MAX_DECIMAL_EXPONENT in magnitude is refused before it
+    is expanded.
     """
     if isinstance(text, bool):
         raise SchemaError(f"not a rational: {text!r}")
@@ -35,8 +45,15 @@ def parse_rational(text) -> Fraction:
         raise SchemaError(f"floats are not accepted as rationals: {text!r}")
     if not isinstance(text, str):
         raise SchemaError(f"not a rational: {text!r}")
+    text = text.strip()
+    exponent = ("e" in text or "E" in text) and _EXPONENT.search(text)
+    if exponent:
+        digits = exponent.group(1).replace("_", "").lstrip("0")
+        if len(digits) > len(str(MAX_DECIMAL_EXPONENT)) or int(digits or 0) > MAX_DECIMAL_EXPONENT:
+            raise SchemaError(f"the exponent of {text[:40]!r} exceeds the limit of "
+                              f"{MAX_DECIMAL_EXPONENT:,} in magnitude")
     try:
-        return Fraction(text.strip())
+        return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise SchemaError(f"malformed rational {text!r}") from exc
 

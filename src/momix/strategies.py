@@ -212,6 +212,19 @@ def _choice_points(model: Pomdp, table: TransitionTable):
     return sorted(points.items(), key=lambda pz: (mem_key[pz[0][0]], obs_key[pz[0][1]]))
 
 
+def _numbering(model: Pomdp, table: TransitionTable):
+    """The numbering of act tables over the choice points of `table`: the
+    points (`_choice_points`), each point's place value in the mixed radix,
+    the first point most significant (the product of the radices after
+    it), and each node's point as its position among the points."""
+    points = _choice_points(model, table)
+    slot = {key: i for i, (key, _) in enumerate(points)}
+    place = [1] * len(points)
+    for i in range(len(points) - 1, 0, -1):
+        place[i - 1] = place[i] * len(points[i][1])
+    return points, place, [slot[(mem, model.obs[s])] for s, mem in table.nodes]
+
+
 def pure_behaviours(model: Pomdp, table: TransitionTable,
                     cap: int = POOL_CAP) -> Tuple[int, List[Tuple[int, PureStrategy]]]:
     """The distinct behaviours of the pure strategies over a skeleton from a
@@ -237,12 +250,7 @@ def pure_behaviours(model: Pomdp, table: TransitionTable,
     is a pool of 32 behaviours.
     """
     skeleton = table.skeleton
-    points = _choice_points(model, table)
-    slot = {key: i for i, (key, _) in enumerate(points)}
-    place = [1] * len(points)  # mixed radix, first choice point most significant
-    for i in range(len(points) - 1, 0, -1):
-        place[i - 1] = place[i] * len(points[i][1])
-    node_slot = [slot[(mem, model.obs[s])] for s, mem in table.nodes]
+    points, place, node_slot = _numbering(model, table)
     indices: List[int] = []
     # pending branches: (table index so far, action position per reached
     # slot, nodes seen, nodes to expand); unreached slots count as position 0

@@ -14,7 +14,7 @@ import pytest
 
 import momix as mx
 from momix.cli import run
-from momix.rationals import format_rational
+from momix.rationals import MAX_DECIMAL_EXPONENT, format_rational
 
 from conftest import MODELS, commute_train, load
 
@@ -355,6 +355,11 @@ BAD_INPUTS = {
                   None),
     "lambda-huge": (FRONTIER, _document(RUNNING, payoffs=[
         {"kind": "discounted_sum", "lambda": "1e5000", "weights": "w"}]), None),
+    # exponents past rationals.MAX_DECIMAL_EXPONENT, refused before they are expanded
+    "weight-exponent-huge": (FRONTIER, _document(RUNNING, weights={"w": {
+        **_document(RUNNING)["weights"]["w"], "s0,a": ["1e3000000", "1"]}}), None),
+    "target-exponent-huge": (["approx", EARN_OR_EXIT, "--state", "s", "--target", "1e3000000,1",
+                              "--eps", "1/10", "--bigM", "10"], None, None),
     "strategy-not-object": (EVALUATE, None, [1]),
     "update-list": (EVALUATE, None, {**TRAIN, "update": []}),
     "mixture-member-not-object": (EVALUATE, None, {"support": [1], "weights": ["1"]}),
@@ -506,6 +511,19 @@ def test_out_only_where_a_file_is_written(tmp_path):
         assert run(argv + ["--json"]) == 0, argv
         assert run(argv + ["--out", str(tmp_path / "x")]) == 2, argv
     assert not (tmp_path / "x").exists()
+
+
+def test_decimal_exponents_are_bounded():
+    """`parse_rational` expands an exponent up to MAX_DECIMAL_EXPONENT in
+    magnitude and refuses a larger one before expanding it, reading signs,
+    leading zeros, digit underscores and spaces as Fraction does."""
+    limit = MAX_DECIMAL_EXPONENT
+    assert mx.parse_rational(f"1e{limit}") == 10 ** limit
+    assert mx.parse_rational(f" -2.5E-000{limit} ") == Fraction(-25, 10 ** (limit + 1))
+    for text in (f"1e{limit + 1}", f"1E-{limit + 1}", " 1.5e+0003000000", "1e1_000_000",
+                 "1e" + "9" * 5000):
+        with pytest.raises(mx.errors.SchemaError, match="limit of 100,000"):
+            mx.parse_rational(text)
 
 
 def test_malformed_model(tmp_path):

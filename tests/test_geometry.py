@@ -420,6 +420,18 @@ def test_dominating_decomposition_of_the_centroid_and_a_point_below(points):
             assert len({x - y for x, y in zip(recombined, q)}) == 1
 
 
+def test_in_hull_refuses_a_point_below_the_hull():
+    """(0, 0) lies outside the triangle (1, 1), (2, 0), (0, 2), yet pushed
+    along the diagonal it reaches (1, 1): the diagonal LP is feasible there,
+    so only the membership LP tells mode "in_hull" to refuse it, which mode
+    "dominated" accepts."""
+    points = _fractions([(1, 1), (2, 0), (0, 2)])
+    q = (Fraction(0), Fraction(0))
+    with pytest.raises(NotDominated, match=r"^\(0, 0\) is not in the convex hull$"):
+        mx.dominating_face_decomposition(q, points, mode="in_hull")
+    assert mx.dominating_face_decomposition(q, points, mode="dominated").support_size <= 2
+
+
 def test_dominating_decomposition_breaks_ties_by_index_order():
     """(2, 1) is the pushed point, and both (2, 2)/(2, 0) and (2, 3)/(2, 0)
     realize it on the face x = 2: Bland's rule over the points in index order

@@ -436,6 +436,28 @@ def test_streamed_walk_matches_reference_named(coin_exit, gated_reward, earn_or_
         _assert_same(model, sigma, start, dims, 2 * CHUNK + 3, 40, seed=3)
 
 
+def test_dense_chunks_are_bounded_by_bytes(coin_exit, monkeypatch):
+    """Past horizon 1,023 a filled chunk holds at most `_CHUNK_BYTES` of
+    doubles.  The generator fills rows in order, so the estimate of a
+    mixture on the dense path is the same to the last bit at a budget of
+    1,501 rows and at one of 25 rows, in 8 chunks."""
+    model, dims = coin_exit
+    mixture = FiniteMixture.of([(coin_exit_switch(model, 3), Fraction(1, 3)),
+                                (coin_exit_always(model, "a"), Fraction(2, 3))])
+    cfg = SampleConfig(samples=200, horizon=1500, seed=5)
+    monkeypatch.setattr(montecarlo, "_draws_lazily", lambda *args: False)
+    real_draw, chunks = montecarlo._chunk_draw, set()
+    monkeypatch.setattr(montecarlo, "_chunk_draw",  # (first row, rows) of each chunk read
+                        lambda u, lo, *args: chunks.add((lo, len(u))) or real_draw(u, lo, *args))
+    assert montecarlo._CHUNK_BYTES // (8 * 1501) >= 200
+    wide = mx.estimate_expectation(model, mixture, "s", dims, cfg)
+    assert chunks == {(0, 200)}
+    chunks.clear()
+    monkeypatch.setattr(montecarlo, "_CHUNK_BYTES", 8 * 1501 * 25)
+    narrow = mx.estimate_expectation(model, mixture, "s", dims, cfg)
+    assert chunks == {(25 * k, 25) for k in range(8)} and narrow == wide
+
+
 KINDS = ("reach", "discounted_sum", "reach_gated_discounted_sum", "total_reward",
          "shortest_path")
 

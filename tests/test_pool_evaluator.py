@@ -320,3 +320,76 @@ def test_a_pool_solves_each_distinct_block_once(coin_exit, monkeypatch):
                         lambda self, *args: solved.append(args) or real_solve(self, *args))
     pool = mx.pure_payoff_set(model, "s", dims, mx.counter(model, 8))
     assert len(pool) == 512 and len(solved) == 1030
+
+
+# s0 -a-> s3 -> {s1, s4}, s1 -> {s2, s4}, s0 -b-> s2 -> s0, s4 absorbing.  At
+# counter:1 a member after the first finds the block of (s4, 1) known and
+# reaches (s4, 1) from both (s3, 1) and (s1, 1): expanding it on the
+# second reach would solve its self-loop of probability 1 as a block with a
+# successor outside, a singular system.
+RE_REACHED = {
+    "states": ["s0", "s1", "s2", "s3", "s4"], "actions": ["a", "b"],
+    "transitions": {"s0": {"a": {"s3": "1"}, "b": {"s2": "1"}},
+                    "s1": {"a": {"s2": "1/2", "s4": "1/2"}}, "s2": {"a": {"s0": "1"}},
+                    "s3": {"a": {"s1": "1/2", "s4": "1/2"}}, "s4": {"a": {"s4": "1"}}},
+    "weights": {"w": {"s0,a": ["1", "0"], "s0,b": ["2", "1"], "s1,a": ["0", "3"],
+                      "s2,a": ["1", "0"], "s3,a": ["4", "1"], "s4,a": ["1", "0"]}},
+    "payoffs": [{"kind": "reach", "target": ["s1"]}, {"kind": "buchi", "target": ["s2"]},
+                {"kind": "discounted_sum", "lambda": "1/2", "weights": "w"},
+                {"kind": "reach_gated_discounted_sum", "target": ["s1"], "lambda": "3/4",
+                 "weights": "w"},
+                {"kind": "total_reward", "weights": "w", "windex": 1},
+                {"kind": "shortest_path", "target": ["s4"], "weights": "w"}]}
+
+
+def test_a_known_block_reached_twice_is_not_expanded():
+    """A node whose block a member takes as known is skipped on every later
+    reach in the same walk, not only the first."""
+    model, dims = mx.load_problem(json.dumps(RE_REACHED))
+    pool = mx.pure_payoff_set(model, "s0", dims, mx.counter(model, 1))
+    assert len(pool) == 4
+    for strategy, vector in pool:
+        assert vector == _expected_payoff(model, strategy, "s0", dims)
+
+
+def test_pool_members_share_the_walk_below_known_nodes(coin_exit, monkeypatch):
+    """The 512 behaviours of coin_exit at counter:8 expand at most 1,300
+    nodes between them (8,195 when each member walks its whole product):
+    a node whose block is known for the member's actions below it is not
+    expanded again."""
+    model, dims = coin_exit
+    expanded = []
+    real_choice = mx.PureStrategy.choice
+    monkeypatch.setattr(mx.PureStrategy, "choice",
+                        lambda self, *args: expanded.append(args) or real_choice(self, *args))
+    pool = mx.pure_payoff_set(model, "s", dims, mx.counter(model, 8))
+    assert len(pool) == 512 and len(expanded) <= 1300
+
+
+def _file_skeleton(model, rng):
+    """A two-state skeleton as a strategy file gives it: string memory
+    states, each update drawn at random."""
+    doc = {"memory": ["m0", "m1"], "init": "m0", "act": {},
+           "update": {f"{m},{z},{a}": rng.choice(["m0", "m1"]) for m in ("m0", "m1")
+                      for z in model.observations for a in model.enabled_for_observation(z)}}
+    for m in ("m0", "m1"):
+        for z in model.observations:
+            doc["act"][f"{m},{z}"] = model.enabled_for_observation(z)[0]
+    return mx.strategies.strategy_from_dict(doc, model).skeleton
+
+
+@given(small_observed_problems(), st.integers(0, 2 ** 16))
+@settings(max_examples=100, deadline=None)
+def test_pool_vectors_equal_each_members_own_evaluation(problem, seed):
+    """With memoryless and file skeletons every choice point is reached
+    from the start, so members rarely share a key: each pool member's
+    vector is its own `expected_payoff`."""
+    doc, _horizon = problem
+    model, dims = mx.load_problem(json.dumps(doc))
+    for skeleton in (mx.memoryless(model), _file_skeleton(model, random.Random(seed))):
+        try:
+            pool = mx.pure_payoff_set(model, "s0", dims, skeleton, cap=64)
+        except PoolTooLarge:
+            continue
+        for strategy, vector in pool:
+            assert vector == mx.expected_payoff(model, strategy, "s0", dims)

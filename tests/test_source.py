@@ -6,7 +6,8 @@ that nothing outside its module reads, one product walk, which
 memory skeletons, no function-local import of a sibling module, one
 breadth-first search, `model.closure`, three builders of linear
 programs, none of them with a free variable, supporting normals for
-`supporting_map` alone, and no `rank` anywhere."""
+`supporting_map` alone, no `rank` anywhere, and one builder of the mixed
+radix that numbers act tables."""
 
 import ast
 import glob
@@ -485,3 +486,49 @@ def test_no_module_defines_or_imports_rank():
         with open(os.path.join(SRC, module), "r", encoding="utf-8") as fh:
             found += [f"{module}:{line}" for line in defines_or_imports(fh.read(), "rank")]
     assert found == []
+
+
+def running_products(source: str):
+    """Names of the functions, nested ones included, that build a mixed
+    radix: an assignment `x[...] = x[...] * ...` to an item of a sequence
+    from another item of it."""
+    found = []
+    for func in ast.walk(ast.parse(source)):
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+                isinstance(node, ast.Assign) and isinstance(node.value, ast.BinOp)
+                and isinstance(node.value.op, ast.Mult)
+                and any(isinstance(target, ast.Subscript) and isinstance(target.value, ast.Name)
+                        and any(isinstance(side, ast.Subscript)
+                                and isinstance(side.value, ast.Name)
+                                and side.value.id == target.value.id
+                                for side in (node.value.left, node.value.right))
+                        for target in node.targets)
+                for node in ast.walk(func)):
+            found.append(func.name)
+    return found
+
+
+def test_scan_finds_running_products():
+    source = ("def numbering(points):\n"
+              "    place = [1] * len(points)\n"
+              "    for i in range(len(points) - 1, 0, -1):\n"
+              "        place[i - 1] = place[i] * len(points[i])\n"
+              "def other(radix):\n"
+              "    def inner(above):\n"
+              "        above[0] = len(radix) * above[1]\n"
+              "    return inner\n"
+              "def reader(place, points, p):\n"
+              "    moduli[p] = place[p] * len(points[p])\n"
+              "    return place[p] * 2\n")
+    assert running_products(source) == ["numbering", "other", "inner"]
+
+
+def test_one_function_numbers_act_tables():
+    """The mixed radix of act-table indices, each choice point's place
+    value, is built by `strategies._numbering` alone: the behaviour walk
+    and the pool evaluator's moduli read it from there."""
+    found = []
+    for module in MODULES:
+        with open(os.path.join(SRC, module), "r", encoding="utf-8") as fh:
+            found += [f"{module}:{name}" for name in running_products(fh.read())]
+    assert found == ["strategies.py:_numbering"]
