@@ -31,17 +31,16 @@ BeliefSupport = FrozenSet[str]
 BeliefEdge = Tuple[BeliefSupport, str, str, BeliefSupport]  # (B, a, z, B')
 
 
-def _belief_update(model: Pomdp, support: BeliefSupport, action: str,
-                   observation: str) -> Optional[BeliefSupport]:
-    """States with the given observation reachable in one `action` step from
-    the support, a set of states of one observation, under an action they
-    enable; None when that observation cannot occur."""
-    successors = set()
+def _belief_split(model: Pomdp, support: BeliefSupport, action: str) -> Dict[str, BeliefSupport]:
+    """The belief supports one `action` step from the support, a set of
+    states of one observation that enable it, keyed by the observation seen,
+    in observation order; an observation that cannot occur has no entry."""
+    successors: Dict[str, set] = {}
     for s in support:
         for t, p in model.dist(s, action).items():
-            if p > 0 and model.obs[t] == observation:
-                successors.add(t)
-    return frozenset(successors) if successors else None
+            if p > 0:
+                successors.setdefault(model.obs[t], set()).add(t)
+    return {z: frozenset(successors[z]) for z in model.observations if z in successors}
 
 
 def _support_closure(model: Pomdp, roots: Iterable[BeliefSupport]
@@ -54,11 +53,9 @@ def _support_closure(model: Pomdp, roots: Iterable[BeliefSupport]
 
     def expand(support, number):
         for a in model.enabled(next(iter(support))):
-            for z in model.observations:
-                nxt = _belief_update(model, support, a, z)
-                if nxt is not None:
-                    edges.append((support, a, z, nxt))
-                    number(nxt)
+            for z, nxt in _belief_split(model, support, a).items():
+                edges.append((support, a, z, nxt))
+                number(nxt)
 
     return closure(roots, expand), edges
 

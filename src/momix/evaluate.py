@@ -33,13 +33,15 @@ without a self-loop.  Larger systems that share their matrix share one
 `solve_linear`.  The memo lives for one call.
 
 Pool members also share the walk.  A member is an act table index, a
-mixed-radix number with the first choice point most significant
-(`strategies.pure_behaviours`), and the walk below a node reads only the
-choice points the node can reach, all at or after the first of them.  So
-the index modulo the product of the radices from that point on fixes the
-walk below the node and the node's block.  A pool's memo keeps each
-finished node's block under (node, that key), and a member takes the block
-of every node known under its key without expanding it.  So a pool costs,
+mixed-radix number with the first choice point most significant, and the
+walk below a node reads only the choice points the node can reach, all at
+or after the first of them.  So the index modulo the product of the
+radices from that point on, the node's modulus, fixes the walk below the
+node and the node's block.  `strategies.pure_behaviours` numbers the act
+tables and returns each node's modulus with the members; the radix is
+known there alone.  A pool's memo keeps each finished node's block under
+(node, index modulo modulus), and a member takes the block of every node
+known under its key without expanding it.  So a pool costs,
 per distinct (node, key), one step of the walk, and per distinct block its
 arithmetic.
 """
@@ -59,7 +61,7 @@ from .payoffs import (BuchiIndicator, DiscountedSum, MultiPayoff,
                       TotalRewardNonNeg)
 from .rationals import ExtReal, ExtRealVector, POS_INF
 from .strategies import (FiniteMemoryStrategy, FiniteMixture, MemorySkeleton, POOL_CAP,
-                         TransitionTable, _numbering, pure_behaviours, transition_table)
+                         TransitionTable, pure_behaviours, transition_table)
 
 __all__ = [
     "expected_payoff", "pure_payoff_set", "Pool", "mixed_expected_payoff",
@@ -351,11 +353,11 @@ class _Memo:
     """One skeleton's transition table, its unique table of blocks (key ->
     block number) and the blocks' slots (block number -> node -> slots).
 
-    A pool's memo also holds each node's modulus (`_moduli`) and `known`,
-    node -> member index modulo the node's modulus -> the node's block: the
-    index fixes the member's actions at every choice point the node can
-    reach, so it fixes the walk below the node and with it the node's
-    block."""
+    A pool's memo also holds each node's modulus, as `pure_behaviours`
+    returns it, and `known`, node -> member index modulo the node's modulus
+    -> the node's block: the index fixes the member's actions at every
+    choice point the node can reach, so it fixes the walk below the node
+    and with it the node's block."""
 
     def __init__(self, table: TransitionTable, moduli: Optional[Dict[int, int]] = None):
         self.table = table
@@ -363,23 +365,6 @@ class _Memo:
         self.blocks: List[Dict[int, list]] = []
         self.moduli = moduli
         self.known: Dict[int, Dict[int, int]] = {i: {} for i in moduli or ()}
-
-
-def _moduli(model: Pomdp, table: TransitionTable) -> Dict[int, int]:
-    """Per node reachable from node 0 of a pool's `table`, the product of
-    the radices (`strategies._numbering`) of the choice points from the
-    first one the node can reach, under any actions, to the last.  Every
-    point the node reaches sits at or after that first one, so an act
-    table's index modulo this product fixes the table's action at each of
-    them.  One SCC pass, successors first, carries the first position up."""
-    points, place, node_slot = _numbering(model, table)
-    moves, first = table.moves, {}
-    for comp in iter_sccs([0], lambda i: [j for row in moves[i].values() for j, _p in row]):
-        low = min([node_slot[i] for i in comp] + [first[j] for i in comp for row in
-                                                  moves[i].values() for j, _p in row if j in first])
-        for i in comp:
-            first[i] = low
-    return {i: place[p] * len(points[p][1]) for i, p in first.items()}
 
 
 def expected_payoff(model: Pomdp, strategy: FiniteMemoryStrategy, start: str,
@@ -430,14 +415,15 @@ def pure_payoff_set(model: Pomdp, start: str, dims: MultiPayoff, skeleton: Memor
     points, the behaviour walk and the evaluation.  All members share one
     evaluation, keyed by their table indices: a member expands only the
     nodes not finished before under its index modulo the node's modulus
-    (`_moduli`), and only its SCC blocks not met before in this call are
-    solved, so the exact work counts distinct blocks, not behaviours.
+    (from `pure_behaviours`), and only its SCC blocks not met before in
+    this call are solved, so the exact work counts distinct blocks, not
+    behaviours.
     PoolTooLarge comes from the walk, before any block is solved.  Raises
     SchemaError if `validate` rejects the model."""
     require_valid(model)
     table = transition_table(model, skeleton, [start, *model.states])
-    size, members = pure_behaviours(model, table, cap)
-    evaluate = _Evaluator(model, start, dims, [_Memo(table, _moduli(model, table))])
+    size, members, moduli = pure_behaviours(model, table, cap)
+    evaluate = _Evaluator(model, start, dims, [_Memo(table, moduli)])
     return Pool(((strategy, evaluate(strategy, index)) for index, strategy in members),
                 size, [index for index, _strategy in members])
 
@@ -481,12 +467,9 @@ def maximal_end_components(model: Pomdp):
     allowed: Dict[str, Set[str]] = {s: set(model.enabled(s)) for s in model.states}
     alive = set(model.states)
 
-    def sccs():
-        return list(iter_sccs(sorted(alive, key=model.states.index), lambda s: sorted(
-            {t for a in allowed[s] for t, p in model.dist(s, a).items() if p > 0 and t in alive})))
-
     while True:
-        comps = sccs()
+        comps = list(iter_sccs(sorted(alive, key=model.states.index), lambda s: sorted(
+            {t for a in allowed[s] for t, p in model.dist(s, a).items() if p > 0 and t in alive})))
         comp_of = {}
         for i, comp in enumerate(comps):
             for s in comp:
@@ -507,7 +490,7 @@ def maximal_end_components(model: Pomdp):
         if not changed:
             break
     mecs = []
-    for comp in sccs():
+    for comp in comps:  # the last round changed nothing, so these are final
         pairs = frozenset((s, a) for s in comp for a in allowed[s])
         has_cycle = len(comp) > 1 or any(
             s in {t for t, p in model.dist(s, a).items() if p > 0}

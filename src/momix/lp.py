@@ -42,9 +42,9 @@ class LpResult:
     when the program is infeasible: integer multipliers y, one per row (the
     constraints in order, then one `x <= hi` row per upper-bounded variable
     in declaration order), with y <= 0 on `<=` rows and y >= 0 on `>=` rows,
-    y.A <= 0 on every column (== 0 on a free variable's) and
-    y.(b - A lo) > 0, so no x >= lo satisfies the rows.  Any certificate
-    will do, so results compare without it."""
+    y.A <= 0 on every variable's column and y.(b - A lo) > 0, so no
+    x >= lo satisfies the rows.  Any certificate will do, so results
+    compare without it."""
 
     status: str
     objective: Optional[Fraction]
@@ -63,18 +63,18 @@ class LinearProgram:
     """Incremental model: named variables with bounds, linear constraints."""
 
     def __init__(self):
-        self._vars: List[Tuple[str, Optional[Fraction], Optional[Fraction]]] = []
+        self._vars: List[Tuple[str, Fraction, Optional[Fraction]]] = []
         self._index: Dict[str, int] = {}
         self._constraints: List[Tuple[Dict[str, Fraction], str, Fraction]] = []
 
-    def var(self, name: str, lo=Fraction(0), hi=None) -> str:
-        """Declare a variable with bounds (lo=None makes it free)."""
+    def var(self, name: str, lo=0, hi=None) -> str:
+        """Declare a variable x with lo <= x, and x <= hi unless hi is None.
+        The rational `lo` is required: no variable is free, so each is one
+        non-negative standard-form column, x - lo."""
         if name in self._index:
             raise ValueError(f"duplicate variable {name!r}")
         self._index[name] = len(self._vars)
-        lo = None if lo is None else Fraction(lo)
-        hi = None if hi is None else Fraction(hi)
-        self._vars.append((name, lo, hi))
+        self._vars.append((name, Fraction(lo), None if hi is None else Fraction(hi)))
         return name
 
     def constrain(self, coeffs: Mapping[str, Fraction], sense: str, rhs) -> None:
@@ -95,37 +95,22 @@ class LinearProgram:
         for name in (name for obj in objectives for name in obj):
             if name not in self._index:
                 raise ValueError(f"unknown variable {name!r}")
-        # Map each model variable to non-negative standard-form columns:
-        # x = lo + x+ when bounded below, x = x+ - x- when free; an upper
-        # bound becomes an extra row.  Zero entries stay ints.
-        offsets: Dict[str, Fraction] = {}
-        plus_col: Dict[str, int] = {}
-        minus_col: Dict[str, int] = {}
-        extra_rows: List[Tuple[Dict[str, Fraction], str, Fraction]] = []
-        n_struct = 0
-        for name, lo, hi in self._vars:
-            plus_col[name] = n_struct
-            n_struct += 1
-            if lo is None:
-                minus_col[name] = n_struct
-                n_struct += 1
-            offsets[name] = lo or 0
-            if hi is not None:
-                extra_rows.append(({name: Fraction(1)}, "<=", hi))
-
-        constraints = self._constraints + extra_rows
-        total = n_struct + sum(1 for _c, sense, _b in constraints if sense != "==")
+        # Each model variable x is one standard-form column x - lo >= 0; an
+        # upper bound becomes an extra row.  Zero entries stay ints.
+        constraints = self._constraints + [({name: Fraction(1)}, "<=", hi)
+                                           for name, _lo, hi in self._vars if hi is not None]
+        n = len(self._vars)
+        total = n + sum(1 for _c, sense, _b in constraints if sense != "==")
         rows: List[list] = []
         rhs: List[Fraction] = []
-        slack = n_struct
+        slack = n
         for coeffs, sense, b in constraints:
             row = [0] * total
             for name, coef in coeffs.items():
-                row[plus_col[name]] = coef
-                if name in minus_col:
-                    row[minus_col[name]] = -coef
-                if offsets[name]:
-                    b -= coef * offsets[name]
+                row[self._index[name]] = coef
+                lo = self._vars[self._index[name]][1]
+                if lo:
+                    b -= coef * lo
             if sense != "==":
                 row[slack] = 1 if sense == "<=" else -1
                 slack += 1
@@ -136,22 +121,14 @@ class LinearProgram:
         for obj in objectives:
             cost: list = [0] * total
             for name, coef in obj.items():
-                coef = -Fraction(coef) if maximize else Fraction(coef)
-                cost[plus_col[name]] = coef
-                if name in minus_col:
-                    cost[minus_col[name]] = -coef
+                cost[self._index[name]] = -Fraction(coef) if maximize else Fraction(coef)
             costs.append(cost)
 
         status, solution, _value, farkas = _simplex(rows, rhs, *costs)
         if status != OPTIMAL:
             return LpResult(status, None, {}, farkas)
 
-        values: Dict[str, Fraction] = {}
-        for name, _lo, _hi in self._vars:
-            v = solution[plus_col[name]]
-            if name in minus_col:
-                v -= solution[minus_col[name]]
-            values[name] = v + offsets[name]
+        values = {name: x + lo for x, (name, lo, _hi) in zip(solution, self._vars)}
         obj = sum((Fraction(c) * values[name] for name, c in objective.items()), Fraction(0))
         return LpResult(OPTIMAL, obj, values)
 

@@ -35,7 +35,7 @@ from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 from .errors import (DisabledAction, EmptySupport, MalformedHistory, ParseError, PoolTooLarge,
                      SchemaError, UnknownState)
-from .model import Pomdp, closure, require_field
+from .model import Pomdp, closure, iter_sccs, require_field
 from .rationals import format_rational, parse_rational
 
 Mem = object  # memory states are any hashable identifiers (ints, strings)
@@ -213,10 +213,10 @@ def _choice_points(model: Pomdp, table: TransitionTable):
 
 
 def _numbering(model: Pomdp, table: TransitionTable):
-    """The numbering of act tables over the choice points of `table`: the
-    points (`_choice_points`), each point's place value in the mixed radix,
-    the first point most significant (the product of the radices after
-    it), and each node's point as its position among the points."""
+    """The one numbering of act tables over the choice points of `table`,
+    for `pure_behaviours`: the points (`_choice_points`), each point's place
+    value in the mixed radix, the first point most significant (the product
+    of the radices after it), and each node's point as its position."""
     points = _choice_points(model, table)
     slot = {key: i for i, (key, _) in enumerate(points)}
     place = [1] * len(points)
@@ -225,8 +225,8 @@ def _numbering(model: Pomdp, table: TransitionTable):
     return points, place, [slot[(mem, model.obs[s])] for s, mem in table.nodes]
 
 
-def pure_behaviours(model: Pomdp, table: TransitionTable,
-                    cap: int = POOL_CAP) -> Tuple[int, List[Tuple[int, PureStrategy]]]:
+def pure_behaviours(model: Pomdp, table: TransitionTable, cap: int = POOL_CAP
+                    ) -> Tuple[int, List[Tuple[int, PureStrategy]], Dict[int, int]]:
     """The distinct behaviours of the pure strategies over a skeleton from a
     start state, found by walking the product depth-first from node 0 of
     `table`, (start, init), and branching only at the choice points
@@ -240,16 +240,23 @@ def pure_behaviours(model: Pomdp, table: TransitionTable,
     index 0 plays the first enabled action everywhere, and the last choice
     point's action changes fastest.
 
-    Returns the number of act tables and, sorted by index, one (index,
-    table) pair per behaviour: its earliest act table (unreached choice
-    points at their first enabled action) and that table's index.  Indices
-    and size count act tables (`winner_index`, `pool_size`); the cap and
-    the cost count behaviours.  The walk keeps only the index of each
-    behaviour and raises PoolTooLarge at the first one past `cap`, before
-    any table is built.  So counter:30 on earn_or_exit.json, 2^31 tables,
-    is a pool of 32 behaviours.
+    Returns the number of act tables; sorted by index, one (index, table)
+    pair per behaviour: its earliest act table (unreached choice points at
+    their first enabled action) and that table's index; and each node's
+    modulus.  Indices and size count act tables (`winner_index`,
+    `pool_size`); the cap and the cost count behaviours.  The walk keeps
+    only the index of each behaviour and raises PoolTooLarge at the first
+    one past `cap`, before any other work.  So counter:30 on
+    earn_or_exit.json, 2^31 tables, is a pool of 32 behaviours.
+
+    A node's modulus, for every node reachable from node 0, is the product
+    of the radices of the choice points from the first one the node can
+    reach, under any actions, to the last.  Every point the node reaches
+    sits at or after that first one, so an index modulo the modulus fixes
+    the table's action at each of them.  One SCC pass, successors first,
+    carries the first position up.
     """
-    skeleton = table.skeleton
+    skeleton, moves = table.skeleton, table.moves
     points, place, node_slot = _numbering(model, table)
     indices: List[int] = []
     # pending branches: (table index so far, action position per reached
@@ -265,7 +272,7 @@ def pure_behaviours(model: Pomdp, table: TransitionTable,
                     branches.append((index + other * place[i], {**choice, i: other},
                                      set(seen), todo + [node]))
                 choice[i] = 0
-            for nxt, _p in table.moves[node][points[i][1][choice[i]]]:
+            for nxt, _p in moves[node][points[i][1][choice[i]]]:
                 if nxt not in seen:
                     seen.add(nxt)
                     todo.append(nxt)
@@ -273,10 +280,16 @@ def pure_behaviours(model: Pomdp, table: TransitionTable,
             raise PoolTooLarge(None, cap, "behaviours")
         indices.append(index)
     indices.sort()
+    first: Dict[int, int] = {}
+    for comp in iter_sccs([0], lambda i: [j for row in moves[i].values() for j, _p in row]):
+        low = min([node_slot[i] for i in comp] + [first[j] for i in comp for row in
+                                                  moves[i].values() for j, _p in row if j in first])
+        for i in comp:
+            first[i] = low
     return math.prod(len(enabled) for _, enabled in points), [
         (index, PureStrategy(skeleton, {key: enabled[index // place[i] % len(enabled)]
                                         for i, (key, enabled) in enumerate(points)}))
-        for index in indices]
+        for index in indices], {i: place[p] * len(points[p][1]) for i, p in first.items()}
 
 
 # -- the product ----------------------------------------------------------------------

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .errors import (DimensionMismatch, InfeasibleApproximation, NotAchievable, NotDominated,
                      NotInHull, SelfCheckFailed)
@@ -184,44 +184,41 @@ def _band_mixture(pool, members, target, fin_dims, eps, inf_dims=(), big_m=None)
     return {i: result[n] for n, i in zip(names, members) if result[n] > 0}
 
 
-def _approx_with_witnesses(pool, target, fin_dims, inf_dims, eps):
-    """The general construction: dedicated infinite-component witnesses with
-    total weight eta, a finite sub-mixture at precision eps/3 for the rest.
-    Returns the mixture's weights by pool index, ascending, or None."""
-    if not inf_dims:
-        return None
-    distinct = distinct_members(pool)
+def _agrees(v: ExtRealVector, target: ExtRealVector) -> bool:
+    """v is nowhere infinite against the sign of `target`, a finite
+    dimension having sign 0: a member of positive weight in a mixture
+    meeting `target` must be, or the mixture would be undefined (a -inf
+    member under a +inf target) or infinite where the target is finite."""
+    return all(x.is_finite or x.inf == t.inf for x, t in zip(v, target))
 
-    def eligible_witness(v: ExtRealVector, dim: int) -> bool:
-        if v[dim].inf != target[dim].inf or v[dim].inf == 0:
-            return False
-        for j in range(len(target)):
-            if j == dim:
-                continue
-            if not v[j].is_finite and v[j].inf != target[j].inf:
-                return False
-        return True
 
+def _witnesses(vectors, candidates, target, inf_dims) -> Optional[List[int]]:
+    """Per infinite dimension j of `target` that no earlier witness covers,
+    the first of `candidates` infinite with the target's sign at j, or None
+    if there is none.  The candidates agree with the target (`_agrees`)."""
     witnesses: List[int] = []
     for j in inf_dims:
-        if any(pool[i][1][j].inf == target[j].inf for i in witnesses):
+        if any(vectors[i][j].inf == target[j].inf for i in witnesses):
             continue
-        found = next((i for i in distinct if eligible_witness(pool[i][1], j)), None)
+        found = next((i for i in candidates if vectors[i][j].inf == target[j].inf), None)
         if found is None:
             return None
         witnesses.append(found)
+    return witnesses
 
-    # Sub-pool: finite on the finite dimensions, never wrong-signed on the
-    # infinite ones (a -inf member under a +inf target would poison the mix).
-    sub_idx = []
-    for i in distinct:
-        v = pool[i][1]
-        if any(not v[j].is_finite for j in fin_dims):
-            continue
-        if any(v[j].inf != 0 and v[j].inf != target[j].inf for j in inf_dims):
-            continue
-        sub_idx.append(i)
-    nu = _band_mixture(pool, sub_idx, target, fin_dims, eps / 3)
+
+def _approx_with_witnesses(pool, target, fin_dims, inf_dims, eps):
+    """The general construction: dedicated infinite-component witnesses with
+    total weight eta, a finite sub-mixture at precision eps/3 for the rest,
+    both over the distinct members that agree with the target.  Returns the
+    mixture's weights by pool index, ascending, or None."""
+    if not inf_dims:
+        return None
+    agreeing = [i for i in distinct_members(pool) if _agrees(pool[i][1], target)]
+    witnesses = _witnesses([v for _s, v in pool], agreeing, target, inf_dims)
+    if witnesses is None:
+        return None
+    nu = _band_mixture(pool, agreeing, target, fin_dims, eps / 3)
     if nu is None:
         return None
 
@@ -276,6 +273,8 @@ def reduce_support(mixture: FiniteMixture, vectors: Sequence[ExtRealVector]) -> 
     the finite remainder is Caratheodory-reduced after renormalization.
 
     `vectors` are the exact pure payoffs of the mixture's support, in order.
+    Every weight is positive, so every member agrees with the realized
+    vector (`_agrees`) and may be a witness.
     """
     vectors = [v if isinstance(v, ExtRealVector) else ExtRealVector(v) for v in vectors]
     if len(vectors) != len(mixture.support):
@@ -288,13 +287,7 @@ def reduce_support(mixture: FiniteMixture, vectors: Sequence[ExtRealVector]) -> 
     inf_dims = [j for j in range(d) if not realized[j].is_finite]
     fin_dims = [j for j in range(d) if realized[j].is_finite]
 
-    witnesses: List[int] = []
-    for j in inf_dims:
-        if any(vectors[i][j].inf == realized[j].inf for i in witnesses):
-            continue
-        found = next(i for i in range(len(vectors)) if vectors[i][j].inf == realized[j].inf)
-        witnesses.append(found)
-
+    witnesses = _witnesses(vectors, range(len(vectors)), realized, inf_dims)
     rest = [i for i in range(len(vectors)) if i not in witnesses]
     rest_mass = sum((mixture.weights[i] for i in rest), Fraction(0))
 

@@ -10,7 +10,7 @@ from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 import pytest
 
 import momix as mx
-from momix.beliefs import BeliefSupport, _avoider_strategy, _belief_update, _reachable_avoiding
+from momix.beliefs import BeliefSupport, _avoider_strategy, _reachable_avoiding
 from momix.errors import NotInHull, PoolTooLarge
 from momix.geometry import Point, _check_points, _format_point, membership_combination
 from momix.linalg import solve_linear
@@ -291,24 +291,38 @@ def positive_combination_relint(q: Point, points: Sequence[Point]) -> bool:
     strictly positive coefficient.  Raises NotInHull if q has none."""
     lp = LinearProgram()
     names = [lp.var(f"a{i}") for i in range(len(points))]
-    m = lp.var("m", lo=None)
+    m, m_ = lp.var("m+"), lp.var("m-")  # the free m = m+ - m-, adjacent columns
     for j in range(len(q)):
         lp.constrain({names[i]: points[i][j] for i in range(len(points))}, "==", q[j])
     lp.constrain({n: Fraction(1) for n in names}, "==", Fraction(1))
     for n in names:
-        lp.constrain({n: Fraction(1), m: Fraction(-1)}, ">=", Fraction(0))
-    result = lp.solve({m: Fraction(1)}, maximize=True)
+        lp.constrain({n: Fraction(1), m: Fraction(-1), m_: Fraction(1)}, ">=", Fraction(0))
+    result = lp.solve({m: Fraction(1), m_: Fraction(-1)}, maximize=True)
     if not result.ok:  # m <= a_i <= 1 bounds the LP, so it is infeasible
         raise NotInHull(f"{_format_point(q)} is not in the convex hull")
     return result.objective > 0
 
 
 # -- reference: the avoidance game on every subset of each observation class ------
-# kept verbatim, but for its name and the error it raises
+# kept verbatim, but for its name and the error it raises, with its own belief
+# update so that it reads none of the code it checks
 
 
 # Largest observation class whose 2^n belief supports are enumerated.
 MAX_GROUP = 20
+
+
+def _belief_update(model: Pomdp, support: BeliefSupport, action: str,
+                   observation: str) -> Optional[BeliefSupport]:
+    """States with the given observation reachable in one `action` step from
+    the support, a set of states of one observation, under an action they
+    enable; None when that observation cannot occur."""
+    successors = set()
+    for s in support:
+        for t, p in model.dist(s, action).items():
+            if p > 0 and model.obs[t] == observation:
+                successors.add(t)
+    return frozenset(successors) if successors else None
 
 
 def subset_avoidance_winning_supports(model: Pomdp, target: frozenset) -> Dict[BeliefSupport, str]:
@@ -366,8 +380,7 @@ def subset_game_universal_as_reach(model: Pomdp, start: str, target: frozenset):
 def certifies_program(program, y):
     """The Farkas condition on a LinearProgram as declared: y <= 0 on `<=`
     rows and >= 0 on `>=` rows (the constraints, then `x <= hi` per upper
-    bound), y.A <= 0 on each variable's column and == 0 on a free one's, and
-    y.(b - A lo) > 0."""
+    bound), y.A <= 0 on each variable's column, and y.(b - A lo) > 0."""
     rows = list(program._constraints) + [({name: Fraction(1)}, "<=", hi)
                                          for name, _lo, hi in program._vars if hi is not None]
     if len(y) != len(rows):
@@ -378,9 +391,9 @@ def certifies_program(program, y):
     slack = sum(v * b for v, (_c, _s, b) in zip(y, rows))
     for name, lo, _hi in program._vars:
         column = sum(v * coeffs.get(name, 0) for v, (coeffs, _s, _b) in zip(y, rows))
-        if column > 0 or (lo is None and column != 0):
+        if column > 0:
             return False
-        slack -= column * (lo or 0)
+        slack -= column * lo
     return slack > 0
 
 

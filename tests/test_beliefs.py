@@ -8,23 +8,23 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import momix as mx
-from momix.beliefs import (_avoidance_winning_supports, _belief_update, _reachable_avoiding,
+from momix.beliefs import (_avoidance_winning_supports, _belief_split, _reachable_avoiding,
                            _support_closure, bounded_reach_probability,
                            min_transition_probability)
 from momix.errors import PreconditionViolated
 from momix.model import closure
 from momix.strategies import transition_table
 
-from conftest import (coin_exit_always, commute_bike, commute_ltb, commute_train,
-                      enumerate_pure, memoryless_table, subset_avoidance_winning_supports,
-                      subset_game_universal_as_reach)
+from conftest import (_belief_update, coin_exit_always, commute_bike, commute_ltb,
+                      commute_train, enumerate_pure, memoryless_table,
+                      subset_avoidance_winning_supports, subset_game_universal_as_reach)
+from test_evaluate import small_observed_problems
 
 
 def test_belief_update_mdp_singletons(coin_exit):
     model, _ = coin_exit
-    assert _belief_update(model, {"s"}, "a", "s") == {"s"}
-    assert _belief_update(model, {"s"}, "a", "t") == {"t"}
-    assert _belief_update(model, {"s"}, "b", "t") is None
+    assert list(_belief_split(model, {"s"}, "a").items()) == [("s", {"s"}), ("t", {"t"})]
+    assert _belief_split(model, {"s"}, "b") == {"s": {"s"}}
 
 
 BLIND_SPLIT = {
@@ -72,9 +72,37 @@ def test_belief_update_monotone(split_reach):
     small = frozenset({"s1"})
     large = frozenset({"s1", "s2"})
     for a in ("a", "b", "c"):
-        u_small = _belief_update(model, small, a, "z") or frozenset()
-        u_large = _belief_update(model, large, a, "z") or frozenset()
+        u_small = _belief_split(model, small, a).get("z", frozenset())
+        u_large = _belief_split(model, large, a).get("z", frozenset())
         assert u_small <= u_large
+
+
+def per_observation_belief_graph(model, start):
+    """The belief graph from `start` with one `_belief_update` per action
+    and observation, numbered breadth-first: (nodes, edges)."""
+    nodes, edges = [frozenset({start})], []
+    for support in nodes:
+        for a in model.enabled(next(iter(support))):
+            for z in model.observations:
+                nxt = _belief_update(model, support, a, z)
+                if nxt is not None:
+                    edges.append((support, a, z, nxt))
+                    if nxt not in nodes:
+                        nodes.append(nxt)
+    return tuple(nodes), tuple(edges)
+
+
+@given(small_observed_problems())
+@settings(max_examples=100, deadline=None)
+def test_belief_split_matches_per_observation_updates(problem):
+    """Splitting a support once per action gives the belief graph of one
+    update per observation: the same supports in the same order, and the
+    same edges, per support in action and then observation order."""
+    doc, _horizon = problem
+    model = mx.load_model(json.dumps(doc))
+    for start in model.states:
+        graph = mx.belief_graph(model, start)
+        assert (graph.nodes, graph.edges) == per_observation_belief_graph(model, start)
 
 
 # -- universal almost-sure reachability ----------------------------------------------

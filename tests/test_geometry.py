@@ -444,7 +444,8 @@ def test_dominating_decomposition_breaks_ties_by_index_order():
     assert dec == mx.caratheodory((2, 1), points)
 
 
-# -- reference: the kernel-basis supporting normal, kept verbatim -------------------------
+# -- reference: the kernel-basis supporting normal, kept verbatim but for its free ----
+# variables, each now two adjacent columns as the LP layer once split it
 
 
 def _lexmin_supporting_normal(q: Point, points: Sequence[Point],
@@ -460,7 +461,13 @@ def _lexmin_supporting_normal(q: Point, points: Sequence[Point],
         fixed: List[Fraction] = []
         for upto in range(d):
             lp = LinearProgram()
-            z = [lp.var(f"z{t}", lo=None) for t in range(k)]
+            z = [f"z{t}" for t in range(k)]
+            for name in z:  # the free z_t = z_t+ - z_t-, adjacent columns
+                lp.var(name + "+"), lp.var(name + "-")
+
+            def split(expr):
+                return {name + sign: c if sign == "+" else -c
+                        for name, c in expr.items() for sign in "+-"}
 
             def w_expr(j):
                 return {z[t]: basis[t][j] for t in range(k) if basis[t][j] != 0}
@@ -472,25 +479,27 @@ def _lexmin_supporting_normal(q: Point, points: Sequence[Point],
                     if val != 0:
                         coeffs[z[t]] = val
                 if coeffs:
-                    lp.constrain(coeffs, "<=", Fraction(0))
+                    lp.constrain(split(coeffs), "<=", Fraction(0))
             for j in range(d):
                 expr = w_expr(j)
                 if not expr:
                     continue
-                lp.constrain(expr, "<=", Fraction(1))
-                lp.constrain(expr, ">=", Fraction(-1))
+                lp.constrain(split(expr), "<=", Fraction(1))
+                lp.constrain(split(expr), ">=", Fraction(-1))
             fix_expr = w_expr(fix_coord)
             if not fix_expr and sign != 0:
                 return None
-            lp.constrain(fix_expr if fix_expr else {z[0]: Fraction(0)}, "==", Fraction(sign))
+            lp.constrain(split(fix_expr if fix_expr else {z[0]: Fraction(0)}), "==",
+                         Fraction(sign))
             for j, v in enumerate(fixed):
                 expr = w_expr(j)
-                lp.constrain(expr if expr else {z[0]: Fraction(0)}, "==", v)
-            target = w_expr(upto)
+                lp.constrain(split(expr if expr else {z[0]: Fraction(0)}), "==", v)
+            target = split(w_expr(upto))
             result = lp.solve(target, maximize=False)
             if not result.ok:
                 return None
-            value = sum((basis[t][upto] * result[z[t]] for t in range(k)), Fraction(0))
+            value = sum((basis[t][upto] * (result[z[t] + "+"] - result[z[t] + "-"])
+                         for t in range(k)), Fraction(0))
             fixed.append(value)
         return tuple(fixed)
 

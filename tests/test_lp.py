@@ -191,15 +191,14 @@ def test_integer_tableau_matches_fraction_tableau(problem):
 
 @st.composite
 def programs(draw):
-    """A LinearProgram with free, shifted and upper-bounded variables,
-    <=, >= and == rows, and an objective to minimize or maximize."""
+    """A LinearProgram with shifted and upper-bounded variables, <=, >= and
+    == rows, and an objective to minimize or maximize."""
     program = LinearProgram()
     names = []
     for i in range(draw(st.integers(min_value=1, max_value=4))):
-        lo = draw(st.one_of(st.none(), st.just(Fraction(0)), rationals))
+        lo = draw(st.one_of(st.just(Fraction(0)), rationals))
         hi = draw(st.one_of(st.none(), nonneg))
-        names.append(program.var(f"x{i}", lo=lo,
-                                 hi=None if hi is None else (lo or 0) + hi))
+        names.append(program.var(f"x{i}", lo=lo, hi=None if hi is None else lo + hi))
     for _ in range(draw(st.integers(min_value=0, max_value=4))):
         coeffs = draw(st.dictionaries(st.sampled_from(names), entries, min_size=1))
         program.constrain(coeffs, draw(st.sampled_from(["<=", ">=", "=="])), draw(rationals))
@@ -310,12 +309,16 @@ def test_beale_cycling_example_terminates():
 
 
 def test_free_variables():
+    """A free x is two adjacent columns, x = x+ - x-, the standard form the
+    layer once built for a free variable itself."""
     p = LinearProgram()
-    x, y = p.var("x", lo=None), p.var("y", lo=None)
-    p.constrain({x: 1, y: 1}, "==", 1)
-    p.constrain({x: 1, y: -1}, "<=", Fraction(1, 2))
-    result = solved(p, {y: 1})
-    assert result.values == {"x": Fraction(3, 4), "y": Fraction(1, 4)}
+    x, x_, y, y_ = (p.var(name) for name in ("x+", "x-", "y+", "y-"))
+    p.constrain({x: 1, x_: -1, y: 1, y_: -1}, "==", 1)
+    p.constrain({x: 1, x_: -1, y: -1, y_: 1}, "<=", Fraction(1, 2))
+    result = solved(p, {y: 1, y_: -1})
+    values = result.values
+    assert (values["x+"] - values["x-"], values["y+"] - values["y-"]) == (Fraction(3, 4),
+                                                                          Fraction(1, 4))
     assert result.objective == Fraction(1, 4)
 
 

@@ -7,7 +7,7 @@ memory skeletons, no function-local import of a sibling module, one
 breadth-first search, `model.closure`, three builders of linear
 programs, none of them with a free variable, supporting normals for
 `supporting_map` alone, no `rank` anywhere, and one builder of the mixed
-radix that numbers act tables."""
+radix that numbers act tables, which no other module names."""
 
 import ast
 import glob
@@ -525,10 +525,44 @@ def test_scan_finds_running_products():
 
 def test_one_function_numbers_act_tables():
     """The mixed radix of act-table indices, each choice point's place
-    value, is built by `strategies._numbering` alone: the behaviour walk
-    and the pool evaluator's moduli read it from there."""
+    value, is built by `strategies._numbering` alone: `pure_behaviours`
+    reads it there for the behaviour walk and for the moduli it returns."""
     found = []
     for module in MODULES:
         with open(os.path.join(SRC, module), "r", encoding="utf-8") as fh:
             found += [f"{module}:{name}" for name in running_products(fh.read())]
     assert found == ["strategies.py:_numbering"]
+
+
+def names(source: str, name: str):
+    """Lines that name `name`: define, bind or import it, read it, or read
+    it as an attribute."""
+    lines = set(defines_or_imports(source, name))
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Name) and node.id == name
+                or isinstance(node, ast.Attribute) and node.attr == name):
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_scan_finds_every_naming():
+    source = ("from .strategies import _numbering as number\n"
+              "import momix.strategies\n"
+              "def moduli(table):\n"
+              "    return momix.strategies._numbering(table)\n"
+              "def _numbering():\n"
+              "    return number, _numbering\n"
+              "label = '_numbering'\n")
+    assert names(source, "_numbering") == [1, 4, 5, 6]
+
+
+def test_only_strategies_knows_the_numbering():
+    """Each pool is numbered once: `pure_behaviours` calls `_numbering` and
+    returns each node's modulus with the members, so no module but
+    `strategies.py` names `_numbering`."""
+    found = []
+    for module in MODULES + ["__init__.py"]:
+        with open(os.path.join(SRC, module), "r", encoding="utf-8") as fh:
+            if names(fh.read(), "_numbering"):
+                found.append(module)
+    assert found == ["strategies.py"]

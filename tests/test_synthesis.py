@@ -12,6 +12,7 @@ import pytest
 
 import momix as mx
 from momix.errors import DimensionMismatch, InfeasibleApproximation, NotAchievable
+from momix.evaluate import Pool
 
 from conftest import MODELS, earn_or_exit_stay, earn_or_exit_leave, grid_randomized
 
@@ -267,6 +268,25 @@ def test_reduce_support_with_infinite_component(earn_or_exit):
     assert mx.ExtRealVector.combine(reduced.weights, kept) == realized
     # the infinite witness must keep positive weight
     assert any(vectors[members.index(m)][1] == mx.POS_INF for m in reduced.support)
+
+
+def test_both_paths_take_the_first_of_two_infinite_witnesses(earn_or_exit):
+    """Members 1 and 2 are both +inf in the first dimension; `approximate`
+    and `reduce_support` share one witness rule and both take member 1.
+    In `approximate` the finite sub-mixture puts no weight on member 1, so
+    member 1 carries exactly the witness weight eta = 1/16; in
+    `reduce_support` the witness comes first and keeps its weight."""
+    members = [earn_or_exit_leave(earn_or_exit[0], r) for r in range(5)]
+    vectors = [mx.ExtRealVector(v) for v in ([1, 1], [mx.POS_INF, 0], [mx.POS_INF, 2], [0, 1],
+                                             [2, 1])]
+    cert = mx.approximate(mx.vector("+inf", 1), Fraction(1, 10), Fraction(10),
+                          Pool(list(zip(members, vectors))))
+    assert cert.mixture.support == tuple(members[:3])
+    assert cert.mixture.weights == (Fraction(29, 32), Fraction(1, 16), Fraction(1, 32))
+    mix = mx.FiniteMixture.of([(s, Fraction(1, 5)) for s in members])
+    reduced = mx.reduce_support(mix, vectors)
+    assert reduced.support == (members[1], members[0], members[2])
+    assert reduced.weights == (Fraction(1, 5), Fraction(3, 5), Fraction(1, 5))
 
 
 def test_verify_refuses_every_relation_that_fails(split_reach_pool):
