@@ -29,8 +29,11 @@ the systems that read them.  A node that plays one action reads its row and
 rewards straight from the table.  A system of one unknown, as in every
 one-node block, is solved where it is queued by one formula per slot,
 x = (c + lambda sum_j P(i, j) x_j) / (1 - lambda P(i, i)), with no division
-without a self-loop.  Larger systems that share their matrix share one
-`solve_linear`.  The memo lives for one call.
+without a self-loop.  Larger systems are queued, and `_solve_systems`
+solves those with the same unknowns and discount together, SCC by SCC of
+the graph on the unknowns, successors first: a single node by the same
+formula, a larger SCC by one `solve_linear` for the group, its only
+caller.  The memo lives for one call.
 
 Pool members also share the walk.  A member is an act table index, a
 mixed-radix number with the first choice point most significant, and the
@@ -97,42 +100,6 @@ def _one_node(values: tuple, loop, discount) -> tuple:
     if pivot == 0:
         raise SingularSystem("the system matrix is singular")
     return tuple(v / pivot for v in values)
-
-
-def _solve_on(rows, nodes: Sequence[int], rhs: Sequence[tuple],
-              discount: Fraction = 1) -> Dict[int, tuple]:
-    """Unique solution of x = rhs + discount * P x on `nodes`, with x = 0
-    off `nodes` (the transient system I - discount * P restricted to them),
-    for several right-hand sides at once: `rows[i]` maps node i's successors
-    to their probabilities, rhs[k] is the tuple of right-hand sides of
-    nodes[k], and the solution maps each node to the tuple of its values.
-
-    The system is block triangular over the SCCs of the graph on `nodes`,
-    which come successors first: each block is solved with the values of
-    the blocks below it moved into its right-hand side, a singleton by
-    `_one_node` and a larger block by one `solve_linear` on its own rows.
-    Raises SingularSystem if a block is singular."""
-    b = dict(zip(nodes, rhs))
-    x: Dict[int, tuple] = {}
-    for comp in iter_sccs(b, lambda i: [j for j in rows[i] if j in b]):
-        known = []
-        for i in comp:
-            below = [(p, x[j]) for j, p in rows[i].items() if j in x]
-            known.append(tuple(_affine(v, discount, [(p, y[k]) for p, y in below])
-                               for k, v in enumerate(b[i])) if below else b[i])
-        if len(comp) == 1:
-            x[comp[0]] = _one_node(known[0], rows[comp[0]].get(comp[0]), discount)
-            continue
-        pos = {node: k for k, node in enumerate(comp)}
-        matrix = [[_ZERO] * len(comp) for _ in comp]
-        for node, k in pos.items():
-            row = matrix[k]
-            row[k] += 1
-            for j, p in rows[node].items():
-                if j in pos:
-                    row[pos[j]] -= discount * p
-        x.update(zip(comp, solve_linear(matrix, known)))
-    return x
 
 
 class _Evaluator:
@@ -292,7 +259,7 @@ class _Evaluator:
             if not bottom:
                 system(slot, 0, comp)
         if systems:
-            _solve_systems(systems, self.discounts, rows, slots, vals)
+            _solve_systems(systems, self.discounts, rows, slots)
 
         for spec, slot, d in self.values:
             if isinstance(spec, DiscountedSum):
@@ -326,26 +293,41 @@ class _Evaluator:
                 if value is None:
                     system(slot, 0, comp, weight)
         if systems:
-            _solve_systems(systems, self.discounts, rows, slots, vals)
+            _solve_systems(systems, self.discounts, rows, slots)
         return vals
 
 
-def _solve_systems(systems, discounts, rows, slots, vals):
-    """Solve the queued systems of two or more unknowns by `_solve_on`, the
-    slots of the other nodes moved into the right-hand side; the systems
-    with the same matrix share one elimination.  Empties the queue."""
+def _solve_systems(systems, discounts, rows, slots):
+    """Solve the queued systems of two or more unknowns into `slots`; the
+    systems with the same matrix share their work.  A system x = constants
+    + discount * P x on its unknowns is block triangular over the SCCs of
+    the graph on them, which come successors first: every value outside
+    the SCC at hand, solved or fixed, is read from `slots`, a single node
+    is solved by `_one_node` and a larger SCC by one `solve_linear` for the
+    whole group.  Raises SingularSystem on a singular SCC; empties the
+    queue."""
     for (d, unknowns), group in systems.items():
         discount, inside = discounts[d], set(unknowns)
-        rhs = []
-        for i in unknowns:
-            known = [(p, slots[j]) for j, p in rows[i] if j not in inside]
-            rhs.append(tuple(_affine(constants[i] if constants else _ZERO, discount,
-                                     [(p, v[slot]) for p, v in known])
-                             for slot, constants in group))
-        x = _solve_on({i: dict(rows[i]) for i in unknowns}, unknowns, rhs, discount)
-        for i, values in x.items():
-            for (slot, _constants), v in zip(group, values):
-                vals[i][slot] = v
+        for comp in iter_sccs(unknowns, lambda i: [j for j, _p in rows[i] if j in inside]):
+            pos = {node: k for k, node in enumerate(comp)}
+            rhs = [tuple(_affine(constants[i] if constants else _ZERO, discount,
+                                 [(p, slots[j][slot]) for j, p in rows[i] if j not in pos])
+                         for slot, constants in group) for i in comp]
+            if len(comp) == 1:
+                loop = next((p for j, p in rows[comp[0]] if j in pos), None)
+                x = [_one_node(rhs[0], loop, discount)]
+            else:
+                matrix = [[_ZERO] * len(comp) for _ in comp]
+                for node, k in pos.items():
+                    row = matrix[k]
+                    row[k] += 1
+                    for j, p in rows[node]:
+                        if j in pos:
+                            row[pos[j]] -= discount * p
+                x = solve_linear(matrix, rhs)
+            for i, values in zip(comp, x):
+                for (slot, _constants), v in zip(group, values):
+                    slots[i][slot] = v
     systems.clear()
 
 

@@ -9,6 +9,10 @@ Supported payoff kinds (one per dimension of a multi-payoff):
 * ``TotalRewardNonNeg(weights)``       -- liminf of partial sums, weights >= 0
 * ``ShortestPath(target, weights)``    -- accumulated weight up to the first
   visit of the target, +inf if the target is never visited (weights >= 0)
+
+The kinds are plain data: `payoff_from_dict` checks each field as it reads
+it (target, then lambda, then weights) and raises SchemaError at the first
+fault.
 """
 
 from __future__ import annotations
@@ -30,26 +34,16 @@ from .rationals import format_rational, parse_rational
 class ReachIndicator:
     target: frozenset
 
-    def validate(self, model: Pomdp):
-        _check_target(model, self.target)
-
 
 @dataclass(frozen=True)
 class BuchiIndicator:
     target: frozenset
-
-    def validate(self, model: Pomdp):
-        _check_target(model, self.target)
 
 
 @dataclass(frozen=True)
 class DiscountedSum:
     discount: Fraction
     weights: WeightFunction
-
-    def validate(self, model: Pomdp):
-        _check_discount(self.discount)
-        _check_weights(model, self.weights)
 
 
 @dataclass(frozen=True)
@@ -58,28 +52,16 @@ class ReachGatedDiscountedSum:
     discount: Fraction
     weights: WeightFunction
 
-    def validate(self, model: Pomdp):
-        _check_target(model, self.target)
-        _check_discount(self.discount)
-        _check_weights(model, self.weights)
-
 
 @dataclass(frozen=True)
 class TotalRewardNonNeg:
     weights: WeightFunction
-
-    def validate(self, model: Pomdp):
-        _check_weights(model, self.weights, nonneg=True)
 
 
 @dataclass(frozen=True)
 class ShortestPath:
     target: frozenset
     weights: WeightFunction
-
-    def validate(self, model: Pomdp):
-        _check_target(model, self.target)
-        _check_weights(model, self.weights, nonneg=True)
 
 
 PayoffSpec = Union[ReachIndicator, BuchiIndicator, DiscountedSum,
@@ -89,35 +71,10 @@ PayoffSpec = Union[ReachIndicator, BuchiIndicator, DiscountedSum,
 MultiPayoff = Tuple[PayoffSpec, ...]
 
 
-def _check_target(model, target):
-    unknown = set(target) - set(model.states)
-    if unknown:
-        raise SchemaError(f"target references unknown states {sorted(unknown)}")
-
-
-def _check_discount(discount):
-    if not (0 <= discount < 1):
-        raise SchemaError(f"discount factor {format_rational(discount)} outside [0, 1)")
-
-
-def _check_weights(model, weights: WeightFunction, nonneg=False):
-    for pair in model.enabled_pairs():
-        if pair not in weights.table:
-            raise SchemaError(f"weight {weights.name!r} missing enabled pair {pair}")
-    if nonneg and any(v < 0 for v in weights.table.values()):
-        raise SchemaError(f"weight {weights.name!r} must be non-negative for this payoff")
-
-
 # -- payoff (de)serialization ------------------------------------------------------
 
-_KIND_NAMES = {
-    "reach": ReachIndicator,
-    "buchi": BuchiIndicator,
-    "discounted_sum": DiscountedSum,
-    "reach_gated_discounted_sum": ReachGatedDiscountedSum,
-    "total_reward": TotalRewardNonNeg,
-    "shortest_path": ShortestPath,
-}
+_KIND_NAMES = ("reach", "buchi", "discounted_sum", "reach_gated_discounted_sum", "total_reward",
+               "shortest_path")
 
 
 def payoff_from_dict(model: Pomdp, entry: Mapping) -> PayoffSpec:
@@ -131,36 +88,45 @@ def payoff_from_dict(model: Pomdp, entry: Mapping) -> PayoffSpec:
         states = require_field(entry, "target", list, [])
         if not all(isinstance(s, str) for s in states):
             raise SchemaError(f"the target of payoff kind {kind!r} must list state identifiers")
+        unknown = set(states) - set(model.states)
+        if unknown:
+            raise SchemaError(f"target references unknown states {sorted(unknown)}")
         return frozenset(states)
 
     def discount():
         if "lambda" not in entry:
             raise SchemaError(f"payoff kind {kind!r} needs a 'lambda'")
-        return parse_rational(entry["lambda"])
+        value = parse_rational(entry["lambda"])
+        if not 0 <= value < 1:
+            raise SchemaError(f"discount factor {format_rational(value)} outside [0, 1)")
+        return value
 
-    def weights():
+    def weights(nonneg=False):
         name = entry.get("weights")
         if not isinstance(name, str):
             raise SchemaError(f"payoff kind {kind!r} needs a 'weights' name")
         index = entry.get("windex", 0)
         if type(index) is not int or index < 0:
             raise SchemaError(f"windex must be a non-negative integer, got {index!r}")
-        return model.weight_function(name, index)
+        function = model.weight_function(name, index)
+        for pair in model.enabled_pairs():
+            if pair not in function.table:
+                raise SchemaError(f"weight {function.name!r} missing enabled pair {pair}")
+        if nonneg and any(v < 0 for v in function.table.values()):
+            raise SchemaError(f"weight {function.name!r} must be non-negative for this payoff")
+        return function
 
     if kind == "reach":
-        spec = ReachIndicator(target())
-    elif kind == "buchi":
-        spec = BuchiIndicator(target())
-    elif kind == "discounted_sum":
-        spec = DiscountedSum(discount(), weights())
-    elif kind == "reach_gated_discounted_sum":
-        spec = ReachGatedDiscountedSum(target(), discount(), weights())
-    elif kind == "total_reward":
-        spec = TotalRewardNonNeg(weights())
-    else:
-        spec = ShortestPath(target(), weights())
-    spec.validate(model)
-    return spec
+        return ReachIndicator(target())
+    if kind == "buchi":
+        return BuchiIndicator(target())
+    if kind == "discounted_sum":
+        return DiscountedSum(discount(), weights())
+    if kind == "reach_gated_discounted_sum":
+        return ReachGatedDiscountedSum(target(), discount(), weights())
+    if kind == "total_reward":
+        return TotalRewardNonNeg(weights(nonneg=True))
+    return ShortestPath(target(), weights(nonneg=True))
 
 
 def load_problem(text: str):

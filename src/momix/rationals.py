@@ -284,8 +284,8 @@ class ExtRealVector:
 
     @staticmethod
     def combine(weights: Sequence[Fraction], vectors: Sequence["ExtRealVector"]) -> "ExtRealVector":
-        """Exact convex (or affine) combination; zero-weight terms are skipped
-        so that 0 * (+-inf) never materializes."""
+        """Exact convex (or affine) combination, under `scale`'s rule
+        0 * (+-inf) = 0."""
         vectors = [_as_vec(v) for v in vectors]
         if not vectors:
             raise ValueError("empty combination")
@@ -294,8 +294,6 @@ class ExtRealVector:
         for j in range(dim):
             acc = ZERO
             for w, v in zip(weights, vectors):
-                if w == 0:
-                    continue
                 acc = acc + v[j].scale(w)
             out.append(acc)
         return ExtRealVector(out)

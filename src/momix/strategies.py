@@ -433,34 +433,36 @@ def strategy_premetric(model: Pomdp, sigma: FiniteMemoryStrategy, tau: FiniteMem
     Euclidean distance between the two action distributions.
 
     The distance at a history depends only on its last state and the two
-    memories, so the walk is breadth-first over (state, sigma memory, tau
-    memory) and visits each triple once, at the fewest states it is reached
-    with: a longer history to it sees the same distance and has fewer
-    states left to extend by.  Returning the squared distance keeps the
-    result rational; compare it against squared thresholds.
+    memories, so `model.closure` numbers the (state, sigma memory, tau
+    memory) triples breadth-first and each is scored once, at the fewest
+    states it is reached with: a longer history to it sees the same
+    distance and has fewer states left to extend by.  A triple's successors
+    are numbered only while that count is below `horizon`.  Returning the
+    squared distance keeps the result rational; compare it against squared
+    thresholds.
     """
-    layer = [(s, sigma.skeleton.init, tau.skeleton.init) for s in model.states]
-    seen = set(layer)
-    best = Fraction(0)
-    states_so_far = 0
-    while layer and states_so_far < horizon:
-        states_so_far += 1
-        frontier, layer = layer, []
-        for s, ms, mt in frontier:
-            z = model.obs[s]
-            ds = dict(sigma.choice(ms, z))
-            dt = dict(tau.choice(mt, z))
-            d2 = sum(((ds.get(a, 0) - dt.get(a, 0)) ** 2
-                      for a in set(ds) | set(dt)), Fraction(0))
-            best = max(best, d2)
+    if horizon < 1:
+        return Fraction(0)
+    roots = [(s, sigma.skeleton.init, tau.skeleton.init) for s in model.states]
+    depth = dict.fromkeys(roots, 0)  # triple -> its fewest states, less one
+    scores = []
+
+    def expand(node, number):
+        s, ms, mt = node
+        z = model.obs[s]
+        ds, dt = dict(sigma.choice(ms, z)), dict(tau.choice(mt, z))
+        scores.append(sum(((ds.get(a, 0) - dt.get(a, 0)) ** 2 for a in set(ds) | set(dt)),
+                          Fraction(0)))
+        if depth[node] + 1 < horizon:
             for a in model.enabled(s):
-                nms = sigma.skeleton.step(ms, z, a)
-                nmt = tau.skeleton.step(mt, z, a)
+                nms, nmt = sigma.skeleton.step(ms, z, a), tau.skeleton.step(mt, z, a)
                 for t, p in model.dist(s, a).items():
-                    if p > 0 and (t, nms, nmt) not in seen:
-                        seen.add((t, nms, nmt))
-                        layer.append((t, nms, nmt))
-    return best
+                    if p > 0:
+                        depth.setdefault((t, nms, nmt), depth[node] + 1)
+                        number((t, nms, nmt))
+
+    closure(roots, expand)
+    return max(scores)
 
 
 # -- file formats ------------------------------------------------------------------------

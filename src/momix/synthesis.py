@@ -274,7 +274,9 @@ def reduce_support(mixture: FiniteMixture, vectors: Sequence[ExtRealVector]) -> 
 
     `vectors` are the exact pure payoffs of the mixture's support, in order.
     Every weight is positive, so every member agrees with the realized
-    vector (`_agrees`) and may be a witness.
+    vector (`_agrees`) and may be a witness, and the rest, more than d+1
+    members less at most d witnesses, has positive mass.  The reduced
+    mixture is re-checked by `_certificate` against the realized vector.
     """
     vectors = [v if isinstance(v, ExtRealVector) else ExtRealVector(v) for v in vectors]
     if len(vectors) != len(mixture.support):
@@ -288,17 +290,14 @@ def reduce_support(mixture: FiniteMixture, vectors: Sequence[ExtRealVector]) -> 
     fin_dims = [j for j in range(d) if realized[j].is_finite]
 
     witnesses = _witnesses(vectors, range(len(vectors)), realized, inf_dims)
+    indices = list(witnesses)
+    weights = [mixture.weights[i] for i in witnesses]
     rest = [i for i in range(len(vectors)) if i not in witnesses]
     rest_mass = sum((mixture.weights[i] for i in rest), Fraction(0))
-
-    if rest_mass == 0:
-        pairs = [(mixture.support[i], mixture.weights[i]) for i in witnesses]
-        reduced = FiniteMixture.of(pairs)
-    elif not fin_dims:
+    if not fin_dims:
         # all dimensions are infinite: drop the rest, renormalize witnesses
-        total = sum((mixture.weights[i] for i in witnesses), Fraction(0))
-        pairs = [(mixture.support[i], mixture.weights[i] / total) for i in witnesses]
-        reduced = FiniteMixture.of(pairs)
+        total = sum(weights, Fraction(0))
+        weights = [w / total for w in weights]
     else:
         target = []
         for j in fin_dims:
@@ -308,17 +307,10 @@ def reduce_support(mixture: FiniteMixture, vectors: Sequence[ExtRealVector]) -> 
             target.append(acc / rest_mass)
         points = [tuple(vectors[i][j].finite for j in fin_dims) for i in rest]
         dec = caratheodory(tuple(target), points)
-        pairs = [(mixture.support[i], mixture.weights[i]) for i in witnesses]
-        pairs += [(mixture.support[rest[t]], rest_mass * c)
-                  for t, c in zip(dec.indices, dec.coefficients)]
-        reduced = FiniteMixture.of(pairs)
-
-    # exact preservation check, extended reals included
-    kept_vectors = []
-    for member in reduced.support:
-        kept_vectors.append(vectors[mixture.support.index(member)])
-    if ExtRealVector.combine(reduced.weights, kept_vectors) != realized:
-        raise SelfCheckFailed("support reduction changed the realized vector")
+        indices += [rest[t] for t in dec.indices]
+        weights += [rest_mass * c for c in dec.coefficients]
+    reduced = _certificate(list(zip(mixture.support, vectors)), indices, weights, ("equals",),
+                           realized).mixture
     if len(reduced.support) > d + 1:
         raise SelfCheckFailed(f"support reduction kept {len(reduced.support)} > d + 1 members")
     return reduced

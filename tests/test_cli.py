@@ -405,6 +405,46 @@ def test_bad_arguments_are_input_errors(argv, model_doc, strategy_doc, tmp_path,
         assert f"input error: unknown state {argv[argv.index('--state') + 1]!r}" in err
 
 
+@pytest.mark.parametrize("payoff, message", [
+    ({"kind": "reach_gated_discounted_sum", "target": ["nope"], "weights": "w"},
+     "target references unknown states ['nope']"),
+    ({"kind": "discounted_sum", "lambda": "2", "weights": "nope"},
+     "discount factor 2 outside [0, 1)"),
+    ({"kind": "shortest_path", "target": ["nope"], "weights": "nope"},
+     "target references unknown states ['nope']"),
+], ids=["target-before-lambda", "lambda-before-weights", "target-before-weights"])
+def test_payoff_fields_fail_in_reading_order(payoff, message, tmp_path, capsys):
+    """A payoff entry with several faulty fields reports the first field the
+    loader reads: target, then lambda, then weights."""
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(_document(RUNNING, payoffs=[payoff])))
+    assert run(["frontier", str(path), "--state", "s0"]) == 3
+    assert capsys.readouterr().err == f"input error: {message}\n"
+
+
+def test_classify_total_reward_on_a_pomdp_is_unknown(capsys, tmp_path):
+    """u and v look alike, and u's a-loop earns 1: a controller that saw the
+    state could earn +inf, but whether an observation-based one can is not
+    decided, so the verdict is "unknown", in the library and in `classify`."""
+    doc = {"states": ["s", "u", "v"], "actions": ["a", "b"],
+           "observations": ["s", "o"], "obs": {"s": "s", "u": "o", "v": "o"},
+           "transitions": {"s": {"a": {"u": "1/2", "v": "1/2"}},
+                           "u": {"a": {"u": "1"}, "b": {"v": "1"}},
+                           "v": {"a": {"v": "1"}, "b": {"v": "1"}}},
+           "weights": {"w": {"s,a": ["0"], "u,a": ["1"], "u,b": ["0"], "v,a": ["0"],
+                             "v,b": ["0"]}},
+           "payoffs": [{"kind": "total_reward", "weights": "w"}]}
+    model, dims = mx.load_problem(json.dumps(doc))
+    [verdict] = mx.classify_integrability(model, dims, "s")
+    assert verdict.verdict == "unknown"
+    assert verdict.witness == (frozenset({"u"}), ("u", "a"))
+    path = tmp_path / "aliased.json"
+    path.write_text(json.dumps(doc))
+    code, payload = run_json(capsys, ["classify", str(path), "--state", "s"])
+    assert code == 0
+    assert payload["verdicts"] == ["unknown"]
+
+
 @pytest.mark.parametrize("horizon", ["0", "-5"])
 def test_probe_horizon_below_one_is_an_input_error(horizon, tmp_path, capsys):
     family = tmp_path / "family.json"

@@ -13,7 +13,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 import momix as mx
 from momix import montecarlo
 from momix.errors import PoolTooLarge, SchemaError, SingularSystem, UndefinedExpectation
-from momix.evaluate import IntegrabilityVerdict, _one_node, _solve_on, maximal_end_components
+from momix.evaluate import (IntegrabilityVerdict, _one_node, _solve_systems,
+                            maximal_end_components)
 
 from conftest import (commute_ltb, commute_train, distinct_vectors, split_reach_choice,
                       earn_or_exit_stay, earn_or_exit_leave, coin_exit_always, coin_exit_switch,
@@ -287,6 +288,21 @@ def test_classify_total_reward_no_positive_cycle(earn_or_exit):
     model, dims = mx.load_problem(json.dumps(doc))
     verdicts = mx.classify_integrability(model, dims, "s")
     assert verdicts[0].verdict == IntegrabilityVerdict.UI
+
+
+def test_classify_total_reward_unreachable_positive_end_component():
+    """x loops on a weight of 1, but no play from s ever reaches it: the end
+    component is skipped, and the verdict is universal integrability."""
+    doc = {"states": ["s", "x"], "actions": ["a"],
+           "transitions": {"s": {"a": {"s": "1"}}, "x": {"a": {"x": "1"}}},
+           "weights": {"w": {"s,a": ["0"], "x,a": ["1"]}},
+           "payoffs": [{"kind": "total_reward", "weights": "w"}]}
+    model, dims = mx.load_problem(json.dumps(doc))
+    assert {frozenset(c) for c, _pairs in maximal_end_components(model)} \
+        == {frozenset({"s"}), frozenset({"x"})}
+    assert mx.classify_integrability(model, dims, "s") \
+        == [IntegrabilityVerdict("universally_integrable")]
+    assert mx.classify_integrability(model, dims, "x")[0].verdict == IntegrabilityVerdict.UUI_ONLY
 
 
 def test_maximal_end_components(earn_or_exit):
@@ -639,9 +655,12 @@ def transient_systems(draw):
 
 
 def _block_solve(chain, nodes, rhs, discount=1):
-    """The block solver on one right-hand side column."""
-    x = _solve_on(chain.matrix, nodes, [(b,) for b in rhs], discount)
-    return {node: value for node, (value,) in x.items()}
+    """The evaluator's system solver on one system with one right-hand
+    side, x = 0 off `nodes`: every other node's one slot holds 0."""
+    slots = {i: [Fraction(0)] for i in range(len(chain.matrix))}
+    systems = {(0, tuple(nodes)): [(0, dict(zip(nodes, rhs)))]}
+    _solve_systems(systems, [discount], {i: tuple(chain.matrix[i].items()) for i in nodes}, slots)
+    return {node: slots[node][0] for node in nodes}
 
 
 def _outcome(solve, system):

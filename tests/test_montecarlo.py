@@ -5,6 +5,7 @@ The streamed walk in momix.montecarlo must return exactly the `Estimate` of
 the whole-matrix walk it replaced, kept verbatim below as the reference, on
 the bundled models and on generated ones."""
 
+import itertools
 import json
 import math
 import os
@@ -522,6 +523,34 @@ def test_settled_start_walks_no_step():
     est = _assert_same(model, sigma, "g", dims, 2 * CHUNK + 3, 256, seed=1)
     assert est.mean == (1.0, 0.0, 0.0, 0.0, 0.0)
     assert est.censored == (0, 0, 0, 0, 2 * CHUNK + 3)
+
+
+def test_live_mass_returns_early():
+    """`_Walker.live_mass` follows no chain from a settled start (live mass 0
+    throughout, so `_draws_lazily` picks the lazy windows) nor past
+    `_MASS_NODES` unsettled nodes (mass 1 throughout, so it picks the dense
+    fill on a long horizon).  Both forced draw paths give the reference
+    estimate to the last bit in either case."""
+    settled = {"states": ["g", "x"], "actions": ["a"],
+               "transitions": {"g": {"a": {"g": "1"}}, "x": {"a": {"g": "1"}}},
+               "weights": {"w": {"g,a": ["0"], "x,a": ["5"]}},
+               "payoffs": [{"kind": "discounted_sum", "lambda": "1/2", "weights": "w"}]}
+    ring = [f"r{i}" for i in range(montecarlo._MASS_NODES + 2)]
+    unsettled = {"states": ring, "actions": ["a"],
+                 "transitions": {s: {"a": {ring[(i + 1) % len(ring)]: "1"}}
+                                 for i, s in enumerate(ring)},
+                 "weights": {"w": {f"{s},a": ["1"] for s in ring}},
+                 "payoffs": [{"kind": "discounted_sum", "lambda": "1/2", "weights": "w"}]}
+    for doc, start, mass, lazy in ((settled, "g", 0.0, True), (unsettled, "r0", 1.0, False)):
+        model, dims = mx.load_problem(json.dumps(doc))
+        sigma = memoryless_table(model, {})
+        walker = montecarlo._Walker(model, sigma, start, dims)
+        assert list(itertools.islice(walker.live_mass(), 4)) == [mass] * 4
+        asked = []
+        assert montecarlo._draws_lazily(lambda i: asked.append(i) or walker, [1.0], 2000, 256) \
+            is lazy
+        assert asked == [0]
+        _assert_same(model, sigma, start, dims, 2000, 256, seed=4)
 
 
 def test_settled_nodes():

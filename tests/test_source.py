@@ -3,11 +3,12 @@ tests too), no module-level private name that nothing else uses, no public funct
 class that only its definition and its re-export name, no public dataclass field
 that nothing outside its module reads, one product walk, which
 `strategies.py` owns, one closed form for a one-node block, one builder of
-memory skeletons, no function-local import of a sibling module, one
-breadth-first search, `model.closure`, three builders of linear
-programs, none of them with a free variable, supporting normals for
-`supporting_map` alone, no `rank` anywhere, and one builder of the mixed
-radix that numbers act tables, which no other module names."""
+memory skeletons, one caller of `solve_linear`, payoff kinds without
+methods, no function-local import of a sibling module, one breadth-first
+search, `model.closure`, three builders of linear programs, none of them
+with a free variable, supporting normals for `supporting_map` alone, no
+`rank` anywhere, and one builder of the mixed radix that numbers act
+tables, which no other module names."""
 
 import ast
 import glob
@@ -259,7 +260,8 @@ def test_scan_finds_a_second_pivot():
 def test_one_function_computes_the_one_node_pivot():
     """The closed form of a one-node block, x = (c + lambda sum P x) /
     (1 - lambda p_ii), lives in `evaluate._one_node` alone: the evaluator's
-    one-unknown systems and the singleton blocks of `_solve_on` share it."""
+    one-unknown systems and the singleton SCCs of `_solve_systems` share
+    it."""
     found = []
     for module in MODULES:
         with open(os.path.join(SRC, module), "r", encoding="utf-8") as fh:
@@ -269,12 +271,12 @@ def test_one_function_computes_the_one_node_pivot():
 
 def functions_calling(source: str, callee: str):
     """Names of the functions, nested ones included, whose bodies call
-    `callee` by name."""
+    `callee` by name or as an attribute (`module.callee(...)`)."""
     found = []
     for func in ast.walk(ast.parse(source)):
         if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
-                isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-                and node.func.id == callee
+                isinstance(node, ast.Call)
+                and callee in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
                 for node in ast.walk(func)):
             found.append(func.name)
     return found
@@ -290,6 +292,53 @@ def test_scan_finds_skeleton_constructions():
               "def reader(skeleton):\n"
               "    return isinstance(skeleton, MemorySkeleton)\n")
     assert functions_calling(source, "MemorySkeleton") == ["machine", "counter", "inner"]
+
+
+def test_scan_finds_linear_solves():
+    source = ("def _solve_systems(rows):\n"
+              "    return solve_linear(rows, [])\n"
+              "def block(rows):\n"
+              "    def inner():\n"
+              "        return linalg.solve_linear(rows, [])\n"
+              "    return inner()\n"
+              "def dense(solve_linear):\n"
+              "    return solve_linear\n")
+    assert functions_calling(source, "solve_linear") == ["_solve_systems", "block", "inner"]
+
+
+def test_one_function_solves_linear_systems():
+    """Every transient system goes through `evaluate._solve_systems`, which
+    solves each SCC of more than one node by `solve_linear`; nothing else
+    in `src/momix` calls it."""
+    found = []
+    for module in MODULES:
+        with open(os.path.join(SRC, module), "r", encoding="utf-8") as fh:
+            found += [f"{module}:{name}" for name in functions_calling(fh.read(), "solve_linear")]
+    assert found == ["evaluate.py:_solve_systems"]
+
+
+def dataclass_methods(source: str):
+    """The methods of the dataclasses at the top level of `source`, as
+    "Class.method"."""
+    return [f"{stmt.name}.{node.name}" for stmt in ast.parse(source).body
+            if isinstance(stmt, ast.ClassDef)
+            and any("dataclass" in ast.unparse(d) for d in stmt.decorator_list)
+            for node in stmt.body if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+
+
+def test_scan_finds_dataclass_methods():
+    source = ("@dataclass(frozen=True)\nclass Reach:\n    target: frozenset\n\n"
+              "    def validate(self, model):\n        pass\n\n"
+              "@dataclasses.dataclass\nclass Plain:\n    weights: dict\n\n"
+              "class Loader:\n    def load(self):\n        pass\n")
+    assert dataclass_methods(source) == ["Reach.validate"]
+
+
+def test_payoff_kinds_are_plain_data():
+    """The loader checks each payoff field as it reads it, so no payoff
+    kind carries a method of its own."""
+    with open(os.path.join(SRC, "payoffs.py"), "r", encoding="utf-8") as fh:
+        assert dataclass_methods(fh.read()) == []
 
 
 def test_one_builder_makes_skeletons():

@@ -289,6 +289,25 @@ def test_both_paths_take_the_first_of_two_infinite_witnesses(earn_or_exit):
     assert reduced.weights == (Fraction(1, 5), Fraction(3, 5), Fraction(1, 5))
 
 
+def test_one_witness_covers_two_infinite_dimensions(earn_or_exit):
+    """Member 1 is +inf in both infinite dimensions, so it witnesses both:
+    `approximate` mixes it in once, at eta = 1/16, and `reduce_support`
+    keeps it once, at its weight 1/6, beside a Caratheodory pair for the
+    finite dimension."""
+    members = [earn_or_exit_leave(earn_or_exit[0], r) for r in range(6)]
+    vectors = [mx.ExtRealVector(v) for v in ([0, 0, 1], [mx.POS_INF, mx.POS_INF, 0], [1, 2, 2],
+                                             [2, 1, 0], [0, 3, 1], [1, 1, 3])]
+    cert = mx.approximate(mx.vector("+inf", "+inf", 1), Fraction(1, 10), Fraction(10),
+                          Pool(list(zip(members, vectors))))
+    assert cert.mixture.support == tuple(members[:3])
+    assert cert.mixture.weights == (Fraction(29, 32), Fraction(1, 16), Fraction(1, 32))
+    assert cert.realized == mx.vector("+inf", "+inf", Fraction(31, 32))
+    mix = mx.FiniteMixture.of([(s, Fraction(1, 6)) for s in members])
+    reduced = mx.reduce_support(mix, vectors)
+    assert reduced.support == (members[1], members[0], members[2])
+    assert reduced.weights == (Fraction(1, 6), Fraction(1, 2), Fraction(1, 3))
+
+
 def test_verify_refuses_every_relation_that_fails(split_reach_pool):
     """`verify` holds exactly when the relation does, for each kind, and a
     target of another length fails every kind."""
