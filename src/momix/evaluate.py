@@ -20,33 +20,33 @@ One call evaluates all its strategies together (a single strategy is a pool
 of one).  The model and each skeleton are stepped once, into a
 `strategies.TransitionTable`.  A strategy is walked over the table without
 arithmetic, and the product it reaches is condensed into SCC blocks,
-successors first.  Each block is hash-consed by its nodes with their action
-distributions and the keys of its successor blocks, as shared subgraphs are
-in a BDD's unique table (Bryant, IEEE TC 35, 1986): blocks with equal keys
-have equal values.  A block is solved only the first time its key appears,
-for every payoff dimension in one pass: hitting probabilities first, then
-the systems that read them.  A node that plays one action reads its row and
-rewards straight from the table.  A system of one unknown, as in every
-one-node block, is solved where it is queued by one formula per slot,
-x = (c + lambda sum_j P(i, j) x_j) / (1 - lambda P(i, i)), with no division
-without a self-loop.  Larger systems are queued, and `_solve_systems`
-solves those with the same unknowns and discount together, SCC by SCC of
-the graph on the unknowns, successors first: a single node by the same
-formula, a larger SCC by one `solve_linear` for the group, its only
-caller.  The memo lives for one call.
+successors first.  Each finished node has an entry: its slots, one flat
+tuple.  A block is hash-consed by its nodes with their action distributions
+and the sorted entries of the nodes outside it they move to, as shared
+subgraphs are in a BDD's unique table (Bryant, IEEE TC 35, 1986): blocks
+with equal keys have equal values.  `_Evaluator._solve_block` solves a
+block the first time its key appears, every payoff dimension in one pass,
+hitting probabilities first, reading rows and states from node-indexed
+tables, rewards from the weight tables and successor values from their
+entries.  A system of one unknown, as in every one-node block, is solved
+by one formula per slot, x = (c + lambda sum_j P(i, j) x_j) /
+(1 - lambda P(i, i)), its sum an integer fraction normalised once, with no
+division without a self-loop.  `_solve_systems` solves larger systems with
+the same unknowns and discount together, SCC by SCC, successors first: a
+single node by the same formula, a larger SCC by one `solve_linear`, its
+only caller.  The memo lives for one call.
 
 Pool members also share the walk.  A member is an act table index, a
 mixed-radix number with the first choice point most significant, and the
 walk below a node reads only the choice points the node can reach, all at
 or after the first of them.  So the index modulo the product of the
 radices from that point on, the node's modulus, fixes the walk below the
-node and the node's block.  `strategies.pure_behaviours` numbers the act
+node and the node's entry.  `strategies.pure_behaviours` numbers the act
 tables and returns each node's modulus with the members; the radix is
-known there alone.  A pool's memo keeps each finished node's block under
-(node, index modulo modulus), and a member takes the block of every node
-known under its key without expanding it.  So a pool costs,
-per distinct (node, key), one step of the walk, and per distinct block its
-arithmetic.
+known there alone.  A pool's memo keeps each finished node's entry under
+(node, index modulo modulus), and a member takes the entry of every node
+known under its key without expanding it.  So a pool costs, per distinct
+(node, key), one step of the walk, and per distinct block its arithmetic.
 """
 
 from __future__ import annotations
@@ -77,17 +77,29 @@ _KINDS = (ReachIndicator, BuchiIndicator, DiscountedSum, ShortestPath, TotalRewa
 
 
 def _affine(constant: Fraction, discount, pairs) -> Fraction:
-    """constant + discount * sum(p * v for (p, v) in pairs), with no
-    arithmetic spent on zero terms, unit factors or a zero constant."""
-    terms = [v if p == 1 else p if v is _ONE else p * v for p, v in pairs if v]
-    if not terms:
+    """constant + discount * sum(p * v for (p, v) in pairs), as one integer
+    fraction normalised once: `constant` itself when every v is 0, the last
+    nonzero v itself when the sum is that v unchanged."""
+    num, den = 0, 1
+    for p, v in pairs:
+        vn, vd = v.as_integer_ratio()
+        if vn:
+            pn, pd = p.as_integer_ratio()
+            num, den = num * pd * vd + pn * vn * den, den * pd * vd
+            last, last_num, last_den = v, vn, vd
+    if not num:
         return constant
-    total = terms[0]
-    for term in terms[1:]:
-        total += term
-    if discount != 1:
-        total *= discount
-    return total + constant if constant else total
+    if discount is not _ONE or constant is not _ZERO:
+        (ln, ld), (cn, cd) = discount.as_integer_ratio(), constant.as_integer_ratio()
+        num, den = num * ln * cd + cn * ld * den, ld * cd * den
+    return last if num == last_num and den == last_den else Fraction(num, den)
+
+
+def _reward(weights, state: str, dist) -> Fraction:
+    """The expected weight of one step of the action distribution `dist`."""
+    if len(dist) == 1 and dist[0][1] == 1:
+        return weights.table[(state, dist[0][0])]
+    return _affine(_ZERO, 1, [(weights(state, a), alpha) for a, alpha in dist])
 
 
 def _one_node(values: tuple, loop, discount) -> tuple:
@@ -106,11 +118,13 @@ class _Evaluator:
     """The exact payoff vectors of strategies from one start state, sharing
     one block memo per skeleton (see the module docstring).
 
-    A node's values are a list of slots: the hitting probability of each
-    target of a reach, shortest-path or gated dimension, then per other
-    dimension its value (a gated one: E[DS] and y).  A slot holds a
-    Fraction or POS_INF.  `memos` are memos of transition tables already
-    built for skeletons, each with (start, init) as node 0."""
+    A node's slots hold the hitting probability of each target of a reach,
+    shortest-path or gated dimension, then per other dimension its value
+    (a gated one: E[DS] and y), each a Fraction or POS_INF.  `stages` lists
+    the (spec, slot, discount number) a block solves: the targets' hitting
+    probabilities and the Buchi dimensions, then the dimensions that read
+    them.  `memos` hold tables already built, each with (start, init) as
+    node 0."""
 
     def __init__(self, model: Pomdp, start: str, dims: MultiPayoff,
                  memos: Sequence["_Memo"] = ()):
@@ -119,8 +133,7 @@ class _Evaluator:
         for spec in dims:
             if not isinstance(spec, _KINDS):
                 raise UnsupportedKind(type(spec).__name__)
-        self.model, self.dims = model, tuple(dims)
-        self.start = start
+        self.model, self.dims, self.start = model, tuple(dims), start
         targets = [spec.target for spec in dims
                    if isinstance(spec, (ReachIndicator, ShortestPath, ReachGatedDiscountedSum))]
         self.hit = {target: k for k, target in enumerate(dict.fromkeys(targets))}
@@ -136,13 +149,14 @@ class _Evaluator:
                 self.slots.append(width)
                 width += 1
         self.width = width
-        paired = list(zip(self.dims, self.slots))
-        self.buchi = [(spec, slot) for spec, slot in paired if isinstance(spec, BuchiIndicator)]
         # the distinct discounts, 1 first: a system is keyed by its number here
-        self.discounts = list(dict.fromkeys([1] + [getattr(spec, "discount", 1) for spec in dims]))
-        self.values = [(spec, slot, self.discounts.index(getattr(spec, "discount", 1)))
-                       for spec, slot in paired
-                       if not isinstance(spec, (ReachIndicator, BuchiIndicator))]
+        self.discounts = list(dict.fromkeys([_ONE] + [getattr(spec, "discount", 1) for spec in dims]))
+        paired = list(zip(self.dims, self.slots))
+        self.stages = ([(target, slot, 0) for target, slot in self.hit.items()]
+                       + [(spec, slot, 0) for spec, slot in paired if isinstance(spec, BuchiIndicator)],
+                       [(spec, slot, self.discounts.index(getattr(spec, "discount", 1)))
+                        for spec, slot in paired
+                        if not isinstance(spec, (ReachIndicator, BuchiIndicator))])
         self.memos = list(memos)
 
     def _memo(self, skeleton: MemorySkeleton) -> "_Memo":
@@ -155,157 +169,149 @@ class _Evaluator:
     def __call__(self, strategy: FiniteMemoryStrategy,
                  index: Optional[int] = None) -> ExtRealVector:
         """The payoff vector of `strategy`.  `index` is a pool member's act
-        table index over the memo's `moduli`: a node whose block is known by
-        (node, index modulo its modulus) takes that block unexpanded."""
+        table index over the memo's `moduli`: a node whose entry is known by
+        (node, index modulo its modulus) takes that entry unexpanded."""
         memo = self._memo(strategy.skeleton)
-        table, unique, blocks = memo.table, memo.unique, memo.blocks
-        nodes, moves, obs = table.nodes, table.moves, self.model.obs
-        known, moduli = memo.known, memo.moduli
-        choice, graph, block_of = {}, {}, {}
+        unique, blocks, known, moduli = memo.unique, memo.blocks, memo.known, memo.moduli
+        nodes, moves, obs = memo.table.nodes, memo.table.moves, self.model.obs
+        # node -> action distribution, row, and once finished entry and slots
+        choice, rows, at, value = {}, {}, {}, {}
 
         def successors(i):
-            """Node i's action distribution and successors, read once; with
-            an index, the successors whose blocks are not yet known."""
+            """Node i's action distribution and row, read once; with an
+            index, the successors whose entries are not yet known."""
             s, mem = nodes[i]
             choice[i] = dist = strategy.choice(mem, obs[s])
-            graph[i] = out = [j for a, _alpha in dist for j, _p in moves[i][a]]
+            if len(dist) == 1 and dist[0][1] == 1:
+                rows[i] = row = moves[i][dist[0][0]]
+            else:
+                merged = {}
+                for a, alpha in dist:
+                    for j, p in moves[i][a]:
+                        merged[j] = merged[j] + alpha * p if j in merged else alpha * p
+                rows[i] = row = tuple(merged.items())
             if index is None:
-                return out
+                return [j for j, _p in row]
             fresh = []
-            for j in out:
-                if j not in block_of:
-                    block = known[j].get(index % moduli[j])
-                    if block is None:
+            for j, _p in row:
+                if j not in at:
+                    entry = known[j].get(index % moduli[j])
+                    if entry is None:
                         fresh.append(j)
                     else:
-                        block_of[j] = block
+                        at[j], value[j] = entry, blocks[entry]
             return fresh
 
         for comp in iter_sccs([0], successors):
             comp.sort()
-            below = frozenset([block_of[j] for i in comp for j in graph[i] if j in block_of])
-            key = (tuple([(i, choice[i]) for i in comp]), below)
-            block = unique.get(key)
-            if block is None:
-                outer = {j: blocks[block_of[j]][j] for i in comp for j in graph[i] if j in block_of}
-                block = unique[key] = len(blocks)
-                blocks.append(self._solve_block(table, comp, choice, outer))
+            below = sorted({at[j] for i in comp for j, _p in rows[i] if j in at})
+            key = (*[(i, choice[i]) for i in comp], *below)
+            entry = unique.get(key)
+            if entry is None:
+                entry = len(blocks)
+                self._solve_block(memo, comp, choice, rows, value, below)
+                unique[key] = entry
             for i in comp:
-                block_of[i] = block
-            if index is not None:
-                for i in comp:
-                    known[i][index % moduli[i]] = block
-        values = blocks[block_of[0]][0]
-        out = []
+                at[i], value[i] = entry, blocks[entry]
+                if index is not None:
+                    known[i][index % moduli[i]] = entry
+                entry += 1
+        values, out = value[0], []
         for slot in self.slots:
-            if isinstance(slot, tuple):
-                value = values[slot[0]] - values[slot[1]]
-            else:
-                value = values[slot]
-            out.append(value if value is POS_INF else ExtReal(value))
+            x = values[slot[0]] - values[slot[1]] if isinstance(slot, tuple) else values[slot]
+            out.append(x if x is POS_INF else ExtReal(x))
         return ExtRealVector(out)
 
-    def _solve_block(self, table, comp: List[int], choice, outer) -> Dict[int, list]:
-        """The slots of every node of one block, given the slots of the nodes
-        outside it that its nodes move to (`outer`, empty for a bottom block)."""
-        nodes, moves = table.nodes, table.moves
-        rows: Dict[int, tuple] = {}  # node -> its (successor, probability) pairs
-        acts: Dict[int, str] = {}  # node -> its action, if it plays one at weight 1
-        for i in comp:
-            dist = choice[i]
-            if len(dist) == 1 and dist[0][1] == 1:
-                acts[i] = dist[0][0]
-                rows[i] = moves[i][acts[i]]
-                continue
-            row = {}
-            for a, alpha in dist:
-                for j, p in moves[i][a]:
-                    row[j] = row[j] + alpha * p if j in row else alpha * p
-            rows[i] = tuple(row.items())
-        state = {i: nodes[i][0] for i in comp}
-        vals = {i: [None] * self.width for i in comp}
-        slots = {**outer, **vals}  # every node a block node moves to -> its slots
-        bottom = not outer
-        systems: Dict[tuple, list] = {}  # (discount number, unknowns) -> [(slot, constants)]
-
-        def system(slot, d, unknowns, constants=None):
-            """x = constants + discounts[d] * P x for `slot` on `unknowns` (no
-            constants: 0): one unknown is solved at once, more are queued."""
-            if len(unknowns) > 1:
-                systems.setdefault((d, tuple(unknowns)), []).append((slot, constants))
-            elif unknowns:
-                i, discount = unknowns[0], self.discounts[d]
-                known = [(p, slots[j][slot]) for j, p in rows[i] if j != i]
-                loop = dict(rows[i])[i] if len(known) < len(rows[i]) else None
-                vals[i][slot], = _one_node((_affine(constants[i] if constants else _ZERO,
-                                                    discount, known),), loop, discount)
-
-        def reward(weights):
-            return {i: weights.table[(state[i], acts[i])] if i in acts else _affine(
-                _ZERO, 1, [(weights(state[i], a), alpha) for a, alpha in choice[i]]) for i in comp}
-
-        # hitting probabilities: of each target, and of each Buchi target's
-        # good bottom blocks, which are only ever this block if it is bottom
-        for target, slot in self.hit.items():
-            rest = [i for i in comp if state[i] not in target]
-            for i in comp:
-                vals[i][slot] = _ONE if state[i] in target else _ZERO
-            if len(rest) < len(comp) or not bottom:
-                system(slot, 0, rest)
-        for spec, slot in self.buchi:
-            good = bottom and any(state[i] in spec.target for i in comp)
-            for i in comp:
-                vals[i][slot] = _ONE if good else _ZERO
-            if not bottom:
-                system(slot, 0, comp)
-        if systems:
-            _solve_systems(systems, self.discounts, rows, slots)
-
-        for spec, slot, d in self.values:
-            if isinstance(spec, DiscountedSum):
-                system(slot, d, comp, reward(spec.weights))
-            elif isinstance(spec, ReachGatedDiscountedSum):
-                plain, avoid = slot
-                system(plain, d, comp, reward(spec.weights))
-                h, target, weights = self.hit[spec.target], spec.target, spec.weights
-                rest = [i for i in comp if state[i] not in target]
-                for i in comp:
-                    vals[i][avoid] = _ZERO
-                system(avoid, d, rest, {i: _affine(_ZERO, 1, [
-                    (weights(state[i], a) if alpha == 1 else alpha * weights(state[i], a),
-                     _affine(_ZERO, 1, [(p, 1 - slots[j][h]) for j, p in moves[i][a]
-                                        if nodes[j][0] not in target]))
-                    for a, alpha in choice[i]]) for i in rest})
-            elif isinstance(spec, ShortestPath):
-                h = self.hit[spec.target]
-                sure = [i for i in comp if vals[i][h] == 1 and state[i] not in spec.target]
-                for i in comp:
-                    vals[i][slot] = _ZERO if state[i] in spec.target else POS_INF
-                system(slot, 0, sure, reward(spec.weights))
-            else:  # TotalRewardNonNeg
-                weight = reward(spec.weights)
-                if bottom:
-                    value = POS_INF if any(r > 0 for r in weight.values()) else _ZERO
-                else:
-                    value = POS_INF if any(v[slot] is POS_INF for v in outer.values()) else None
-                for i in comp:
-                    vals[i][slot] = value
-                if value is None:
-                    system(slot, 0, comp, weight)
-        if systems:
-            _solve_systems(systems, self.discounts, rows, slots)
-        return vals
+    def _solve_block(self, memo: "_Memo", comp: List[int], choice, rows, value, below) -> None:
+        """Append to `memo.blocks` the slots of each node of one block,
+        `comp` (sorted).  `choice`, `rows` and `value` give each node's
+        action distribution, row and slots (working lists for the block's
+        nodes while it is solved); `below`, the entries of the nodes outside
+        it that they move to.  Stage by stage, a slot is fixed where known
+        and its system queued as (slot, discount number, unknowns, constants
+        or None for 0): one unknown is solved at once, more by
+        `_solve_systems`."""
+        states, discounts, vals = memo.states, self.discounts, [[None] * self.width for _ in comp]
+        value.update(zip(comp, vals))
+        for stage in self.stages:
+            queue = []
+            for spec, slot, d in stage:
+                if isinstance(spec, frozenset):  # the hitting probability of a target
+                    rest = []
+                    for i, slots in zip(comp, vals):
+                        if states[i] in spec:
+                            slots[slot] = _ONE
+                        else:
+                            slots[slot] = _ZERO
+                            rest.append(i)
+                    if len(rest) < len(comp) or below:
+                        queue.append((slot, 0, rest, None))
+                elif isinstance(spec, BuchiIndicator):  # good bottom blocks: this one if bottom
+                    good = _ONE if not below and any(states[i] in spec.target for i in comp) else _ZERO
+                    for slots in vals:
+                        slots[slot] = good
+                    if below:
+                        queue.append((slot, 0, comp, None))
+                elif isinstance(spec, DiscountedSum):
+                    queue.append((slot, d, comp, [_reward(spec.weights, states[i], choice[i])
+                                                  for i in comp]))
+                elif isinstance(spec, ReachGatedDiscountedSum):
+                    plain, avoid = slot
+                    queue.append((plain, d, comp, [_reward(spec.weights, states[i], choice[i])
+                                                   for i in comp]))
+                    h, weights, moves = self.hit[spec.target], spec.weights, memo.table.moves
+                    for slots in vals:
+                        slots[avoid] = _ZERO
+                    # r': a move's weight times its miss chance, 1 - sum_j P h (rows sum to 1)
+                    rest = [i for i in comp if states[i] not in spec.target]
+                    queue.append((avoid, d, rest, [_affine(_ZERO, 1, [
+                        (weights(states[i], a) if alpha == 1 else alpha * weights(states[i], a),
+                         _affine(_ONE, -1, [(p, value[j][h]) for j, p in moves[i][a]]))
+                        for a, alpha in choice[i]]) for i in rest]))
+                elif isinstance(spec, ShortestPath):
+                    h, sure = self.hit[spec.target], []
+                    for i, slots in zip(comp, vals):
+                        if states[i] in spec.target:
+                            slots[slot] = _ZERO
+                        else:
+                            slots[slot] = POS_INF
+                            if slots[h] == 1:
+                                sure.append(i)
+                    queue.append((slot, 0, sure, [_reward(spec.weights, states[i], choice[i])
+                                                  for i in sure]))
+                else:  # TotalRewardNonNeg
+                    weight = [_reward(spec.weights, states[i], choice[i]) for i in comp]
+                    if not below:
+                        fixed = POS_INF if any(r > 0 for r in weight) else _ZERO
+                    else:
+                        fixed = POS_INF if any(memo.blocks[e][slot] is POS_INF for e in below) else None
+                    for slots in vals:
+                        slots[slot] = fixed
+                    if fixed is None:
+                        queue.append((slot, 0, comp, weight))
+            systems = {}  # (discount number, unknowns) -> [(slot, constants)]
+            for slot, d, unknowns, constants in queue:
+                if len(unknowns) == 1:
+                    i, row = unknowns[0], rows[unknowns[0]]
+                    terms = [(p, value[j][slot]) for j, p in row if j != i]
+                    loop = next(p for j, p in row if j == i) if len(terms) < len(row) else None
+                    x = _affine(constants[0] if constants else _ZERO, discounts[d], terms)
+                    value[i][slot] = x if loop is None else _one_node((x,), loop, discounts[d])[0]
+                elif unknowns:
+                    systems.setdefault((d, tuple(unknowns)), []).append(
+                        (slot, constants and dict(zip(unknowns, constants))))
+            if systems:
+                _solve_systems(systems, discounts, rows, value)
+        memo.blocks += map(tuple, vals)
 
 
 def _solve_systems(systems, discounts, rows, slots):
-    """Solve the queued systems of two or more unknowns into `slots`; the
-    systems with the same matrix share their work.  A system x = constants
-    + discount * P x on its unknowns is block triangular over the SCCs of
-    the graph on them, which come successors first: every value outside
-    the SCC at hand, solved or fixed, is read from `slots`, a single node
-    is solved by `_one_node` and a larger SCC by one `solve_linear` for the
-    whole group.  Raises SingularSystem on a singular SCC; empties the
-    queue."""
+    """Solve the queued systems into `slots`, those with the same matrix
+    together.  x = constants + discount * P x on the unknowns is block
+    triangular over the SCCs of their graph, successors first: values
+    outside the SCC at hand are read from `slots`, a single node is solved
+    by `_one_node` and a larger SCC by one `solve_linear`.  Raises
+    SingularSystem on a singular SCC; empties the queue."""
     for (d, unknowns), group in systems.items():
         discount, inside = discounts[d], set(unknowns)
         for comp in iter_sccs(unknowns, lambda i: [j for j, _p in rows[i] if j in inside]):
@@ -332,19 +338,20 @@ def _solve_systems(systems, discounts, rows, slots):
 
 
 class _Memo:
-    """One skeleton's transition table, its unique table of blocks (key ->
-    block number) and the blocks' slots (block number -> node -> slots).
+    """One skeleton's transition table, its states by node, its unique table
+    (block key -> the entry of the block's first node, the others following
+    in node order) and `blocks`, entry -> a node's slots as a flat tuple.
 
-    A pool's memo also holds each node's modulus, as `pure_behaviours`
-    returns it, and `known`, node -> member index modulo the node's modulus
-    -> the node's block: the index fixes the member's actions at every
-    choice point the node can reach, so it fixes the walk below the node
-    and with it the node's block."""
+    A pool's memo also holds each node's modulus, from `pure_behaviours`,
+    and `known`, node -> member index modulo the node's modulus -> the
+    node's entry: the index fixes the member's actions at every choice
+    point the node can reach, so it fixes the walk below the node."""
 
     def __init__(self, table: TransitionTable, moduli: Optional[Dict[int, int]] = None):
         self.table = table
+        self.states = [s for s, _mem in table.nodes]
         self.unique: Dict[tuple, int] = {}
-        self.blocks: List[Dict[int, list]] = []
+        self.blocks: List[tuple] = []
         self.moduli = moduli
         self.known: Dict[int, Dict[int, int]] = {i: {} for i in moduli or ()}
 
@@ -372,12 +379,9 @@ class Pool(list):
     `size` the number of act tables: `pool_size` and `winner_index` count
     act tables, while the cap and the cost of building the pool count
     behaviours.  So `approx` on earn_or_exit.json at counter:30 (2^31
-    tables, 32 behaviours) succeeds.  Members are evaluated together:
-    they share the walk below every node whose reachable choices they play
-    alike, and each distinct SCC block of their products is solved once
-    (see the module docstring), so a counter pool pays for its shared
-    suffixes once.  A plain list of pairs is the pool whose every member
-    is its own table.
+    tables, 32 behaviours) succeeds.  Members are evaluated together (see
+    the module docstring).  A plain list of pairs is the pool whose every
+    member is its own table.
     """
 
     def __init__(self, members=(), size: Optional[int] = None,
@@ -394,14 +398,10 @@ def pure_payoff_set(model: Pomdp, start: str, dims: MultiPayoff, skeleton: Memor
     which represents it.  `pool_size` and `winner_index` count act tables,
     the cap behaviours, so counter:30 on earn_or_exit.json (2^31 tables, 32
     behaviours) is a small pool.  One transition table serves the choice
-    points, the behaviour walk and the evaluation.  All members share one
-    evaluation, keyed by their table indices: a member expands only the
-    nodes not finished before under its index modulo the node's modulus
-    (from `pure_behaviours`), and only its SCC blocks not met before in
-    this call are solved, so the exact work counts distinct blocks, not
-    behaviours.
-    PoolTooLarge comes from the walk, before any block is solved.  Raises
-    SchemaError if `validate` rejects the model."""
+    points, the behaviour walk and the evaluation, which all members share
+    (see the module docstring).  PoolTooLarge comes from the walk, before
+    any block is solved.  Raises SchemaError if `validate` rejects the
+    model."""
     require_valid(model)
     table = transition_table(model, skeleton, [start, *model.states])
     size, members, moduli = pure_behaviours(model, table, cap)

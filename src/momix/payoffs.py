@@ -85,7 +85,7 @@ def payoff_from_dict(model: Pomdp, entry: Mapping) -> PayoffSpec:
         raise SchemaError(f"unknown payoff kind {kind!r}")
 
     def target():
-        states = require_field(entry, "target", list, [])
+        states = require_field(entry, "target", list)
         if not all(isinstance(s, str) for s in states):
             raise SchemaError(f"the target of payoff kind {kind!r} must list state identifiers")
         unknown = set(states) - set(model.states)

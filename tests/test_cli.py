@@ -346,6 +346,9 @@ BAD_INPUTS = {
     "weight-table-list": (FRONTIER, _document(RUNNING, weights={"w": []}), None),
     "target-not-states": (FRONTIER, _document(RUNNING, payoffs=[
         {"kind": "reach", "target": [["s1"]]}]), None),
+    "reach-no-target": (FRONTIER, _document(RUNNING, payoffs=[{"kind": "reach"}]), None),
+    "shortest-path-no-target": (FRONTIER, _document(RUNNING, payoffs=[
+        {"kind": "shortest_path", "weights": "w"}]), None),
     "weights-name-list": (FRONTIER, _document(RUNNING, payoffs=[
         {"kind": "discounted_sum", "lambda": "1/2", "weights": ["w"]}]), None),
     "no-payoffs": (FRONTIER, {k: v for k, v in _document(RUNNING).items() if k != "payoffs"},

@@ -296,7 +296,8 @@ def test_a_pool_steps_its_product_once(coin_exit, monkeypatch):
 
 
 @pytest.mark.parametrize("name,start,horizon", [
-    ("two_discounts", "s0", 8), ("gated_reward", "s", 8), ("earn_or_exit", "s", 11),
+    ("two_discounts", "s0", 8), ("two_discounts", "s0", 10), ("gated_reward", "s", 8),
+    ("gated_reward", "s", 11), ("earn_or_exit", "s", 11), ("earn_or_exit", "s", 30),
     ("coin_exit", "s", 6)])
 def test_bundled_pools_at_long_counters_equal_the_reference(name, start, horizon):
     """The bundled models at the benchmark's counter lengths, where every

@@ -2,7 +2,8 @@
 tests too), no module-level private name that nothing else uses, no public function or
 class that only its definition and its re-export name, no public dataclass field
 that nothing outside its module reads, one product walk, which
-`strategies.py` owns, one closed form for a one-node block, one builder of
+`strategies.py` owns, one closed form for a one-node block, one method that
+solves a pool block, one builder of
 memory skeletons, one caller of `solve_linear`, payoff kinds without
 methods, no function-local import of a sibling module, one breadth-first
 search, `model.closure`, three builders of linear programs, none of them
@@ -315,6 +316,49 @@ def test_one_function_solves_linear_systems():
         with open(os.path.join(SRC, module), "r", encoding="utf-8") as fh:
             found += [f"{module}:{name}" for name in functions_calling(fh.read(), "solve_linear")]
     assert found == ["evaluate.py:_solve_systems"]
+
+
+def block_solvers(source: str):
+    """The functions that call `_one_node`, and the methods of `_Evaluator`
+    other than `_memo`, or the block arithmetic, that `_Evaluator.__call__`
+    calls, nested functions included."""
+    evaluator = next(stmt for stmt in ast.parse(source).body
+                     if isinstance(stmt, ast.ClassDef) and stmt.name == "_Evaluator")
+    methods = {f.name: f for f in evaluator.body if isinstance(f, ast.FunctionDef)}
+    called = {getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+              for node in ast.walk(methods["__call__"]) if isinstance(node, ast.Call)}
+    return (sorted(functions_calling(source, "_one_node")),
+            sorted((called - {"_memo"}) & (set(methods) | {"_one_node", "_affine", "_solve_systems"})))
+
+
+def test_scan_finds_a_second_block_solver():
+    """The shape of a fork: a one-node method beside `_solve_block`, and a
+    closure inside it."""
+    source = ("class _Evaluator:\n"
+              "    def __call__(self, comp):\n"
+              "        def walk():\n"
+              "            return self._memo()\n"
+              "        if len(comp) == 1:\n"
+              "            return self._solve_one(comp)\n"
+              "        return self._solve_block(comp)\n"
+              "    def _solve_one(self, comp):\n"
+              "        return _one_node(comp, None, 1)\n"
+              "    def _solve_block(self, comp):\n"
+              "        def system(slot):\n"
+              "            return _one_node(slot, None, 1)\n"
+              "        return _one_node(comp, None, 1), system\n"
+              "def _solve_systems(systems):\n"
+              "    return [_one_node(s, None, 1) for s in systems]\n")
+    assert block_solvers(source) == (["_solve_block", "_solve_one", "_solve_systems", "system"],
+                                     ["_solve_block", "_solve_one"])
+
+
+def test_one_method_solves_a_block():
+    """Every block of every size is solved by `_Evaluator._solve_block`: it
+    and `_solve_systems` alone call `_one_node`, with no closure in
+    between, and `__call__` reaches block arithmetic only through it."""
+    with open(os.path.join(SRC, "evaluate.py"), "r", encoding="utf-8") as fh:
+        assert block_solvers(fh.read()) == (["_solve_block", "_solve_systems"], ["_solve_block"])
 
 
 def dataclass_methods(source: str):
