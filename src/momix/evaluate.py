@@ -33,8 +33,10 @@ by one formula per slot, x = (c + lambda sum_j P(i, j) x_j) /
 (1 - lambda P(i, i)), its sum an integer fraction normalised once, with no
 division without a self-loop.  `_solve_systems` solves larger systems with
 the same unknowns and discount together, SCC by SCC, successors first: a
-single node by the same formula, a larger SCC by one `solve_linear`, its
-only caller.  The memo lives for one call.
+single node by the same formula, a larger SCC by `solve_linear` on the
+`factor` of its integer matrix, built and eliminated once per block and
+replayed by every stage that meets it; it is their only caller.  The memo
+lives for one call.
 
 Pool members also share the walk.  A member is an act table index, a
 mixed-radix number with the first choice point most significant, and the
@@ -53,11 +55,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Dict, List, Optional, Sequence, Set
 
 from .beliefs import universal_as_reach
 from .errors import SingularSystem, UnknownState, UnsupportedKind
-from .linalg import solve_linear
+from .linalg import factor, solve_linear
 from .model import Pomdp, iter_sccs, reachable_states, require_valid
 from .payoffs import (BuchiIndicator, DiscountedSum, MultiPayoff,
                       ReachGatedDiscountedSum, ReachIndicator, ShortestPath,
@@ -233,6 +236,7 @@ class _Evaluator:
         `_solve_systems`."""
         states, discounts, vals = memo.states, self.discounts, [[None] * self.width for _ in comp]
         value.update(zip(comp, vals))
+        factors = {}  # (discount number, *SCC) -> the factor its stages share
         for stage in self.stages:
             queue = []
             for spec, slot, d in stage:
@@ -301,17 +305,21 @@ class _Evaluator:
                     systems.setdefault((d, tuple(unknowns)), []).append(
                         (slot, constants and dict(zip(unknowns, constants))))
             if systems:
-                _solve_systems(systems, discounts, rows, value)
+                _solve_systems(systems, discounts, rows, value, factors)
         memo.blocks += map(tuple, vals)
 
 
-def _solve_systems(systems, discounts, rows, slots):
+def _solve_systems(systems, discounts, rows, slots, factors):
     """Solve the queued systems into `slots`, those with the same matrix
     together.  x = constants + discount * P x on the unknowns is block
     triangular over the SCCs of their graph, successors first: values
     outside the SCC at hand are read from `slots`, a single node is solved
-    by `_one_node` and a larger SCC by one `solve_linear`.  Raises
-    SingularSystem on a singular SCC; empties the queue."""
+    by `_one_node` and a larger SCC by `solve_linear` on the `factor` of its
+    integer I - discount * P, each row scaled by the discount's denominator
+    times the lcm of the row's probability denominators.  `factors` keeps
+    each factor by (discount number, the SCC's nodes in order) for the other
+    stages of the block.  Raises SingularSystem on a singular SCC; empties
+    the queue."""
     for (d, unknowns), group in systems.items():
         discount, inside = discounts[d], set(unknowns)
         for comp in iter_sccs(unknowns, lambda i: [j for j, _p in rows[i] if j in inside]):
@@ -323,14 +331,20 @@ def _solve_systems(systems, discounts, rows, slots):
                 loop = next((p for j, p in rows[comp[0]] if j in pos), None)
                 x = [_one_node(rhs[0], loop, discount)]
             else:
-                matrix = [[_ZERO] * len(comp) for _ in comp]
-                for node, k in pos.items():
-                    row = matrix[k]
-                    row[k] += 1
-                    for j, p in rows[node]:
-                        if j in pos:
-                            row[pos[j]] -= discount * p
-                x = solve_linear(matrix, rhs)
+                key = (d, *comp)
+                if key not in factors:
+                    (ln, ld), ints, scales = discount.as_integer_ratio(), [], []
+                    for k, node in enumerate(comp):
+                        inner = [(pos[j], p.numerator, p.denominator) for j, p in rows[node] if j in pos]
+                        scale = lcm(*(pd for _j, _pn, pd in inner))
+                        row = [0] * len(comp)
+                        row[k] = ld * scale
+                        for j, pn, pd in inner:
+                            row[j] -= ln * pn * (scale // pd)
+                        ints.append(row)
+                        scales.append(ld * scale)
+                    factors[key] = factor(ints, scales)
+                x = solve_linear(factors[key], rhs)
             for i, values in zip(comp, x):
                 for (slot, _constants), v in zip(group, values):
                     slots[i][slot] = v

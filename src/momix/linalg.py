@@ -1,79 +1,88 @@
 """Exact rational linear algebra.
 
-Matrices are lists of lists of Fractions.  :func:`solve_linear` runs
-fraction-free (Bareiss) elimination on integer rows (scaled by
-:func:`momix.rationals.integer_row`).  It puts each right-hand side over one
-common denominator apart from the matrix, so its denominators never enter
-the matrix minors, and solves several right-hand sides with one
-elimination.  All pivots are exact, so there is no tolerance policy
-anywhere; a singular system raises :class:`SingularSystem`.
+A square system A X = B is solved in two steps.  :func:`factor` runs
+fraction-free (Bareiss) elimination on A's integer rows, each row i of A
+scaled by a positive integer s_i, and records every step.  :func:`solve_linear`
+replays the recorded steps on a batch of right-hand sides and back-substitutes,
+in O(n^2) per right-hand side, so a matrix that meets several batches is
+eliminated once.  A batch, scaled by the same s_i, goes over one common
+denominator apart from the matrix, so its denominators never enter the matrix
+minors.  All pivots are exact, so there is no tolerance policy anywhere; a
+singular matrix raises :class:`SingularSystem` when it is factored.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, Sequence
+from itertools import islice
+from math import lcm
+from typing import List, NamedTuple, Sequence
 
 from .errors import SingularSystem
-from .rationals import integer_row
 
 
-def _bareiss(a: List[List[int]], ncols: int) -> int:
-    """Fraction-free elimination (Bareiss, Math. Comp. 22, 1968) of the
-    first ncols columns of the integer rows a to row echelon form, in place:
-    every entry below the pivot row after step k is a (k+1)-minor, so
-    dividing by the previous pivot is exact.  The pivot is the first nonzero
-    entry of its column at or below the diagonal.  Returns the signed last
-    pivot, det(a) for a square a, or 0 at the first column without a
-    pivot."""
-    sign = 1
-    prev = 1
-    for col in range(ncols):
-        pivot = next((i for i in range(col, len(a)) if a[i][col] != 0), None)
+class Factor(NamedTuple):
+    """The recorded Bareiss elimination of one integer matrix: the row
+    scales and, per pivot column k, (the row swapped into row k, the
+    previous pivot, the entries below the pivot that step k eliminates, row
+    k from column k on)."""
+    scales: Sequence[int]
+    steps: list
+
+
+def factor(rows: List[List[int]], scales: Sequence[int]) -> Factor:
+    """Bareiss elimination (Math. Comp. 22, 1968) of the square integer
+    matrix `rows`, row i being row i of A times scales[i] > 0.  Step k only
+    rewrites the columns right of pivot k; every entry it leaves below the
+    pivot row is a (k+1)-minor, so dividing by the previous pivot is exact.
+    The pivot is the first nonzero entry of its column at or below the
+    diagonal.  Raises SingularSystem at the first column without one."""
+    n = len(rows)
+    if any(len(row) != n for row in rows):
+        raise ValueError("factor expects a square system")
+    rows, steps, prev = list(rows), [], 1  # row i holds its columns from the current one on
+    for k in range(n):
+        pivot = next((i for i in range(k, n) if rows[i][0] != 0), None)
         if pivot is None:
-            return 0
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            sign = -sign
-        top = a[col]
-        akk = top[col]
-        for i in range(col + 1, len(a)):
-            aik = a[i][col]
-            a[i] = [(akk * v - aik * p) // prev for v, p in zip(a[i], top)]
+            raise SingularSystem("the system matrix is singular")
+        rows[k], rows[pivot] = rows[pivot], rows[k]
+        top = rows[k]
+        akk, right, below = top[0], top[1:], [row[0] for row in rows[k + 1:]]
+        rows[k + 1:] = [[(akk * v - m * p) // prev for v, p in zip(islice(row, 1, None), right)]
+                        for row, m in zip(rows[k + 1:], below)]
+        steps.append((pivot, prev, below, top))
         prev = akk
-    return sign * prev
+    return Factor(scales, steps)
 
 
-def solve_linear(matrix: Sequence[Sequence[Fraction]], rhs: Sequence[tuple]) -> List[tuple]:
-    """Solve A X = B exactly for square A by Bareiss elimination on [A' | C]:
-    A' is A with each row scaled by the lcm of that row's denominators, and
-    each right-hand side, scaled by the same row factors, goes over its own
-    common denominator D, so that A' x = c / D.  The minors of A' stay as
-    small as A's own entries allow; large numbers in B reach only the
-    right-hand columns.
-
-    `rhs[i]` is the tuple of row i's entries of every right-hand side, and
-    the solution gives row i's values as a tuple in the same order: each
-    further right-hand side is one more column of the same elimination."""
-    n = len(matrix)
-    if any(len(row) != n for row in matrix) or len(rhs) != n:
-        raise ValueError("solve_linear expects a square system")
-    rows = [integer_row(row) for row in matrix]
-    columns = [integer_row([b * scale for (_ints, scale), b in zip(rows, column)])
-               for column in zip(*rhs)]
-    a = [[*ints, *(c[i] for c, _common in columns)] for i, (ints, _scale) in enumerate(rows)]
-    det = _bareiss(a, n)
-    if det == 0:
-        raise SingularSystem("the system matrix is singular")
-    # Cramer: det * D * x is an integer vector, so back-substitution stays exact.
+def solve_linear(factored: Factor, rhs: Sequence[tuple]) -> List[tuple]:
+    """Solve A X = B for the factored A.  `rhs[i]` is the tuple of row i's
+    entries of every right-hand side, and the solution gives row i's values
+    as a tuple in the same order.  Each right-hand side, times the row
+    scales, goes over its own common denominator D, c = D s b, and takes the
+    elimination's steps; then det * D * x is an integer vector (Cramer), so
+    back-substitution stays exact."""
+    n, steps = len(factored.steps), factored.steps
+    width = len(rhs[0]) if rhs else 0
+    if len(rhs) != n or any(len(b) != width for b in rhs):
+        raise ValueError("solve_linear expects one right-hand side row of equal length "
+                         "per row of a square system")
+    det = steps[-1][3][0] if steps else 1
     solutions = []
-    for col, (_c, common) in enumerate(columns, start=n):
+    for column in zip(*rhs):
+        common = lcm(*(b.denominator for b in column))
+        c = [b.numerator * s * (common // b.denominator) for b, s in zip(column, factored.scales)]
+        for k, (pivot, prev, below, top) in enumerate(steps):
+            c[k], c[pivot] = c[pivot], c[k]
+            akk, ck = top[0], c[k]
+            c[k + 1:] = [(akk * v - m * ck) // prev for v, m in zip(islice(c, k + 1, None), below)]
         num = [0] * n
         for i in reversed(range(n)):
-            row = a[i]
-            num[i] = (det * row[col] - sum(row[j] * num[j] for j in range(i + 1, n))) // row[i]
+            top = steps[i][3]
+            num[i] = (det * c[i] - sum(map(int.__mul__, islice(top, 1, None),
+                                           islice(num, i + 1, None)))) // top[0]
         solutions.append([Fraction(v, det * common) for v in num])
-    return list(zip(*solutions))
+    return list(zip(*solutions)) if solutions else [()] * n
 
 
 def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:

@@ -11,20 +11,92 @@ import pytest
 
 import momix as mx
 from momix.beliefs import BeliefSupport, _avoider_strategy, _reachable_avoiding
-from momix.errors import NotInHull, PoolTooLarge
+from momix.errors import NotInHull, PoolTooLarge, SingularSystem
 from momix.geometry import Point, _check_points, _format_point, membership_combination
-from momix.linalg import solve_linear
+from momix.linalg import factor, solve_linear
 from momix.lp import LinearProgram
 from momix.model import Pomdp
+from momix.rationals import integer_row
 from momix.strategies import (FiniteMemoryStrategy, Mem, MemorySkeleton, PureStrategy,
                               reachable_choice_points, transition_table)
 
 MODELS = os.path.join(os.path.dirname(__file__), os.pardir, "models")
 
 
+def factor_rows(matrix):
+    """`factor` of a rational matrix, each row scaled by the lcm of its
+    denominators."""
+    rows = [integer_row(row) for row in matrix]
+    return factor([ints for ints, _scale in rows], [scale for _ints, scale in rows])
+
+
 def solve_column(matrix, rhs):
-    """`solve_linear` on one right-hand side: one value per row in and out."""
-    return [x for (x,) in solve_linear(matrix, [(b,) for b in rhs])]
+    """`factor` and `solve_linear` on one right-hand side: one value per row
+    in and out."""
+    return [x for (x,) in solve_linear(factor_rows(matrix), [(b,) for b in rhs])]
+
+
+# -- reference: the dense solver, which rewrote whole [A | B] rows and eliminated
+# the matrix again for each batch of right-hand sides; kept verbatim, but for its
+# names
+
+
+def dense_bareiss(a: List[List[int]], ncols: int) -> int:
+    """Fraction-free elimination (Bareiss, Math. Comp. 22, 1968) of the
+    first ncols columns of the integer rows a to row echelon form, in place:
+    every entry below the pivot row after step k is a (k+1)-minor, so
+    dividing by the previous pivot is exact.  The pivot is the first nonzero
+    entry of its column at or below the diagonal.  Returns the signed last
+    pivot, det(a) for a square a, or 0 at the first column without a
+    pivot."""
+    sign = 1
+    prev = 1
+    for col in range(ncols):
+        pivot = next((i for i in range(col, len(a)) if a[i][col] != 0), None)
+        if pivot is None:
+            return 0
+        if pivot != col:
+            a[col], a[pivot] = a[pivot], a[col]
+            sign = -sign
+        top = a[col]
+        akk = top[col]
+        for i in range(col + 1, len(a)):
+            aik = a[i][col]
+            a[i] = [(akk * v - aik * p) // prev for v, p in zip(a[i], top)]
+        prev = akk
+    return sign * prev
+
+
+def dense_solve_linear(matrix: Sequence[Sequence[Fraction]], rhs: Sequence[tuple]) -> List[tuple]:
+    """Solve A X = B exactly for square A by Bareiss elimination on [A' | C]:
+    A' is A with each row scaled by the lcm of that row's denominators, and
+    each right-hand side, scaled by the same row factors, goes over its own
+    common denominator D, so that A' x = c / D.  The minors of A' stay as
+    small as A's own entries allow; large numbers in B reach only the
+    right-hand columns.
+
+    `rhs[i]` is the tuple of row i's entries of every right-hand side, and
+    the solution gives row i's values as a tuple in the same order: each
+    further right-hand side is one more column of the same elimination."""
+    n = len(matrix)
+    if any(len(row) != n for row in matrix) or len(rhs) != n:
+        raise ValueError("solve_linear expects a square system")
+    rows = [integer_row(row) for row in matrix]
+    columns = [integer_row([b * scale for (_ints, scale), b in zip(rows, column)])
+               for column in zip(*rhs)]
+    a = [[*ints, *(c[i] for c, _common in columns)] for i, (ints, _scale) in enumerate(rows)]
+    det = dense_bareiss(a, n)
+    if det == 0:
+        raise SingularSystem("the system matrix is singular")
+    # Cramer: det * D * x is an integer vector, so back-substitution stays exact.
+    solutions = []
+    for col, (_c, common) in enumerate(columns, start=n):
+        num = [0] * n
+        for i in reversed(range(n)):
+            row = a[i]
+            num[i] = (det * row[col] - sum(row[j] * num[j] for j in range(i + 1, n))) // row[i]
+        solutions.append([Fraction(v, det * common) for v in num])
+    return list(zip(*solutions))
 
 
 def fraction_rref(matrix):

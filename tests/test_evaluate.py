@@ -659,7 +659,7 @@ def _block_solve(chain, nodes, rhs, discount=1):
     side, x = 0 off `nodes`: every other node's one slot holds 0."""
     slots = {i: [Fraction(0)] for i in range(len(chain.matrix))}
     systems = {(0, tuple(nodes)): [(0, dict(zip(nodes, rhs)))]}
-    _solve_systems(systems, [discount], {i: tuple(chain.matrix[i].items()) for i in nodes}, slots)
+    _solve_systems(systems, [discount], {i: tuple(chain.matrix[i].items()) for i in nodes}, slots, {})
     return {node: slots[node][0] for node in nodes}
 
 
@@ -679,6 +679,32 @@ def test_block_solve_equals_dense_solve(system):
     """Successors first, block by block, the solver returns exactly the
     dense solve's Fractions, and is singular exactly when it is."""
     assert _outcome(_block_solve, system) == _outcome(_dense_solve_on, system)
+
+
+# a <-> b leak to the absorbing target t: the reach stage and the total
+# reward stage meet the same I - P on {a, b}, the discounted sum I - P/2
+TRANSIENT_PAIR = {
+    "states": ["a", "b", "t"], "actions": ["go"],
+    "transitions": {"a": {"go": {"b": "1/2", "t": "1/2"}}, "b": {"go": {"a": "1/3", "t": "2/3"}},
+                    "t": {"go": {"t": "1"}}},
+    "weights": {"w": {"a,go": ["1"], "b,go": ["2"], "t,go": ["0"]}},
+    "payoffs": [{"kind": "reach", "target": ["t"]}, {"kind": "total_reward", "weights": "w"},
+                {"kind": "discounted_sum", "lambda": "1/2", "weights": "w"}]}
+
+
+def test_each_distinct_matrix_of_a_block_is_factored_once(monkeypatch):
+    """A block's stages share the factor of each (discount, SCC): the hitting
+    probabilities and the total reward solve I - P on {a, b} from one
+    elimination, and the discounted sum eliminates I - P/2 once more."""
+    model, dims = mx.load_problem(json.dumps(TRANSIENT_PAIR))
+    factored = []
+    real_factor = mx.evaluate.factor
+    monkeypatch.setattr(mx.evaluate, "factor",
+                        lambda rows, scales: factored.append(rows) or real_factor(rows, scales))
+    strategy = mx.PureStrategy(mx.memoryless(model), {(0, z): "go" for z in "abt"})
+    assert mx.expected_payoff(model, strategy, "a", dims) \
+        == mx.vector(1, Fraction(12, 5), Fraction(36, 23))
+    assert len(factored) == 2
 
 
 def test_block_solve_on_a_layered_chain_is_exact():

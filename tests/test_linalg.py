@@ -1,7 +1,11 @@
 """Exact linear solves: solutions satisfy the system exactly, pivoting
-handles zero leading entries, bad systems raise the documented errors, and
+handles zero leading entries, bad systems raise the documented errors,
 scaling the right-hand side apart from the matrix returns the same
-Fractions as scaling whole [A | b] rows."""
+Fractions as scaling whole [A | b] rows, and one factor replayed on several
+batches of right-hand sides returns what the dense solve of each batch does.
+
+Strategies are built once, at module level, one per size: building them
+inside a draw costs more than the solves."""
 
 from fractions import Fraction
 
@@ -9,21 +13,37 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from momix.errors import SingularSystem
-from momix.linalg import _bareiss, solve_linear
+from momix.linalg import solve_linear
 from momix.rationals import integer_row
 
-from conftest import fraction_rref, solve_column
+from conftest import dense_bareiss, dense_solve_linear, factor_rows, fraction_rref, solve_column
 
-rationals = st.fractions(min_value=-4, max_value=4, max_denominator=12)
+# st.fractions(min_value=-4, max_value=4, max_denominator=12), drawing the
+# same examples, with each denominator's numerator strategy built once
+# instead of once per draw
+NUMERATORS = {d: st.builds(Fraction, st.integers(-4 * d, 4 * d), st.just(d)) for d in range(1, 13)}
+rationals = st.integers(1, 12).flatmap(NUMERATORS.__getitem__).map(
+    lambda f: f.limit_denominator(12))
+# right-hand sides like exact hitting probabilities: numerators and
+# denominators of 300 bits and more
+wide_rationals = st.builds(Fraction, st.integers(-2 ** 320, 2 ** 320),
+                           st.integers(2 ** 300, 2 ** 330))
+SIZES = range(1, 7)
+ROWS = {n: st.lists(rationals, min_size=n, max_size=n) for n in SIZES}
+WIDE_ROWS = {n: st.lists(st.one_of(rationals, wide_rationals), min_size=n, max_size=n)
+             for n in SIZES}
+ORDERS = {n: st.permutations(range(n)) for n in SIZES}
+SIZE, FLAG = st.integers(min_value=1, max_value=6), st.booleans()
+COUNT, MORE = st.integers(1, 3), st.integers(1, 2)
 
 
 @st.composite
 def systems(draw):
-    n = draw(st.integers(min_value=1, max_value=6))
-    matrix = [draw(st.lists(rationals, min_size=n, max_size=n)) for _ in range(n)]
-    if draw(st.booleans()):
+    n = draw(SIZE)
+    matrix = [draw(ROWS[n]) for _ in range(n)]
+    if draw(FLAG):
         matrix[0][0] = Fraction(0)  # the first pivot must come from a later row
-    rhs = draw(st.lists(rationals, min_size=n, max_size=n))
+    rhs = draw(ROWS[n])
     return matrix, rhs
 
 
@@ -42,7 +62,7 @@ def _row_scaled_solve(matrix, rhs):
     denominators, kept as the reference."""
     n = len(matrix)
     a = [integer_row([*row, b])[0] for row, b in zip(matrix, rhs)]
-    det = _bareiss(a, n)
+    det = dense_bareiss(a, n)
     if det == 0:
         raise SingularSystem("the system matrix is singular")
     num = [0] * n
@@ -52,19 +72,12 @@ def _row_scaled_solve(matrix, rhs):
     return [Fraction(v, det) for v in num]
 
 
-# right-hand sides like exact hitting probabilities: numerators and
-# denominators of 300 bits and more
-wide_rationals = st.builds(Fraction, st.integers(-2 ** 320, 2 ** 320),
-                           st.integers(2 ** 300, 2 ** 330))
-
-
 @given(systems(), st.data())
 @settings(max_examples=150, deadline=None)
 def test_common_denominator_rhs_equals_row_scaled_solve(system, data):
     matrix, rhs = system
-    if data.draw(st.booleans()):
-        rhs = data.draw(st.lists(st.one_of(rationals, wide_rationals),
-                                 min_size=len(rhs), max_size=len(rhs)))
+    if data.draw(FLAG):
+        rhs = data.draw(WIDE_ROWS[len(rhs)])
     try:
         expected = _row_scaled_solve(matrix, rhs)
     except SingularSystem:
@@ -82,16 +95,36 @@ def test_several_right_hand_sides_equal_column_solves(system, data):
     one column is."""
     matrix, rhs = system
     n = len(rhs)
-    columns = [rhs] + [data.draw(st.lists(st.one_of(rationals, wide_rationals),
-                                          min_size=n, max_size=n))
-                       for _ in range(data.draw(st.integers(1, 3)))]
+    columns = [rhs] + [data.draw(WIDE_ROWS[n]) for _ in range(data.draw(COUNT))]
     try:
         expected = [solve_column(matrix, column) for column in columns]
     except SingularSystem:
         with pytest.raises(SingularSystem):
-            solve_linear(matrix, list(zip(*columns)))
+            solve_linear(factor_rows(matrix), list(zip(*columns)))
         return
-    assert solve_linear(matrix, list(zip(*columns))) == list(zip(*expected))
+    assert solve_linear(factor_rows(matrix), list(zip(*columns))) == list(zip(*expected))
+
+
+@given(systems(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_one_factor_replays_every_batch(system, data):
+    """A matrix factored once and replayed on two or three batches of right-
+    hand sides, some with 300-bit entries, gives for each batch the dense
+    solve of [A | batch]; it is singular at factor time exactly when the
+    dense solve is."""
+    matrix, rhs = system
+    n = len(rhs)
+    batches = [list(zip(*[rhs] + [data.draw(WIDE_ROWS[n]) for _ in range(data.draw(COUNT) - 1)]))]
+    batches += [list(zip(*[data.draw(WIDE_ROWS[n]) for _ in range(data.draw(COUNT))]))
+                for _ in range(data.draw(MORE))]
+    try:
+        expected = [dense_solve_linear(matrix, batch) for batch in batches]
+    except SingularSystem:
+        with pytest.raises(SingularSystem):
+            factor_rows(matrix)
+        return
+    factored = factor_rows(matrix)
+    assert [solve_linear(factored, batch) for batch in batches] == expected
 
 
 def test_wide_rhs_solves_exactly():
@@ -118,7 +151,7 @@ def test_empty_system():
 def test_dependent_rows_are_singular(system, data):
     matrix, rhs = system
     assume(len(matrix) >= 2)
-    i, j = data.draw(st.permutations(range(len(matrix))))[:2]
+    i, j = data.draw(ORDERS[len(matrix)])[:2]
     k = data.draw(rationals)
     matrix[i] = [k * v for v in matrix[j]]
     with pytest.raises(SingularSystem):
@@ -133,3 +166,16 @@ def test_dependent_rows_are_singular(system, data):
 def test_non_square_system_is_rejected(matrix, rhs):
     with pytest.raises(ValueError, match="square"):
         solve_column(matrix, rhs)
+
+
+def test_ragged_right_hand_sides_are_rejected():
+    """Rows of the right-hand side with different lengths are an error, not
+    a solve that drops the entries past the shortest row."""
+    with pytest.raises(ValueError, match="equal length"):
+        solve_linear(factor_rows([[1, 0], [0, 1]]), [(1, 2), (3,)])
+
+
+def test_no_right_hand_sides_give_empty_rows():
+    """A batch of zero right-hand sides solves to one empty tuple per row."""
+    assert solve_linear(factor_rows([[2]]), [()]) == [()]
+    assert solve_linear(factor_rows([[1, 1], [0, 3]]), [(), ()]) == [(), ()]

@@ -4,7 +4,7 @@ class that only its definition and its re-export name, no public dataclass field
 that nothing outside its module reads, one product walk, which
 `strategies.py` owns, one closed form for a one-node block, one method that
 solves a pool block, one builder of
-memory skeletons, one caller of `solve_linear`, payoff kinds without
+memory skeletons, one caller of `factor` and `solve_linear`, payoff kinds without
 methods, no function-local import of a sibling module, one breadth-first
 search, `model.closure`, three builders of linear programs, none of them
 with a free variable, supporting normals for `supporting_map` alone, no
@@ -303,19 +303,25 @@ def test_scan_finds_linear_solves():
               "        return linalg.solve_linear(rows, [])\n"
               "    return inner()\n"
               "def dense(solve_linear):\n"
-              "    return solve_linear\n")
+              "    return solve_linear\n"
+              "def refactor(rows, scales):\n"
+              "    return [linalg.factor(rows, scales), factor(rows, scales)]\n"
+              "def factored(factor):\n"
+              "    return factor\n")
     assert functions_calling(source, "solve_linear") == ["_solve_systems", "block", "inner"]
+    assert functions_calling(source, "factor") == ["refactor"]
 
 
 def test_one_function_solves_linear_systems():
     """Every transient system goes through `evaluate._solve_systems`, which
-    solves each SCC of more than one node by `solve_linear`; nothing else
-    in `src/momix` calls it."""
-    found = []
-    for module in MODULES:
-        with open(os.path.join(SRC, module), "r", encoding="utf-8") as fh:
-            found += [f"{module}:{name}" for name in functions_calling(fh.read(), "solve_linear")]
-    assert found == ["evaluate.py:_solve_systems"]
+    eliminates the matrix of each SCC of more than one node by `factor` and
+    solves it by `solve_linear`; nothing else in `src/momix` calls either."""
+    for callee in ("factor", "solve_linear"):
+        found = []
+        for module in MODULES:
+            with open(os.path.join(SRC, module), "r", encoding="utf-8") as fh:
+                found += [f"{module}:{name}" for name in functions_calling(fh.read(), callee)]
+        assert found == ["evaluate.py:_solve_systems"], callee
 
 
 def block_solvers(source: str):
