@@ -255,7 +255,10 @@ def _cmd_simulate(args):
         cfg = montecarlo.SampleConfig(samples=args.samples, horizon=args.horizon, seed=args.seed)
     except ValueError as exc:
         raise SchemaError(str(exc)) from None
-    est = montecarlo.estimate_expectation(mdl, loaded, args.state, dims, cfg)
+    try:
+        est = montecarlo.estimate_expectation(mdl, loaded, args.state, dims, cfg)
+    except MemoryError as exc:
+        raise SchemaError(f"the simulation does not fit in memory: {exc}") from None
     payload = {"ok": True, "mean": list(est.mean), "stderr": list(est.stderr),
                "censored": list(est.censored),
                "bias_bound": [None if b is None else format_rational(b) for b in est.bias_bound],

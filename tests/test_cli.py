@@ -389,6 +389,8 @@ BAD_INPUTS = {
     "horizon-negative": (SIMULATE + ["--horizon", "-3"], None, None),
     "seed-negative": (SIMULATE + ["--seed", "-1"], None, None),
     "seed-too-large": (SIMULATE + ["--seed", str(2 ** 128)], None, None),
+    "samples-huge": (SIMULATE + ["--samples", str(10 ** 20)], None, None),
+    "horizon-huge": (SIMULATE + ["--horizon", str(10 ** 20)], None, None),
     "weight-beyond-float": (["simulate", "MODEL", "--state", "home", "--strategy", "STRATEGY"],
                             HUGE_BIKE, {**TRAIN, "act": {**TRAIN["act"], "0,home": "bike"}}),
 }
@@ -406,6 +408,19 @@ def test_bad_arguments_are_input_errors(argv, model_doc, strategy_doc, tmp_path,
     assert err.startswith("input error: ")
     if "split_reach.json" in argv[1]:
         assert f"input error: unknown state {argv[argv.index('--state') + 1]!r}" in err
+
+
+def test_simulation_out_of_memory_is_an_input_error(monkeypatch, capsys):
+    """A simulation whose arrays cannot be allocated ends in exit 3 with one
+    line on stderr, not in a traceback."""
+    def no_memory(*args):
+        raise MemoryError("Unable to allocate 7.28 TiB for an array with shape (1000000000000, 1)")
+
+    monkeypatch.setattr(mx.montecarlo, "estimate_expectation", no_memory)
+    assert run(SIMULATE + ["--samples", str(10 ** 12)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("input error: the simulation does not fit in memory") \
+        and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("payoff, message", [

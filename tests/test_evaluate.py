@@ -632,6 +632,15 @@ def _dense_solve_on(chain, nodes, rhs, discount=1):
     return dict(zip(nodes, solve_column(matrix, rhs)))
 
 
+# st.fractions(min_value=-5, max_value=5, max_denominator=30), drawing the
+# same examples, with each denominator's numerator strategy built once
+# instead of once per draw
+RHS_NUMERATORS = {d: st.builds(Fraction, st.integers(-5 * d, 5 * d), st.just(d))
+                  for d in range(1, 31)}
+RHS_VALUES = st.integers(1, 30).flatmap(RHS_NUMERATORS.__getitem__).map(
+    lambda f: f.limit_denominator(30))
+
+
 @st.composite
 def transient_systems(draw):
     """A chain matrix on up to 9 nodes, often with multi-node SCCs and
@@ -648,8 +657,7 @@ def transient_systems(draw):
         total = sum(mass) + leak
         rows.append({j: Fraction(m, total) for j, m in zip(succ, mass)})
     nodes = draw(st.lists(st.integers(0, n - 1), min_size=1, unique=True))
-    rhs = draw(st.lists(st.fractions(min_value=-5, max_value=5, max_denominator=30),
-                        min_size=len(nodes), max_size=len(nodes)))
+    rhs = draw(st.lists(RHS_VALUES, min_size=len(nodes), max_size=len(nodes)))
     discount = draw(st.sampled_from([Fraction(1), Fraction(9, 10)]))
     return SimpleNamespace(matrix=rows), nodes, rhs, discount
 

@@ -2,6 +2,7 @@
 
 import json
 from fractions import Fraction
+from functools import cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -153,7 +154,17 @@ def test_closure_is_the_transitive_closure(problem):
 # -- round trip ------------------------------------------------------------------
 
 names = st.sampled_from(["p", "q", "r", "u"])
-probs = st.fractions(min_value=0, max_value=1)
+
+
+@cache
+def _cut_numerators(d):
+    return st.builds(Fraction, st.integers(d, 7 * d), st.just(8 * d))
+
+
+# st.fractions(min_value=Fraction(1, 8), max_value=Fraction(7, 8)), drawing
+# the same examples, with each denominator's numerator strategy built once
+# instead of once per draw
+CUTS = st.integers(min_value=1).flatmap(_cut_numerators)
 
 
 @st.composite
@@ -167,9 +178,7 @@ def small_models(draw):
         for a in actions[:n_enabled]:
             support = draw(st.lists(st.sampled_from(states), min_size=1,
                                     max_size=n_states, unique=True))
-            cuts = sorted(draw(st.lists(st.fractions(min_value=Fraction(1, 8),
-                                                     max_value=Fraction(7, 8)),
-                                        min_size=len(support) - 1,
+            cuts = sorted(draw(st.lists(CUTS, min_size=len(support) - 1,
                                         max_size=len(support) - 1)))
             bounds = [Fraction(0)] + cuts + [Fraction(1)]
             dist = {}

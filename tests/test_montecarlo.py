@@ -704,6 +704,101 @@ def test_lazy_walk_draws_a_tenth_of_the_blocks(coin_exit, monkeypatch):
     assert got == estimate_expectation(model, coin_exit_always(model, "a"), "s", dims, cfg)
 
 
+# -- window by window: live sets, slices and the kernel -------------------------------------
+
+
+@pytest.mark.parametrize("name", sorted(BUNDLED))
+def test_small_slices_match_reference(name, monkeypatch):
+    """With slices of 7 rows every window of the live set is drawn and
+    walked in many slices, and samples settle in the middle of windows;
+    both draw paths still give the reference estimate."""
+    monkeypatch.setattr(montecarlo, "_LAZY_CHUNK", 7)
+    model, dims = load(name)
+    for kind, strategy in _strategies(model, random.Random(name)).items():
+        _assert_same(model, strategy, BUNDLED[name], dims, 61, 29, seed=len(kind))
+
+
+def test_kernel_calls_per_slice_and_window(coin_exit, monkeypatch):
+    """The first window is drawn in slices of `_LAZY_CHUNK` rows and every
+    later one for the whole live set: at most one kernel call per slice of
+    the first window and one per later window (one call per chunk and
+    window would be 10 per window)."""
+    model, dims = coin_exit
+    monkeypatch.setattr(montecarlo, "_LAZY_CHUNK", 1000)
+    monkeypatch.setattr(montecarlo, "_draws_lazily", lambda *args: True)
+    calls, columns = [], set()
+    philox, uniforms = montecarlo._philox, montecarlo._uniforms
+    monkeypatch.setattr(montecarlo, "_philox",
+                        lambda seed, counters: calls.append(len(counters)) or philox(seed, counters))
+    monkeypatch.setattr(montecarlo, "_uniforms",
+                        lambda seed, horizon, rows, col, width:
+                        columns.add(col) or uniforms(seed, horizon, rows, col, width))
+    cfg = SampleConfig(samples=10_000, horizon=256, seed=5)
+    got = mx.estimate_expectation(model, coin_exit_always(model, "a"), "s", dims, cfg)
+    assert len(columns) >= 2  # windows walked
+    assert len(calls) <= 10 + len(columns)
+    monkeypatch.undo()
+    assert got == estimate_expectation(model, coin_exit_always(model, "a"), "s", dims, cfg)
+
+
+def test_walk_stops_stepping_once_all_settle(monkeypatch):
+    """On a one-choice model every sample stands on the absorbing sink,
+    settled, after one step: each member's walk steps once on either
+    draw path, not once per step of its first window."""
+    doc = {"states": ["s", "z"], "actions": ["p0", "p1", "p2", "stay"],
+           "transitions": {"s": {f"p{i}": {"z": "1"} for i in range(3)}, "z": {"stay": {"z": "1"}}},
+           "weights": {"w": {"s,p0": ["1", "0"], "s,p1": ["0", "2"], "s,p2": ["3", "1"],
+                             "z,stay": ["0", "0"]}},
+           "payoffs": [{"kind": "total_reward", "weights": "w", "windex": j} for j in range(2)]}
+    model, dims = mx.load_problem(json.dumps(doc))
+    members = [memoryless_table(model, {"s": f"p{i}"}) for i in range(3)]
+    mixture = FiniteMixture.of(zip(members, (Fraction(1, 2), Fraction(1, 3), Fraction(1, 6))))
+    steps = []
+    step = montecarlo._Walker._step
+    monkeypatch.setattr(montecarlo._Walker, "_step", lambda *args: steps.append(1) or step(*args))
+    for strategy, walks in ((members[1], 1), (mixture, 3)):
+        steps.clear()
+        _assert_same(model, strategy, "s", dims, 1000, 64, seed=9)
+        assert len(steps) == 2 * walks  # the dense walk, then the lazy one
+
+
+@pytest.mark.parametrize("seed", [0, 21, 2 ** 64 - 1, 2 ** 64, 2 ** 128 - 1])
+def test_kernel_is_numpy_philox(seed):
+    """`_philox` gives numpy's own blocks at counters next to 2**32, 2**63
+    and 2**64 - 1, for keys at the edges of both 64-bit key words."""
+    for first in (1, 2 ** 32 - 2, 2 ** 63 - 2, 2 ** 64 - 4):
+        generator = np.random.Philox(key=seed)
+        generator.advance(first - 1)
+        counters = np.arange(4, dtype=np.uint64) + np.uint64(first)
+        assert np.array_equal(montecarlo._philox(seed, counters),
+                              generator.random_raw(16).reshape(4, 4))
+
+
+def test_uniform_window_memory():
+    """A window of 50,000 rows is computed a kernel slice at a time into one
+    output of 3.2 MB; computing all its blocks in one call held 16 MB."""
+    tracemalloc.start()
+    try:
+        montecarlo._uniforms(3, 256, range(50_000), 1, 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
+
+
+def test_stream_positions_past_2_63_are_refused(coin_exit):
+    """Positions are computed in int64: a configuration whose last row ends
+    past 2**63 is refused instead of reading another place in the stream."""
+    model, _ = coin_exit
+    SampleConfig(samples=2 ** 62, horizon=1, seed=7)
+    with pytest.raises(ValueError, match=r"2\*\*63"):
+        SampleConfig(samples=2 ** 62 + 1, horizon=1, seed=7)
+    with pytest.raises(ValueError, match=r"2\*\*63"):
+        SampleConfig(samples=924, horizon=10 ** 16, seed=7)
+    with pytest.raises(ValueError, match=r"2\*\*63"):
+        mx.sample_play(model, coin_exit_always(model, "a"), "s", 10 ** 16, seed=7, index=923)
+
+
 def test_sample_play_follows_its_row(coin_exit):
     """The play of sample i follows row i of the uniform matrix."""
     model, _ = coin_exit

@@ -5,6 +5,7 @@ it)."""
 import json
 import random
 from fractions import Fraction
+from functools import cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -260,9 +261,17 @@ def test_premetric_visits_each_memory_triple_once(coin_exit):
     assert len(calls) <= 2 * len(model.states) * 6 * 4
 
 
-@given(st.lists(st.tuples(st.fractions(min_value=0, max_value=1),
-                          st.fractions(min_value=0, max_value=1)),
-                min_size=1, max_size=6))
+@cache
+def _unit_numerators(d):
+    return st.builds(Fraction, st.integers(0, d), st.just(d))
+
+
+# st.fractions(min_value=0, max_value=1), drawing the same examples, with
+# each denominator's numerator strategy built once instead of once per draw
+UNIT = st.deferred(lambda: st.integers(min_value=1).flatmap(_unit_numerators))
+
+
+@given(st.lists(st.tuples(UNIT, UNIT), min_size=1, max_size=6))
 @settings(max_examples=200, deadline=None)
 def test_product_difference_lemma(pairs):
     """|prod a - prod b| <= sum |a - b| for rationals in [0, 1]."""
