@@ -73,6 +73,14 @@ def _load_pool_problem(args):
     raise SchemaError(f"bad skeleton spec {arg!r} (memoryless|counter:<H>, H >= 0|file:<path>)")
 
 
+def _in_memory(what: str, build, *args):
+    """`build(*args)`: a pool or a simulation that does not fit in memory is an input error."""
+    try:
+        return build(*args)
+    except MemoryError as exc:
+        raise SchemaError(f"the {what} does not fit in memory: {exc}") from None
+
+
 def _target_vector(text: str, dims) -> ExtRealVector:
     target = ExtRealVector([parse_ext(part.strip()) for part in text.split(",")])
     if len(target) != len(dims):
@@ -121,7 +129,7 @@ def _cmd_evaluate(args):
 
 def _cmd_frontier(args):
     mdl, dims, skeleton = _load_pool_problem(args)
-    pool = evaluate.pure_payoff_set(mdl, args.state, dims, skeleton)
+    pool = _in_memory("pool", evaluate.pure_payoff_set, mdl, args.state, dims, skeleton)
     distinct = [pool[i][1] for i in synthesis.distinct_members(pool)]
     pareto = set(geometry.pareto_frontier(distinct))
     finite = [v.to_fractions() for v in distinct if v.is_finite]
@@ -173,7 +181,7 @@ def _cmd_achieve(args):
     target = _target_vector(args.target, dims)
     if not target.is_finite:
         raise SchemaError("achieve needs a finite target; use approx")
-    pool = evaluate.pure_payoff_set(mdl, args.state, dims, skeleton)
+    pool = _in_memory("pool", evaluate.pure_payoff_set, mdl, args.state, dims, skeleton)
     try:
         cert = synthesis.achieve(target, pool, mode=args.mode)
     except NotAchievable as exc:
@@ -194,7 +202,7 @@ def _cmd_approx(args):
     big_m = parse_rational(args.bigM)
     if big_m <= 0:
         raise SchemaError(f"--bigM must be positive, not {args.bigM}")
-    pool = evaluate.pure_payoff_set(mdl, args.state, dims, skeleton)
+    pool = _in_memory("pool", evaluate.pure_payoff_set, mdl, args.state, dims, skeleton)
     try:
         cert = synthesis.approximate(target, eps, big_m, pool)
     except InfeasibleApproximation as exc:
@@ -207,7 +215,7 @@ def _cmd_approx(args):
 
 def _cmd_lexopt(args):
     mdl, dims, skeleton = _load_pool_problem(args)
-    pool = evaluate.pure_payoff_set(mdl, args.state, dims, skeleton)
+    pool = _in_memory("pool", evaluate.pure_payoff_set, mdl, args.state, dims, skeleton)
     result = synthesis.lex_optimize(pool)
     payload = {"ok": True, "winner_index": result.winner_index,
                "vector": result.vector.serialize(), "pool_size": result.pool_size,
@@ -255,10 +263,7 @@ def _cmd_simulate(args):
         cfg = montecarlo.SampleConfig(samples=args.samples, horizon=args.horizon, seed=args.seed)
     except ValueError as exc:
         raise SchemaError(str(exc)) from None
-    try:
-        est = montecarlo.estimate_expectation(mdl, loaded, args.state, dims, cfg)
-    except MemoryError as exc:
-        raise SchemaError(f"the simulation does not fit in memory: {exc}") from None
+    est = _in_memory("simulation", montecarlo.estimate_expectation, mdl, loaded, args.state, dims, cfg)
     payload = {"ok": True, "mean": list(est.mean), "stderr": list(est.stderr),
                "censored": list(est.censored),
                "bias_bound": [None if b is None else format_rational(b) for b in est.bias_bound],

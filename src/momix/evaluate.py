@@ -21,22 +21,22 @@ of one).  The model and each skeleton are stepped once, into a
 `strategies.TransitionTable`.  A strategy is walked over the table without
 arithmetic, and the product it reaches is condensed into SCC blocks,
 successors first.  Each finished node has an entry: its slots, one flat
-tuple.  A block is hash-consed by its nodes with their action distributions
-and the sorted entries of the nodes outside it they move to, as shared
-subgraphs are in a BDD's unique table (Bryant, IEEE TC 35, 1986): blocks
-with equal keys have equal values.  `_Evaluator._solve_block` solves a
-block the first time its key appears, every payoff dimension in one pass,
-hitting probabilities first, reading rows and states from node-indexed
-tables, rewards from the weight tables and successor values from their
-entries.  A system of one unknown, as in every one-node block, is solved
-by one formula per slot, x = (c + lambda sum_j P(i, j) x_j) /
-(1 - lambda P(i, i)), its sum an integer fraction normalised once, with no
-division without a self-loop.  `_solve_systems` solves larger systems with
-the same unknowns and discount together, SCC by SCC, successors first: a
-single node by the same formula, a larger SCC by `solve_linear` on the
-`factor` of its integer matrix, built and eliminated once per block and
-replayed by every stage that meets it; it is their only caller.  The memo
-lives for one call.
+tuple, interned by value.  A block is hash-consed by what its solve reads:
+per node its state, action distribution and successors per action, one
+inside the block as its position, one outside as its entry.  So equal keys
+mean equal values, by induction from the successors: the reduction rule of
+reduced BDDs (Bryant, IEEE TC 35, 1986) applied to values as in ADDs
+(Bahar et al., ICCAD 1993).  `_Evaluator._solve_block` solves a block the
+first time its key appears, every payoff dimension in one pass, hitting
+probabilities first.  A system of one unknown, as in every one-node
+block, is solved by one formula per slot, x = (c + lambda sum_j P(i, j)
+x_j) / (1 - lambda P(i, i)), its sum an integer fraction normalised once,
+with no division without a self-loop.  `_solve_systems` solves larger
+systems with the same unknowns and discount together, SCC by SCC,
+successors first: a single node by the same formula, a larger SCC by
+`solve_linear` on the `factor` of its integer matrix, built and
+eliminated once per block and replayed by every stage that meets it; it
+is their only caller.  The memo lives for one call.
 
 Pool members also share the walk.  A member is an act table index, a
 mixed-radix number with the first choice point most significant, and the
@@ -176,9 +176,8 @@ class _Evaluator:
         (node, index modulo its modulus) takes that entry unexpanded."""
         memo = self._memo(strategy.skeleton)
         unique, blocks, known, moduli = memo.unique, memo.blocks, memo.known, memo.moduli
-        nodes, moves, obs = memo.table.nodes, memo.table.moves, self.model.obs
-        # node -> action distribution, row, and once finished entry and slots
-        choice, rows, at, value = {}, {}, {}, {}
+        nodes, states, moves, obs = memo.table.nodes, memo.states, memo.table.moves, self.model.obs
+        choice, rows, at, value = {}, {}, {}, {}  # node -> action distribution, row, entry, slots
 
         def successors(i):
             """Node i's action distribution and row, read once; with an
@@ -207,18 +206,28 @@ class _Evaluator:
 
         for comp in iter_sccs([0], successors):
             comp.sort()
-            below = sorted({at[j] for i in comp for j, _p in rows[i] if j in at})
-            key = (*[(i, choice[i]) for i in comp], *below)
-            entry = unique.get(key)
-            if entry is None:
-                entry = len(blocks)
-                self._solve_block(memo, comp, choice, rows, value, below)
-                unique[key] = entry
+            for k, i in enumerate(comp):
+                at[i] = -1 - k  # until the block is done, a node inside it is keyed by its position
+            key = ()  # per node: its state, action distribution and successors action by action
             for i in comp:
+                key += states[i], choice[i], tuple([at[j] for a, _ in choice[i] for j, _ in moves[i][a]])
+            entries = unique.get(key)
+            if entries is None:
+                start = len(blocks)
+                below = [e for e in {at[j] for i in comp for j, _p in rows[i]} if e >= 0]
+                self._solve_block(memo, comp, choice, rows, value, below)
+                entries = range(start, len(blocks))
+                if comp[0]:  # no other block reads the root block's entries: not interned
+                    fresh, blocks[start:], entries = blocks[start:], [], []
+                    for slots in fresh:
+                        entries.append(memo.interned.setdefault(slots, len(blocks)))
+                        if entries[-1] == len(blocks):
+                            blocks.append(slots)
+                unique[key] = entries
+            for i, entry in zip(comp, entries):
                 at[i], value[i] = entry, blocks[entry]
                 if index is not None:
                     known[i][index % moduli[i]] = entry
-                entry += 1
         values, out = value[0], []
         for slot in self.slots:
             x = values[slot[0]] - values[slot[1]] if isinstance(slot, tuple) else values[slot]
@@ -353,8 +362,8 @@ def _solve_systems(systems, discounts, rows, slots, factors):
 
 class _Memo:
     """One skeleton's transition table, its states by node, its unique table
-    (block key -> the entry of the block's first node, the others following
-    in node order) and `blocks`, entry -> a node's slots as a flat tuple.
+    (block key -> its nodes' entries), `interned` (slots -> entry) and
+    `blocks`, entry -> a node's slots, no two equal outside root blocks.
 
     A pool's memo also holds each node's modulus, from `pure_behaviours`,
     and `known`, node -> member index modulo the node's modulus -> the
@@ -364,7 +373,8 @@ class _Memo:
     def __init__(self, table: TransitionTable, moduli: Optional[Dict[int, int]] = None):
         self.table = table
         self.states = [s for s, _mem in table.nodes]
-        self.unique: Dict[tuple, int] = {}
+        self.unique: Dict[tuple, Sequence[int]] = {}
+        self.interned: Dict[tuple, int] = {}
         self.blocks: List[tuple] = []
         self.moduli = moduli
         self.known: Dict[int, Dict[int, int]] = {i: {} for i in moduli or ()}

@@ -423,6 +423,23 @@ def test_simulation_out_of_memory_is_an_input_error(monkeypatch, capsys):
         and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", [
+    ["frontier"], ["achieve", "--target", "1,1"],
+    ["approx", "--target", "1,+inf", "--eps", "1/10", "--bigM", "10"], ["lexopt"]],
+    ids=lambda command: command[0])
+def test_pool_out_of_memory_is_an_input_error(command, monkeypatch, capsys):
+    """Each pool command whose pool cannot be built in memory ends in exit 3
+    with one line on stderr, not in a traceback."""
+    def no_memory(*args):
+        raise MemoryError()
+
+    monkeypatch.setattr(mx.evaluate, "pure_payoff_set", no_memory)
+    argv = [command[0], EARN_OR_EXIT, "--state", "s", "--skeleton", "counter:20000", *command[1:]]
+    assert run(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("input error: the pool does not fit in memory") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("payoff, message", [
     ({"kind": "reach_gated_discounted_sum", "target": ["nope"], "weights": "w"},
      "target references unknown states ['nope']"),

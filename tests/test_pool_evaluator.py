@@ -310,17 +310,46 @@ def test_bundled_pools_at_long_counters_equal_the_reference(name, start, horizon
         assert vector == _expected_payoff(model, strategy, start, dims)
 
 
-def test_a_pool_solves_each_distinct_block_once(coin_exit, monkeypatch):
-    """The 512 behaviours of coin_exit at counter:8 meet 1,030 distinct
-    blocks, and each is solved exactly once: a fast path that skips the
-    unique table, or solves a block twice, changes the count."""
-    model, dims = coin_exit
+def _solved_blocks(monkeypatch):
+    """A list that records, per `_solve_block` call, the memo, the block and
+    the entries it appended."""
     solved = []
     real_solve = mx.evaluate._Evaluator._solve_block
-    monkeypatch.setattr(mx.evaluate._Evaluator, "_solve_block",
-                        lambda self, *args: solved.append(args) or real_solve(self, *args))
+
+    def solve(self, memo, comp, *args):
+        start = len(memo.blocks)
+        real_solve(self, memo, comp, *args)
+        solved.append((memo, tuple(comp), range(start, len(memo.blocks))))
+
+    monkeypatch.setattr(mx.evaluate._Evaluator, "_solve_block", solve)
+    return solved
+
+
+def test_a_pool_solves_each_distinct_block_once(coin_exit, monkeypatch):
+    """The 512 behaviours of coin_exit at counter:8 meet 128 distinct blocks,
+    and each is solved exactly once: a fast path that skips the unique
+    table, or solves a block twice, changes the count.  Outside the root
+    blocks, which are not interned, the memo holds no two equal slot
+    tuples."""
+    model, dims = coin_exit
+    solved = _solved_blocks(monkeypatch)
     pool = mx.pure_payoff_set(model, "s", dims, mx.counter(model, 8))
-    assert len(pool) == 512 and len(solved) == 1030
+    assert len(pool) == 512 and len(solved) == 128
+    memo = solved[0][0]
+    roots = [e for _memo, comp, appended in solved if comp[0] == 0 for e in appended]
+    assert sorted([*memo.interned.values(), *roots]) == list(range(len(memo.blocks)))
+    assert all(memo.blocks[e] == slots for slots, e in memo.interned.items())
+
+
+def test_counter_nodes_with_equal_futures_share_their_blocks(monkeypatch):
+    """earn_or_exit at counter:300 has 302 behaviours whose walks finish
+    about 46,000 one-node blocks.  Below its last choice a member's nodes
+    have the values of other members' nodes at other counter values, so at
+    most 310 blocks are solved."""
+    model, dims = load("earn_or_exit.json")
+    solved = _solved_blocks(monkeypatch)
+    pool = mx.pure_payoff_set(model, "s", dims, mx.counter(model, 300))
+    assert len(pool) == 302 and len(solved) <= 310
 
 
 # s0 -a-> s3 -> {s1, s4}, s1 -> {s2, s4}, s0 -b-> s2 -> s0, s4 absorbing.  At
@@ -394,3 +423,48 @@ def test_pool_vectors_equal_each_members_own_evaluation(problem, seed):
             continue
         for strategy, vector in pool:
             assert vector == mx.expected_payoff(model, strategy, "s0", dims)
+
+
+# s0 -x|y-> s -a|b|c-> t -go-> g (the target) or -stay-> z; g and z absorb.
+# At s, memories m1 and m2 both play a, b and c with 1/3 each.  m1 moves to A
+# on a and b and to B on c; m2 moves to A on a and c and to B on b.  A goes
+# on at t and B stays.  So (s, m1) and (s, m2) share their state, their
+# action distribution and their merged row, {(t, A): 2/3, (t, B): 1/3}, but
+# b, the one action that earns weight, leads on to the target from (s, m1)
+# and away from it from (s, m2): only their per-action rows tell them apart.
+SPLIT_ACTIONS = {
+    "states": ["s0", "s", "t", "g", "z"], "actions": ["x", "y", "a", "b", "c", "go", "stay"],
+    "transitions": {"s0": {"x": {"s": "1"}, "y": {"s": "1"}},
+                    "s": {"a": {"t": "1"}, "b": {"t": "1"}, "c": {"t": "1"}},
+                    "t": {"go": {"g": "1"}, "stay": {"z": "1"}},
+                    "g": {"a": {"g": "1"}}, "z": {"a": {"z": "1"}}},
+    "weights": {"w": {"s0,x": ["0"], "s0,y": ["0"], "s,a": ["0"], "s,b": ["1"], "s,c": ["0"],
+                      "t,go": ["0"], "t,stay": ["0"], "g,a": ["0"], "z,a": ["0"]}},
+    "payoffs": [{"kind": "reach_gated_discounted_sum", "target": ["g"], "lambda": "1/2",
+                 "weights": "w"}]}
+
+
+def test_randomised_nodes_are_keyed_by_their_per_action_rows():
+    """Two nodes whose merged rows are equal but whose per-action rows differ
+    get their own blocks: the gated payoff reads each action's row.  The
+    behavioural strategy written by `strategy_to_dict` and read back
+    evaluates to the same vector."""
+    model, dims = mx.load_problem(json.dumps(SPLIT_ACTIONS))
+    memory = ["m0", "m1", "m2", "A", "B"]
+    moves = {("m0", "s0", "x"): "m1", ("m0", "s0", "y"): "m2", ("m1", "s", "c"): "B",
+             ("m2", "s", "b"): "B", ("m1", "s", "a"): "A", ("m1", "s", "b"): "A",
+             ("m2", "s", "a"): "A", ("m2", "s", "c"): "A"}
+    act = {f"{m},{s}": model.enabled(s)[0] for m in memory for s in model.states}
+    act.update({"m0,s0": {"x": "1/2", "y": "1/2"}, "m1,s": {"a": "1/3", "b": "1/3", "c": "1/3"},
+                "m2,s": {"a": "1/3", "b": "1/3", "c": "1/3"}, "A,t": "go", "B,t": "stay"})
+    doc = {"memory": memory, "init": "m0", "act": act,
+           "update": {f"{m},{s},{a}": moves.get((m, s, a), m)
+                      for m in memory for s in model.states for a in model.enabled(s)}}
+    strategy = mx.strategies.strategy_from_dict(doc, model)
+    expected = _expected_payoff(model, strategy, "s0", dims)
+    assert expected == ExtRealVector([ExtReal(Fraction(1, 12))])
+    assert mx.expected_payoff(model, strategy, "s0", dims) == expected
+    written = mx.strategies.strategy_to_dict(strategy)
+    assert written["act"]["m2,s"] == {"a": "1/3", "b": "1/3", "c": "1/3"}
+    read = mx.strategies.strategy_from_dict(json.loads(json.dumps(written)), model)
+    assert mx.expected_payoff(model, read, "s0", dims) == expected
