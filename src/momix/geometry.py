@@ -19,6 +19,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import DimensionMismatch, NotDominated, NotInHull, SelfCheckFailed
@@ -146,36 +147,38 @@ def extreme_points(points) -> Tuple[int, ...]:
     maximum, is then a vertex of the whole hull outside E.  It joins E and
     the point is tested again."""
     pts = _check_points(points)
-    unique = list(dict.fromkeys(pts))
-    d = len(unique[0])
-    flat = integer_row([x for p in unique for x in p])[0]
-    ints = [tuple(flat[i:i + d]) for i in range(0, len(flat), d)]
-    found = [max(range(len(unique)), key=unique.__getitem__)]
-    for i, p in enumerate(unique):
+    d = len(pts[0])
+    flat = integer_row([x for p in pts for x in p])[0]
+    scaled = [tuple(flat[i:i + d]) for i in range(0, len(flat), d)]
+    ints = list(dict.fromkeys(scaled))  # the distinct points, over one denominator
+    found = [max(range(len(ints)), key=ints.__getitem__)]
+    for i, p in enumerate(ints):
         while i not in found:
-            farkas = _combination_lp(p, [unique[j] for j in found])[0].solve({}).farkas
+            farkas = _combination_lp(p, [ints[j] for j in found])[0].solve({}).farkas
             if farkas is None:
                 break  # p is a combination of other vertices
             u = farkas[:d]
-            best = max(range(len(unique)),
+            best = max(range(len(ints)),
                        key=lambda j: (sum(a * x for a, x in zip(u, ints[j])), ints[j]))
             if best in found:
                 raise SelfCheckFailed("the separating direction peaks on a vertex already found")
             found.append(best)
-    corners = {unique[j] for j in found}
-    count = Counter(pts)
-    return tuple(i for i, p in enumerate(pts) if p in corners and count[p] == 1)
+    corners = {ints[j] for j in found}
+    count = Counter(scaled)
+    return tuple(i for i, p in enumerate(scaled) if p in corners and count[p] == 1)
 
 
 def pareto_frontier(vectors: Sequence[ExtRealVector]) -> Tuple[int, ...]:
     """Indices of the vectors not strictly dominated component-wise; exact
     ties are all kept."""
     vecs = [v if isinstance(v, ExtRealVector) else ExtRealVector(v) for v in vectors]
-    out = []
-    for i, v in enumerate(vecs):
-        if not any(v.strictly_dominated_by(w) for w in vecs):
-            out.append(i)
-    return tuple(out)
+    scales = [lcm(*(x.finite.denominator for x in column)) for column in zip(*vecs)]
+    # a component as (inf, numerator over its dimension's common denominator)
+    # orders as the ExtReal does; an infinite one has finite part 0
+    keys = [tuple((x.inf, x.finite.numerator * (s // x.finite.denominator))
+                  for x, s in zip(v, scales)) for v in vecs]
+    return tuple(i for i, v in enumerate(keys)
+                 if not any(v != w and all(a <= b for a, b in zip(v, w)) for w in keys))
 
 
 # -- supporting maps ----------------------------------------------------------------------
@@ -201,11 +204,16 @@ def _lexmin_supporting_normal(q: Point, points: Sequence[Point],
                               rows: Sequence[Point]) -> Optional[Point]:
     """Lexicographically smallest sup-norm-1 vector w orthogonal to `rows`
     with <w, p - q> <= 0 for all points.  Deterministic; None if only w = 0
-    works.  Each piece w_c = +-1 is one LP over w in [-1, 1]^d whose
-    objectives w_0, w_1, ... are minimized in order in one tableau
-    (lexicographic linear optimization, Isermann, OR Spektrum 4, 1982): one
-    phase 1 per solve, and the piece's minimum over all d coordinates is a
-    single point.
+    works.  Each LP is over w in [-1, 1]^d, its objectives w_0, w_1, ...
+    minimized in order in one tableau (lexicographic linear optimization,
+    Isermann, OR Spektrum 4, 1982), so its lexmin is one point.
+
+    The first LP is the whole box.  w = 0 is feasible, so its lexmin w* is
+    lexicographically <= 0; if 0 < |w*|_inf < 1, w* / |w*|_inf would be
+    feasible and smaller.  So a nonzero w* has sup-norm 1 and, as the unit
+    sphere lies in the box, is the answer.  If w* = 0, every nonzero normal
+    is lexicographically positive, so none has w_0 = -1: the answer is the
+    least of the other pieces w_c = +-1, each the same LP with that row.
 
     The point rows are generated lazily (Dantzig, Fulkerson, Johnson, Oper.
     Res. 2, 1954): a piece poses only the rows of the points found so far,
@@ -220,7 +228,7 @@ def _lexmin_supporting_normal(q: Point, points: Sequence[Point],
     diffs = [flat[i:i + d] for i in range(0, len(flat), d)]
     active: List[int] = []
 
-    def piece_lexmin(coord: int, sign: int) -> Optional[Point]:
+    def piece_lexmin(coord: Optional[int] = None, sign: int = 0) -> Optional[Point]:
         while True:
             lp = LinearProgram()
             w = [lp.var(f"w{j}", lo=-1, hi=1) for j in range(d)]
@@ -228,7 +236,8 @@ def _lexmin_supporting_normal(q: Point, points: Sequence[Point],
                 coeffs = {w[j]: v for j, v in enumerate(vector) if v != 0}
                 if coeffs:
                     lp.constrain(coeffs, sense, 0)
-            lp.constrain({w[coord]: 1}, "==", sign)
+            if coord is not None:
+                lp.constrain({w[coord]: 1}, "==", sign)
             result = lp.solve(*({wj: 1} for wj in w))
             if not result.ok:
                 return None
@@ -240,7 +249,11 @@ def _lexmin_supporting_normal(q: Point, points: Sequence[Point],
                 return normal
             active.append(worst)
 
-    pieces = (piece_lexmin(coord, sign) for coord in range(d) for sign in (-1, 1))
+    box = piece_lexmin()
+    if any(box):
+        return box
+    pieces = (piece_lexmin(coord, sign) for coord in range(d) for sign in (-1, 1)
+              if (coord, sign) != (0, -1))
     return min((w for w in pieces if w is not None), default=None)
 
 

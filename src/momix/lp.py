@@ -15,10 +15,12 @@ for scale.
 Lexicographic objectives (Isermann, OR Spektrum 4, 1982) share one tableau:
 after each objective only columns with zero reduced cost under every earlier
 one may enter, so the search stays on the optimal face and a cascade of
-objectives costs one phase 1.  An infeasible program comes back with row
-multipliers y read off the final phase-1 tableau (a Farkas certificate):
-y.A <= 0 on every standard-form column, slacks included, and y.b > 0.  They
-are re-checked with exact integers before they are returned.
+objectives costs one phase 1.  Phase 2 runs on the structural columns only
+and builds Fractions only for nonzero basic values.  An infeasible program
+comes back with row multipliers y read off the final phase-1 tableau (a
+Farkas certificate): y.A <= 0 on every standard-form column, slacks
+included, and y.b > 0.  They are re-checked with exact integers before they
+are returned.
 """
 
 from __future__ import annotations
@@ -83,8 +85,8 @@ class LinearProgram:
         for name in coeffs:
             if name not in self._index:
                 raise ValueError(f"unknown variable {name!r}")
-        self._constraints.append(({k: Fraction(v) for k, v in coeffs.items()},
-                                  sense, Fraction(rhs)))
+        self._constraints.append(({k: _rational(v) for k, v in coeffs.items()},
+                                  sense, _rational(rhs)))
 
     def solve(self, objective: Mapping[str, Fraction], *tiebreaks: Mapping[str, Fraction],
               maximize: bool = False) -> LpResult:
@@ -97,7 +99,7 @@ class LinearProgram:
                 raise ValueError(f"unknown variable {name!r}")
         # Each model variable x is one standard-form column x - lo >= 0; an
         # upper bound becomes an extra row.  Zero entries stay ints.
-        constraints = self._constraints + [({name: Fraction(1)}, "<=", hi)
+        constraints = self._constraints + [({name: 1}, "<=", hi)
                                            for name, _lo, hi in self._vars if hi is not None]
         n = len(self._vars)
         total = n + sum(1 for _c, sense, _b in constraints if sense != "==")
@@ -121,16 +123,22 @@ class LinearProgram:
         for obj in objectives:
             cost: list = [0] * total
             for name, coef in obj.items():
-                cost[self._index[name]] = -Fraction(coef) if maximize else Fraction(coef)
+                cost[self._index[name]] = -_rational(coef) if maximize else _rational(coef)
             costs.append(cost)
 
         status, solution, _value, farkas = _simplex(rows, rhs, *costs)
         if status != OPTIMAL:
             return LpResult(status, None, {}, farkas)
 
-        values = {name: x + lo for x, (name, lo, _hi) in zip(solution, self._vars)}
-        obj = sum((Fraction(c) * values[name] for name, c in objective.items()), Fraction(0))
+        values = {name: x + lo if lo else (x or Fraction(0))
+                  for x, (name, lo, _hi) in zip(solution, self._vars)}
+        obj = sum((_rational(c) * values[name] for name, c in objective.items()), Fraction(0))
         return LpResult(OPTIMAL, obj, values)
+
+
+def _rational(value):
+    """An int or Fraction as it is, anything else as a Fraction."""
+    return value if type(value) in (int, Fraction) else Fraction(value)
 
 
 def _simplex(rows: List[list], rhs: List[Fraction], cost: list, *tiebreaks: list):
@@ -163,21 +171,18 @@ def _simplex(rows: List[list], rhs: List[Fraction], cost: list, *tiebreaks: list
         nonlocal det
         pr = tab[r]
         piv = pr[c]
-        for i, row in enumerate(tab):
-            if i == r:
-                continue
+
+        def eliminate(row):  # a row with multiplier 0 only rescales, unless piv == det
             f = row[c]
             if f:
-                tab[i] = [(piv * v - f * p) // det for v, p in zip(row, pr)]
-            elif piv != det:
-                tab[i] = [piv * v // det for v in row]
+                return [(piv * v - f * p) // det for v, p in zip(row, pr)]
+            return row if piv == det else [piv * v // det for v in row]
+        tab[:] = [row if i == r else eliminate(row) for i, row in enumerate(tab)]
         if z is not None:
-            f = z[c]
-            z[:] = [(piv * v - f * p) // det for v, p in zip(z, pr)]
+            z[:] = eliminate(z)
         if piv < 0:  # only an artificial drive-out pivots on a negative entry
             piv = -piv
-            for i, row in enumerate(tab):
-                tab[i] = [-v for v in row]
+            tab[:] = [[-v for v in row] for row in tab]
         det = piv
         basis[r] = c
 
@@ -186,21 +191,21 @@ def _simplex(rows: List[list], rhs: List[Fraction], cost: list, *tiebreaks: list
         returns the status and det * z."""
         z = [det * c for c in c_vec] + [0]
         for i, bv in enumerate(basis):
-            if c_vec[bv]:
+            if bv < len(c_vec) and c_vec[bv]:  # a redundant row's artificial costs 0
                 z = [v - c_vec[bv] * t for v, t in zip(z, tab[i])]
         while True:
-            enter = next((j for j in allowed if z[j] < 0), None)
-            if enter is None:
+            for enter in allowed:
+                if z[enter] < 0:
+                    break
+            else:
                 return OPTIMAL, z
-            candidates = [i for i, row in enumerate(tab) if row[enter] > 0]
-            if not candidates:
+            leave = None
+            for i, row in enumerate(tab):  # ratios compared by cross-multiplication
+                a = row[enter]  # ties go to the smallest basic index
+                if a > 0 and (leave is None or (row[-1] * den, basis[i]) < (num * a, basis[leave])):
+                    leave, num, den = i, row[-1], a
+            if leave is None:
                 return UNBOUNDED, None
-            leave = candidates[0]
-            for i in candidates[1:]:  # ratios compared by cross-multiplication
-                lhs = tab[i][width] * tab[leave][enter]
-                best = tab[leave][width] * tab[i][enter]
-                if lhs < best or (lhs == best and basis[i] < basis[leave]):
-                    leave = i
             pivot(leave, enter, z)
 
     scale = lcm(*scales)
@@ -211,7 +216,9 @@ def _simplex(rows: List[list], rhs: List[Fraction], cost: list, *tiebreaks: list
     if z[width] != 0:
         return INFEASIBLE, None, None, _farkas(start, scales, phase1, z, det)
 
-    # Drive artificial variables out of the basis where possible.
+    # Phase 2 never enters an artificial: drop their columns, then drive the
+    # artificials out of the basis where possible.
+    tab[:] = [row[:n] + row[width:] for row in tab]
     for i in range(m):
         if basis[i] >= n:
             enter = next((j for j in range(n) if tab[i][j] != 0), None)
@@ -221,16 +228,18 @@ def _simplex(rows: List[list], rhs: List[Fraction], cost: list, *tiebreaks: list
 
     allowed = range(n)
     for c in (cost,) + tiebreaks:
-        status, z = run(integer_row(c)[0] + [0] * m, allowed)
+        if not any(c):  # every basis is optimal, and every column keeps a zero reduced cost
+            continue
+        status, z = run(integer_row(c)[0], allowed)
         if status != OPTIMAL:
             return status, None, None, None
         # the optimal face: columns with a positive reduced cost stay at 0
         allowed = [j for j in allowed if z[j] == 0]
-    solution = [Fraction(0)] * n
+    solution = [0] * n
     for i, bv in enumerate(basis):
-        if bv < n:
-            solution[bv] = Fraction(tab[i][width], det)
-    return OPTIMAL, solution, sum((c * x for c, x in zip(cost, solution)), Fraction(0)), None
+        if bv < n and tab[i][-1]:
+            solution[bv] = Fraction(tab[i][-1], det)
+    return OPTIMAL, solution, sum((c * x for c, x in zip(cost, solution) if c and x), Fraction(0)), None
 
 
 def _farkas(start, scales, phase1, z, det) -> Tuple[int, ...]:

@@ -66,6 +66,7 @@ class Pomdp:
     weights: Mapping[str, Mapping[Tuple[str, str], Tuple[Fraction, ...]]] = field(default_factory=dict)
     _enabled: Mapping[str, Tuple[str, ...]] = field(init=False, repr=False, compare=False)
     _enabled_by_obs: Mapping[str, Tuple[str, ...]] = field(init=False, repr=False, compare=False)
+    _report: "ValidationReport" = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         enabled = {s: tuple(a for a in self.actions if (s, a) in self.transitions)
@@ -244,7 +245,10 @@ def serialize(model: Pomdp) -> str:
 
 
 def validate(model: Pomdp) -> ValidationReport:
-    """Check every model invariant; violations are data, not exceptions."""
+    """Check every model invariant; violations are data, not exceptions.
+    The report is kept on the immutable model: a second check is a lookup."""
+    if model._report is not None:
+        return model._report
     violations = []
 
     for (s, a), dist in model.transitions.items():
@@ -280,7 +284,8 @@ def validate(model: Pomdp) -> ValidationReport:
             if (s, a) not in model.transitions:
                 violations.append(("weight-domain", f"{name}({s},{a})", "weight on disabled pair"))
 
-    return ValidationReport(ok=not violations, violations=tuple(violations))
+    object.__setattr__(model, "_report", ValidationReport(not violations, tuple(violations)))
+    return model._report
 
 
 def require_valid(model: Pomdp) -> None:

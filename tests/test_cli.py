@@ -92,6 +92,17 @@ def test_frontier_matches_library(capsys, tmp_path):
     assert out.read_text().startswith("pareto,vertex,")
 
 
+def test_frontier_validates_its_model_once(capsys, monkeypatch):
+    """The loader and the pool both require a valid model; the second check
+    reads the report the first one kept on the model."""
+    reports = []
+    monkeypatch.setattr(mx.model, "ValidationReport",
+                        lambda *args, real=mx.model.ValidationReport, **kwargs:
+                        reports.append(1) or real(*args, **kwargs))
+    assert run_json(capsys, ["frontier", RUNNING, "--state", "s0"])[0] == 0
+    assert len(reports) == 1
+
+
 def test_achieve_roundtrip(capsys, tmp_path):
     out = tmp_path / "mixture.json"
     code, payload = run_json(capsys, ["achieve", RUNNING, "--state", "s0",

@@ -19,6 +19,7 @@ from momix.errors import NotDominated, NotInHull
 from momix.geometry import Point, extreme_points, membership_combination
 from momix.linalg import dot
 from momix.lp import INFEASIBLE, LinearProgram
+from momix.rationals import integer_row
 
 from conftest import (cascade_lexmin_supporting_normal, certifies_program,
                       dense_lexmin_supporting_normal, fraction_nullspace, fraction_rref,
@@ -709,3 +710,67 @@ def test_lazy_point_rows_match_the_normal_over_every_point(name):
         normals = [geometry._lexmin_supporting_normal(q, points, rows) for q, rows in cases]
     assert normals == [dense_lexmin_supporting_normal(q, points, rows) for q, rows in cases]
     assert max(point_rows) < len(vertices)
+
+
+# -- one box LP per normal against the pieces alone ---------------------------------------
+# reference: the normal from the 2d pieces w_c = +-1 with lazy point rows, kept verbatim
+
+
+def pieces_lexmin_supporting_normal(q: Point, points: Sequence[Point],
+                                    rows: Sequence[Point]) -> Optional[Point]:
+    d = len(q)
+    flat = integer_row([x - y for p in points for x, y in zip(p, q)])[0]
+    diffs = [flat[i:i + d] for i in range(0, len(flat), d)]
+    active: List[int] = []
+
+    def piece_lexmin(coord: int, sign: int) -> Optional[Point]:
+        while True:
+            lp = LinearProgram()
+            w = [lp.var(f"w{j}", lo=-1, hi=1) for j in range(d)]
+            for vector, sense in [*((diffs[i], "<=") for i in active), *((r, "==") for r in rows)]:
+                coeffs = {w[j]: v for j, v in enumerate(vector) if v != 0}
+                if coeffs:
+                    lp.constrain(coeffs, sense, 0)
+            lp.constrain({w[coord]: 1}, "==", sign)
+            result = lp.solve(*({wj: 1} for wj in w))
+            if not result.ok:
+                return None
+            normal = tuple(result[wj] for wj in w)
+            scaled = integer_row(normal)[0]
+            gaps = [sum(a * x for a, x in zip(scaled, diff)) for diff in diffs]
+            worst = max(range(len(gaps)), key=gaps.__getitem__)
+            if gaps[worst] <= 0:
+                return normal
+            active.append(worst)
+
+    pieces = (piece_lexmin(coord, sign) for coord in range(d) for sign in (-1, 1))
+    return min((w for w in pieces if w is not None), default=None)
+
+
+def counted_map(q, points, normal):
+    """The supporting map at q with `normal` for the normals, and the
+    number of LPs it poses."""
+    calls = []
+    solve = LinearProgram.solve
+    with mock.patch.object(geometry, "_lexmin_supporting_normal", normal), \
+            mock.patch.object(LinearProgram, "solve",
+                              lambda program, *a, **k: calls.append(1) or solve(program, *a, **k)):
+        rows = mx.supporting_map(q, points).rows
+    return rows, len(calls)
+
+
+@pytest.mark.parametrize("name", sorted(NORMAL_POINT_SETS))
+def test_one_box_lp_gives_the_normals_of_the_pieces(name):
+    """At every vertex, the map built on the box LP equals the map built on
+    the 2d pieces alone, and poses at most one LP more; at the lexmax
+    vertex of random_30_d4 it poses 41 LPs where the pieces pose 50."""
+    points = NORMAL_POINT_SETS[name]
+    counts = {}
+    for i in extreme_points(points):
+        rows, lps = counted_map(points[i], points, geometry._lexmin_supporting_normal)
+        reference, reference_lps = counted_map(points[i], points, pieces_lexmin_supporting_normal)
+        assert rows == reference
+        assert lps <= reference_lps + 1
+        counts[points[i]] = (lps, reference_lps)
+    if name == "random_30_d4":
+        assert counts[max(points)] == (41, 50)

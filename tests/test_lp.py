@@ -15,7 +15,7 @@ from typing import List
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from momix import lp
 from momix.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram
@@ -178,7 +178,25 @@ def certifies(rows, rhs, y):
             and sum(v * b for v, b in zip(y, rhs)) > 0)
 
 
+def standard_form(rows, rhs, cost):
+    """A `standard_forms` case, its ints made Fractions."""
+    return ([[Fraction(v) for v in row] for row in rows], [Fraction(b) for b in rhs],
+            [Fraction(c) for c in cost])
+
+
 @given(standard_forms())
+# the last row is -1 times the first, so its artificial stays basic after
+# phase 1; phase 2 then breaks a ratio tie at 0 between the two middle rows
+@example(standard_form([[0, 0, Fraction(3, 2), 0], [1, Fraction(-3, 4), 0, 0],
+                        [0, Fraction(1, 2), 0, 4], [0, 0, Fraction(-3, 2), 0]],
+                       [Fraction(9, 2), 0, 0, Fraction(-9, 2)], [-1, 1, 0, -2]))
+# an all-zero cost: the basis phase 1 ends in is the answer
+@example(standard_form([[Fraction(-1, 3), Fraction(-1, 4), Fraction(2, 5)],
+                        [0, Fraction(4, 3), 2]], [Fraction(13, 45), 2], [0, 0, 0]))
+# pivots that rescale a row with a zero multiplier, as piv != det (the
+# objective row's multiplier is never 0: its entering column costs < 0)
+@example(standard_form([[Fraction(-1, 2), 0], [0, Fraction(-5, 3)], [-1, 0]],
+                       [Fraction(-3, 2), Fraction(-10, 3), -3], [0, Fraction(1, 4)]))
 @settings(max_examples=300, deadline=None)
 def test_integer_tableau_matches_fraction_tableau(problem):
     rows, rhs, cost = problem

@@ -90,6 +90,20 @@ def test_validate_deadlock():
     assert any(rule == "deadlock" for rule, _l, _m in report.violations)
 
 
+def test_validate_weight_on_a_disabled_pair():
+    """The loader refuses such a weight key, so the model is built directly;
+    each of two models, validated in turn, keeps its own report."""
+    states, transitions = ("x",), {("x", "a"): {"x": Fraction(1)}}
+    valid = mx.Pomdp(states, ("a", "b"), transitions, states, {"x": "x"},
+                     {"w": {("x", "a"): (Fraction(1),)}})
+    invalid = mx.Pomdp(states, ("a", "b"), transitions, states, {"x": "x"},
+                       {"w": {("x", "a"): (Fraction(1),), ("x", "b"): (Fraction(2),)}})
+    reports = [mx.validate(model) for model in (valid, invalid, valid, invalid)]
+    assert reports[0].ok and reports[0].violations == ()
+    assert reports[1].violations == (("weight-domain", "w(x,b)", "weight on disabled pair"),)
+    assert reports[2] is reports[0] and reports[3] is reports[1]
+
+
 def test_reachable_coin_exit(coin_exit):
     model, _ = coin_exit
     assert mx.reachable_states(model, "s") == {"s", "t"}
