@@ -17,7 +17,8 @@ from fractions import Fraction
 
 from . import beliefs, evaluate, geometry, model as model_mod, montecarlo, payoffs, strategies, synthesis
 from .errors import (DimensionMismatch, DisabledAction, EmptySupport, InfeasibleApproximation,
-                     MomixError, NotAchievable, ParseError, SchemaError, UnknownState)
+                     MomixError, NotAchievable, ParseError, PoolTooLarge, SchemaError,
+                     UnknownState, UnsupportedKind)
 from .rationals import ExtRealVector, format_rational, parse_ext, parse_rational
 
 EXIT_OK = 0
@@ -406,7 +407,7 @@ def run(argv) -> int:
         os.close(devnull)
         return EXIT_NEGATIVE
     except (ParseError, SchemaError, UnknownState, DimensionMismatch, DisabledAction,
-            EmptySupport, OSError, json.JSONDecodeError) as exc:
+            EmptySupport, PoolTooLarge, UnsupportedKind, OSError, json.JSONDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except MomixError as exc:

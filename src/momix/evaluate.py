@@ -452,17 +452,16 @@ def mixed_expected_payoff(model: Pomdp, mixture: FiniteMixture, start: str,
 
 @dataclass(frozen=True)
 class IntegrabilityVerdict:
-    """One of "universally_integrable", "universally_unambiguously_integrable_only",
-    "not_unambiguous", "unknown"; `witness` carries supporting data when the
-    verdict is not plain integrability (an avoiding strategy, an end
-    component, or a reason string)."""
+    """One of "universally_integrable",
+    "universally_unambiguously_integrable_only" or "unknown"; `witness`
+    carries supporting data when the verdict is not plain integrability (an
+    avoiding strategy, an end component, or a reason string)."""
 
     verdict: str
     witness: object = None
 
     UI = "universally_integrable"
     UUI_ONLY = "universally_unambiguously_integrable_only"
-    NOT_UNAMBIGUOUS = "not_unambiguous"
     UNKNOWN = "unknown"
 
 

@@ -126,7 +126,7 @@ class LinearProgram:
                 cost[self._index[name]] = -_rational(coef) if maximize else _rational(coef)
             costs.append(cost)
 
-        status, solution, _value, farkas = _simplex(rows, rhs, *costs)
+        status, solution, farkas = _simplex(rows, rhs, *costs)
         if status != OPTIMAL:
             return LpResult(status, None, {}, farkas)
 
@@ -144,7 +144,8 @@ def _rational(value):
 def _simplex(rows: List[list], rhs: List[Fraction], cost: list, *tiebreaks: list):
     """min cost . x, then each of `tiebreaks` on the optimal face of those
     before it, s.t. rows . x = rhs, x >= 0; exact, Bland's rule.  Returns
-    (status, solution, value of `cost`, Farkas multipliers when infeasible).
+    (status, solution, Farkas multipliers when infeasible); the solution is
+    None unless the status is OPTIMAL.
 
     Entries are Fractions or ints.  Row i is scaled to integers by s_i (the
     lcm of its denominators, negated when its rhs is negative) but keeps a
@@ -210,11 +211,9 @@ def _simplex(rows: List[list], rhs: List[Fraction], cost: list, *tiebreaks: list
 
     scale = lcm(*scales)
     phase1 = [0] * n + [scale // abs(s) for s in scales]
-    status, z = run(phase1, range(width))
-    if status != OPTIMAL:  # phase 1 is bounded below by 0, cannot be unbounded
-        return status, None, None, None
+    z = run(phase1, range(width))[1]  # phase 1 is bounded below by 0, so it ends optimal
     if z[width] != 0:
-        return INFEASIBLE, None, None, _farkas(start, scales, phase1, z, det)
+        return INFEASIBLE, None, _farkas(start, scales, phase1, z, det)
 
     # Phase 2 never enters an artificial: drop their columns, then drive the
     # artificials out of the basis where possible.
@@ -232,14 +231,14 @@ def _simplex(rows: List[list], rhs: List[Fraction], cost: list, *tiebreaks: list
             continue
         status, z = run(integer_row(c)[0], allowed)
         if status != OPTIMAL:
-            return status, None, None, None
+            return status, None, None
         # the optimal face: columns with a positive reduced cost stay at 0
         allowed = [j for j in allowed if z[j] == 0]
     solution = [0] * n
     for i, bv in enumerate(basis):
         if bv < n and tab[i][-1]:
             solution[bv] = Fraction(tab[i][-1], det)
-    return OPTIMAL, solution, sum((c * x for c, x in zip(cost, solution) if c and x), Fraction(0)), None
+    return OPTIMAL, solution, None
 
 
 def _farkas(start, scales, phase1, z, det) -> Tuple[int, ...]:

@@ -50,9 +50,6 @@ class ValidationReport:
     ok: bool
     violations: Tuple[Tuple[str, str, str], ...]  # (rule-id, location, message)
 
-    def __bool__(self):
-        return self.ok
-
 
 @dataclass(frozen=True)
 class Pomdp:

@@ -93,15 +93,7 @@ class ExtReal:
 
     __slots__ = ("inf", "finite")
 
-    def __init__(self, value: Union[Fraction, int, str, "ExtReal"] = 0, *, _inf: int = 0):
-        if isinstance(value, ExtReal):
-            object.__setattr__(self, "inf", value.inf)
-            object.__setattr__(self, "finite", value.finite)
-            return
-        if _inf:
-            object.__setattr__(self, "inf", _inf)
-            object.__setattr__(self, "finite", Fraction(0))
-            return
+    def __init__(self, value: Union[Fraction, int, str] = 0):
         if isinstance(value, str) and value.strip().lower() in _INF_TOKENS:
             object.__setattr__(self, "inf", _INF_TOKENS[value.strip().lower()])
             object.__setattr__(self, "finite", Fraction(0))
@@ -191,8 +183,8 @@ class ExtReal:
     __float__ = to_float
 
 
-POS_INF = ExtReal(_inf=1)
-NEG_INF = ExtReal(_inf=-1)
+POS_INF = ExtReal("+inf")
+NEG_INF = ExtReal("-inf")
 ZERO = ExtReal(0)
 
 
@@ -252,10 +244,6 @@ class ExtRealVector:
     def dominates(self, other: "ExtRealVector") -> bool:
         """self >= other in every component."""
         return _as_vec(other).le_componentwise(self)
-
-    def strictly_dominated_by(self, other: "ExtRealVector") -> bool:
-        other = _as_vec(other)
-        return self.le_componentwise(other) and self != other
 
     def le_lex(self, other: "ExtRealVector") -> bool:
         other = _as_vec(other)

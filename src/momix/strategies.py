@@ -116,9 +116,6 @@ class FiniteMemoryStrategy:
         of (action, weight) pairs of positive weight."""
         return tuple((a, p) for a, p in self.act[(mem, observation)].items() if p)
 
-    def __repr__(self):
-        return f"<FiniteMemoryStrategy |M|={len(self.skeleton.memory)} entries={len(self.act)}>"
-
 
 _ONE = Fraction(1)
 
@@ -137,10 +134,6 @@ class PureStrategy(FiniteMemoryStrategy):
 
     def choice(self, mem: Mem, observation: str) -> Tuple[Tuple[str, int], ...]:
         return ((self.table[(mem, observation)], 1),)
-
-    def __repr__(self):
-        choices = ",".join(f"{k}->{a}" for k, a in sorted(self.table.items(), key=str))
-        return f"<PureStrategy {choices}>"
 
 
 @dataclass(frozen=True)
@@ -165,9 +158,6 @@ class FiniteMixture:
     @staticmethod
     def dirac(strategy: PureStrategy) -> "FiniteMixture":
         return FiniteMixture.of([(strategy, Fraction(1))])
-
-    def __len__(self):
-        return len(self.support)
 
 
 def validate_strategy(model: Pomdp, strategy: FiniteMemoryStrategy):

@@ -132,6 +132,11 @@ def test_universal_reach_start_in_target(commute):
     assert mx.universal_as_reach(model, "work", frozenset({"work"})).holds
 
 
+def test_universal_reach_unknown_start(commute):
+    with pytest.raises(mx.UnknownState, match="'nosuch'"):
+        mx.universal_as_reach(commute[0], "nosuch", frozenset({"work"}))
+
+
 def test_universal_reach_partial_chance():
     """A start from which the target is hit with probability exactly 1/2 and
     the other half falls into a safe absorbing branch: not universal, even

@@ -125,6 +125,17 @@ def test_achieve_not_achievable(capsys):
     assert code == 1 and not payload["ok"]
 
 
+def test_an_internal_fault_exits_1_with_its_error(capsys, monkeypatch):
+    """A library fault that is no input error nor a negative answer, such as
+    a failed self-check, ends in exit 1 with `error: ...` on stderr."""
+    def faulty(*args, **kwargs):
+        raise mx.SelfCheckFailed("exact recombination check failed")
+
+    monkeypatch.setattr(mx.synthesis, "achieve", faulty)
+    assert run(["achieve", RUNNING, "--state", "s0", "--target", "3,1"]) == 1
+    assert capsys.readouterr() == ("", "error: exact recombination check failed\n")
+
+
 def test_approx_infinite_target(capsys):
     code, payload = run_json(capsys, ["approx", EARN_OR_EXIT, "--state", "s",
                                       "--target", "1,+inf", "--eps", "1/10",
@@ -307,6 +318,7 @@ def _document(path, **fields):
 
 TRAIN = _document(TRAIN_FILE)
 HALF_TRAIN = {**TRAIN, "act": {**TRAIN["act"], "0,home": {"train": "1/2"}}}
+HALF_HALF_TRAIN = {**TRAIN, "act": {**TRAIN["act"], "0,home": {"train": "1/2", "bike": "1/2"}}}
 NO_LAMBDA = [{"kind": "discounted_sum", "weights": "w"}]
 BAD_WINDEX = [{"kind": "discounted_sum", "lambda": "1/2", "weights": "w", "windex": "z"}]
 # models that load but break a `validate` rule: a reachable state with no
@@ -404,6 +416,18 @@ BAD_INPUTS = {
     "horizon-huge": (SIMULATE + ["--horizon", str(10 ** 20)], None, None),
     "weight-beyond-float": (["simulate", "MODEL", "--state", "home", "--strategy", "STRATEGY"],
                             HUGE_BIKE, {**TRAIN, "act": {**TRAIN["act"], "0,home": "bike"}}),
+    "duplicate-states": (FRONTIER, _document(RUNNING, states=["s0", "s1", "s2", "s3", "s0"]),
+                         None),
+    "obs-missing-state": (FRONTIER, _document(RUNNING, obs={"s0": "s0"}), None),
+    "obs-undeclared": (FRONTIER, _document(RUNNING, obs={"s0": "s0", "s1": "s1", "s2": "s2",
+                                                         "s3": "s9"}), None),
+    "mixture-member-behavioural": (EVALUATE, None, {"support": [HALF_HALF_TRAIN],
+                                                    "weights": ["1"]}),
+    "mixture-weights-longer": (EVALUATE, None, {"support": [TRAIN], "weights": ["1", "0"]}),
+    "pool-over-cap": (["frontier", COIN_EXIT, "--state", "s", "--skeleton", "counter:16"], None,
+                      None),
+    "simulate-buchi": (["simulate", "MODEL", "--state", "home", "--strategy", TRAIN_FILE],
+                       _document(COMMUTE, payoffs=[{"kind": "buchi", "target": ["work"]}]), None),
 }
 
 
@@ -612,10 +636,14 @@ def test_decimal_exponents_are_bounded():
             mx.parse_rational(text)
 
 
-def test_malformed_model(tmp_path):
+def test_malformed_model(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
     assert run(["validate", str(path)]) == 3
+    assert run(["evaluate", COMMUTE, "--state", "home", "--strategy", str(path)]) == 3
+    assert capsys.readouterr().err.count("input error: invalid JSON: ") == 2
+    with pytest.raises(mx.ParseError, match="^invalid JSON: "):
+        mx.load_model(path.read_text())
 
 
 # -- seeded mutations of the bundled files ------------------------------------------

@@ -273,6 +273,16 @@ def test_classify_bounded_kinds(two_discounts, gated_reward):
             assert v.verdict == IntegrabilityVerdict.UI
 
 
+def test_a_payoff_kind_momix_does_not_know(commute):
+    """The evaluator refuses a payoff object that is none of the six kinds,
+    and `classify_integrability` calls its dimension unknown."""
+    model, _dims = commute
+    with pytest.raises(mx.UnsupportedKind, match="^object$"):
+        mx.expected_payoff(model, commute_train(model), "home", (object(),))
+    (verdict,) = mx.classify_integrability(model, (object(),), "home")
+    assert verdict == IntegrabilityVerdict(IntegrabilityVerdict.UNKNOWN, "unsupported kind object")
+
+
 def test_classify_total_reward(earn_or_exit):
     model, dims = earn_or_exit
     verdicts = mx.classify_integrability(model, dims, "s")

@@ -6,6 +6,7 @@ domination on generated point sets."""
 
 import itertools
 import random
+import re
 from fractions import Fraction
 from typing import List, Optional, Sequence
 from unittest import mock
@@ -443,6 +444,94 @@ def test_dominating_decomposition_breaks_ties_by_index_order():
     assert dec.indices == (0, 4) and dec.coefficients == (Fraction(1, 3), Fraction(2, 3))
     assert dec.recombine(points) == (2, 1)
     assert dec == mx.caratheodory((2, 1), points)
+
+
+UNIT_TRIANGLE = _fractions([(0, 0), (1, 0), (0, 1)])
+QUARTER = (Fraction(1, 4), Fraction(1, 4))
+
+# id: (call, exception, message)
+BAD_GEOMETRY_INPUTS = {
+    "no-points": (lambda: membership_combination((0,), []), mx.DimensionMismatch,
+                  "empty point list"),
+    "mixed-dimensions": (lambda: extreme_points([(0, 0), (1,)]), mx.DimensionMismatch,
+                         "points of mixed dimensions"),
+    "membership-query": (lambda: membership_combination((0, 0, 0), UNIT_TRIANGLE),
+                         mx.DimensionMismatch, "query dimension differs from points"),
+    "supporting-query": (lambda: mx.supporting_map((0,), UNIT_TRIANGLE), mx.DimensionMismatch,
+                         "query dimension differs from points"),
+    "dominating-mode": (lambda: mx.dominating_face_decomposition(QUARTER, UNIT_TRIANGLE,
+                                                                 mode="above"),
+                        ValueError, "mode must be 'in_hull' or 'dominated'"),
+}
+
+
+@pytest.mark.parametrize("call, exception, message", BAD_GEOMETRY_INPUTS.values(),
+                         ids=BAD_GEOMETRY_INPUTS)
+def test_bad_geometry_inputs_are_refused(call, exception, message):
+    with pytest.raises(exception, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def _infeasible_on(objective):
+    """LinearProgram.solve, but INFEASIBLE, with no certificate, on `objective`."""
+    solve = LinearProgram.solve
+    return lambda program, first, *rest, **kw: (
+        mx.lp.LpResult(INFEASIBLE, None, {}) if first == objective
+        else solve(program, first, *rest, **kw))
+
+
+def _separating_forever():
+    """LinearProgram.solve answering every LP with the Farkas certificate
+    (0, 0, -1), whose direction peaks on every point; the 50th call fails,
+    so that a loop which never ends shows as a failure."""
+    calls = itertools.count()
+
+    def solve(program, *objectives, **kw):
+        assert next(calls) < 50, "the same LP is posed again and again"
+        return mx.lp.LpResult(INFEASIBLE, None, {}, (0, 0, -1))
+    return solve
+
+
+# id: (object, attribute, fault, call, message); the fault replaces the one call
+# whose answer the check re-checks
+GEOMETRY_FAULTS = {
+    "caratheodory-support": (
+        geometry, "membership_combination", lambda q, points: [Fraction(1, 4)] * 4,
+        lambda: mx.caratheodory((Fraction(1, 2),) * 2, UNIT_TRIANGLE + [(1, 1)]),
+        "a basic solution with 4 > d+1 nonzero coefficients"),
+    "separating-direction": (
+        LinearProgram, "solve", _separating_forever(), lambda: extreme_points(UNIT_TRIANGLE),
+        "the separating direction peaks on a vertex already found"),
+    "supporting-normal": (
+        geometry, "_lexmin_supporting_normal", lambda q, points, rows: None,
+        lambda: mx.supporting_map((1, 0), UNIT_TRIANGLE),
+        "no supporting normal outside the relative interior"),
+    "diagonal-lp": (
+        LinearProgram, "solve", _infeasible_on({"g": 1}),
+        lambda: mx.dominating_face_decomposition(QUARTER, UNIT_TRIANGLE),
+        "the diagonal LP is infeasible, yet gamma = 0 is feasible"),
+    "face-support": (
+        geometry, "caratheodory",
+        lambda q, points: geometry.Decomposition((0, 1, 2), (Fraction(1, 3),) * 3),
+        lambda: mx.dominating_face_decomposition(QUARTER, UNIT_TRIANGLE),
+        "a face decomposition with 3 > d points"),
+    "face-domination": (
+        geometry, "caratheodory", lambda q, points: geometry.Decomposition((0,), (Fraction(1),)),
+        lambda: mx.dominating_face_decomposition(QUARTER, UNIT_TRIANGLE),
+        "the recombination does not dominate q"),
+}
+
+
+@pytest.mark.parametrize("owner, name, fault, call, message", GEOMETRY_FAULTS.values(),
+                         ids=GEOMETRY_FAULTS)
+def test_geometry_self_checks_catch_a_faulty_answer(owner, name, fault, call, message,
+                                                     monkeypatch):
+    """Each self-check of `geometry` raises SelfCheckFailed when the one call
+    it re-checks answers wrongly."""
+    call()
+    monkeypatch.setattr(owner, name, fault)
+    with pytest.raises(mx.SelfCheckFailed, match=f"^{re.escape(message)}$"):
+        call()
 
 
 # -- reference: the kernel-basis supporting normal, kept verbatim but for its free ----

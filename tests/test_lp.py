@@ -18,6 +18,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from momix import lp
+from momix.errors import SelfCheckFailed
 from momix.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram
 
 from conftest import certifies_program
@@ -124,8 +125,9 @@ def reference_solve(program, objective, maximize=False):
     """LinearProgram.solve with the reference simplex under it (which
     returns no certificate)."""
     def fraction_simplex(rows, rhs, cost):
-        return (*_simplex([[Fraction(v) for v in row] for row in rows],
-                          [Fraction(b) for b in rhs], [Fraction(c) for c in cost]), None)
+        status, solution, _value = _simplex([[Fraction(v) for v in row] for row in rows],
+                                            [Fraction(b) for b in rhs], [Fraction(c) for c in cost])
+        return status, solution, None
     with mock.patch.object(lp, "_simplex", fraction_simplex):
         return program.solve(objective, maximize=maximize)
 
@@ -201,8 +203,9 @@ def standard_form(rows, rhs, cost):
 def test_integer_tableau_matches_fraction_tableau(problem):
     rows, rhs, cost = problem
     expected = _simplex([list(r) for r in rows], list(rhs), list(cost))
-    status, solution, value, farkas = lp._simplex([list(r) for r in rows], list(rhs), list(cost))
-    assert (status, solution, value) == expected
+    status, solution, farkas = lp._simplex([list(r) for r in rows], list(rhs), list(cost))
+    assert (status, solution) == expected[:2]
+    assert solution is None or sum(c * x for c, x in zip(cost, solution)) == expected[2]
     assert (farkas is not None) == (status == INFEASIBLE)
     assert farkas is None or certifies(rows, rhs, farkas)
 
@@ -363,8 +366,8 @@ def test_phase_one_weighs_artificials_as_the_unscaled_rows():
     rows = [[Fraction(-1, 3), Fraction(-1, 4), Fraction(2, 5)],
             [Fraction(0), Fraction(4, 3), Fraction(2)]]
     rhs = [Fraction(13, 45), Fraction(2)]
-    expected = (OPTIMAL, [0, Fraction(20, 93), Fraction(239, 279)], 0)
-    assert _simplex([list(r) for r in rows], list(rhs), [Fraction(0)] * 3) == expected
+    expected = (OPTIMAL, [0, Fraction(20, 93), Fraction(239, 279)])
+    assert _simplex([list(r) for r in rows], list(rhs), [Fraction(0)] * 3) == (*expected, 0)
     assert lp._simplex(rows, rhs, [Fraction(0)] * 3) == (*expected, None)
 
 
@@ -373,8 +376,8 @@ def test_ratio_ties_go_to_the_smallest_basic_index():
             [Fraction(-1), Fraction(-4, 5), Fraction(-1), Fraction(0)]]
     rhs = [Fraction(-9, 16), Fraction(-3, 5)]
     cost = [Fraction(0), Fraction(1, 5), Fraction(0), Fraction(0)]
-    expected = (OPTIMAL, [Fraction(3, 5), 0, 0, Fraction(369, 200)], 0)
-    assert _simplex([list(r) for r in rows], list(rhs), list(cost)) == expected
+    expected = (OPTIMAL, [Fraction(3, 5), 0, 0, Fraction(369, 200)])
+    assert _simplex([list(r) for r in rows], list(rhs), list(cost)) == (*expected, 0)
     assert lp._simplex(rows, rhs, cost) == (*expected, None)
 
 
@@ -383,6 +386,37 @@ def test_unknown_objective_variable():
     p.var("x")
     with pytest.raises(ValueError, match="unknown variable 'y'"):
         p.solve({"y": 1})
+
+
+def _program():
+    """x >= 0 with x >= 1/2 and 2x <= 1/3: infeasible."""
+    p = LinearProgram()
+    x = p.var("x")
+    p.constrain({x: 1}, ">=", Fraction(1, 2))
+    p.constrain({x: 2}, "<=", Fraction(1, 3))
+    return p
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda p: p.var("x"), "duplicate variable 'x'"),
+    (lambda p: p.constrain({"x": 1}, "<", 0), "bad sense '<'"),
+    (lambda p: p.constrain({"y": 1}, "<=", 0), "unknown variable 'y'"),
+], ids=["duplicate-variable", "bad-sense", "unknown-constraint-variable"])
+def test_malformed_programs_are_refused(build, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build(_program())
+
+
+def test_farkas_recheck_catches_faulty_reduced_costs(monkeypatch):
+    """Phase-1 reduced costs of the wrong sign give multipliers that do not
+    certify infeasibility, and the re-check says so."""
+    assert _program().solve({"x": 1}).farkas == (2, -1)
+    farkas = lp._farkas
+    monkeypatch.setattr(lp, "_farkas", lambda start, scales, phase1, z, det: farkas(
+        start, scales, phase1, [-v for v in z], det))
+    with pytest.raises(SelfCheckFailed, match="^the phase-1 multipliers do not certify "
+                                              "infeasibility$"):
+        _program().solve({"x": 1})
 
 
 def test_certificate_rechecks_run_under_optimize():

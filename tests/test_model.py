@@ -236,6 +236,9 @@ def test_unroll_cost_counter(commute):
     assert all(name.startswith("work@") for name in targets)
     # strategies of the base model run unchanged: observations are inherited
     assert set(unrolled.observations) == set(model.observations)
+    negative = mx.model.WeightFunction({**w.table, ("home", "bike"): Fraction(-1)})
+    with pytest.raises(ValueError, match="^unroll_cost_counter requires non-negative weights$"):
+        mx.unroll_cost_counter(model, negative, Fraction(40), frozenset({"work"}))
 
 
 def test_unroll_cost_counter_skips_zero_probabilities():

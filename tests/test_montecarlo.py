@@ -318,6 +318,10 @@ def test_buchi_unsupported(earn_or_exit):
     with pytest.raises(UnsupportedKind):
         mx.estimate_expectation(model, None, "s", dims,
                                 mx.SampleConfig(samples=10, horizon=4, seed=0))
+    # a payoff object of no kind is refused where its sampled values are stored
+    with pytest.raises(UnsupportedKind, match="^object$"):
+        mx.estimate_expectation(model, earn_or_exit_leave(model, 1), "s", (object(),),
+                                mx.SampleConfig(samples=10, horizon=4, seed=0))
 
 
 def test_kuhn_sampling_agreement(split_reach):
@@ -784,6 +788,12 @@ def test_uniform_window_memory():
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2 ** 20
+
+
+@pytest.mark.parametrize("samples, horizon", [(0, 4), (10, 0)], ids=["samples", "horizon"])
+def test_sample_configs_without_a_step_are_refused(samples, horizon):
+    with pytest.raises(ValueError, match="^samples and horizon must be >= 1$"):
+        SampleConfig(samples=samples, horizon=horizon, seed=0)
 
 
 def test_stream_positions_past_2_63_are_refused(coin_exit):

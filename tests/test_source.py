@@ -9,10 +9,12 @@ methods, no function-local import of a sibling module, one breadth-first
 search, `model.closure`, three builders of linear programs, none of them
 with a free variable, supporting normals for `supporting_map` alone, no
 `rank` anywhere, and one builder of the mixed radix that numbers act
-tables, which no other module names."""
+tables, which no other module names; and the scanner of the line tracer
+in `tools/`."""
 
 import ast
 import glob
+import importlib.util
 import os
 import re
 
@@ -665,3 +667,23 @@ def test_only_strategies_knows_the_numbering():
             if names(fh.read(), "_numbering"):
                 found.append(module)
     assert found == ["strategies.py"]
+
+
+def test_scan_finds_an_unrun_line():
+    """The scanner of `tools/linetrace.py`: of a method whose docstring and
+    class body never show in the trace, it reports the one statement that
+    did not run, and no function as never entered."""
+    spec = importlib.util.spec_from_file_location(
+        "linetrace", os.path.join(ROOT, "tools", "linetrace.py"))
+    linetrace = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(linetrace)
+    source = ("class Box:\n"
+              "    size = 3\n"
+              "\n"
+              "    def grow(self, by):\n"
+              "        \"\"\"Add `by`, refusing\n"
+              "        a negative one.\"\"\"\n"
+              "        if by < 0:\n"
+              "            raise ValueError(by)\n"
+              "        self.size += by\n")
+    assert linetrace.unrun(source, {7, 9}) == ([], [("grow", 8)], 3)

@@ -4,6 +4,7 @@ it)."""
 
 import json
 import random
+import re
 from fractions import Fraction
 from functools import cache
 
@@ -380,3 +381,40 @@ def test_zero_weight_members_dropped(earn_or_exit):
     mix = mx.FiniteMixture.of([(earn_or_exit_leave(model, 1), Fraction(1)),
                                (earn_or_exit_stay(model), Fraction(0))])
     assert len(mix.support) == 1
+
+
+# id: (call on the coin_exit model, exception, message)
+BAD_STRATEGY_INPUTS = {
+    "counter-negative": (lambda model: mx.counter(model, -1), ValueError,
+                         "horizon must be >= 0"),
+    "weights-negative": (lambda model: mx.FiniteMixture.of(
+        [(coin_exit_always(model, "a"), 2), (coin_exit_always(model, "b"), -1)]),
+                         mx.SchemaError, "mixture weights must be non-negative"),
+    "weights-sum": (lambda model: mx.FiniteMixture.of([(coin_exit_always(model, "a"),
+                                                         Fraction(1, 2))]),
+                    mx.SchemaError, "mixture weights must sum to exactly 1"),
+    "act-negative": (lambda model: mx.strategies.validate_strategy(model, mx.FiniteMemoryStrategy(
+        mx.memoryless(model), {(0, "s"): {"a": 2, "b": -1}, (0, "t"): {"a": 1}})),
+                     mx.SchemaError, "act(0,s)(b) is negative"),
+    "kuhn-empty": (lambda model: mx.mixed_to_behavioural(mx.FiniteMixture((), ()), model),
+                   mx.EmptySupport, "mixture support is empty"),
+    "history-even": (lambda model: mx.cylinder_prob(model, coin_exit_always(model, "a"), "s",
+                                                    ("s", "a")),
+                     mx.MalformedHistory, "a history alternates s a s ... s"),
+    "history-disabled": (lambda model: mx.cylinder_prob(model, coin_exit_always(model, "a"), "t",
+                                                        ("t", "b", "t")),
+                         mx.MalformedHistory, "action b disabled in t"),
+    "history-impossible": (lambda model: mx.cylinder_prob(model, coin_exit_always(model, "a"),
+                                                          "t", ("t", "a", "s")),
+                           mx.MalformedHistory, "transition t -a-> s has probability 0"),
+    "history-unknown-state": (lambda model: mx.cylinder_prob(model, coin_exit_always(model, "a"),
+                                                             "u", ("u",)),
+                              mx.MalformedHistory, "unknown state u"),
+}
+
+
+@pytest.mark.parametrize("call, exception, message", BAD_STRATEGY_INPUTS.values(),
+                         ids=BAD_STRATEGY_INPUTS)
+def test_bad_strategy_inputs_are_refused(coin_exit, call, exception, message):
+    with pytest.raises(exception, match=f"^{re.escape(message)}$"):
+        call(coin_exit[0])

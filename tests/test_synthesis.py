@@ -3,6 +3,7 @@ support reduction with extended-real components."""
 
 import os
 import random
+import re
 import subprocess
 import sys
 import textwrap
@@ -11,6 +12,7 @@ from fractions import Fraction
 import pytest
 
 import momix as mx
+from momix import synthesis
 from momix.errors import DimensionMismatch, InfeasibleApproximation, NotAchievable
 from momix.evaluate import Pool
 
@@ -100,6 +102,40 @@ def test_corrupted_certificate_raises_under_optimize():
     assert proc.stdout.startswith("raised: exact recombination check failed")
 
 
+def _three_members(earn_or_exit):
+    """A mixture of three members at 1, 2 and 3, and their vectors."""
+    members = [earn_or_exit_leave(earn_or_exit[0], r) for r in range(3)]
+    return (mx.FiniteMixture.of([(s, Fraction(1, 3)) for s in members]),
+            [mx.vector(k) for k in (1, 2, 3)])
+
+
+# id: (object, attribute, fault, call, message); the fault replaces the one call
+# whose answer the check re-checks
+SYNTHESIS_FAULTS = {
+    "recombination": (
+        mx.ExtRealVector, "combine", staticmethod(lambda weights, vectors: mx.vector(0, 0)),
+        lambda pool, earn_or_exit: mx.achieve(mx.vector(Fraction(3, 4), Fraction(3, 4)), pool),
+        "exact recombination check failed"),
+    "reduced-support": (
+        synthesis, "caratheodory",
+        lambda q, points: mx.Decomposition((0, 1, 2), (Fraction(1, 3),) * 3),
+        lambda pool, earn_or_exit: mx.reduce_support(*_three_members(earn_or_exit)),
+        "support reduction kept 3 > d + 1 members"),
+}
+
+
+@pytest.mark.parametrize("owner, name, fault, call, message", SYNTHESIS_FAULTS.values(),
+                         ids=SYNTHESIS_FAULTS)
+def test_synthesis_self_checks_catch_a_faulty_answer(owner, name, fault, call, message,
+                                                      split_reach_pool, earn_or_exit, monkeypatch):
+    """Each self-check of `synthesis` raises SelfCheckFailed when the one
+    call it re-checks answers wrongly."""
+    call(split_reach_pool, earn_or_exit)
+    monkeypatch.setattr(owner, name, fault)
+    with pytest.raises(mx.SelfCheckFailed, match=f"^{re.escape(message)}$"):
+        call(split_reach_pool, earn_or_exit)
+
+
 def test_approximate_earn_or_exit(earn_or_exit):
     model, dims = earn_or_exit
     pool = mx.pure_payoff_set(model, "s", dims, mx.counter(model, 12))
@@ -125,6 +161,25 @@ def test_approximate_all_finite_reduces_to_achieve(split_reach_pool):
 def test_approximate_rejects_nonpositive_eps_and_m(split_reach_pool, eps, big_m, message):
     with pytest.raises(ValueError, match=message):
         mx.approximate(mx.vector(1, "+inf"), eps, big_m, split_reach_pool)
+
+
+# id: (call on the split_reach pool, message)
+BAD_SYNTHESIS_INPUTS = {
+    "achieve-infinite": (lambda pool: mx.achieve(mx.vector(1, "+inf"), pool),
+                         "achieve needs a finite target; use approximate"),
+    "achieve-mode": (lambda pool: mx.achieve(mx.vector(0, 0), pool, mode="approximates"),
+                     "mode must be 'equals' or 'dominates'"),
+    "lexopt-empty": (lambda pool: mx.lex_optimize([]), "pool is empty"),
+    "reduce-vectors": (lambda pool: mx.reduce_support(
+        mx.FiniteMixture.of([(pool[0][0], 1)]), [pool[0][1], pool[1][1]]),
+                       "one vector per support member is required"),
+}
+
+
+@pytest.mark.parametrize("call, message", BAD_SYNTHESIS_INPUTS.values(), ids=BAD_SYNTHESIS_INPUTS)
+def test_bad_synthesis_inputs_are_refused(split_reach_pool, call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(split_reach_pool)
 
 
 def test_approximate_infeasible_without_witnesses(earn_or_exit):
