@@ -90,10 +90,11 @@ def _target_vector(text: str, dims) -> ExtRealVector:
 
 
 def _emit(args, payload: dict, human_lines):
+    """The payload as JSON under `--json`, else the lines `human_lines()` builds only then."""
     if args.json:
         print(json.dumps(payload, indent=2))
     else:
-        for line in human_lines:
+        for line in human_lines():
             print(line)
 
 
@@ -110,9 +111,8 @@ def _cmd_validate(args):
     report = model_mod.validate(mdl)
     payload = {"ok": report.ok,
                "violations": [list(v) for v in report.violations]}
-    lines = ["ok" if report.ok else "violations:"]
-    lines += [f"  [{rule}] {loc}: {msg}" for rule, loc, msg in report.violations]
-    _emit(args, payload, lines)
+    _emit(args, payload, lambda: ["ok" if report.ok else "violations:"]
+          + [f"  [{rule}] {loc}: {msg}" for rule, loc, msg in report.violations])
     return EXIT_OK if report.ok else EXIT_NEGATIVE
 
 
@@ -124,7 +124,7 @@ def _cmd_evaluate(args):
     else:
         vec = evaluate.expected_payoff(mdl, loaded, args.state, dims)
     payload = {"ok": True, "vector": vec.serialize()}
-    _emit(args, payload, ["expected payoff: " + "  ".join(_fmt(c) for c in vec)])
+    _emit(args, payload, lambda: ["expected payoff: " + "  ".join(_fmt(c) for c in vec)])
     return EXIT_OK
 
 
@@ -145,10 +145,12 @@ def _cmd_frontier(args):
             "vertex": v in vertex_set,
         })
     payload = {"ok": True, "pool_size": pool.size, "distinct": rows}
-    lines = [f"pool size {pool.size}, {len(distinct)} distinct vectors"]
-    for row in rows:
-        marks = ("P" if row["pareto"] else " ") + ("V" if row["vertex"] else " ")
-        lines.append(f"  [{marks}] " + "  ".join(_fmt(c) for c in row["vector"]))
+
+    def lines():
+        yield f"pool size {pool.size}, {len(distinct)} distinct vectors"
+        for row in rows:
+            marks = ("P" if row["pareto"] else " ") + ("V" if row["vertex"] else " ")
+            yield f"  [{marks}] " + "  ".join(_fmt(c) for c in row["vector"])
     _emit(args, payload, lines)
     if args.out:
         header = "pareto,vertex," + ",".join(f"dim{j}" for j in range(len(dims)))
@@ -186,9 +188,9 @@ def _cmd_achieve(args):
     try:
         cert = synthesis.achieve(target, pool, mode=args.mode)
     except NotAchievable as exc:
-        _emit(args, {"ok": False, "reason": str(exc)}, [f"not achievable: {exc}"])
+        _emit(args, {"ok": False, "reason": str(exc)}, lambda: [f"not achievable: {exc}"])
         return EXIT_NEGATIVE
-    return _emit_certificate(args, cert, [
+    return _emit_certificate(args, cert, lambda: [
         f"achievable ({args.mode}), support {len(cert.mixture.support)}",
         "realized: " + "  ".join(_fmt(c) for c in cert.realized),
         "weights:  " + "  ".join(format_rational(w) for w in cert.mixture.weights)])
@@ -207,9 +209,9 @@ def _cmd_approx(args):
     try:
         cert = synthesis.approximate(target, eps, big_m, pool)
     except InfeasibleApproximation as exc:
-        _emit(args, {"ok": False, "reason": str(exc)}, [f"infeasible: {exc}"])
+        _emit(args, {"ok": False, "reason": str(exc)}, lambda: [f"infeasible: {exc}"])
         return EXIT_NEGATIVE
-    return _emit_certificate(args, cert, [
+    return _emit_certificate(args, cert, lambda: [
         f"approximation found, support {len(cert.mixture.support)}",
         "realized: " + "  ".join(_fmt(c) for c in cert.realized)])
 
@@ -221,7 +223,7 @@ def _cmd_lexopt(args):
     payload = {"ok": True, "winner_index": result.winner_index,
                "vector": result.vector.serialize(), "pool_size": result.pool_size,
                "certified": result.certified}
-    _emit(args, payload, [
+    _emit(args, payload, lambda: [
         f"lexicographic optimum over {result.pool_size} pure strategies",
         "vector: " + "  ".join(_fmt(c) for c in result.vector),
     ])
@@ -232,8 +234,7 @@ def _cmd_classify(args):
     mdl, dims = _load_payoffs(args.model)
     verdicts = evaluate.classify_integrability(mdl, dims, args.state)
     payload = {"ok": True, "verdicts": [v.verdict for v in verdicts]}
-    lines = [f"dim {j}: {v.verdict}" for j, v in enumerate(verdicts)]
-    _emit(args, payload, lines)
+    _emit(args, payload, lambda: [f"dim {j}: {v.verdict}" for j, v in enumerate(verdicts)])
     return EXIT_OK
 
 
@@ -244,9 +245,10 @@ def _cmd_belief_graph(args):
     payload = {"ok": True, "nodes": len(graph.nodes), "edges": len(graph.edges)}
     if args.out:
         _write_out(args.out, dot + "\n")
-        _emit(args, payload, [f"{len(graph.nodes)} supports, {len(graph.edges)} edges -> {args.out}"])
+        _emit(args, payload,
+              lambda: [f"{len(graph.nodes)} supports, {len(graph.edges)} edges -> {args.out}"])
     else:
-        _emit(args, payload, [dot])
+        _emit(args, payload, lambda: [dot])
     return EXIT_OK
 
 
@@ -269,11 +271,11 @@ def _cmd_simulate(args):
                "censored": list(est.censored),
                "bias_bound": [None if b is None else format_rational(b) for b in est.bias_bound],
                "samples": est.samples, "seed": est.seed, "horizon": est.horizon}
-    lines = []
-    for j in range(len(dims)):
-        bias = payload["bias_bound"][j]
-        lines.append(f"dim {j}: mean {est.mean[j]:.6g}  stderr {est.stderr[j]:.3g}"
-                     f"  censored {est.censored[j]}  bias_bound {bias}")
+
+    def lines():
+        for j, bias in enumerate(payload["bias_bound"]):
+            yield (f"dim {j}: mean {est.mean[j]:.6g}  stderr {est.stderr[j]:.3g}"
+                   f"  censored {est.censored[j]}  bias_bound {bias}")
     _emit(args, payload, lines)
     if args.out:
         header = "dim,mean,stderr,bias_bound,censored,seed"
@@ -288,7 +290,7 @@ def _cmd_simulate(args):
 def _cmd_probe(args):
     mdl, dims = _load_payoffs(args.model)
     with open(args.family, "r", encoding="utf-8") as handle:
-        doc = json.load(handle)
+        doc = model_mod.read_json(handle.read())
     if not isinstance(doc, dict):
         raise SchemaError("a family file must hold a JSON object")
     family = []
@@ -305,11 +307,9 @@ def _cmd_probe(args):
                "limit": table.limit_vector.serialize(),
                "rows": [{"index": r.index, "vector": r.vector.serialize(),
                          "premetric_sq": format_rational(r.premetric_sq)} for r in table.rows]}
-    lines = ["limit: " + "  ".join(_fmt(c) for c in table.limit_vector)]
-    for r in table.rows:
-        lines.append(f"n={r.index}: " + "  ".join(_fmt(c) for c in r.vector)
-                     + f"  d^2={format_rational(r.premetric_sq)}")
-    _emit(args, payload, lines)
+    _emit(args, payload, lambda: ["limit: " + "  ".join(_fmt(c) for c in table.limit_vector)]
+          + [f"n={r.index}: " + "  ".join(_fmt(c) for c in r.vector)
+             + f"  d^2={format_rational(r.premetric_sq)}" for r in table.rows])
     return EXIT_OK
 
 
@@ -407,7 +407,7 @@ def run(argv) -> int:
         os.close(devnull)
         return EXIT_NEGATIVE
     except (ParseError, SchemaError, UnknownState, DimensionMismatch, DisabledAction,
-            EmptySupport, PoolTooLarge, UnsupportedKind, OSError, json.JSONDecodeError) as exc:
+            EmptySupport, PoolTooLarge, UnsupportedKind, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except MomixError as exc:

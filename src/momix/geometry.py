@@ -31,7 +31,8 @@ Point = Tuple[Fraction, ...]
 
 
 def as_point(values) -> Point:
-    return tuple(Fraction(v) for v in values)
+    """The values as Fractions: a Fraction as it is, anything else converted."""
+    return tuple(v if isinstance(v, Fraction) else Fraction(v) for v in values)
 
 
 def _format_point(q: Point) -> str:
@@ -96,7 +97,7 @@ def _combination_lp(q: Point, points: Sequence[Point], sense: str = "==",
         if push is not None:
             coeffs["g"] = -push[j]
         lp.constrain(coeffs, sense, q[j])
-    lp.constrain({n: Fraction(1) for n in names}, "==", Fraction(1))
+    lp.constrain({n: 1 for n in names}, "==", 1)
     return lp, names
 
 

@@ -144,13 +144,17 @@ def _identifiers(doc, key, default=None) -> Tuple[str, ...]:
     return names
 
 
-def load_model(text: str) -> Pomdp:
-    """Parse the JSON model format into a Pomdp with exact rationals."""
+def read_json(text: str):
+    """The JSON document `text`; a ParseError if it is not JSON."""
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}") from exc
-    return model_from_dict(doc)
+
+
+def load_model(text: str) -> Pomdp:
+    """Parse the JSON model format into a Pomdp with exact rationals."""
+    return model_from_dict(read_json(text))
 
 
 def model_from_dict(doc: Mapping) -> Pomdp:

@@ -17,13 +17,12 @@ fault.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Tuple, Union
 
-from .errors import ParseError, SchemaError
-from .model import Pomdp, WeightFunction, model_from_dict, require_field
+from .errors import SchemaError
+from .model import Pomdp, WeightFunction, model_from_dict, read_json, require_field
 from .rationals import format_rational, parse_rational
 
 
@@ -131,10 +130,7 @@ def payoff_from_dict(model: Pomdp, entry: Mapping) -> PayoffSpec:
 
 def load_problem(text: str):
     """Convenience: parse a document into (model, multi-payoff or None)."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}") from exc
+    doc = read_json(text)
     model = model_from_dict(doc)
     dims = tuple(payoff_from_dict(model, e) for e in require_field(doc, "payoffs", list, []))
     return model, (dims if dims else None)

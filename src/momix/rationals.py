@@ -30,11 +30,20 @@ _EXPONENT = re.compile(r"[eE][-+]?([\d_]+)$")
 def parse_rational(text) -> Fraction:
     """Parse "p/q", "p" or a decimal string into an exact Fraction.
 
-    Plain ints are accepted for convenience; floats are rejected so that no
-    binary rounding can sneak into a model file.  A decimal string whose
-    exponent exceeds MAX_DECIMAL_EXPONENT in magnitude is refused before it
-    is expanded.
+    An optional "-", ASCII digits and optionally "/" and ASCII digits go
+    to `int`; every other string goes through `Fraction(str)`, with the
+    same result.  Plain ints are accepted for convenience; floats are
+    rejected so that no binary rounding can sneak into a model file.  A
+    decimal string whose exponent exceeds MAX_DECIMAL_EXPONENT in magnitude
+    is refused before it is expanded.
     """
+    if isinstance(text, str):
+        num, slash, den = text.partition("/")
+        if text.isascii() and num.removeprefix("-").isdigit() and (den.isdigit() or not slash):
+            try:
+                return Fraction(int(num), int(den or 1))
+            except (ValueError, ZeroDivisionError):
+                pass  # over zero or past int()'s digit limit: Fraction(str) says which
     if isinstance(text, bool):
         raise SchemaError(f"not a rational: {text!r}")
     if isinstance(text, int):

@@ -27,15 +27,14 @@ The module also provides:
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
-from .errors import (DisabledAction, EmptySupport, MalformedHistory, ParseError, PoolTooLarge,
+from .errors import (DisabledAction, EmptySupport, MalformedHistory, PoolTooLarge,
                      SchemaError, UnknownState)
-from .model import Pomdp, closure, iter_sccs, require_field
+from .model import Pomdp, closure, iter_sccs, read_json, require_field
 from .rationals import format_rational, parse_rational
 
 Mem = object  # memory states are any hashable identifiers (ints, strings)
@@ -138,22 +137,27 @@ class PureStrategy(FiniteMemoryStrategy):
 
 @dataclass(frozen=True)
 class FiniteMixture:
-    """A finite-support distribution over pure strategies, drawn once."""
+    """A finite-support distribution over pure strategies, drawn once: a
+    non-empty support, one non-negative weight per member, summing to 1."""
 
     support: Tuple[PureStrategy, ...]
     weights: Tuple[Fraction, ...]
 
+    def __post_init__(self):
+        if not self.support:
+            raise EmptySupport("mixture support is empty")
+        if len(self.weights) != len(self.support):
+            raise SchemaError("mixture support and weights lengths differ")
+        if any(w < 0 for w in self.weights):
+            raise SchemaError("mixture weights must be non-negative")
+        if sum(self.weights, Fraction(0)) != 1:
+            raise SchemaError("mixture weights must sum to exactly 1")
+
     @staticmethod
     def of(pairs: Iterable[Tuple[PureStrategy, Fraction]]) -> "FiniteMixture":
+        """The mixture of the pairs of non-zero weight."""
         kept = [(s, Fraction(w)) for s, w in pairs if Fraction(w) != 0]
-        if not kept:
-            raise EmptySupport("mixture support is empty")
-        weights = [w for _, w in kept]
-        if any(w < 0 for w in weights):
-            raise SchemaError("mixture weights must be non-negative")
-        if sum(weights, Fraction(0)) != 1:
-            raise SchemaError("mixture weights must sum to exactly 1")
-        return FiniteMixture(tuple(s for s, _ in kept), tuple(weights))
+        return FiniteMixture(tuple(s for s, _ in kept), tuple(w for _, w in kept))
 
     @staticmethod
     def dirac(strategy: PureStrategy) -> "FiniteMixture":
@@ -381,8 +385,6 @@ def mixed_to_behavioural(mixture: FiniteMixture, model: Pomdp) -> FiniteMemorySt
     uniformly over enabled actions (outcome-equivalence does not constrain
     them).
     """
-    if not mixture.support:
-        raise EmptySupport("mixture support is empty")
     members = mixture.support
     init = (tuple(m.skeleton.init for m in members), frozenset(range(len(members))))
 
@@ -540,10 +542,7 @@ def mixture_from_dict(doc: Mapping, model: Pomdp) -> FiniteMixture:
 def load_strategy_file(path, model: Pomdp):
     """Load a strategy or mixture JSON file."""
     with open(path, "r", encoding="utf-8") as handle:
-        try:
-            doc = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON: {exc}") from exc
+        doc = read_json(handle.read())
     if not isinstance(doc, dict):
         raise SchemaError("a strategy file must hold a JSON object")
     if "support" in doc:

@@ -103,6 +103,22 @@ def test_frontier_validates_its_model_once(capsys, monkeypatch):
     assert len(reports) == 1
 
 
+def test_json_output_builds_no_human_lines(capsys, monkeypatch):
+    """Under --json the human-readable lines are never built, so `_fmt` is
+    not called; without it they are."""
+    formatted = []
+    monkeypatch.setattr(mx.cli, "_fmt", lambda value: formatted.append(value) or str(value))
+    commands = [["frontier", RUNNING, "--state", "s0"],
+                ["achieve", RUNNING, "--state", "s0", "--target", "2,1"],
+                ["lexopt", EARN_OR_EXIT, "--state", "s"]]
+    for argv in commands:
+        assert run_json(capsys, argv)[0] == 0
+    assert formatted == []
+    for argv in commands:
+        assert run(argv) == 0
+    assert formatted
+
+
 def test_achieve_roundtrip(capsys, tmp_path):
     out = tmp_path / "mixture.json"
     code, payload = run_json(capsys, ["achieve", RUNNING, "--state", "s0",
@@ -641,7 +657,8 @@ def test_malformed_model(tmp_path, capsys):
     path.write_text("{not json")
     assert run(["validate", str(path)]) == 3
     assert run(["evaluate", COMMUTE, "--state", "home", "--strategy", str(path)]) == 3
-    assert capsys.readouterr().err.count("input error: invalid JSON: ") == 2
+    assert run(PROBE[:-1] + [str(path)]) == 3
+    assert capsys.readouterr().err.count("input error: invalid JSON: ") == 3
     with pytest.raises(mx.ParseError, match="^invalid JSON: "):
         mx.load_model(path.read_text())
 

@@ -89,6 +89,20 @@ GATED_LINE = [(Fraction(0), Fraction(0)), (Fraction(0), Fraction(4)),
         (Fraction(37, 16), Fraction(27, 16))]
 
 
+def test_points_keep_their_fractions_and_convert_the_rest():
+    """A Fraction coordinate reaches the LPs as the caller's object; an int
+    or a rational string becomes a Fraction, and the answers are those of
+    the same points written as Fractions."""
+    half = Fraction(1, 2)
+    point = geometry.as_point((half, 3, "-2/6"))
+    assert point == (half, 3, Fraction(-1, 3)) and point[0] is half
+    assert all(type(x) is Fraction for x in point)
+    written = [("1", 0), (0, "1"), ("3/4", "3/4")]
+    assert mx.caratheodory(("1/2", "1/2"), written) == mx.caratheodory((half, half), TRIANGLE)
+    assert geometry.Decomposition((0, 2), (half, half)).recombine(written) == (Fraction(7, 8),
+                                                                             Fraction(3, 8))
+
+
 def test_membership_matches_bruteforce_random():
     rng = random.Random(12)
     for d in (2, 3):

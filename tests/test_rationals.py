@@ -1,11 +1,13 @@
 """Extended reals: the 0 * inf = 0 convention of combinations, affine
 combinations through infinities, the order, printing and immutability of
-ExtReal and ExtRealVector, and the vectors they refuse."""
+ExtReal and ExtRealVector, the vectors they refuse, and parse_rational
+against Fraction(str)."""
 
 import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 import momix as mx
 from momix.rationals import ExtReal
@@ -54,3 +56,51 @@ def test_order_printing_and_floats():
 def test_bad_vectors_are_refused(call, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         call()
+
+
+# -- parsing: the int route for "p/q" numerals against Fraction(str) -------------------
+
+_DIGITS = st.text("0123456789", min_size=1, max_size=12)
+_PLAIN = st.builds(lambda sign, p, q: sign + p + q, st.sampled_from(["", "-"]), _DIGITS,
+                   st.one_of(st.just(""), _DIGITS.map("/".__add__)))
+_NUMERALS = st.one_of(
+    _PLAIN,
+    st.builds("{}{}{}".format, st.sampled_from([" ", "\t", "\n "]), _PLAIN,
+              st.sampled_from(["", " ", "\r\n"])),  # whitespace around
+    _PLAIN.map("+".__add__),  # a plus sign
+    st.builds("{}_{}".format, _DIGITS, _PLAIN),  # underscores
+    _PLAIN.map(lambda s: s.replace("/", " / ")),  # spaces around the slash
+    st.builds("{}.{}".format, _PLAIN, _DIGITS),  # decimals
+    st.builds("{}e{}".format, _PLAIN, st.integers(-300, 300)),  # exponents
+    _PLAIN.map(lambda s: s.translate(str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩"))),  # non-ASCII
+    _PLAIN.map(lambda s: s.split("/")[0] + "/0"),  # a zero denominator
+    st.builds(lambda n, den: "7" * n + den, st.integers(4290, 4310),  # past int()'s limit
+              st.sampled_from(["", "/3"])),
+    st.text("0123456789-+/._ ", max_size=12),  # anything else
+)
+
+
+@given(_NUMERALS)
+@example("-12/30")
+@example(" 3/4\n")
+@example("+5")
+@example("1_000/3")
+@example("1 / 2")
+@example("-2.50")
+@example("15E-1")
+@example("١/٢")
+@example("7/0")
+@example("7" * 4301 + "/3")
+@example("1/-2")
+def test_numerals_parse_as_fraction_does(text):
+    """`parse_rational` gives what `Fraction(str)` gives, and a SchemaError
+    naming the stripped text where `Fraction(str)` refuses the string."""
+    try:
+        expected = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        with pytest.raises(mx.SchemaError) as refused:
+            mx.parse_rational(text)
+        assert str(refused.value) == f"malformed rational {text.strip()!r}"
+    else:
+        parsed = mx.parse_rational(text)
+        assert type(parsed) is Fraction and parsed == expected

@@ -398,6 +398,16 @@ BAD_STRATEGY_INPUTS = {
                      mx.SchemaError, "act(0,s)(b) is negative"),
     "kuhn-empty": (lambda model: mx.mixed_to_behavioural(mx.FiniteMixture((), ()), model),
                    mx.EmptySupport, "mixture support is empty"),
+    # built directly, a mixture checks what `FiniteMixture.of` checks
+    "direct-weights-sum": (lambda model: mx.FiniteMixture((coin_exit_always(model, "a"),),
+                                                          (Fraction(1, 2),)),
+                           mx.SchemaError, "mixture weights must sum to exactly 1"),
+    "direct-weights-negative": (lambda model: mx.FiniteMixture(
+        (coin_exit_always(model, "a"), coin_exit_always(model, "b")), (2, -1)),
+                                mx.SchemaError, "mixture weights must be non-negative"),
+    "direct-lengths": (lambda model: mx.FiniteMixture((coin_exit_always(model, "a"),),
+                                                      (Fraction(1, 2), Fraction(1, 2))),
+                       mx.SchemaError, "mixture support and weights lengths differ"),
     "history-even": (lambda model: mx.cylinder_prob(model, coin_exit_always(model, "a"), "s",
                                                     ("s", "a")),
                      mx.MalformedHistory, "a history alternates s a s ... s"),
